@@ -222,7 +222,9 @@ def test_scaling_servers(benchmark):
     # is asserted instead — the busiest shard's event-loop time (the
     # parallel critical path, which *is* the wall on a wide-enough host)
     # must fit the 64-server serial budget.
-    if 64 in wall_by_nodes and largest >= 256 and largest >= parallel_from:
+    # (``parallel_shards`` is absent when the point ran as one shard.)
+    ran_sharded = "parallel_shards" in results[largest].extra
+    if 64 in wall_by_nodes and largest >= 256 and largest >= parallel_from and ran_sharded:
         largest_shards = int(results[largest].extra["parallel_shards"])
         busy_max = float(results[largest].extra["parallel_shard_busy_max_s"])
         try:

@@ -123,7 +123,7 @@ def main() -> int:
         f"events={events:.0f}, committed={metrics.committed}, "
         f"ktps={metrics.throughput_ktps:.2f}"
     )
-    if args.engine == "parallel":
+    if "parallel_shards" in metrics.extra:  # barriers ran: more than one shard
         print(
             f"parallel: shards={metrics.extra['parallel_shards']}, "
             f"sync_rounds={metrics.extra['parallel_sync_rounds']}, "

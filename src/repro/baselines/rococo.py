@@ -781,14 +781,12 @@ class RococoCluster(ProtocolCluster):
     node_class = RococoNode
     protocol_name = "rococo"
 
-    def check_contract(self) -> list:
+    @staticmethod
+    def contract(history, replica_versions) -> list:
         """ROCOCO's contract under faults: serializability (the guarantee the
         integration tests pin for this baseline) plus committed-writer reads —
         no client may observe a torn or uncommitted write."""
-        return [
-            check_serializability(self.history),
-            check_committed_reads(self.history),
-        ]
+        return [check_serializability(history), check_committed_reads(history)]
 
 
 register("rococo", RococoCluster)

@@ -773,7 +773,8 @@ class WalterCluster(ProtocolCluster):
     node_class = WalterNode
     protocol_name = "walter"
 
-    def check_contract(self) -> List[CheckResult]:
+    @staticmethod
+    def contract(history, replica_versions) -> List[CheckResult]:
         """Walter's PSI contract under faults.
 
         PSI permits long forks and torn cross-site snapshot cuts, so the
@@ -783,48 +784,53 @@ class WalterCluster(ProtocolCluster):
         freedom (every read from a committed writer) and convergence of
         every key's replicas once propagation drains.
         """
-        return [
-            check_committed_reads(self.history),
-            self.check_replica_convergence(),
-        ]
+        return [check_committed_reads(history), replica_convergence(replica_versions)]
 
-    def check_replica_convergence(self) -> CheckResult:
-        """Every replica of a key holds the same committed version set.
-
-        A propagation batch lost to a crash or partition (and never
-        retransmitted) surfaces here as a replica missing a ``(site,
-        seqno)`` version that its peers hold.  Meaningful at quiescence —
-        after the run's drain, when the durable streams have been acked.
-        """
-        violations: List[str] = []
-        checked = 0
+    def replica_versions(self) -> Dict[object, Dict[int, set]]:
+        """The committed ``(site, seqno)`` versions each owned replica holds."""
+        summary: Dict[object, Dict[int, set]] = {}
         for key in self.keys:
             replicas = self.placement.replicas(key)
             if len(replicas) < 2:
                 continue
-            checked += 1
-            held: Dict[int, set] = {}
-            for node_id in replicas:
-                chain = self.nodes[node_id]._chains.get(key, [])
-                held[node_id] = {
+            # Every replicated key gets an entry, owned replica or not, so
+            # shard summaries share one key order and merge by update.
+            summary[key] = {
+                node_id: {
                     (version.site, version.seqno)
-                    for version in chain
+                    for version in self.nodes[node_id]._chains.get(key, [])
                     if version.writer is not None
                 }
-            union = set().union(*held.values())
-            for node_id in sorted(held):
-                missing = union - held[node_id]
-                if missing:
-                    violations.append(
-                        f"replica {node_id} of {key!r} is missing committed "
-                        f"versions {sorted(missing)}"
-                    )
-        return CheckResult(
-            ok=not violations,
-            name="walter-replica-convergence",
-            violations=violations,
-            checked_transactions=checked,
-        )
+                for node_id in replicas
+                if self.nodes[node_id] is not None
+            }
+        return summary
+
+
+def replica_convergence(replica_versions: Dict[object, Dict[int, set]]) -> CheckResult:
+    """Every replica of a key holds the same committed version set.
+
+    A propagation batch lost to a crash or partition (and never
+    retransmitted) surfaces here as a replica missing a ``(site, seqno)``
+    version that its peers hold.  Meaningful at quiescence — after the
+    run's drain, when the durable streams have been acked.
+    """
+    violations: List[str] = []
+    for key, held in replica_versions.items():
+        union = set().union(*held.values())
+        for node_id in sorted(held):
+            missing = union - held[node_id]
+            if missing:
+                violations.append(
+                    f"replica {node_id} of {key!r} is missing committed "
+                    f"versions {sorted(missing)}"
+                )
+    return CheckResult(
+        ok=not violations,
+        name="walter-replica-convergence",
+        violations=violations,
+        checked_transactions=len(replica_versions),
+    )
 
 
 register("walter", WalterCluster)

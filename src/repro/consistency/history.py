@@ -18,7 +18,8 @@ any of the protocols implemented here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TransactionId
 
@@ -117,11 +118,28 @@ def aborted_from_meta(meta: "TransactionMeta") -> AbortedTransaction:
 
 @dataclass
 class HistoryRecorder:
-    """Collects the history of one experiment or test run."""
+    """Collects the history of one experiment or test run.
+
+    Every record carries the *engine tag* of the event that produced it
+    (``committed_tags`` / ``aborted_tags``, parallel to the record lists):
+    engine keys are unique and totally ordered across the shards of a
+    node-sharded run, so :meth:`merge` puts the recorders of any number of
+    shards back into the one order a single recorder observing every node
+    appends in.  ``tags`` issues them (an
+    :class:`~repro.sim.shard.EngineTagSequencer`); the cluster facade binds
+    it to its engine, and it does not travel with a pickled recorder.
+    """
 
     committed: List[CommittedTransaction] = field(default_factory=list)
     aborted: List[AbortedTransaction] = field(default_factory=list)
     enabled: bool = True
+    committed_tags: List[Tuple[float, int, int]] = field(default_factory=list)
+    aborted_tags: List[Tuple[float, int, int]] = field(default_factory=list)
+    tags: Optional[object] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # The sequencer reads a live engine; the records travel without it.
+        return {**self.__dict__, "tags": None}
 
     # ------------------------------------------------------------------
     def record_commit(self, meta: "TransactionMeta") -> None:
@@ -129,11 +147,34 @@ class HistoryRecorder:
         if not self.enabled:
             return
         self.committed.append(committed_from_meta(meta))
+        self.committed_tags.append(self.tags.next_tag())
 
     def record_abort(self, meta: "TransactionMeta") -> None:
         if not self.enabled:
             return
         self.aborted.append(aborted_from_meta(meta))
+        self.aborted_tags.append(self.tags.next_tag())
+
+    @classmethod
+    def merge(cls, parts: Sequence["HistoryRecorder"]) -> "HistoryRecorder":
+        """One recorder holding every part's records, in engine-tag order.
+
+        Tags rise within a part, so merging a single part is the identity.
+        """
+        committed = sorted(
+            (pair for part in parts for pair in zip(part.committed_tags, part.committed)),
+            key=itemgetter(0),
+        )
+        aborted = sorted(
+            (pair for part in parts for pair in zip(part.aborted_tags, part.aborted)),
+            key=itemgetter(0),
+        )
+        return cls(
+            committed=[record for _tag, record in committed],
+            aborted=[record for _tag, record in aborted],
+            committed_tags=[tag for tag, _record in committed],
+            aborted_tags=[tag for tag, _record in aborted],
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -161,3 +202,5 @@ class HistoryRecorder:
     def clear(self) -> None:
         self.committed.clear()
         self.aborted.clear()
+        self.committed_tags.clear()
+        self.aborted_tags.clear()

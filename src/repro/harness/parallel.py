@@ -1,16 +1,16 @@
-"""Node-sharded conservative parallel experiment driver.
+"""The barrier schedule: how several shards of one experiment run together.
 
-``run_parallel_experiment`` is the engine behind
-``run_experiment(engine="parallel")``: it splits the cluster's nodes over
-``shards`` (contiguous blocks, :func:`repro.sim.shard.shard_of`), builds one
-complete :class:`~repro.sim.engine.Simulation` +
-:class:`~repro.sim.shard.ShardNetwork` + cluster facade per shard — each
-constructing only its owned nodes and their closed-loop clients — and runs
-all shards in lock-stepped windows of the *lookahead* ``L`` (the minimum
-cross-node network latency).  At each window barrier the shards exchange the
-messages addressed to each other's nodes; inside a window they never
-interact, because no message sent in the window can be due before the next
-barrier.  An empty exchange is the scheme's null message.
+``run_experiment`` (:mod:`repro.harness.runner`) assembles, reports and
+merges shards the same way for any shard count; this module is the one step
+that only exists when there is more than one of them.  The cluster's nodes
+are split into contiguous blocks (:func:`repro.sim.shard.shard_of`), each
+:class:`~repro.harness.runner.Shard` constructs only its owned nodes and
+their closed-loop clients, and all shards advance in lock-stepped windows of
+the *lookahead* ``L`` (the minimum cross-node network latency).  At each
+window barrier the shards exchange the messages addressed to each other's
+nodes; inside a window they never interact, because no message sent in the
+window can be due before the next barrier.  An empty exchange is the
+scheme's null message.
 
 Two execution modes share the exact same barrier schedule and exchange
 logic:
@@ -24,12 +24,12 @@ logic:
 
 Determinism: unit-local engine keys, sender-local delivery keys, and
 control-unit fault events (see :mod:`repro.sim.engine` /
-:mod:`repro.sim.shard`) make every shard assign exactly the keys the serial
-engine would, so the merged run is byte-identical to
-``run_experiment(engine="serial")`` — histories, client statistics, network
-and protocol counters.  The serial engine remains the golden reference;
-``tests/unit/test_parallel_engine.py`` pins the equivalence for every
-protocol × fault-plan combination and across shard counts.
+:mod:`repro.sim.shard`) make every shard assign exactly the keys the one
+shard owning every node would, so the merged run is byte-identical to it —
+histories, client statistics, network and protocol counters.  The one-shard
+run remains the golden reference; ``tests/unit/test_parallel_engine.py``
+pins the equivalence for every protocol × fault-plan combination and across
+shard counts.
 """
 
 from __future__ import annotations
@@ -38,166 +38,33 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.common.config import ClusterConfig, WorkloadConfig
-from repro.common.errors import ConfigurationError
-from repro.consistency.checkers import (
-    CheckResult,
-    check_committed_reads,
-    check_external_consistency,
-    check_serializability,
-)
-from repro.harness.streaming import StreamingAccumulator
-from repro.network.transport import NetworkStats
-from repro.protocols.registry import build_cluster
-from repro.sim.engine import Simulation
-from repro.sim.shard import (
-    ShardHistoryRecorder,
-    ShardNetwork,
-    merge_shard_histories,
-    safe_lookahead,
-    shard_node_ids,
-    shard_of,
-)
-from repro.trace.spec import TraceSpec
-from repro.workload.profiles import WorkloadGenerator
-from repro.workload.ycsb import ClientStats, closed_loop_client
-
-
-def default_shards(n_nodes: int) -> int:
-    """Default shard count: up to 4, never more than one node per shard."""
-    return max(1, min(4, n_nodes))
-
-
-@dataclass(frozen=True)
-class ParallelSpec:
-    """Everything a shard worker needs to build and drive its shard.
-
-    Frozen and picklable: in process mode the spec is the only thing that
-    travels to a worker at start-up.
-    """
-
-    protocol: str
-    config: ClusterConfig
-    workload: WorkloadConfig
-    duration_us: float
-    warmup_us: float
-    record_history: bool
-    streaming_metrics: bool
-    drain_us: float
-    shards: int
-    keys: Optional[Tuple[object, ...]] = None
-    phase_windows: Optional[Tuple[Tuple[str, float, float], ...]] = None
-    #: Optional causal-tracing spec; each shard records its own slice and
-    #: ships the payload home for the deterministic merge (frozen dataclass,
-    #: picklable like the rest of the spec).
-    trace: Optional[TraceSpec] = None
-
-    @property
-    def horizon_us(self) -> float:
-        return self.duration_us + self.drain_us
-
-
-@dataclass
-class ShardReport:
-    """What one shard sends back after its final window."""
-
-    shard_index: int
-    owned_node_ids: List[int]
-    clients: List[ClientStats]
-    committed: List[object]
-    committed_tags: List[Tuple[float, int, int]]
-    aborted: List[object]
-    aborted_tags: List[Tuple[float, int, int]]
-    accumulator: Optional[StreamingAccumulator]
-    counters: Dict[str, int]
-    network_stats: NetworkStats
-    clock_stats: Dict[str, float]
-    fault_log: List[Tuple[float, str]]
-    processed_events: int
-    stalled_clients: int
-    leaked_writers: int
-    leaked_commit_queue: int
-    exported_messages: int
-    imported_messages: int
-    busy_seconds: float
-    walter_chains: Optional[Dict[object, Dict[int, set]]] = None
-    #: ``TraceRecorder.payload()`` of this shard when tracing was on.
-    trace_payload: Optional[Tuple] = None
+from repro.harness.runner import ExperimentSpec, Shard, ShardReport
+from repro.sim.shard import safe_lookahead, shard_of
 
 
 @dataclass
 class _BarrierCounters:
-    """Synchronization accounting of one parallel run."""
+    """Synchronization accounting of one barrier schedule."""
 
     sync_rounds: int = 0
     null_messages: int = 0
     cross_shard_messages: int = 0
 
 
-class _ShardRuntime:
-    """One shard, fully assembled: engine, transport, cluster, clients."""
+class _WindowedShard:
+    """One shard stepped through the barrier schedule, CPU time accounted."""
 
-    def __init__(self, spec: ParallelSpec, shard_index: int):
-        config = spec.config
-        owned = shard_node_ids(shard_index, config.n_nodes, spec.shards)
-        self.spec = spec
-        self.shard_index = shard_index
-        self.owned_node_ids = owned
-        self.sim = Simulation(seed=config.seed)
-        self.network = ShardNetwork(self.sim, config=config.network)
-        self.recorder = ShardHistoryRecorder(self.sim) if spec.record_history else None
-        self.cluster = build_cluster(
-            spec.protocol,
-            config=config,
-            keys=list(spec.keys) if spec.keys is not None else None,
-            record_history=self.recorder if self.recorder is not None else False,
-            sim=self.sim,
-            network=self.network,
-            owned_node_ids=owned,
-        )
-        self.tracer = self.cluster.attach_tracer(spec.trace)
-        self.sink: Optional[StreamingAccumulator] = None
-        if spec.streaming_metrics:
-            self.sink = StreamingAccumulator(
-                window_us=0.0,
-                horizon_us=spec.duration_us,
-                phase_windows=spec.phase_windows,
-            )
-        self.clients: List[ClientStats] = []
-        self.sessions = []
-        for node_id in owned:
-            for client_index in range(config.clients_per_node):
-                session = self.cluster.session(node_id)
-                self.sessions.append(session)
-                rng = self.sim.rng.stream(f"workload.n{node_id}.c{client_index}")
-                generator = WorkloadGenerator(
-                    spec.workload,
-                    self.cluster.keys,
-                    rng,
-                    placement=self.cluster.placement,
-                    node_id=node_id,
-                )
-                stats = ClientStats(
-                    node_id=node_id, client_index=client_index, sink=self.sink
-                )
-                self.clients.append(stats)
-                self.cluster.spawn(
-                    closed_loop_client(
-                        session,
-                        generator,
-                        stats,
-                        deadline_us=spec.duration_us,
-                        warmup_us=spec.warmup_us,
-                        think_time_us=spec.workload.think_time_us,
-                    ),
-                    name=f"client-{node_id}-{client_index}",
-                    unit=node_id,
-                )
+    def __init__(self, spec: ExperimentSpec, index: int):
+        self.shard = Shard(spec, index)
+        self.sim = self.shard.cluster.sim
+        self.network = self.shard.cluster.network
+        self.horizon_us = spec.horizon_us
         self.busy_seconds = 0.0
 
-    def run_window(self, until: float) -> None:
+    def run_window(self, until: float) -> list:
+        """Advance to the barrier; returns the messages for other shards."""
         # CPU time, not wall time: on an oversubscribed host a shard's
         # wall-clock inside the window includes other shards' timeslices,
         # while its CPU time is the honest per-shard critical path (what
@@ -205,156 +72,16 @@ class _ShardRuntime:
         start = time.process_time()
         self.sim.run_window(until)
         self.busy_seconds += time.process_time() - start
+        return self.network.take_outbox()
 
-    def finish(self, horizon: float) -> None:
-        """Inclusive final step: events at exactly the horizon still run."""
+    def finish(self) -> ShardReport:
+        """Inclusive final step (events at exactly the horizon still run)."""
         start = time.process_time()
-        self.sim.run(until=horizon)
+        self.sim.run(until=self.horizon_us)
         self.busy_seconds += time.process_time() - start
-
-    def report(self) -> ShardReport:
-        spec = self.spec
-        # The accumulator ships once per shard; the per-client sink
-        # references would each pickle another copy.
-        for stats in self.clients:
-            stats.sink = None
-        recorder = self.recorder
-        leaked_writers = leaked_commit_queue = 0
-        for node in self.cluster.local_nodes:
-            queued = getattr(node, "queued_writer_count", None)
-            if queued is not None:
-                leaked_writers += queued()
-            commit_queue = getattr(node, "commit_queue", None)
-            if commit_queue is not None:
-                leaked_commit_queue += len(commit_queue)
-        walter_chains = None
-        if spec.record_history and spec.protocol == "walter":
-            walter_chains = _walter_chain_summary(self.cluster)
-        return ShardReport(
-            shard_index=self.shard_index,
-            owned_node_ids=self.owned_node_ids,
-            clients=self.clients,
-            committed=list(recorder.committed) if recorder is not None else [],
-            committed_tags=list(recorder.committed_tags) if recorder is not None else [],
-            aborted=list(recorder.aborted) if recorder is not None else [],
-            aborted_tags=list(recorder.aborted_tags) if recorder is not None else [],
-            accumulator=self.sink,
-            counters=dict(self.cluster.total_counters()),
-            network_stats=self.network.stats,
-            clock_stats=self.network.clock_stats(),
-            fault_log=list(self.sim.fault_log),
-            processed_events=self.sim.processed_events,
-            stalled_clients=sum(
-                1 for session in self.sessions if session.current is not None
-            ),
-            leaked_writers=leaked_writers,
-            leaked_commit_queue=leaked_commit_queue,
-            exported_messages=self.network.exported_messages,
-            imported_messages=self.network.imported_messages,
-            busy_seconds=self.busy_seconds,
-            walter_chains=walter_chains,
-            trace_payload=self.tracer.payload() if self.tracer is not None else None,
-        )
-
-
-def _walter_chain_summary(cluster) -> Dict[object, Dict[int, set]]:
-    """Per-replica committed-version sets of this shard's Walter nodes.
-
-    The shard-local half of
-    :meth:`~repro.baselines.walter.WalterCluster.check_replica_convergence`:
-    node chains cannot cross the process boundary, so each shard summarizes
-    its owned replicas and the parent compares the merged sets.
-    """
-    summary: Dict[object, Dict[int, set]] = {}
-    for key in cluster.keys:
-        replicas = cluster.placement.replicas(key)
-        if len(replicas) < 2:
-            continue
-        for node_id in replicas:
-            node = cluster.nodes[node_id]
-            if node is None:
-                continue
-            chain = node._chains.get(key, [])
-            summary.setdefault(key, {})[node_id] = {
-                (version.site, version.seqno)
-                for version in chain
-                if version.writer is not None
-            }
-    return summary
-
-
-class ParallelClusterView:
-    """Read-only merged stand-in for the cluster of a parallel run.
-
-    Exposes the slice of the :class:`~repro.protocols.cluster.ProtocolCluster`
-    surface that post-run consumers use: the merged history, the consistency
-    check, and the protocol's contract checks (mirroring each cluster class's
-    ``check_contract``, with Walter's replica-convergence check rebuilt from
-    the shards' shipped chain summaries).
-    """
-
-    def __init__(
-        self,
-        protocol: str,
-        config: ClusterConfig,
-        keys: List[object],
-        history,
-        fault_log: List[Tuple[float, str]],
-        walter_chains: Optional[Dict[object, Dict[int, set]]] = None,
-    ):
-        self.protocol_name = protocol
-        self.config = config
-        self.keys = keys
-        self.history = history
-        self.fault_log = fault_log
-        self._walter_chains = walter_chains or {}
-
-    def check_consistency(self) -> CheckResult:
-        if self.history is None:
-            raise ConfigurationError("history recording is disabled for this cluster")
-        return check_external_consistency(self.history)
-
-    def check_contract(self) -> List[CheckResult]:
-        if self.protocol_name == "rococo":
-            return [
-                check_serializability(self.history),
-                check_committed_reads(self.history),
-            ]
-        if self.protocol_name == "walter":
-            return [
-                check_committed_reads(self.history),
-                self.check_replica_convergence(),
-            ]
-        return [self.check_consistency()]
-
-    def check_replica_convergence(self) -> CheckResult:
-        violations: List[str] = []
-        checked = 0
-        for key in self.keys:
-            held = self._walter_chains.get(key)
-            if not held:
-                continue
-            checked += 1
-            union = set().union(*held.values())
-            for node_id in sorted(held):
-                missing = union - held[node_id]
-                if missing:
-                    violations.append(
-                        f"replica {node_id} of {key!r} is missing committed "
-                        f"versions {sorted(missing)}"
-                    )
-        return CheckResult(
-            ok=not violations,
-            name="walter-replica-convergence",
-            violations=violations,
-            checked_transactions=checked,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ParallelClusterView protocol={self.protocol_name} "
-            f"nodes={self.config.n_nodes}>"
-        )
+        report = self.shard.report()
+        report.busy_seconds = self.busy_seconds
+        return report
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +93,7 @@ def _entry_key(entry) -> Tuple[float, int]:
     return entry[0], entry[1]
 
 
-def _route(outboxes: Sequence[list], spec: ParallelSpec, counters: _BarrierCounters):
+def _route(outboxes: Sequence[list], spec: ExperimentSpec, counters: _BarrierCounters):
     """Split per-shard outboxes into per-shard sorted import batches."""
     imports: List[list] = [[] for _ in range(spec.shards)]
     n_nodes = spec.config.n_nodes
@@ -384,8 +111,9 @@ def _route(outboxes: Sequence[list], spec: ParallelSpec, counters: _BarrierCount
     return imports
 
 
-def _barrier_schedule(spec: ParallelSpec, lookahead: float):
+def _barrier_schedule(spec: ExperimentSpec):
     """Yield the window end times: multiples of the lookahead, then the horizon."""
+    lookahead = safe_lookahead(spec.config)
     horizon = spec.horizon_us
     barrier = 0.0
     while True:
@@ -398,21 +126,14 @@ def _barrier_schedule(spec: ParallelSpec, lookahead: float):
 # ----------------------------------------------------------------------
 # Inline mode
 # ----------------------------------------------------------------------
-def _run_inline(spec: ParallelSpec) -> Tuple[List[ShardReport], _BarrierCounters]:
-    runtimes = [_ShardRuntime(spec, index) for index in range(spec.shards)]
+def _run_inline(spec: ExperimentSpec) -> Tuple[List[ShardReport], _BarrierCounters]:
+    shards = [_WindowedShard(spec, index) for index in range(spec.shards)]
     counters = _BarrierCounters()
-    lookahead = safe_lookahead(spec.config)
-    for barrier in _barrier_schedule(spec, lookahead):
-        for runtime in runtimes:
-            runtime.run_window(barrier)
-        imports = _route(
-            [runtime.network.take_outbox() for runtime in runtimes], spec, counters
-        )
-        for runtime, batch in zip(runtimes, imports):
-            runtime.network.admit(batch)
-    for runtime in runtimes:
-        runtime.finish(spec.horizon_us)
-    return [runtime.report() for runtime in runtimes], counters
+    for barrier in _barrier_schedule(spec):
+        imports = _route([shard.run_window(barrier) for shard in shards], spec, counters)
+        for shard, batch in zip(shards, imports):
+            shard.network.admit(batch)
+    return [shard.finish() for shard in shards], counters
 
 
 # ----------------------------------------------------------------------
@@ -436,23 +157,21 @@ def _shard_profiler(shard_index: int):
     return cProfile.Profile(), os.path.join(directory, f"shard-{shard_index}.pstats")
 
 
-def _shard_worker(spec: ParallelSpec, shard_index: int, conn) -> None:
+def _shard_worker(spec: ExperimentSpec, shard_index: int, conn) -> None:
     """Worker entry point: build the shard, lock-step windows over the pipe."""
     try:
-        runtime = _ShardRuntime(spec, shard_index)
-        lookahead = safe_lookahead(spec.config)
+        shard = _WindowedShard(spec, shard_index)
         profiler, profile_path = _shard_profiler(shard_index)
         if profiler is not None:
             profiler.enable()
-        for barrier in _barrier_schedule(spec, lookahead):
-            runtime.run_window(barrier)
-            conn.send(runtime.network.take_outbox())
-            runtime.network.admit(conn.recv())
-        runtime.finish(spec.horizon_us)
+        for barrier in _barrier_schedule(spec):
+            conn.send(shard.run_window(barrier))
+            shard.network.admit(conn.recv())
+        report = shard.finish()
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(profile_path)
-        conn.send(("ok", runtime.report()))
+        conn.send(("ok", report))
     except BaseException as exc:  # surface the failure in the parent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -475,7 +194,7 @@ def _recv(conn, shard_index: int):
     return payload
 
 
-def _run_process(spec: ParallelSpec) -> Tuple[List[ShardReport], _BarrierCounters]:
+def _run_process(spec: ExperimentSpec) -> Tuple[List[ShardReport], _BarrierCounters]:
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     ctx = multiprocessing.get_context(method)
     conns = []
@@ -493,8 +212,7 @@ def _run_process(spec: ParallelSpec) -> Tuple[List[ShardReport], _BarrierCounter
             conns.append(parent_conn)
             workers.append(worker)
         counters = _BarrierCounters()
-        lookahead = safe_lookahead(spec.config)
-        for _barrier in _barrier_schedule(spec, lookahead):
+        for _barrier in _barrier_schedule(spec):
             imports = _route(
                 [_recv(conn, index) for index, conn in enumerate(conns)],
                 spec,
@@ -518,250 +236,25 @@ def _run_process(spec: ParallelSpec) -> Tuple[List[ShardReport], _BarrierCounter
                 worker.join(timeout=5.0)
 
 
-# ----------------------------------------------------------------------
-# Merge + entry point
-# ----------------------------------------------------------------------
-def _merge_clock_stats(reports: Sequence[ShardReport]) -> Dict[str, float]:
-    merged = {
-        "clocks_encoded": 0,
-        "encoded_bytes_total": 0,
-        "dense_bytes_total": 0,
-        "encoded_bytes_max": 0,
-    }
-    for report in reports:
-        stats = report.clock_stats
-        merged["clocks_encoded"] += stats["clocks_encoded"]
-        merged["encoded_bytes_total"] += stats["encoded_bytes_total"]
-        merged["dense_bytes_total"] += stats["dense_bytes_total"]
-        if stats["encoded_bytes_max"] > merged["encoded_bytes_max"]:
-            merged["encoded_bytes_max"] = stats["encoded_bytes_max"]
-    return merged
+def run_shards(spec: ExperimentSpec, mode: str) -> Tuple[List[ShardReport], Dict[str, float]]:
+    """Run every shard of ``spec`` through the barrier schedule.
 
-
-def run_parallel_experiment(
-    protocol: str,
-    config: ClusterConfig,
-    workload: WorkloadConfig,
-    duration_us: float = 200_000.0,
-    warmup_us: float = 40_000.0,
-    record_history: bool = False,
-    keep_cluster: bool = False,
-    keys: Optional[Sequence[object]] = None,
-    drain_us: Optional[float] = None,
-    streaming_metrics: bool = False,
-    shards: Optional[int] = None,
-    mode: str = "process",
-    trace=None,
-):
-    """Run one experiment on the node-sharded parallel engine.
-
-    Same contract as ``run_experiment(engine="serial")`` for the supported
-    feature set, and byte-identical results.  Not supported (use the serial
-    engine): open-loop traffic plans, ``record_history="windowed"``, and
-    latency models without a positive minimum latency.
+    Returns the shard reports in shard order and the schedule's own
+    synchronization + balance accounting (``parallel_*`` metrics extras).
     """
-    from repro.harness.runner import (
-        ExperimentResult,
-        _experiment_phase_windows,
-    )
-    from repro.harness.metrics import ExperimentMetrics
-
-    config.validate()
-    workload.validate()
-    if config.traffic:
-        raise ConfigurationError(
-            "the parallel engine drives closed-loop clients only; "
-            "open-loop traffic plans need engine='serial'"
-        )
-    if record_history not in (False, True):
-        raise ConfigurationError(
-            "the parallel engine supports record_history=True/False; "
-            "windowed recording and recorder injection need engine='serial'"
-        )
-    if mode not in ("process", "inline"):
-        raise ConfigurationError(f"unknown parallel mode {mode!r}")
-    if drain_us is None:
-        drain_us = 25_000.0 if config.faults else 0.0
-    if shards is None:
-        shards = default_shards(config.n_nodes)
-    if shards < 1:
-        raise ConfigurationError("shards must be >= 1")
-    shards = min(shards, config.n_nodes)
-    phase_windows = _experiment_phase_windows(config, duration_us)
-    trace_spec = TraceSpec.coerce(trace)
-    spec = ParallelSpec(
-        protocol=protocol,
-        config=config,
-        workload=workload,
-        duration_us=duration_us,
-        warmup_us=warmup_us,
-        record_history=bool(record_history),
-        streaming_metrics=streaming_metrics,
-        drain_us=drain_us,
-        shards=shards,
-        keys=tuple(keys) if keys is not None else None,
-        phase_windows=tuple(phase_windows) if phase_windows else None,
-        trace=trace_spec,
-    )
-    # Validates the lookahead before any worker is spawned.
-    safe_lookahead(config)
-
-    wall_start = time.perf_counter()
-    if mode == "inline" or shards == 1:
-        reports, counters = _run_inline(spec)
-    else:
-        reports, counters = _run_process(spec)
-    wall_seconds = time.perf_counter() - wall_start
-
-    reports.sort(key=lambda report: report.shard_index)
-    # Client statistics in the serial runner's creation order, so every
-    # float summation happens in the identical sequence.
-    clients = [stats for report in reports for stats in report.clients]
-    clients.sort(key=lambda stats: (stats.node_id, stats.client_index))
-    node_counters: Dict[str, int] = {}
-    for report in reports:
-        for name, value in report.counters.items():
-            node_counters[name] = node_counters.get(name, 0) + value
-    network_stats = NetworkStats()
-    for report in reports:
-        network_stats.merge_from(report.network_stats)
-
-    history = None
-    walter_chains: Dict[object, Dict[int, set]] = {}
-    if spec.record_history:
-        history = merge_shard_histories(
-            [
-                (r.committed, r.committed_tags, r.aborted, r.aborted_tags)
-                for r in reports
-            ]
-        )
-        for report in reports:
-            if report.walter_chains:
-                for key, held in report.walter_chains.items():
-                    walter_chains.setdefault(key, {}).update(held)
-
-    sink = None
-    if spec.streaming_metrics:
-        sink = reports[0].accumulator
-        for report in reports[1:]:
-            sink.merge_from(report.accumulator)
-
-    extra: Dict[str, float] = {}
-    if "starvation_backoffs" in node_counters:
-        extra["starvation_backoffs"] = node_counters["starvation_backoffs"]
-    if drain_us > 0:
-        extra["stalled_clients"] = float(
-            sum(report.stalled_clients for report in reports)
-        )
-        extra["quiescence_leaked_writers"] = float(
-            sum(report.leaked_writers for report in reports)
-        )
-        extra["quiescence_commit_queue"] = float(
-            sum(report.leaked_commit_queue for report in reports)
-        )
-    fault_log = reports[0].fault_log
-    if fault_log:
-        extra["fault_events"] = float(len(fault_log))
-    extra["sim_events"] = float(sum(report.processed_events for report in reports))
-    extra["wall_seconds"] = wall_seconds
-    clock_stats = _merge_clock_stats(reports)
-    clocks = clock_stats["clocks_encoded"]
-    if clocks:
-        encoded = clock_stats["encoded_bytes_total"]
-        messages_sent = network_stats.total_sent
-        extra["clocks_encoded"] = float(clocks)
-        extra["clock_bytes_mean"] = round(encoded / clocks, 2)
-        extra["clock_bytes_max"] = float(clock_stats["encoded_bytes_max"])
-        extra["clock_bytes_per_msg"] = round(
-            encoded / messages_sent if messages_sent else 0.0, 2
-        )
-        extra["clock_compression_ratio"] = round(
-            encoded / clock_stats["dense_bytes_total"], 4
-        )
-    # Synchronization + balance accounting of the parallel engine itself.
+    reports, counters = (_run_inline if mode == "inline" else _run_process)(spec)
     per_shard_events = [report.processed_events for report in reports]
     peak_events = max(per_shard_events) or 1
-    extra["parallel_shards"] = float(shards)
-    extra["parallel_sync_rounds"] = float(counters.sync_rounds)
-    extra["parallel_null_messages"] = float(counters.null_messages)
-    extra["parallel_cross_shard_messages"] = float(counters.cross_shard_messages)
-    extra["parallel_shard_events_min"] = float(min(per_shard_events))
-    extra["parallel_shard_events_max"] = float(max(per_shard_events))
-    extra["parallel_shard_utilization_min"] = round(
-        min(per_shard_events) / peak_events, 4
-    )
-    extra["parallel_shard_busy_max_s"] = round(
-        max(report.busy_seconds for report in reports), 4
-    )
-
-    trace_result = None
-    if trace_spec is not None:
-        from repro.trace import (
-            analyze_trace,
-            attribution_extra,
-            merge_trace_payloads,
-            write_chrome_trace,
-        )
-
-        trace_result = merge_trace_payloads(
-            trace_spec,
-            [report.trace_payload for report in reports if report.trace_payload is not None],
-        )
-        paths = analyze_trace(trace_result)
-        extra.update(attribution_extra(paths, trace_result))
-        if trace_spec.path:
-            write_chrome_trace(trace_spec.path, trace_result, paths)
-
-    measured = max(duration_us - warmup_us, 1.0)
-    if sink is not None:
-        metrics = ExperimentMetrics.from_streaming(
-            protocol=protocol,
-            n_nodes=config.n_nodes,
-            accumulator=sink,
-            measured_duration_us=measured,
-            extra=extra,
-        )
-    else:
-        metrics = ExperimentMetrics.from_clients(
-            protocol=protocol,
-            n_nodes=config.n_nodes,
-            clients=clients,
-            measured_duration_us=measured,
-            extra=extra,
-            phase_windows=phase_windows,
-        )
-
-    cluster = None
-    if keep_cluster:
-        cluster_keys = (
-            list(keys)
-            if keys is not None
-            else [f"key-{index}" for index in range(config.n_keys)]
-        )
-        cluster = ParallelClusterView(
-            protocol=protocol,
-            config=config,
-            keys=cluster_keys,
-            history=history,
-            fault_log=fault_log,
-            walter_chains=walter_chains,
-        )
-    return ExperimentResult(
-        protocol=protocol,
-        config=config,
-        workload=workload,
-        metrics=metrics,
-        clients=clients,
-        node_counters=node_counters,
-        cluster=cluster,
-        trace=trace_result,
-    )
+    return reports, {
+        "parallel_shards": float(spec.shards),
+        "parallel_sync_rounds": float(counters.sync_rounds),
+        "parallel_null_messages": float(counters.null_messages),
+        "parallel_cross_shard_messages": float(counters.cross_shard_messages),
+        "parallel_shard_events_min": float(min(per_shard_events)),
+        "parallel_shard_events_max": float(max(per_shard_events)),
+        "parallel_shard_utilization_min": round(min(per_shard_events) / peak_events, 4),
+        "parallel_shard_busy_max_s": round(max(report.busy_seconds for report in reports), 4),
+    }
 
 
-__all__ = [
-    "ParallelClusterView",
-    "ParallelSpec",
-    "ShardReport",
-    "default_shards",
-    "run_parallel_experiment",
-]
+__all__ = ["run_shards"]

@@ -48,9 +48,11 @@ Shard awareness: randomness and sequence numbers are *per sender* (stream
 one integer), so a message's delivery key depends only on its sender's own
 send history — never on global send interleaving.  A node-sharded engine
 (:mod:`repro.sim.shard`) can therefore compute identical delivery keys with
-only a subset of nodes present; sends to nodes that are not registered
-locally go through the :meth:`Network._export` hook, which subclasses
-override to hand the message to the owning shard.
+only a subset of nodes present.  A send to a node that is not registered
+locally lands in :attr:`Network.outbox`; at a window barrier the driver
+drains it (:meth:`Network.take_outbox`) and hands every entry to the shard
+that owns its destination (:meth:`Network.admit`).  A network that owns
+every node never exports, so its outbox stays empty.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ from repro.network.message import Message
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
     from repro.network.node import NetworkedNode
+
+#: One cross-shard message in flight: ``(deliver_at, skey, destination,
+#: message, held)`` — exactly the transport's channel entry plus the
+#: partition-held flag decided at the sender.
+ExportEntry = Tuple[float, int, NodeId, Message, bool]
 
 
 class NetworkStats:
@@ -233,8 +240,11 @@ class Network:
         self._held: List[Tuple[float, int, NodeId, Message]] = []
         #: Simulated times of past heals, newest last.  A shard that imports
         #: a partition-held message after the heal already ran locally uses
-        #: this to release it directly (see ShardNetwork.admit).
+        #: this to release it directly (see :meth:`admit`).
         self._heal_times: List[float] = []
+        #: Messages addressed to nodes another shard owns, awaiting the next
+        #: barrier exchange.
+        self.outbox: List[ExportEntry] = []
         self._degraded: Dict[Tuple[NodeId, NodeId], Tuple[float, float]] = {}
         self._link_busy_until: Dict[NodeId, float] = defaultdict(float)
         # Per-sender latency streams and sequence counters: a message's
@@ -467,7 +477,7 @@ class Network:
 
         channel = self._channels.get(destination)
         if channel is None:
-            self._export(deliver_at, skey, destination, message, held)
+            self.outbox.append((deliver_at, skey, destination, message, held))
             return
         if held:
             self._held.append((deliver_at, skey, destination, message))
@@ -478,16 +488,40 @@ class Network:
             wakes.append(deliver_at)
             sim.schedule_wake(deliver_at, channel.unit, channel.drain)
 
-    def _export(
-        self, deliver_at: float, skey: int, destination: NodeId, message: Message, held: bool
-    ) -> None:
-        """Hand a message addressed to an unregistered node to its owner.
+    # ------------------------------------------------------ shard exchange
+    def take_outbox(self) -> List[ExportEntry]:
+        """Drain and return the pending cross-shard exports (barrier step)."""
+        out = self.outbox
+        self.outbox = []
+        return out
 
-        The base network owns every node, so reaching this hook is a
-        routing bug; :class:`~repro.sim.shard.ShardNetwork` overrides it to
-        buffer the message for cross-shard delivery.
+    def admit(self, imports: List[ExportEntry]) -> None:
+        """Deliver messages exported by other shards (called at a barrier).
+
+        Ordinary messages enter the destination channel with their original
+        sender-local key, so their delivery order is the one-shard one.  A
+        partition-held message joins the local held set *unless* a mirrored
+        heal already ran since it was sent — then a network owning both
+        ends would have released it at that heal, at ``max(deliver_at,
+        heal_time) == deliver_at`` (cross-shard delivery times always lie
+        at or beyond the barrier, hence beyond any already-executed heal).
         """
-        raise KeyError(destination)
+        sim = self.sim
+        held_list = self._held
+        heal_times = self._heal_times
+        stats = self.stats
+        for deliver_at, skey, destination, message, held in imports:
+            if held and not (heal_times and heal_times[-1] > message.send_time):
+                held_list.append((deliver_at, skey, destination, message))
+                continue
+            if held:
+                stats.released += 1
+            channel = self._channels[destination]
+            heappush(channel.pending, (deliver_at, skey, message))
+            wakes = channel.wakes
+            if not wakes or deliver_at < wakes[-1]:
+                wakes.append(deliver_at)
+                sim.schedule_wake(deliver_at, channel.unit, channel.drain)
 
     def broadcast(self, sender: NodeId, destinations: Iterable[NodeId], message_factory) -> None:
         """Send one message per destination, created by ``message_factory()``.

@@ -8,8 +8,12 @@ exposes the operations example programs and the benchmark harness need:
 * ``session(node)`` — obtain a client session co-located with a node;
 * ``spawn(process)`` — run a client process inside the simulation;
 * ``run(until)`` — advance simulated time;
-* ``check_consistency()`` — run the external-consistency checker over the
-  recorded history.
+* ``check_consistency()`` / ``check_contract()`` — run the
+  external-consistency checker, or the checks the protocol promises, over
+  the recorded history.
+
+:class:`MergedClusterView` answers the same post-run questions for a run
+whose nodes were split over several shards, from what the shards report.
 
 Every protocol in the repository (SSS and the three baselines) subclasses
 this facade with only ``node_class`` and ``protocol_name``, which is what
@@ -41,6 +45,7 @@ from repro.network.transport import Network
 from repro.protocols.faults import install_fault_plan
 from repro.replication.placement import KeyPlacement
 from repro.sim.engine import Simulation
+from repro.sim.shard import EngineTagSequencer
 
 
 class ProtocolCluster:
@@ -60,8 +65,6 @@ class ProtocolCluster:
         keys: Optional[Sequence[object]] = None,
         record_history=True,
         initial_value=0,
-        sim: Optional[Simulation] = None,
-        network: Optional[Network] = None,
         owned_node_ids: Optional[Sequence[int]] = None,
         **node_kwargs,
     ):
@@ -73,12 +76,11 @@ class ProtocolCluster:
         recorder instance (:class:`HistoryRecorder` or
         :class:`WindowedHistoryRecorder`) is used as-is.
 
-        ``sim`` / ``network`` inject a pre-built engine and transport (the
-        parallel driver passes a :class:`~repro.sim.shard.ShardNetwork`);
         ``owned_node_ids`` restricts node construction to a subset of the
-        cluster — the facade still describes the full cluster (placement,
-        partitions, fault plan), but only the owned nodes exist locally and
-        ``self.nodes`` holds ``None`` for the rest."""
+        cluster (one shard of a node-sharded run) — the facade still
+        describes the full cluster (placement, partitions, fault plan), but
+        only the owned nodes exist locally, ``self.nodes`` holds ``None``
+        for the rest, and messages to them collect in the network's outbox."""
         if self.node_class is None:  # pragma: no cover - abstract use
             raise ConfigurationError("ProtocolCluster must be subclassed")
         self.config = config or ClusterConfig()
@@ -88,10 +90,8 @@ class ProtocolCluster:
             if keys is not None
             else [f"key-{index}" for index in range(self.config.n_keys)]
         )
-        self.sim = sim if sim is not None else Simulation(seed=self.config.seed)
-        self.network = (
-            network if network is not None else Network(self.sim, config=self.config.network)
-        )
+        self.sim = Simulation(seed=self.config.seed)
+        self.network = Network(self.sim, config=self.config.network)
         self.sim.declare_units(self.config.n_nodes)
         self.network.declare_node_ids(range(self.config.n_nodes))
         self.placement = KeyPlacement(
@@ -114,6 +114,8 @@ class ProtocolCluster:
             )
         else:
             self.history = HistoryRecorder() if record_history else None
+        if isinstance(self.history, HistoryRecorder):
+            self.history.tags = EngineTagSequencer(self.sim)
         if owned_node_ids is None:
             self.owned_node_ids: List[int] = list(range(self.config.n_nodes))
         else:
@@ -220,23 +222,33 @@ class ProtocolCluster:
 
     def check_consistency(self) -> CheckResult:
         """Run the external-consistency check over the recorded history."""
-        if self.history is None:
-            raise ConfigurationError("history recording is disabled for this cluster")
-        if isinstance(self.history, WindowedHistoryRecorder):
-            return self.history.check_external_consistency()
-        return check_external_consistency(self.history)
+        return external_consistency(self.history)
+
+    @staticmethod
+    def contract(history, replica_versions) -> List[CheckResult]:
+        """The checks this protocol *promises* to pass, faults included.
+
+        Stated once per protocol, as a function of the recorded history and
+        the per-replica committed-version summary (:meth:`replica_versions`),
+        so the live cluster and :class:`MergedClusterView` evaluate the same
+        code.  The default is the full external-consistency check — correct
+        for SSS and the 2PC baseline.  Weaker protocols override it with
+        their own contract (ROCOCO: serializability, Walter: PSI's
+        dirty-read freedom and replica convergence) so the fault benches can
+        assert "every protocol keeps its own guarantee under every fault
+        kind" instead of holding all protocols to the strongest one.
+        """
+        return [external_consistency(history)]
+
+    def replica_versions(self) -> Dict[object, Dict[int, set]]:
+        """Per replicated key, the committed versions each locally owned
+        replica holds, in ``self.keys`` order.  Empty unless the protocol's
+        contract compares replicas."""
+        return {}
 
     def check_contract(self) -> List[CheckResult]:
-        """Run the checks this protocol *promises* to pass, faults included.
-
-        The default is the full external-consistency check — correct for SSS
-        and the 2PC baseline.  Weaker protocols override it with their own
-        contract (ROCOCO: serializability, Walter: PSI's dirty-read freedom
-        and replica convergence) so the fault benches can assert "every
-        protocol keeps its own guarantee under every fault kind" instead of
-        holding all protocols to the strongest one.
-        """
-        return [self.check_consistency()]
+        """Evaluate :meth:`contract` on this cluster's own state."""
+        return self.contract(self.history, self.replica_versions())
 
     def total_counters(self) -> Dict[str, int]:
         """Aggregate protocol counters over every locally owned node."""
@@ -251,3 +263,41 @@ class ProtocolCluster:
             f"<{type(self).__name__} nodes={self.config.n_nodes} "
             f"keys={len(self.keys)} rf={self.config.replication_degree}>"
         )
+
+
+def external_consistency(history) -> CheckResult:
+    """The external-consistency verdict of ``history``, whichever recorder kept it."""
+    if history is None:
+        raise ConfigurationError("history recording is disabled for this cluster")
+    if isinstance(history, WindowedHistoryRecorder):
+        return history.check_external_consistency()
+    return check_external_consistency(history)
+
+
+class MergedClusterView:
+    """Read-only stand-in for the cluster of a run split over several shards.
+
+    No shard holds the whole cluster (and in process mode none of them
+    outlives its worker), so post-run consumers get this instead: the merged
+    history, the summed network accounting and the fault log, with
+    ``check_consistency`` / ``check_contract`` answered by the protocol's
+    own :meth:`ProtocolCluster.contract` over the merged state.
+    """
+
+    def __init__(self, cluster_class, config, history, network, fault_log, replica_versions):
+        self.cluster_class = cluster_class
+        self.protocol_name = cluster_class.protocol_name
+        self.config = config
+        self.history = history
+        self.network = network
+        self.fault_log = fault_log
+        self.replica_versions = replica_versions
+
+    def check_consistency(self) -> CheckResult:
+        return external_consistency(self.history)
+
+    def check_contract(self) -> List[CheckResult]:
+        return self.cluster_class.contract(self.history, self.replica_versions)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<MergedClusterView {self.protocol_name} nodes={self.config.n_nodes}>"

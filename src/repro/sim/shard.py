@@ -11,18 +11,13 @@ inside a window, and only exchange cross-shard messages at window barriers
 (a windowed variant of classic Chandy–Misra–Bryant null-message PDES; an
 empty exchange *is* the null message, carrying only the horizon promise).
 
-This module holds the shard-local machinery:
-
-* :class:`ShardNetwork` — a :class:`~repro.network.transport.Network` whose
-  :meth:`~repro.network.transport.Network._export` hook buffers messages for
-  non-local nodes into an outbox, and which can *admit* messages imported
-  from other shards at a barrier with delivery keys identical to the serial
-  engine's;
-* :class:`ShardHistoryRecorder` — a history recorder that tags every record
-  with the engine key of the event that produced it, so per-shard histories
-  merge back into exactly the serial recording order;
-* the deterministic node→shard assignment and the lookahead derivation
-  shared by the driver, the benchmarks and the tests.
+This module holds what a shard needs to know about itself: the
+deterministic node→shard assignment, the lookahead derivation, and
+:class:`EngineTagSequencer`, which stamps history and trace records with the
+engine key of the event that produced them so per-shard record streams merge
+back into exactly the one-shard order.  The transport side — buffering
+messages for nodes another shard owns and admitting imported ones at a
+barrier — is part of :class:`~repro.network.transport.Network` itself.
 
 Determinism argument (sketch): the engine's event keys are unit-local
 (:mod:`repro.sim.engine`), the transport's delivery keys are sender-local,
@@ -35,19 +30,9 @@ assert byte-identical histories for every protocol × fault plan.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.ids import NodeId
-from repro.consistency.history import HistoryRecorder
-from repro.network.message import Message
-from repro.network.transport import Network
-
-#: One cross-shard message in flight: ``(deliver_at, skey, destination,
-#: message, held)`` — exactly the transport's channel entry plus the
-#: partition-held flag decided at the sender.
-ExportEntry = Tuple[float, int, NodeId, Message, bool]
 
 
 def shard_of(node_id: int, n_nodes: int, shards: int) -> int:
@@ -92,8 +77,8 @@ class EngineTagSequencer:
     identically by all shards), so any record stream tagged through one
     sequencer per shard can be concatenated and sorted by tag to reproduce
     the exact order a serial recorder would have appended in.  Shared by
-    :class:`ShardHistoryRecorder` and the trace plane's
-    :class:`repro.trace.recorder.TraceRecorder`.
+    :class:`~repro.consistency.history.HistoryRecorder` and the trace
+    plane's :class:`repro.trace.recorder.TraceRecorder`.
     """
 
     __slots__ = ("sim", "_tag_time", "_tag_key", "_tag_sub")
@@ -116,121 +101,8 @@ class EngineTagSequencer:
         return (time, key, self._tag_sub)
 
 
-class ShardHistoryRecorder(HistoryRecorder):
-    """History recorder that tags records for deterministic shard-merge.
-
-    Every committed/aborted record is stamped with an
-    :class:`EngineTagSequencer` tag; sorting the concatenated per-shard
-    records by tag reproduces the exact order a serial
-    :class:`HistoryRecorder` would have appended them in.
-    """
-
-    def __init__(self, sim):
-        super().__init__()
-        self.sim = sim
-        self.committed_tags: List[Tuple[float, int, int]] = []
-        self.aborted_tags: List[Tuple[float, int, int]] = []
-        self._tags = EngineTagSequencer(sim)
-
-    def _next_tag(self) -> Tuple[float, int, int]:
-        return self._tags.next_tag()
-
-    def record_commit(self, meta) -> None:
-        if not self.enabled:
-            return
-        super().record_commit(meta)
-        self.committed_tags.append(self._next_tag())
-
-    def record_abort(self, meta) -> None:
-        if not self.enabled:
-            return
-        super().record_abort(meta)
-        self.aborted_tags.append(self._next_tag())
-
-    def clear(self) -> None:
-        super().clear()
-        self.committed_tags.clear()
-        self.aborted_tags.clear()
-
-
-def merge_shard_histories(
-    parts: List[Tuple[List, List, List, List]],
-) -> HistoryRecorder:
-    """Merge per-shard ``(committed, committed_tags, aborted, aborted_tags)``
-    quadruples into one recorder in serial append order."""
-    merged = HistoryRecorder()
-    committed: List[Tuple[Tuple[float, int, int], object]] = []
-    aborted: List[Tuple[Tuple[float, int, int], object]] = []
-    for commits, commit_tags, aborts, abort_tags in parts:
-        committed.extend(zip(commit_tags, commits))
-        aborted.extend(zip(abort_tags, aborts))
-    committed.sort(key=lambda pair: pair[0])
-    aborted.sort(key=lambda pair: pair[0])
-    merged.committed.extend(record for _tag, record in committed)
-    merged.aborted.extend(record for _tag, record in aborted)
-    return merged
-
-
-class ShardNetwork(Network):
-    """Transport of one shard: local delivery plus cross-shard buffering."""
-
-    def __init__(self, sim, config=None, latency_model=None):
-        super().__init__(sim, config=config, latency_model=latency_model)
-        self.outbox: List[ExportEntry] = []
-        self.exported_messages = 0
-        self.imported_messages = 0
-
-    # ------------------------------------------------------------------
-    def _export(
-        self, deliver_at: float, skey: int, destination: NodeId, message: Message, held: bool
-    ) -> None:
-        self.outbox.append((deliver_at, skey, destination, message, held))
-        self.exported_messages += 1
-
-    def take_outbox(self) -> List[ExportEntry]:
-        """Drain and return the pending cross-shard exports (barrier step)."""
-        out = self.outbox
-        self.outbox = []
-        return out
-
-    def admit(self, imports: List[ExportEntry]) -> None:
-        """Deliver messages exported by other shards (called at a barrier).
-
-        Ordinary messages enter the destination channel with their original
-        sender-local key, so their delivery order is the serial one.  A
-        partition-held message joins the local held set *unless* a mirrored
-        heal already ran since it was sent — then the serial engine would
-        have released it at that heal, at ``max(deliver_at, heal_time) ==
-        deliver_at`` (cross-shard delivery times always lie at or beyond
-        the barrier, hence beyond any already-executed heal).
-        """
-        if not imports:
-            return
-        sim = self.sim
-        held_list = self._held
-        heal_times = self._heal_times
-        stats = self.stats
-        for deliver_at, skey, destination, message, held in imports:
-            if held and not (heal_times and heal_times[-1] > message.send_time):
-                held_list.append((deliver_at, skey, destination, message))
-                continue
-            if held:
-                stats.released += 1
-            channel = self._channels[destination]
-            heappush(channel.pending, (deliver_at, skey, message))
-            wakes = channel.wakes
-            if not wakes or deliver_at < wakes[-1]:
-                wakes.append(deliver_at)
-                sim.schedule_wake(deliver_at, channel.unit, channel.drain)
-        self.imported_messages += len(imports)
-
-
 __all__ = [
     "EngineTagSequencer",
-    "ExportEntry",
-    "ShardHistoryRecorder",
-    "ShardNetwork",
-    "merge_shard_histories",
     "safe_lookahead",
     "shard_node_ids",
     "shard_of",

@@ -9,8 +9,9 @@ recorded as events), and every blocking wait (locks, commit queues,
 ambiguous-writer resolution) with the awaited transaction ids as causal
 links.  Crashes, restarts and recovery replay land on per-node tracks.
 
-The plane is **zero-overhead when off**: instrumented sites guard on a
-single ``sim.tracer is not None`` identity check, and the recorder is
+The plane costs nothing the ledger can resolve when off (instrumented sites
+guard on a single ``sim.tracer is not None`` identity check; on, tracing
+every transaction costs 1.6–1.8× host time), and the recorder is
 *passive* — it never schedules events and never draws from the RNG
 registry, so histories and metrics are byte-identical whether tracing is
 enabled or not (pinned by ``tests/integration/test_trace_plane.py``).
@@ -20,7 +21,7 @@ Modules:
 * :mod:`repro.trace.spec` — :class:`TraceSpec`, the sampling knobs;
 * :mod:`repro.trace.recorder` — the per-shard recorder and the
   deterministic shard merge (engine-key tags, same pattern as
-  ``ShardHistoryRecorder``);
+  ``HistoryRecorder``);
 * :mod:`repro.trace.analysis` — per-transaction critical paths and the
   phase-attribution aggregates folded into ``ExperimentMetrics.extra``;
 * :mod:`repro.trace.export` — Chrome trace-event / Perfetto JSON;

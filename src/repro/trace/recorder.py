@@ -9,7 +9,7 @@ it cannot perturb the simulation (histories stay byte-identical).
 
 Every event is stamped with an :class:`~repro.sim.shard.EngineTagSequencer`
 tag — the engine key of the event that produced it plus a within-event
-counter — exactly the ``ShardHistoryRecorder`` pattern.  Each engine event
+counter — exactly as ``HistoryRecorder`` tags its records.  Each engine event
 executes on exactly one shard with the key the serial engine would have
 used, so concatenating per-shard event lists and sorting by tag reproduces
 the serial recording order byte-for-byte (pinned by

@@ -295,15 +295,16 @@ def install_open_loop(
 
 
 def aggregate_open_loop(
-    sources: List[OpenLoopSource], measured_duration_us: float
+    stats: List[OpenLoopStats], measured_duration_us: float
 ) -> Tuple[dict, List[ClientStats]]:
-    """Collapse per-node open-loop accounting into metrics ``extra`` fields."""
-    offered = sum(source.stats.offered for source in sources)
-    dropped = sum(source.stats.dropped for source in sources)
-    timed_out = sum(source.stats.timed_out for source in sources)
-    committed = sum(source.stats.client.committed for source in sources)
-    depth_samples = sum(source.stats.queue_depth_samples for source in sources)
-    depth_sum = sum(source.stats.queue_depth_sum for source in sources)
+    """Collapse per-node open-loop accounting (each source's ``stats``) into
+    metrics ``extra`` fields."""
+    offered = sum(node.offered for node in stats)
+    dropped = sum(node.dropped for node in stats)
+    timed_out = sum(node.timed_out for node in stats)
+    committed = sum(node.client.committed for node in stats)
+    depth_samples = sum(node.queue_depth_samples for node in stats)
+    depth_sum = sum(node.queue_depth_sum for node in stats)
     seconds = max(measured_duration_us, 1.0) / 1_000_000.0
     extra = {
         "open_loop": 1.0,
@@ -312,10 +313,8 @@ def aggregate_open_loop(
         "goodput_tps": round(committed / seconds, 1),
         "dropped": float(dropped),
         "timed_out": float(timed_out),
-        "queue_depth_max": float(
-            max((source.stats.queue_depth_max for source in sources), default=0)
-        ),
+        "queue_depth_max": float(max((node.queue_depth_max for node in stats), default=0)),
         "queue_depth_mean": round(depth_sum / depth_samples, 2) if depth_samples else 0.0,
     }
-    clients = [source.stats.client for source in sources]
+    clients = [node.client for node in stats]
     return extra, clients

@@ -220,6 +220,44 @@ class TestRegressionScenarios:
             assert not node._ack_waits, "external-ack waits leaked"
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect (docs/SEARCH.md, longro-6n): SSS breaks external "
+        "consistency with no fault injected — cycle "
+        "T3.29(wr) -> T0.33(rw) -> T1.38(wr) -> T0.34(rw); a fix flips this",
+    )
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, {"engine": "parallel", "shards": 2, "parallel_mode": "inline"}],
+        ids=["serial", "parallel-2-inline"],
+    )
+    def test_long_read_only_zipfian_stays_external_consistent(self, engine):
+        # Found by the PR-12 ledger's longro-6n audit: 80 % read-only 8-key
+        # transactions on zipfian keys, no faults, same cycle on any engine.
+        result = run_experiment(
+            "sss",
+            ClusterConfig(
+                n_nodes=6, n_keys=400, replication_degree=2, clients_per_node=3, seed=583441962
+            ),
+            WorkloadConfig(
+                read_only_fraction=0.8,
+                update_txn_keys=2,
+                read_only_txn_keys=8,
+                key_distribution="zipfian",
+                zipf_theta=0.9,
+            ),
+            duration_us=18_000,
+            warmup_us=3_600,
+            record_history=True,
+            drain_us=25_000,
+            keep_cluster=True,
+            **engine,
+        )
+        check = result.cluster.check_consistency()
+        assert check.ok, check.violations
+
+
 class TestWorkloadLevelConsistency:
     """Closed-loop mixed workloads keep producing externally consistent histories."""
 

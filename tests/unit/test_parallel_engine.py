@@ -1,24 +1,28 @@
-"""Serial-vs-parallel engine equivalence: the tentpole guarantee.
+"""Shard-count equivalence of the one experiment driver.
 
-The node-sharded conservative engine (``run_experiment(engine="parallel")``)
-must be a drop-in replacement for the serial event loop — not statistically
-close, *byte-identical*: the same committed/aborted history, the same
-per-client statistics, the same protocol and network counters.  The serial
-engine stays the golden reference; these tests pin the equivalence
+``run_experiment`` is one pipeline for any shard count; the serial engine
+is its one-shard case.  Splitting the nodes over several shards
+(``engine="parallel"``) must not be statistically close but
+*byte-identical*: the same committed/aborted history, the same per-client
+statistics, the same protocol and network counters.  The one-shard run
+stays the golden reference; these tests pin the equivalence
 
 * for every protocol × {fail-free, crash, crash+partition};
 * across shard counts (1, 2, 4 shards — one digest);
 * across execution modes (inline vs worker processes);
 * across interpreters with different ``PYTHONHASHSEED`` values.
 
-plus the driver's configuration guards (closed-loop only, no windowed
-recording, positive lookahead required).
+plus that ``engine="parallel", shards=1`` *is* the serial run, that each
+protocol's contract has one implementation answering for the live cluster
+and the merged view alike, and the driver's configuration guards
+(closed-loop only, no windowed recording, positive lookahead required).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -32,9 +36,13 @@ from repro.common.config import (
     TrafficPlan,
     WorkloadConfig,
 )
+from repro.baselines import walter
 from repro.common.errors import ConfigurationError
+from repro.consistency.history import HistoryRecorder
 from repro.harness.runner import run_experiment
+from repro.protocols.cluster import MergedClusterView
 from repro.protocols.registry import protocol_names
+from repro.trace import export_chrome_trace, trace_to_bytes
 
 WORKLOAD = WorkloadConfig(read_only_fraction=0.5)
 DURATION_US = 8_000.0
@@ -79,6 +87,8 @@ def _digest(result) -> str:
         lines.append(f"ABORT {txn.txn_id}|{txn.reason}|{txn.abort_time!r}")
     for name, value in sorted(result.node_counters.items()):
         lines.append(f"COUNTER {name}={value}")
+    for name, value in result.cluster.network.stats.as_dict().items():
+        lines.append(f"NETWORK {name}={value}")
     for stats in result.clients:
         lines.append(
             f"CLIENT {stats.node_id}.{stats.client_index}|{stats.committed}|"
@@ -158,21 +168,113 @@ class TestSerialParallelEquivalence:
         )
         assert _digest(parallel) == _digest(serial)
 
-    @pytest.mark.parametrize("fault_name", sorted(FAULT_PLANS))
-    def test_contract_checks_match(self, fault_name):
-        # The merged view must answer the same contract verdicts the real
-        # cluster does — including Walter's replica-convergence check, which
-        # is rebuilt from per-shard chain summaries.
-        faults = FAULT_PLANS[fault_name]
-        serial = _run("serial", faults, protocol="walter")
-        parallel = _run(
-            "parallel", faults, protocol="walter", shards=2, parallel_mode="inline"
+
+#: ``metrics.extra`` keys that read the host's clock.
+WALL_CLOCK_KEYS = ("wall_seconds",)
+
+
+class TestOneShardIsTheSerialRun:
+    def test_every_result_field_matches(self):
+        # engine="parallel", shards=1 selects the same code path as
+        # engine="serial"; nothing in the result may tell them apart.
+        faults = FAULT_PLANS["crash"]
+        serial = _run("serial", faults, trace=True, drain_us=5_000.0)
+        one_shard = _run(
+            "parallel", faults, shards=1, parallel_mode="inline", trace=True, drain_us=5_000.0
         )
-        serial_checks = serial.cluster.check_contract()
-        parallel_checks = parallel.cluster.check_contract()
-        assert [(c.name, c.ok, c.violations) for c in parallel_checks] == [
-            (c.name, c.ok, c.violations) for c in serial_checks
+        assert type(one_shard.cluster) is type(serial.cluster)
+        assert one_shard.cluster.history == serial.cluster.history
+        assert one_shard.clients == serial.clients
+        assert one_shard.node_counters == serial.node_counters
+        assert list(one_shard.node_counters) == list(serial.node_counters)
+
+        def stable(result):
+            flat = result.metrics.as_dict()
+            return [(k, v) for k, v in flat.items() if k not in WALL_CLOCK_KEYS]
+
+        assert stable(one_shard) == stable(serial)
+        assert "parallel_shards" not in one_shard.metrics.extra
+        assert one_shard.metrics.phases == serial.metrics.phases
+        assert trace_to_bytes(export_chrome_trace(one_shard.trace)) == trace_to_bytes(
+            export_chrome_trace(serial.trace)
+        )
+        assert (one_shard.protocol, one_shard.config, one_shard.workload) == (
+            serial.protocol,
+            serial.config,
+            serial.workload,
+        )
+
+    def test_a_one_part_history_merge_is_the_identity(self):
+        history = _run("serial", FAULT_PLANS["crash"]).cluster.history
+        assert history.committed and len(history.committed_tags) == len(history.committed)
+        assert len(history.aborted_tags) == len(history.aborted)
+        assert HistoryRecorder.merge([history]) == history
+        shipped = pickle.loads(pickle.dumps(history))
+        assert shipped == history and shipped.tags is None and history.tags is not None
+
+
+class TestOneContractImplementation:
+    """Live cluster and merged view evaluate the same ``contract`` function."""
+
+    @pytest.mark.parametrize("fault_name", sorted(FAULT_PLANS))
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_live_cluster_and_merged_view_agree(self, protocol, fault_name):
+        faults = FAULT_PLANS[fault_name]
+        live = _run("serial", faults, protocol=protocol, drain_us=25_000.0).cluster
+        merged = _run(
+            "parallel",
+            faults,
+            protocol=protocol,
+            shards=2,
+            parallel_mode="inline",
+            drain_us=25_000.0,
+        ).cluster
+        assert isinstance(merged, MergedClusterView)
+        assert merged.cluster_class is type(live)
+        assert merged.replica_versions == live.replica_versions()
+        assert list(merged.replica_versions) == list(live.replica_versions())
+        assert [(c.name, c.ok, c.violations) for c in merged.check_contract()] == [
+            (c.name, c.ok, c.violations) for c in live.check_contract()
         ]
+
+    @pytest.mark.parametrize("view", ["live", "merged"])
+    def test_walter_contract_is_the_single_convergence_check(self, view, monkeypatch):
+        if view == "live":
+            cluster = _run("serial", protocol="walter", drain_us=25_000.0).cluster
+            versions = cluster.replica_versions()
+        else:
+            cluster = _run(
+                "parallel", protocol="walter", shards=2, parallel_mode="inline", drain_us=25_000.0
+            ).cluster
+            versions = cluster.replica_versions
+        assert versions and all(len(held) == 2 for held in versions.values())
+        seen = []
+        real = walter.replica_convergence
+
+        def spy(replica_versions):
+            seen.append(replica_versions)
+            return real(replica_versions)
+
+        monkeypatch.setattr(walter, "replica_convergence", spy)
+        names = [check.name for check in cluster.check_contract()]
+        assert names == ["committed-reads", "walter-replica-convergence"]
+        assert seen == [versions]
+
+    def test_convergence_flags_a_replica_missing_a_version(self):
+        summary = {
+            "key-0": {0: {(0, 1), (1, 4)}, 1: {(0, 1), (1, 4)}},
+            "key-1": {1: {(1, 2), (2, 7)}, 2: {(1, 2)}},
+            "key-2": {0: set(), 2: set()},
+        }
+        check = walter.replica_convergence(summary)
+        assert not check.ok
+        assert check.name == "walter-replica-convergence"
+        assert check.checked_transactions == 3
+        assert check.violations == ["replica 2 of 'key-1' is missing committed versions [(2, 7)]"]
+        checks = walter.WalterCluster.contract(HistoryRecorder(), summary)
+        assert [c.ok for c in checks] == [True, False]
+        del summary["key-1"][1]
+        assert walter.replica_convergence(summary).ok
 
 
 class TestShardCountInvariance:
