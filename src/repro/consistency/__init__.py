@@ -10,7 +10,7 @@ by the simulated clusters:
   and aborted transactions with their read/write sets, version identities and
   external-commit timestamps.
 * :mod:`repro.consistency.dsg` — builds the DSG (wr / ww / rw dependency
-  edges plus completion-order edges) with :mod:`networkx`.
+  edges plus real-time order edges) and searches it for a cycle.
 * :mod:`repro.consistency.checkers` — external consistency, serializability
   and snapshot-isolation style checks used by tests, property tests and the
   ``consistency_audit`` example.

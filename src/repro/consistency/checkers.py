@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TransactionId
-from repro.consistency.dsg import build_dsg, find_cycle, install_order
+from repro.consistency.dsg import build_dsg, find_cycle, install_order, install_positions
 from repro.consistency.history import CommittedTransaction, HistoryRecorder
 
 
@@ -91,8 +91,21 @@ def _cycle_check(
 # DSG based checks
 # ----------------------------------------------------------------------
 def check_external_consistency(history) -> CheckResult:
-    """Strict-serializability reading of external consistency."""
-    return _cycle_check(_transactions(history), "external-consistency", realtime="precedence")
+    """Strict-serializability reading of external consistency.
+
+    On a :class:`HistoryRecorder` the verdict is computed once per history:
+    the recorder keeps it until the next commit it records (see
+    :attr:`HistoryRecorder.external_consistency_memo`), so asking for the
+    verdict and then for a contract that contains it walks the history once.
+    """
+    transactions = _transactions(history)
+    if not isinstance(history, HistoryRecorder):
+        return _cycle_check(transactions, "external-consistency", realtime="precedence")
+    memo = history.external_consistency_memo
+    if memo is None or memo[0] != len(transactions):
+        result = _cycle_check(transactions, "external-consistency", realtime="precedence")
+        memo = history.external_consistency_memo = (len(transactions), result)
+    return memo[1]
 
 
 def check_serializability(history) -> CheckResult:
@@ -122,50 +135,39 @@ def check_snapshot_reads(history) -> CheckResult:
     }
     violations: List[str] = []
 
-    version_order = {
-        key: [txn.txn_id for txn in writers]
-        for key, writers in install_order(transactions).items()
-    }
-
-    def writer_position(key: object, writer: Optional[TransactionId]) -> int:
-        if writer is None:
-            return -1
-        order = version_order.get(key, [])
-        try:
-            return order.index(writer)
-        except ValueError:
-            return -2  # writer unknown / uncommitted
+    position = install_positions(install_order(transactions))
 
     for txn in transactions:
-        observed: List[Tuple[object, int]] = []
+        # (key, position of the observed version in the key's order, writer);
+        # -1 is the preloaded version, -2 a writer that never installed the key.
+        observed: List[Tuple[object, int, Optional[TransactionId]]] = []
         for read in txn.reads:
-            if read.writer is not None and read.writer not in by_id:
+            if read.writer is None:
+                observed.append((read.key, -1, None))
+            elif read.writer not in by_id:
                 violations.append(
                     f"{txn.txn_id} read {read.key!r} from uncommitted/unknown "
                     f"writer {read.writer}"
                 )
-                continue
-            observed.append((read.key, writer_position(read.key, read.writer)))
+            else:
+                observed.append((read.key, position.get((read.key, read.writer), -2), read.writer))
 
         # Consistent-cut property: if the transaction observed key A at the
         # version produced by writer W, it must not have observed, for any
         # other key B that W also wrote, a version older than W's.
-        for key_a, pos_a in observed:
+        for key_a, pos_a, writer_a in observed:
             if pos_a < 0:
                 continue
-            writer_a = version_order[key_a][pos_a]
-            writer_a_txn = by_id[writer_a]
-            for key_b, pos_b in observed:
+            writer_a_writes = by_id[writer_a].writes
+            for key_b, pos_b, _writer_b in observed:
                 if key_a == key_b:
                     continue
-                if key_b in writer_a_txn.writes:
-                    required_pos = version_order[key_b].index(writer_a)
-                    if pos_b < required_pos:
-                        violations.append(
-                            f"{txn.txn_id} observed {key_a!r} from {writer_a} "
-                            f"but an older version of {key_b!r} that {writer_a} "
-                            "already overwrote"
-                        )
+                if key_b in writer_a_writes and pos_b < position[(key_b, writer_a)]:
+                    violations.append(
+                        f"{txn.txn_id} observed {key_a!r} from {writer_a} "
+                        f"but an older version of {key_b!r} that {writer_a} "
+                        "already overwrote"
+                    )
 
     return CheckResult(
         ok=not violations,

@@ -48,9 +48,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TransactionId
 from repro.consistency.history import CommittedTransaction
@@ -87,34 +85,40 @@ def install_order(
     return writers
 
 
+def install_positions(
+    writers_per_key: Dict[object, List[CommittedTransaction]],
+) -> Dict[Tuple[object, TransactionId], int]:
+    """``(key, writer id)`` to the writer's position in the key's version order."""
+    return {
+        (key, writer.txn_id): index
+        for key, writers in writers_per_key.items()
+        for index, writer in enumerate(writers)
+    }
+
+
 # ----------------------------------------------------------------------
 # Dependency edges
 # ----------------------------------------------------------------------
-def build_dependency_edges(
+def _dependency_edges(
     transactions: Sequence[CommittedTransaction],
-) -> List[DependencyEdge]:
-    """Compute the wr / ww / rw edge list for ``transactions``."""
-    edges: List[DependencyEdge] = []
-    by_id = {txn.txn_id: txn for txn in transactions}
+) -> Iterator[Tuple[TransactionId, TransactionId, str, object]]:
+    """The wr / ww / rw edges as ``(source, target, kind, key)`` tuples."""
+    committed = {txn.txn_id for txn in transactions}
     writers_per_key = install_order(transactions)
-
-    position: Dict[Tuple[object, TransactionId], int] = {}
-    for key, writers in writers_per_key.items():
-        for index, txn in enumerate(writers):
-            position[(key, txn.txn_id)] = index
+    position = install_positions(writers_per_key)
 
     # ww edges: consecutive writers of the same key.
     for key, writers in writers_per_key.items():
         for earlier, later in zip(writers, writers[1:]):
-            edges.append(DependencyEdge(earlier.txn_id, later.txn_id, "ww", key))
+            yield earlier.txn_id, later.txn_id, "ww", key
 
     # wr and rw edges from each read observation.
     for txn in transactions:
         for read in txn.reads:
             writers = writers_per_key.get(read.key, [])
-            if read.writer is not None and read.writer in by_id:
+            if read.writer is not None and read.writer in committed:
                 if read.writer != txn.txn_id:
-                    edges.append(DependencyEdge(read.writer, txn.txn_id, "wr", read.key))
+                    yield read.writer, txn.txn_id, "wr", read.key
                 observed_position = position.get((read.key, read.writer))
             elif read.writer is None:
                 # Initial (preloaded) version: every writer overwrites it.
@@ -133,77 +137,107 @@ def build_dependency_edges(
                 if next_position < len(writers):
                     overwriter = writers[next_position]
                     if overwriter.txn_id != txn.txn_id:
-                        edges.append(DependencyEdge(txn.txn_id, overwriter.txn_id, "rw", read.key))
-    return edges
+                        yield txn.txn_id, overwriter.txn_id, "rw", read.key
 
 
-# Backwards-compatible alias used by earlier revisions of the test suite.
-build_edges = build_dependency_edges
+def build_dependency_edges(
+    transactions: Sequence[CommittedTransaction],
+) -> List[DependencyEdge]:
+    """Compute the wr / ww / rw edge list for ``transactions``."""
+    return [DependencyEdge(*edge) for edge in _dependency_edges(transactions)]
 
 
 # ----------------------------------------------------------------------
 # Graph construction
 # ----------------------------------------------------------------------
-def _add_precedence_chain(
-    graph: nx.MultiDiGraph, transactions: Sequence[CommittedTransaction]
-) -> None:
+class Dsg:
+    """A directed multigraph on integer vertices with labelled edges.
+
+    Vertex ``v`` carries ``labels[v]`` (a :class:`TransactionId`, or
+    ``("rt", position)`` for a node of the real-time chain) and
+    ``successors[v]`` lists its out-edges as ``(target, kind)`` in insertion
+    order.  Parallel edges and self-loops are kept.  Everything is a list
+    indexed by vertex, so building and searching never hash a label and never
+    iterate a set: the search order, and with it the reported cycle, depends
+    on the input order alone.
+    """
+
+    __slots__ = ("labels", "successors")
+
+    def __init__(self) -> None:
+        self.labels: List[object] = []
+        self.successors: List[List[Tuple[int, str]]] = []
+
+    def add_node(self, label: object) -> int:
+        self.labels.append(label)
+        self.successors.append([])
+        return len(self.labels) - 1
+
+    def add_edge(self, source: int, target: int, kind: str) -> None:
+        self.successors[source].append((target, kind))
+
+
+def _add_precedence_chain(graph: Dsg, transactions: Sequence[CommittedTransaction]) -> None:
     """Encode the real-time precedence order with O(n) auxiliary nodes.
 
     Events (transaction begins and completions) are sorted by time; at equal
     timestamps begins sort before completions so that a completion never
-    precedes a begin at the same instant (overlap means no constraint).  Each
-    completion points into the chain, the chain points into each begin, and
-    consecutive chain nodes are linked — so the graph contains a path from
-    Ti's completion to Tj's begin iff Ti completed strictly before Tj began.
+    precedes a begin at the same instant (overlap means no constraint), and
+    history order breaks the remaining ties.  Each completion points into
+    the chain, the chain points into each begin, and consecutive chain nodes
+    are linked — so the graph contains a path from Ti's completion to Tj's
+    begin iff Ti completed strictly before Tj began.  Vertex ``i`` of
+    ``graph`` must be ``transactions[i]``.
     """
     BEGIN, COMPLETE = 0, 1
     events = []
-    for txn in transactions:
-        events.append((txn.begin_time, BEGIN, txn.txn_id))
-        events.append((txn.external_commit_time, COMPLETE, txn.txn_id))
-    events.sort(key=lambda event: (event[0], event[1]))
+    for vertex, txn in enumerate(transactions):
+        events.append((txn.begin_time, BEGIN, vertex))
+        events.append((txn.external_commit_time, COMPLETE, vertex))
+    events.sort()
 
     previous_chain_node = None
-    for index, (_time, kind, txn_id) in enumerate(events):
-        chain_node = ("rt", index)
-        graph.add_node(chain_node, auxiliary=True)
+    for position, (_time, kind, vertex) in enumerate(events):
+        chain_node = graph.add_node(("rt", position))
         if previous_chain_node is not None:
-            graph.add_edge(previous_chain_node, chain_node, kind="rt")
+            graph.add_edge(previous_chain_node, chain_node, "rt")
         if kind == COMPLETE:
-            graph.add_edge(txn_id, chain_node, kind="rt")
+            graph.add_edge(vertex, chain_node, "rt")
         else:
-            graph.add_edge(chain_node, txn_id, kind="rt")
+            graph.add_edge(chain_node, vertex, "rt")
         previous_chain_node = chain_node
 
 
-def _related(a: CommittedTransaction, b: CommittedTransaction) -> bool:
-    a_keys = set(a.writes) | {read.key for read in a.reads}
-    b_keys = set(b.writes) | {read.key for read in b.reads}
-    return not a_keys.isdisjoint(b_keys)
-
-
 def _add_completion_order_edges(
-    graph: nx.MultiDiGraph,
+    graph: Dsg,
     transactions: Sequence[CommittedTransaction],
     tolerance_us: float,
 ) -> None:
-    """Pairwise completion-order edges between related transactions."""
-    ordered = sorted(transactions, key=lambda txn: txn.external_commit_time)
-    for i, earlier in enumerate(ordered):
-        for later in ordered[i + 1 :]:
-            gap = later.external_commit_time - earlier.external_commit_time
-            if gap <= tolerance_us:
+    """Pairwise completion-order edges between related transactions.
+
+    Two transactions are related when they touch a common key.  Vertex ``i``
+    of ``graph`` must be ``transactions[i]``.
+    """
+    # Sorted by completion time, history order at equal times (vertices are
+    # distinct, so the key sets are never compared).
+    ordered = sorted(
+        (txn.external_commit_time, vertex, {*txn.writes, *(read.key for read in txn.reads)})
+        for vertex, txn in enumerate(transactions)
+    )
+    for i, (earlier_time, earlier, earlier_keys) in enumerate(ordered):
+        for later_time, later, later_keys in ordered[i + 1 :]:
+            if later_time - earlier_time <= tolerance_us:
                 continue
-            if _related(earlier, later):
-                graph.add_edge(earlier.txn_id, later.txn_id, kind="co")
+            if not earlier_keys.isdisjoint(later_keys):
+                graph.add_edge(earlier, later, "co")
 
 
 def build_dsg(
     transactions: Sequence[CommittedTransaction],
     realtime: str = "precedence",
     completion_tolerance_us: float = 25.0,
-) -> nx.MultiDiGraph:
-    """Build the DSG as a :class:`networkx.MultiDiGraph`.
+) -> Dsg:
+    """Build the DSG of ``transactions`` (vertex ``i`` is ``transactions[i]``).
 
     Parameters
     ----------
@@ -218,11 +252,12 @@ def build_dsg(
         Minimum response-time gap (in simulated microseconds) for a
         completion-order edge; only used when ``realtime == "completion"``.
     """
-    graph = nx.MultiDiGraph()
+    graph = Dsg()
+    vertex_of: Dict[TransactionId, int] = {}
     for txn in transactions:
-        graph.add_node(txn.txn_id, is_update=txn.is_update)
-    for edge in build_dependency_edges(transactions):
-        graph.add_edge(edge.source, edge.target, kind=edge.kind, key=edge.key)
+        vertex_of[txn.txn_id] = graph.add_node(txn.txn_id)
+    for source, target, kind, _key in _dependency_edges(transactions):
+        graph.add_edge(vertex_of[source], vertex_of[target], kind)
     if realtime == "precedence":
         _add_precedence_chain(graph, transactions)
     elif realtime == "completion":
@@ -232,22 +267,50 @@ def build_dsg(
     return graph
 
 
-def find_cycle(graph: nx.MultiDiGraph) -> Optional[List[Tuple[object, object, str]]]:
-    """Return one cycle as ``(source, target, kind)`` triples, or ``None``.
+def find_cycle(graph: Dsg) -> Optional[List[Tuple[object, object, str]]]:
+    """Return one cycle as ``(source, target, kind)`` label triples, or ``None``.
+
+    One iterative three-colour depth-first search, roots and out-edges taken
+    in insertion order: white vertices are unseen, grey ones lie on the
+    current path, black ones are finished and cannot reach a cycle.  An edge
+    into a grey vertex closes a cycle, which is read off the path — every
+    reported triple is an edge of the graph and consecutive triples share a
+    vertex.  Each vertex is pushed once and each edge looked at once.
 
     Auxiliary real-time chain nodes may appear in the reported cycle; they are
     kept (labelled ``rt``) because they tell the reader that the cycle closes
     through the real-time order rather than through a data dependency.
     """
-    try:
-        cycle = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    result = []
-    for edge in cycle:
-        source, target = edge[0], edge[1]
-        key = edge[2] if len(edge) > 3 else 0
-        data = graph.get_edge_data(source, target)
-        kind = data[key].get("kind", "?") if data and key in data else "?"
-        result.append((source, target, kind))
-    return result
+    WHITE, GREY, BLACK = 0, 1, 2
+    successors = graph.successors
+    colour = [WHITE] * len(successors)
+    for root in range(len(successors)):
+        if colour[root] != WHITE:
+            continue
+        colour[root] = GREY
+        path = [root]  # the grey vertices, root first
+        kinds: List[str] = []  # kinds[i] labels the edge path[i] -> path[i + 1]
+        pending = [iter(successors[root])]  # out-edges of path[i] not yet looked at
+        while path:
+            for target, kind in pending[-1]:
+                if colour[target] == WHITE:
+                    colour[target] = GREY
+                    path.append(target)
+                    kinds.append(kind)
+                    pending.append(iter(successors[target]))
+                    break
+                if colour[target] == GREY:
+                    start = path.index(target)
+                    walk = path[start:] + [target]
+                    walk_kinds = kinds[start:] + [kind]
+                    labels = graph.labels
+                    return [
+                        (labels[walk[i]], labels[walk[i + 1]], walk_kinds[i])
+                        for i in range(len(walk_kinds))
+                    ]
+            else:
+                colour[path.pop()] = BLACK
+                pending.pop()
+                if kinds:
+                    kinds.pop()
+    return None

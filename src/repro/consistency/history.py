@@ -136,6 +136,13 @@ class HistoryRecorder:
     committed_tags: List[Tuple[float, int, int]] = field(default_factory=list)
     aborted_tags: List[Tuple[float, int, int]] = field(default_factory=list)
     tags: Optional[object] = field(default=None, repr=False, compare=False)
+    external_consistency_memo: Optional[Tuple[int, object]] = field(
+        default=None, repr=False, compare=False
+    )
+    """``(len(committed), verdict)`` of the last external-consistency check.
+    Records are only ever appended, so the verdict stands exactly as long as
+    the length does: the next recorded commit outdates it, :meth:`clear`
+    drops it, and a recorder built by :meth:`merge` starts without one."""
 
     def __getstate__(self):
         # The sequencer reads a live engine; the records travel without it.
@@ -204,3 +211,4 @@ class HistoryRecorder:
         self.aborted.clear()
         self.committed_tags.clear()
         self.aborted_tags.clear()
+        self.external_consistency_memo = None

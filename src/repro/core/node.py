@@ -49,6 +49,7 @@ from repro.core.messages import (
 from repro.core.metadata import PropagatedEntry, TransactionPhase
 from repro.protocols.runtime import ProtocolRuntime
 from repro.replication.placement import KeyPlacement
+from repro.sim.events import ThresholdWaiters
 from repro.storage.commit_queue import CommitQueue, ParticipantRedoLog
 from repro.storage.locks import LockTable
 from repro.storage.mvstore import MultiVersionStore
@@ -103,6 +104,11 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self.locks = LockTable(sim, name=f"locks@{node_id}", owner=node_id)
         self.nlog = NLog(node_id, n_nodes, sim=sim)
         self.commit_queue = CommitQueue(node_id, sim=sim)
+        # Read requests waiting for the installs inside their visibility
+        # bound (Algorithm 6, line 5), woken by either structure's mutations.
+        self._read_waiters = ThresholdWaiters(
+            sim, self._installed_through, [self.nlog.signal, self.commit_queue.signal]
+        )
         # Durable redo log of write-replica votes: survives crashes, closes
         # the voted-then-crashed in-doubt window (see on_restart).
         self.redo_log = ParticipantRedoLog()
@@ -192,6 +198,16 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     # ------------------------------------------------------------------
     # ReadRequest handling — Algorithm 6
     # ------------------------------------------------------------------
+    def _installed_through(self, target: int) -> bool:
+        """True once every install with a node-local clock entry at or below
+        ``target`` has been applied: the log has reached ``target`` and no
+        queued install lies inside it.  Holds for every smaller target too
+        (both terms compare ``target`` with one number), which is what
+        :class:`~repro.sim.events.ThresholdWaiters` needs."""
+        if self.nlog.most_recent_vc[self.node_id] < target:
+            return False
+        return not self.commit_queue.has_entry_at_or_below(target)
+
     def on_read_request(self, message: ReadRequest):
         """Version-selection handler (runs as a simulation process)."""
         key = message.key
@@ -251,10 +267,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # bound still sits in the commit queue — serving then would let the
         # reader observe the writer at one key and miss it at another.
         target = reader_vc[i]
-        if (
-            self.nlog.most_recent_vc[i] < target
-            or self.commit_queue.has_entry_at_or_below(target)
-        ):
+        if not self._installed_through(target):
             self.counters["read_waits"] += 1
             tracer = self.sim.tracer
             if tracer is not None:
@@ -264,14 +277,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                     for entry in self.commit_queue.entries()
                     if entry.txn_id != message.txn_id
                 )
-            yield self.sim.condition(
-                lambda: (
-                    self.nlog.most_recent_vc[i] >= target
-                    and not self.commit_queue.has_entry_at_or_below(target)
-                ),
-                [self.nlog.signal, self.commit_queue.signal],
-                name=f"read-wait:{message.txn_id}",
-            )
+            yield self._read_waiters.wait(target, name=f"read-wait:{message.txn_id}")
             if tracer is not None:
                 tracer.span(
                     "wait.commit_queue",

@@ -537,7 +537,7 @@ class ProtocolRuntime(NetworkedNode):
             tracer.instant("node.crash", node=self.node_id)
             self._trace_down_since = self.sim.now
         self.network.crash(self.node_id)
-        self.counters["crash_dropped_inbound"] += self._inbound.clear()
+        self.counters["crash_dropped_inbound"] += self.drop_inbound()
         # Fail in-flight RPCs: waiting handler processes die through the
         # epoch guard, while co-located *client* processes receive
         # NodeCrashedError and reconnect with a back-off (see the closed-loop

@@ -12,8 +12,7 @@ provides a small but complete discrete-event simulation (DES) kernel:
 * :class:`~repro.sim.events.Condition` — a re-evaluated predicate bound to a
   :class:`~repro.sim.events.Signal`, used to express the paper's
   ``wait until <predicate>`` steps.
-* :class:`~repro.sim.resources.SimLock`, :class:`~repro.sim.resources.Store`
-  — simulated synchronization resources.
+* :class:`~repro.sim.resources.SimLock` — a simulated mutual-exclusion lock.
 * :class:`~repro.sim.rng.RngRegistry` — named deterministic random streams.
 
 The engine is deterministic: given the same seed and the same sequence of
@@ -23,7 +22,7 @@ process creations, two runs produce identical event orderings.
 from repro.sim.engine import Simulation
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Signal, Timeout
 from repro.sim.process import Process, ProcessKilled
-from repro.sim.resources import SimLock, Store
+from repro.sim.resources import SimLock
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -37,6 +36,5 @@ __all__ = [
     "Signal",
     "SimLock",
     "Simulation",
-    "Store",
     "Timeout",
 ]

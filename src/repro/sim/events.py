@@ -26,7 +26,9 @@ under read-dominated workloads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -81,11 +83,17 @@ class Event:
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value=None) -> "Event":
-        """Mark the event as successful and schedule its callbacks."""
+        """Mark the event as successful and schedule its callbacks.
+
+        With nobody waiting there is nothing to schedule: a callback added
+        later finds the event triggered and schedules itself
+        (:meth:`add_callback`).  Most handler processes finish this way.
+        """
         if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
-        self.sim._schedule_event(self)
+        if self.callbacks:
+            self.sim._schedule_event(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -283,3 +291,58 @@ class Condition(Event):
         """Detach from all signals without firing (used on process kill)."""
         for signal in self.signals:
             signal.detach(self)
+
+
+class ThresholdWaiters:
+    """Waiters on one predicate that loosens as its integer argument falls.
+
+    ``ready(target)`` must be monotone at every instant: if it holds for a
+    target it holds for every smaller one (``wait until log >= target`` is
+    the model case).  The waiters then sit in a heap by target, and a
+    notification tests the smallest target only — when that one is not
+    ready no other is — where one :class:`Condition` per waiter would
+    re-run every predicate on every notification.
+
+    The group is attached to its signals exactly while somebody waits, so a
+    signal nobody waits on keeps its allocation-free :meth:`Signal.notify`.
+    Waiters that become ready in the same notification fire in the order
+    they started waiting, as separate conditions on the same signals would.
+    """
+
+    __slots__ = ("sim", "ready", "signals", "_waiting", "_arrivals")
+
+    def __init__(self, sim: "Simulation", ready: Callable[[int], bool], signals: Iterable[Signal]):
+        self.sim = sim
+        self.ready = ready
+        self.signals = list(signals)
+        self._waiting: List[Tuple[int, int, Event]] = []  # heap of (target, arrival, event)
+        self._arrivals = 0
+
+    def wait(self, target: int, name: str = "") -> Event:
+        """Return an event that fires as soon as ``ready(target)`` holds."""
+        event = Event(self.sim, name=name or "threshold-wait")
+        if self.ready(target):
+            event.succeed()
+            return event
+        if not self._waiting:
+            for signal in self.signals:
+                signal.attach(self)
+        heappush(self._waiting, (target, self._arrivals, event))
+        self._arrivals += 1
+        return event
+
+    def evaluate(self) -> None:
+        """Fire every waiter whose target is ready (called by the signals)."""
+        waiting = self._waiting
+        ready = self.ready
+        if not ready(waiting[0][0]):
+            return
+        fired = [heappop(waiting)]
+        while waiting and ready(waiting[0][0]):
+            fired.append(heappop(waiting))
+        if not waiting:
+            for signal in self.signals:
+                signal.detach(self)
+        fired.sort(key=itemgetter(1))
+        for _target, _arrival, event in fired:
+            event.succeed()

@@ -1,20 +1,14 @@
 """Simulated synchronization resources.
 
-Two generic resources are provided on top of the event primitives:
-
-* :class:`SimLock` — a FIFO mutual-exclusion lock whose ``acquire`` returns an
-  event; used for coarse node-level critical sections (e.g. the ``atomically``
-  annotation on the Decide handler in Algorithm 2).
-* :class:`Store` — an unbounded FIFO queue of items with blocking ``get``;
-  used to model per-node inbound message queues with priorities in the
-  network layer.
+:class:`SimLock` is a FIFO mutual-exclusion lock whose ``acquire`` returns an
+event; used for coarse node-level critical sections (e.g. the ``atomically``
+annotation on the Decide handler in Algorithm 2).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque
 
 from repro.sim.events import Event
 
@@ -53,91 +47,3 @@ class SimLock:
             self._waiters.popleft().succeed()
         else:
             self._locked = False
-
-
-class Store:
-    """Unbounded priority FIFO of items with blocking ``get``.
-
-    Items are dequeued in ``(priority, insertion order)`` order; lower
-    priority values are served first.  ``get`` returns an event that fires
-    with the next item once one is available.  The queue is a binary heap:
-    every protocol message passes through a node's inbound store, and the
-    previous linear-scan ``min()`` was a measurable per-message cost.
-    """
-
-    def __init__(self, sim: "Simulation", name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: List[Tuple[int, int, object]] = []
-        self._seq = 0
-        self._getters: Deque[Event] = deque()
-        self._get_name = f"store-get:{name}"
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def try_pop(self) -> Optional[object]:
-        """Synchronously take the next item, or ``None`` when empty.
-
-        Consumers that can handle an empty queue (the node dispatcher loop)
-        use this to skip the event allocation and heap round-trip of
-        :meth:`get` when an item is already waiting.
-        """
-        if self._items:
-            # Still one logical dequeue event for the events/sec accounting.
-            self.sim._event_count += 1
-            return heappop(self._items)[2]
-        return None
-
-    def put(self, item, priority: int = 0) -> None:
-        """Add ``item``; wake the oldest waiting getter if any.
-
-        The waiting getter is fired inline: ``put`` is only ever invoked
-        from event-loop callbacks (message delivery), where run-to-completion
-        already holds, and the extra heap round-trip per message was a
-        measurable cost.  The hand-off still counts as one processed event
-        for the events/sec accounting.
-
-        A waiting getter implies the queue is empty (``get`` only parks when
-        no item exists), so the hand-off skips the heap entirely and passes
-        ``item`` straight through.
-        """
-        if self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:  # pragma: no cover - defensive
-                raise RuntimeError(f"store {self.name!r}: getter already triggered")
-            getter._value = item
-            callbacks = getter.callbacks
-            if callbacks:
-                getter.callbacks = []
-                self.sim._event_count += 1
-                for callback in callbacks:
-                    callback(getter)
-            return
-        heappush(self._items, (priority, self._seq, item))
-        self._seq += 1
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = self.sim.event(name=self._get_name)
-        if self._items:
-            event.succeed(heappop(self._items)[2])
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek(self) -> Optional[object]:
-        """Return the next item without removing it, or ``None`` if empty."""
-        if not self._items:
-            return None
-        return self._items[0][2]
-
-    def clear(self) -> int:
-        """Discard every queued item (crash semantics); returns the count.
-
-        Parked getters stay parked: a cleared queue is simply empty, and the
-        next ``put`` will wake them as usual.
-        """
-        dropped = len(self._items)
-        self._items.clear()
-        return dropped

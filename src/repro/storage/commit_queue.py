@@ -24,6 +24,7 @@ queue from it.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -49,17 +50,23 @@ class CommitQueueEntry:
     status: CommitStatus = CommitStatus.PENDING
     enqueue_time: float = field(default=0.0)
 
-    def order_key(self, node_index: int):
-        """Ordering key: the node-local vector clock entry, ties by id."""
-        return (self.vc[node_index], self.txn_id)
-
 
 class CommitQueue:
-    """Ordered queue of transactions committing at one node."""
+    """Ordered queue of transactions committing at one node.
+
+    Entries are ordered by their node-local vector clock entry, ties by
+    transaction id.  Three structures say so and move together in every
+    mutation: ``_entries`` (the entries in queue order), ``_keys`` (entry
+    ``k``'s ``(vc[node], id.node, id.seq)`` at position ``k`` — plain
+    integer tuples, unique because ids are, so ``bisect`` finds an entry's
+    position) and ``_by_id`` (transaction id to entry).
+    """
 
     def __init__(self, node_index: int, sim: Optional["Simulation"] = None):
         self.node_index = node_index
         self._entries: List[CommitQueueEntry] = []
+        self._keys: List[Tuple[int, int, int]] = []
+        self._by_id: Dict[TransactionId, CommitQueueEntry] = {}
         self._signal: Optional["Signal"] = (
             sim.signal(name=f"commitq:{node_index}") if sim is not None else None
         )
@@ -68,7 +75,7 @@ class CommitQueue:
     # ------------------------------------------------------------ mutation
     def put(self, txn_id: TransactionId, vc: VectorClock) -> CommitQueueEntry:
         """Insert a ``pending`` entry with the proposed vector clock."""
-        if self.find(txn_id) is not None:
+        if txn_id in self._by_id:
             raise ValueError(f"{txn_id} already queued")
         entry = CommitQueueEntry(
             txn_id=txn_id,
@@ -76,37 +83,35 @@ class CommitQueue:
             status=CommitStatus.PENDING,
             enqueue_time=self._sim.now if self._sim is not None else 0.0,
         )
-        self._entries.append(entry)
-        self._sort()
+        self._by_id[txn_id] = entry
+        self._place(entry)
         self._notify()
         return entry
 
     def update(self, txn_id: TransactionId, vc: VectorClock) -> CommitQueueEntry:
         """Set the final commit vector clock and mark the entry ``ready``."""
-        entry = self.find(txn_id)
+        entry = self._by_id.get(txn_id)
         if entry is None:
             raise KeyError(f"{txn_id} not in commit queue")
+        self._unplace(entry)
         entry.vc = vc
         entry.status = CommitStatus.READY
-        self._sort()
+        self._place(entry)
         self._notify()
         return entry
 
     def remove(self, txn_id: TransactionId) -> bool:
         """Drop the entry of ``txn_id`` (commit applied, or abort)."""
-        before = len(self._entries)
-        self._entries = [entry for entry in self._entries if entry.txn_id != txn_id]
-        removed = len(self._entries) != before
-        if removed:
-            self._notify()
-        return removed
+        entry = self._by_id.pop(txn_id, None)
+        if entry is None:
+            return False
+        self._unplace(entry)
+        self._notify()
+        return True
 
     # ------------------------------------------------------------- queries
     def find(self, txn_id: TransactionId) -> Optional[CommitQueueEntry]:
-        for entry in self._entries:
-            if entry.txn_id == txn_id:
-                return entry
-        return None
+        return self._by_id.get(txn_id)
 
     def head(self) -> Optional[CommitQueueEntry]:
         """The entry with the smallest node-local vector clock entry."""
@@ -150,11 +155,25 @@ class CommitQueue:
         """
         dropped = len(self._entries)
         self._entries = []
+        self._keys = []
+        self._by_id = {}
         return dropped
 
     # ------------------------------------------------------------- internals
-    def _sort(self) -> None:
-        self._entries.sort(key=lambda entry: entry.order_key(self.node_index))
+    def _key(self, entry: CommitQueueEntry) -> Tuple[int, int, int]:
+        txn_id = entry.txn_id
+        return (entry.vc[self.node_index], txn_id.node, txn_id.seq)
+
+    def _place(self, entry: CommitQueueEntry) -> None:
+        key = self._key(entry)
+        position = bisect_left(self._keys, key)
+        self._keys.insert(position, key)
+        self._entries.insert(position, entry)
+
+    def _unplace(self, entry: CommitQueueEntry) -> None:
+        position = bisect_left(self._keys, self._key(entry))
+        del self._keys[position]
+        del self._entries[position]
 
     def _notify(self) -> None:
         if self._signal is not None:

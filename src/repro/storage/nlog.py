@@ -32,7 +32,7 @@ kept across truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.clocks.vector_clock import VectorClock
 from repro.common.ids import TransactionId
@@ -66,6 +66,9 @@ class NLog:
         self.n_nodes = n_nodes
         self.retention = retention
         self._entries: List[NLogEntry] = []
+        #: Transaction id -> its retained entry.  Holds exactly the ids of
+        #: ``_entries``; when an id is retained twice, the later entry.
+        self._by_id: Dict[TransactionId, NLogEntry] = {}
         self._most_recent_vc = VectorClock.zeros(n_nodes)
         self._cumulative_max = VectorClock.zeros(n_nodes)
         self._signal: Optional["Signal"] = (
@@ -80,8 +83,13 @@ class NLog:
         self.total_appended += 1
         self._most_recent_vc = entry.vc
         self._cumulative_max = self._cumulative_max.merge(entry.vc)
+        self._by_id[entry.txn_id] = entry
         if self.retention and len(self._entries) > self.retention:
             overflow = len(self._entries) - self.retention
+            for dropped in self._entries[:overflow]:
+                # An id appended again since still has a retained entry.
+                if self._by_id[dropped.txn_id] is dropped:
+                    del self._by_id[dropped.txn_id]
             del self._entries[:overflow]
         if self._signal is not None:
             self._signal.notify()
@@ -189,17 +197,6 @@ class NLog:
             return cumulative
         return VectorClock._shared(entries_tuple)
 
-    def contains_txn(self, txn_id: TransactionId) -> bool:
-        """True if ``txn_id`` appears among the retained entries."""
-        return any(entry.txn_id == txn_id for entry in self._entries)
-
     def find(self, txn_id: TransactionId) -> Optional[NLogEntry]:
-        """Retained entry of ``txn_id``, or ``None`` (fault-plane recovery).
-
-        Linear over the retention window: only the crash-recovery path uses
-        it, never the fail-free hot path.
-        """
-        for entry in self._entries:
-            if entry.txn_id == txn_id:
-                return entry
-        return None
+        """Retained entry of ``txn_id``, or ``None`` (fault-plane recovery)."""
+        return self._by_id.get(txn_id)

@@ -8,6 +8,10 @@ from repro.clocks.compression import VCCodec
 from repro.clocks.vector_clock import VectorClock
 from repro.common.ids import TransactionId
 from repro.replication.placement import KeyPlacement
+from repro.sim.engine import Simulation
+from repro.sim.events import ThresholdWaiters
+from repro.storage.commit_queue import CommitQueue, CommitStatus
+from repro.storage.nlog import NLog, NLogEntry
 from repro.storage.snapshot_queue import READ_KIND, WRITE_KIND, SnapshotQueue, SQueueEntry
 from repro.storage.version import Version, VersionChain
 
@@ -156,6 +160,143 @@ class TestSnapshotQueueProperties:
         for index, snapshot in enumerate(snapshots):
             queue.insert(SQueueEntry(TransactionId(0, index), snapshot, READ_KIND))
         assert queue.has_reader_below(bound) == any(s < bound for s in snapshots)
+
+
+class TestCommitQueueProperties:
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from(["put", "put", "update", "remove", "clear"]),
+            st.integers(min_value=0, max_value=2),  # coordinator of the txn
+            st.integers(min_value=0, max_value=5),  # txn seq
+            st.integers(min_value=0, max_value=6),  # node-local clock entry: ties are common
+        ),
+        max_size=60,
+    )
+
+    @given(ops)
+    def test_order_and_index_match_a_sorted_list(self, operations):
+        """The bisect-kept order is the order a full sort gives, and ``find``
+        answers what a scan of the entries answers, after every mutation."""
+        queue = CommitQueue(node_index=1)
+        model = {}  # txn id -> (local clock entry, status)
+        for op, node, seq, local in operations:
+            txn = TransactionId(node, seq)
+            vc = VectorClock([9, local, 9])
+            if op == "put" and txn not in model:
+                queue.put(txn, vc)
+                model[txn] = (local, CommitStatus.PENDING)
+            elif op == "update" and txn in model:
+                queue.update(txn, vc)
+                model[txn] = (local, CommitStatus.READY)
+            elif op == "remove":
+                assert queue.remove(txn) == (txn in model)
+                model.pop(txn, None)
+            elif op == "clear":
+                assert queue.clear() == len(model)
+                model.clear()
+            expected = sorted(model, key=lambda txn_id: (model[txn_id][0], txn_id))
+            entries = queue.entries()
+            assert [entry.txn_id for entry in entries] == expected
+            assert [(entry.vc[1], entry.status) for entry in entries] == [
+                model[txn_id] for txn_id in expected
+            ]
+            assert len(queue) == len(model)
+            for node_id in range(3):
+                for seq_id in range(6):
+                    probe = TransactionId(node_id, seq_id)
+                    scanned = next((e for e in entries if e.txn_id == probe), None)
+                    assert queue.find(probe) is scanned
+            head = queue.head()
+            assert head is (entries[0] if entries else None)
+            assert queue.min_pending_local() == (model[expected[0]][0] if expected else None)
+
+
+class TestNLogProperties:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=7), max_size=40),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_find_matches_a_scan_of_the_retained_entries(self, seqs, retention):
+        """Truncation past ``retention`` forgets exactly the dropped entries,
+        also when an id is appended again before or after its first entry
+        was dropped (the index then answers with the later entry)."""
+        nlog = NLog(node_index=0, n_nodes=1, retention=retention)
+        for position, seq in enumerate(seqs):
+            nlog.append(
+                NLogEntry(
+                    txn_id=TransactionId(0, seq),
+                    vc=VectorClock([position + 1]),
+                    write_keys=(),
+                    commit_time=float(position),
+                )
+            )
+            retained = nlog.entries()
+            assert len(retained) == min(position + 1, retention)
+            for probe_seq in range(8):
+                probe = TransactionId(0, probe_seq)
+                scanned = next((e for e in reversed(retained) if e.txn_id == probe), None)
+                assert nlog.find(probe) is scanned
+
+
+class TestThresholdWaitersProperties:
+    ops = st.lists(
+        st.one_of(
+            st.tuples(st.just("wait"), st.integers(min_value=0, max_value=12)),
+            st.tuples(st.just("level"), st.integers(min_value=0, max_value=3)),
+            st.tuples(st.just("floor"), st.none() | st.integers(min_value=0, max_value=12)),
+        ),
+        max_size=40,
+    )
+
+    @staticmethod
+    def _run(operations, grouped):
+        """A log that rises and a queue head that comes and goes, each with
+        its signal, and processes waiting for ``ready(target)`` — through one
+        ThresholdWaiters, or through one Condition each."""
+        sim = Simulation(seed=1)
+        state = {"level": 0, "floor": None}
+        log_signal, queue_signal = sim.signal("log"), sim.signal("queue")
+
+        def ready(target):
+            floor = state["floor"]
+            return state["level"] >= target and not (floor is not None and floor <= target)
+
+        waiters = ThresholdWaiters(sim, ready, [log_signal, queue_signal])
+        woke = []
+
+        def reader(index, target):
+            if grouped:
+                yield waiters.wait(target)
+            else:
+                yield sim.condition(lambda: ready(target), [log_signal, queue_signal])
+            woke.append((index, target, sim.now))
+
+        def driver():
+            for index, (op, value) in enumerate(operations):
+                yield sim.timeout(1)
+                if op == "wait":
+                    sim.process(reader(index, value))
+                elif op == "level":
+                    state["level"] += value
+                    log_signal.notify()
+                else:
+                    state["floor"] = value
+                    queue_signal.notify()
+
+        sim.process(driver())
+        sim.run()
+        still_attached = len(log_signal._conditions) + len(queue_signal._conditions)
+        return woke, sim.processed_events, still_attached
+
+    @given(ops)
+    def test_wakes_exactly_as_one_condition_per_waiter_does(self, operations):
+        grouped, grouped_events, attached = self._run(operations, grouped=True)
+        separate, separate_events, _ = self._run(operations, grouped=False)
+        assert grouped == separate
+        assert grouped_events == separate_events
+        parked = sum(op == "wait" for op, _ in operations) - len(grouped)
+        # Attached to both signals while anybody waits, to neither otherwise.
+        assert attached == (2 if parked else 0)
 
 
 class TestVersionChainProperties:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import pytest
 
+from repro.clocks.vector_clock import VectorClock
 from repro.common.ids import TransactionId
 from repro.consistency.checkers import (
     check_external_consistency,
@@ -160,6 +166,95 @@ class TestCheckers:
     def test_summary_format(self):
         result = check_serializability([])
         assert "PASS" in result.summary()
+
+
+def test_the_harness_imports_without_networkx():
+    """networkx is a test-only oracle: nothing the runner imports loads it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro.harness.runner, sys; assert 'networkx' not in sys.modules",
+        ],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        check=True,
+        timeout=120,
+    )
+
+
+class TestExternalConsistencyMemo:
+    """The recorder keeps its external-consistency verdict until it records
+    another commit; what it hands out is never older than its records."""
+
+    class _Tags:
+        def __init__(self):
+            self.issued = 0
+
+        def next_tag(self):
+            self.issued += 1
+            return (0.0, 0, self.issued)
+
+    @staticmethod
+    def _meta(seq, reads=(), writes=(), begin=0.0, end=100.0):
+        return SimpleNamespace(
+            txn_id=TransactionId(0, seq),
+            coordinator=0,
+            is_update=bool(writes),
+            read_set={
+                key: SimpleNamespace(
+                    key=key, writer=writer, version_vc=VectorClock([0]), served_by=0
+                )
+                for key, writer in reads
+            },
+            write_set={key: 1 for key in writes},
+            begin_time=begin,
+            external_commit_time=end,
+            version_hints={key: float(seq) for key in writes},
+        )
+
+    def _recorder(self):
+        return HistoryRecorder(tags=self._Tags())
+
+    def test_second_verdict_reuses_the_first(self):
+        history = self._recorder()
+        history.record_commit(self._meta(1, writes=["x"]))
+        first = check_external_consistency(history)
+        assert first.ok and first.checked_transactions == 1
+        assert check_external_consistency(history) is first
+
+    def test_next_recorded_commit_outdates_the_verdict(self):
+        history = self._recorder()
+        history.record_commit(self._meta(1, writes=["x"], begin=0.0, end=100.0))
+        assert check_external_consistency(history).ok
+        # Begins after the writer's client was answered, reads the preloaded
+        # version: the history now contradicts the real-time order.
+        history.record_commit(self._meta(2, reads=[("x", None)], begin=200.0, end=260.0))
+        second = check_external_consistency(history)
+        assert not second.ok and second.checked_transactions == 2
+
+    def test_clear_drops_the_verdict(self):
+        history = self._recorder()
+        history.record_commit(self._meta(1, writes=["x"], begin=0.0, end=100.0))
+        history.record_commit(self._meta(2, reads=[("x", None)], begin=200.0, end=260.0))
+        assert not check_external_consistency(history).ok
+        history.clear()
+        history.record_commit(self._meta(3, writes=["y"]))
+        history.record_commit(self._meta(4, writes=["z"]))
+        assert check_external_consistency(history).ok
+
+    def test_merged_recorder_starts_without_a_verdict(self):
+        writer_part, reader_part = self._recorder(), self._recorder()
+        writer_part.record_commit(self._meta(1, writes=["x"], begin=0.0, end=100.0))
+        reader_part.record_commit(self._meta(2, reads=[("x", None)], begin=200.0, end=260.0))
+        # Each part alone is consistent, and each keeps its own verdict.
+        assert check_external_consistency(writer_part).ok
+        assert check_external_consistency(reader_part).ok
+        merged = HistoryRecorder.merge([writer_part, reader_part])
+        assert merged.external_consistency_memo is None
+        assert not check_external_consistency(merged).ok
+        assert check_external_consistency(writer_part).ok
+        assert check_external_consistency(reader_part).ok
 
 
 class TestHistoryRecorder:

@@ -26,7 +26,6 @@ from repro.network.message import Message, MessagePriority
 from repro.network.node import NetworkedNode
 from repro.network.transport import Network
 from repro.sim.engine import Simulation
-from repro.sim.resources import Store
 from repro.storage.locks import LockMode, LockTable
 from repro.common.ids import TransactionId
 
@@ -264,13 +263,26 @@ class TestTransportFaults:
 
 
 class TestNodeCrashPrimitives:
-    def test_store_clear_counts_dropped(self):
-        sim = Simulation()
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        assert store.clear() == 2
-        assert len(store) == 0
+    def test_same_priority_messages_served_in_arrival_order(self):
+        sim, network, nodes = _pair()
+        for payload in ("a", "b", "c"):
+            nodes[1].enqueue(Ping(payload))
+        sim.run()
+        handling_us = nodes[1].service.message_handling_us
+        assert nodes[1].received == [
+            (handling_us, "a"),
+            (2 * handling_us, "b"),
+            (3 * handling_us, "c"),
+        ]
+
+    def test_drop_inbound_counts_queued_messages(self):
+        sim, network, nodes = _pair()
+        for payload in ("a", "b", "c"):
+            nodes[1].enqueue(Ping(payload))
+        # "a" went straight into its handling time; "b" and "c" queue behind it.
+        assert nodes[1].drop_inbound() == 2
+        sim.run()
+        assert [p for _t, p in nodes[1].received] == ["a"]
 
     def test_crashed_node_fails_requests_fast(self):
         sim, network, nodes = _pair()

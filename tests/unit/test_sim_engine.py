@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Simulation
-from repro.sim.resources import SimLock, Store
+from repro.sim.resources import SimLock
 
 
 class TestClockAndTimeouts:
@@ -273,38 +273,3 @@ class TestResources:
         lock = SimLock(sim)
         with pytest.raises(RuntimeError):
             lock.release()
-
-    def test_store_fifo_order(self, sim):
-        store = Store(sim)
-        received = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        def producer():
-            for item in ("x", "y", "z"):
-                yield sim.timeout(5)
-                store.put(item)
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert received == ["x", "y", "z"]
-
-    def test_store_priority_order(self, sim):
-        store = Store(sim)
-        store.put("bulk", priority=3)
-        store.put("urgent", priority=0)
-        store.put("normal", priority=1)
-        received = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert received == ["urgent", "normal", "bulk"]
