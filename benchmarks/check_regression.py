@@ -1,40 +1,41 @@
 """Benchmark-regression gate for CI.
 
-Compares the events/sec of freshly produced ``BENCH_<figure>.json`` files
-against the committed baselines under ``benchmarks/baselines/`` and exits
-non-zero when any checked figure is more than the allowed percentage slower.
+Compares freshly produced ``BENCH_<figure>.json`` files against the
+committed baselines under ``benchmarks/baselines/`` and exits non-zero when
+a checked figure loses something its baseline pins machine-independently.
 
 Figures whose baseline carries ``totals.memory_high_water_bytes`` (the
-``scale`` figure) are additionally gated on memory: the current high-water
+``scale`` figure) are gated on memory: the current high-water
 mark must stay below the baseline plus the allowed memory headroom.
 Figures whose baseline carries ``totals.availability_min`` (the ``faults``
-figure) are additionally gated on availability: the current worst per-point
+figure) are gated on availability: the current worst per-point
 availability must not fall more than the availability threshold below the
 baseline's, and a baseline asserting ``consistency_ok_all`` requires the
-current run to keep it.  Speed and availability are floors, memory is a
+current run to keep it.  Availability is a floor, memory is a
 ceiling.  Baselines carrying ``totals.max_n_nodes`` pin cluster-size
 coverage (the current run may not measure a narrower cluster), and
-baselines with ``totals.parallel_datapoints`` additionally gate the
-node-sharded engine's ``parallel_events_per_sec`` as its own floor, so a
-parallel-path regression cannot hide behind fast serial points.
+baselines with ``totals.parallel_datapoints`` require the current run to
+have produced parallel-engine datapoints too.  ``events_per_sec`` and
+``parallel_events_per_sec`` are printed beside the baseline's and never
+fail: a wall-clock floor loose enough for any runner lets a 3x slowdown
+through.  Cost is gated where it repeats to the last digit, by the count
+goldens in ``tests/golden/history_hashes.json``.
 
 Usage::
 
     python benchmarks/check_regression.py [--figures fig3 scaling]
-        [--current-dir DIR] [--baseline-dir DIR] [--threshold-pct 25]
+        [--current-dir DIR] [--baseline-dir DIR]
         [--memory-threshold-pct 50] [--availability-threshold-pct 40]
 
 (``--figure X`` remains as an alias for ``--figures X``.)
 
 Environment overrides: ``REPRO_BENCH_OUT`` (current dir),
-``REPRO_BENCH_REGRESSION_PCT`` (speed threshold),
 ``REPRO_BENCH_MEMORY_PCT`` (memory threshold),
 ``REPRO_BENCH_AVAILABILITY_PCT`` (availability threshold).
 
-The committed baselines are calibrated for the CI runner class (see the
-``provenance`` field inside each baseline file); refresh them deliberately
-with ``--write-baseline`` when the runner class or the expected performance
-level changes, never to paper over a regression.
+Each baseline says how it was captured in its ``provenance`` field; refresh
+one deliberately with ``--write-baseline`` when what it pins is meant to
+change, never to paper over a regression.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ def check_figure(figure: str, args) -> int:
         )
         return 1
     current = _load(current_path)
-    current_eps = current["totals"]["events_per_sec"]
-    current_tps = current["totals"]["committed_txns_per_wall_sec"]
 
     if args.write_baseline:
         os.makedirs(args.baseline_dir, exist_ok=True)
@@ -76,7 +75,7 @@ def check_figure(figure: str, args) -> int:
         with open(baseline_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        print(f"baseline written: {baseline_path} (events/sec={current_eps})")
+        print(f"baseline written: {baseline_path}")
         return 0
 
     if not os.path.exists(baseline_path):
@@ -84,21 +83,12 @@ def check_figure(figure: str, args) -> int:
         return 0
 
     baseline = _load(baseline_path)
-    baseline_eps = baseline["totals"]["events_per_sec"]
-    floor = baseline_eps * (1.0 - args.threshold_pct / 100.0)
-
-    print(
-        f"figure={figure}  baseline events/sec={baseline_eps}  "
-        f"current events/sec={current_eps}  committed txns/wall-sec={current_tps}  "
-        f"allowed floor={floor:.0f} (-{args.threshold_pct:.0f}%)"
-    )
-    if current_eps < floor:
-        print(
-            f"FAIL: {figure} events/sec regressed by more than "
-            f"{args.threshold_pct:.0f}% ({current_eps} < {floor:.0f})",
-            file=sys.stderr,
-        )
-        return 1
+    for name in ("events_per_sec", "parallel_events_per_sec"):
+        if name in baseline["totals"]:
+            print(
+                f"figure={figure}  advisory, never gated: {name} "
+                f"baseline={baseline['totals'][name]} current={current['totals'].get(name)}"
+            )
 
     baseline_mem = baseline["totals"].get("memory_high_water_bytes")
     if baseline_mem is not None:
@@ -170,22 +160,6 @@ def check_figure(figure: str, args) -> int:
                 file=sys.stderr,
             )
             return 1
-        baseline_peps = baseline["totals"].get("parallel_events_per_sec", 0)
-        current_peps = current["totals"].get("parallel_events_per_sec", 0)
-        parallel_floor = baseline_peps * (1.0 - args.threshold_pct / 100.0)
-        print(
-            f"figure={figure}  baseline parallel events/sec={baseline_peps}  "
-            f"current parallel events/sec={current_peps}  allowed floor="
-            f"{parallel_floor:.0f} (-{args.threshold_pct:.0f}%)"
-        )
-        if current_peps < parallel_floor:
-            print(
-                f"FAIL: {figure} parallel-engine events/sec regressed by more "
-                f"than {args.threshold_pct:.0f}% ({current_peps} < "
-                f"{parallel_floor:.0f})",
-                file=sys.stderr,
-            )
-            return 1
 
     if baseline["totals"].get("consistency_ok_all") == 1.0:
         if current["totals"].get("consistency_ok_all") != 1.0:
@@ -198,7 +172,7 @@ def check_figure(figure: str, args) -> int:
             )
             return 1
 
-    print(f"OK: {figure} within the regression budget")
+    print(f"OK: {figure} keeps what its baseline pins")
     return 0
 
 
@@ -219,11 +193,6 @@ def main() -> int:
     parser.add_argument(
         "--baseline-dir",
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines"),
-    )
-    parser.add_argument(
-        "--threshold-pct",
-        type=float,
-        default=float(os.environ.get("REPRO_BENCH_REGRESSION_PCT", 25.0)),
     )
     parser.add_argument(
         "--memory-threshold-pct",

@@ -1,26 +1,24 @@
 """Shared helpers for the figure-reproduction benchmarks.
 
-Every benchmark follows the same pattern:
+Every benchmark — the paper-figure table (:mod:`benchmarks.figures`) and the
+plane sweeps, one module each — follows the same pattern:
 
 1. sweep the figure's parameters at a scaled-down size (see
-   :class:`repro.harness.experiments.BenchmarkScale`) so the whole suite runs
+   :class:`BenchSettings`) so the whole suite runs
    in minutes of wall-clock time on a laptop;
 2. print the table of committed-transactions-per-second series that mirrors
    the paper's figure;
 3. assert the qualitative *shape* the paper reports (who wins, how the gap
    moves) — absolute numbers are not comparable because the substrate is a
    simulator rather than the authors' CloudLab testbed;
-4. register the sweep with ``pytest-benchmark`` (one round, one iteration) so
-   ``pytest benchmarks/ --benchmark-only`` reports the wall-clock cost of
-   regenerating each figure;
-5. emit a machine-readable ``BENCH_<figure>.json`` (via
+4. emit a machine-readable ``BENCH_<figure>.json`` (via
    :func:`flush_bench_json`) recording, per datapoint, the simulated
    throughput *and* the simulator's own performance (events/sec, committed
    transactions per wall second, wall-clock), so the perf trajectory of the
-   substrate is tracked PR-over-PR and CI can fail on regressions.
+   substrate is tracked PR-over-PR.
 
 Sweeps fan their independent datapoints across CPU cores with
-:class:`~concurrent.futures.ProcessPoolExecutor` (each datapoint is an
+:func:`repro.harness.runner.run_points` (each datapoint is an
 isolated simulation with a fixed seed, so results are byte-identical to a
 serial run).
 
@@ -43,16 +41,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.common.config import ClusterConfig, WorkloadConfig
-from repro.harness.metrics import ExperimentMetrics
-from repro.harness.runner import (
-    ExperimentPoint,
-    ExperimentResult,
-    run_experiment,
-    run_points,
-)
+from repro.harness.runner import ExperimentResult
 
 
 def _env_int(name: str, default: int) -> int:
@@ -82,12 +73,13 @@ SETTINGS = BenchSettings()
 
 
 def shape_checks_enabled() -> bool:
-    """Whether the paper's qualitative shape assertions should run.
+    """Whether the plane sweeps' qualitative shape assertions should run.
 
-    The protocol-comparison shapes (who wins, how gaps move) need enough
-    simulated time to escape warm-up noise; the CI benchmark smoke runs with
-    a tiny ``REPRO_BENCH_DURATION_US`` purely to measure simulator
-    performance, where a marginal shape flip is meaningless.
+    Their shapes need enough simulated time to escape warm-up noise; the CI
+    benchmark smoke runs them with a tiny ``REPRO_BENCH_DURATION_US``, where
+    a marginal shape flip is meaningless.  The paper-figure table
+    (:mod:`benchmarks.figures`) does not consult this: its claims run at
+    every duration.
     """
     return SETTINGS.duration_us >= 50_000
 
@@ -95,12 +87,54 @@ def shape_checks_enabled() -> bool:
 # ----------------------------------------------------------------------
 # Machine-readable benchmark output (BENCH_<figure>.json)
 # ----------------------------------------------------------------------
+#: ``metrics.extra`` fields copied into a datapoint whenever the run set them.
+_OPTIONAL_EXTRAS = (
+    # Clock-metadata accounting (present whenever the run shipped
+    # clock-bearing messages; see run_experiment).
+    "clock_bytes_mean",
+    "clock_bytes_max",
+    "clock_bytes_per_msg",
+    "clock_compression_ratio",
+    # Traffic-plane accounting (present when the config carried a traffic
+    # plan, i.e. the run was open-loop; see repro.workload.openloop).
+    "open_loop",
+    "offered",
+    "offered_tps",
+    "goodput_tps",
+    "dropped",
+    "timed_out",
+    "queue_depth_max",
+    "queue_depth_mean",
+    # Parallel-engine accounting (present when the point ran on the
+    # node-sharded conservative engine; see repro.harness.parallel).
+    "parallel_shards",
+    "parallel_sync_rounds",
+    "parallel_null_messages",
+    "parallel_cross_shard_messages",
+    "parallel_shard_events_min",
+    "parallel_shard_events_max",
+    "parallel_shard_utilization_min",
+    "parallel_shard_busy_max_s",
+    # Fault-plane accounting (present when the config carried a fault
+    # plan; see run_experiment and ExperimentMetrics.phases).
+    "availability_min",
+    "stalled_clients",
+    "quiescence_leaked_writers",
+    "quiescence_commit_queue",
+    "fault_events",
+    "recovery_us",
+    # Crash-consistency verdicts (present when the point ran with
+    # record_history; see ExperimentPoint / _run_point_worker).
+    "consistency_ok",
+    "consistency_violations",
+)
+
+
 @dataclass
 class _BenchRecorder:
     """Accumulates per-datapoint records until a figure flushes them."""
 
     pending: List[Dict] = field(default_factory=list)
-    by_figure: Dict[str, List[Dict]] = field(default_factory=dict)
 
     def record(self, result: ExperimentResult) -> None:
         metrics = result.metrics
@@ -127,68 +161,11 @@ class _BenchRecorder:
             "events_per_sec": round(events / wall) if wall > 0 else 0,
             "committed_txns_per_wall_sec": (round(metrics.committed / wall) if wall > 0 else 0),
         }
-        # Clock-metadata accounting (present whenever the run shipped
-        # clock-bearing messages; see run_experiment).
-        for field_name in (
-            "clock_bytes_mean",
-            "clock_bytes_max",
-            "clock_bytes_per_msg",
-            "clock_compression_ratio",
-        ):
-            value = metrics.extra.get(field_name)
-            if value is not None:
-                point[field_name] = value
-        # Traffic-plane accounting (present when the config carried a
-        # traffic plan, i.e. the run was open-loop; see
-        # repro.workload.openloop).
-        for field_name in (
-            "open_loop",
-            "offered",
-            "offered_tps",
-            "goodput_tps",
-            "dropped",
-            "timed_out",
-            "queue_depth_max",
-            "queue_depth_mean",
-        ):
-            value = metrics.extra.get(field_name)
-            if value is not None:
-                point[field_name] = value
-        # Parallel-engine accounting (present when the point ran on the
-        # node-sharded conservative engine; see repro.harness.parallel).
-        # ``engine`` is recorded explicitly so regression gates can match
-        # serial and parallel datapoints separately.
-        if metrics.extra.get("parallel_shards") is not None:
-            point["engine"] = "parallel"
-            for field_name in (
-                "parallel_shards",
-                "parallel_sync_rounds",
-                "parallel_null_messages",
-                "parallel_cross_shard_messages",
-                "parallel_shard_events_min",
-                "parallel_shard_events_max",
-                "parallel_shard_utilization_min",
-                "parallel_shard_busy_max_s",
-            ):
-                value = metrics.extra.get(field_name)
-                if value is not None:
-                    point[field_name] = value
-        else:
-            point["engine"] = "serial"
-        # Fault-plane accounting (present when the config carried a fault
-        # plan; see run_experiment and ExperimentMetrics.phases).
-        for field_name in (
-            "availability_min",
-            "stalled_clients",
-            "quiescence_leaked_writers",
-            "quiescence_commit_queue",
-            "fault_events",
-            "recovery_us",
-            # Crash-consistency verdicts (present when the point ran with
-            # record_history; see ExperimentPoint / _run_point_worker).
-            "consistency_ok",
-            "consistency_violations",
-        ):
+        # ``engine`` is recorded explicitly so serial and parallel datapoints
+        # can be told apart (and rolled up separately in the totals).
+        parallel = metrics.extra.get("parallel_shards") is not None
+        point["engine"] = "parallel" if parallel else "serial"
+        for field_name in _OPTIONAL_EXTRAS:
             value = metrics.extra.get(field_name)
             if value is not None:
                 point[field_name] = value
@@ -198,9 +175,7 @@ class _BenchRecorder:
 
     def flush(self, figure: str) -> Dict:
         """Assign pending datapoints to ``figure`` and write its JSON file."""
-        bucket = self.by_figure.setdefault(figure, [])
-        bucket.extend(self.pending)
-        self.pending = []
+        bucket, self.pending = self.pending, []
         events = sum(point["sim_events"] for point in bucket)
         wall = sum(point["wall_seconds"] for point in bucket)
         committed = sum(point["committed"] for point in bucket)
@@ -219,6 +194,37 @@ class _BenchRecorder:
         ]
         parallel_wall = sum(point["wall_seconds"] for point in parallel_points)
         parallel_events = sum(point["sim_events"] for point in parallel_points)
+        totals = {
+            "datapoints": len(bucket),
+            "sim_events": events,
+            "wall_seconds": round(wall, 4),
+            "events_per_sec": round(events / wall) if wall > 0 else 0,
+            "committed_txns": committed,
+            "committed_txns_per_wall_sec": (round(committed / wall) if wall > 0 else 0),
+        }
+        # Fault-plane floors (absent for fail-free figures): the worst
+        # per-point availability, and whether every checked point kept its
+        # protocol's consistency contract.
+        if availabilities:
+            totals["availability_min"] = round(min(availabilities), 4)
+        if checked:
+            totals["consistency_ok_all"] = float(all(flag == 1.0 for flag in checked))
+        # Coverage floor: the widest cluster the figure measured.
+        # check_regression fails if a later run silently shrinks it (e.g. the
+        # >=256-server parallel points dropping out).
+        if bucket:
+            totals["max_n_nodes"] = max(point["n_nodes"] for point in bucket)
+        # Parallel-engine rollup (absent for all-serial figures): how many
+        # points ran on the node-sharded engine and the events/sec over just
+        # those, reported separately so a slow parallel path cannot hide
+        # behind fast serial points.
+        if parallel_points:
+            totals["parallel_datapoints"] = len(parallel_points)
+            totals["parallel_sim_events"] = parallel_events
+            totals["parallel_wall_seconds"] = round(parallel_wall, 4)
+            totals["parallel_events_per_sec"] = (
+                round(parallel_events / parallel_wall) if parallel_wall > 0 else 0
+            )
         payload = {
             "figure": figure,
             "schema_version": 1,
@@ -229,54 +235,7 @@ class _BenchRecorder:
                 "duration_us": SETTINGS.duration_us,
                 "seed": SETTINGS.seed,
             },
-            "totals": {
-                "datapoints": len(bucket),
-                "sim_events": events,
-                "wall_seconds": round(wall, 4),
-                "events_per_sec": round(events / wall) if wall > 0 else 0,
-                "committed_txns": committed,
-                "committed_txns_per_wall_sec": (round(committed / wall) if wall > 0 else 0),
-                # Fault-plane floors (absent for fail-free figures): the
-                # worst per-point availability, and whether every checked
-                # point kept its protocol's consistency contract.
-                **(
-                    {"availability_min": round(min(availabilities), 4)}
-                    if availabilities
-                    else {}
-                ),
-                **(
-                    {"consistency_ok_all": float(all(flag == 1.0 for flag in checked))}
-                    if checked
-                    else {}
-                ),
-                # Coverage floor: the widest cluster the figure measured.
-                # check_regression fails if a later run silently shrinks it
-                # (e.g. the >=256-server parallel points dropping out).
-                **(
-                    {"max_n_nodes": max(point["n_nodes"] for point in bucket)}
-                    if bucket
-                    else {}
-                ),
-                # Parallel-engine rollup (absent for all-serial figures):
-                # how many points ran on the node-sharded engine and the
-                # events/sec over just those, gated separately so a
-                # regression in the parallel path cannot hide behind fast
-                # serial points.
-                **(
-                    {
-                        "parallel_datapoints": len(parallel_points),
-                        "parallel_sim_events": parallel_events,
-                        "parallel_wall_seconds": round(parallel_wall, 4),
-                        "parallel_events_per_sec": (
-                            round(parallel_events / parallel_wall)
-                            if parallel_wall > 0
-                            else 0
-                        ),
-                    }
-                    if parallel_points
-                    else {}
-                ),
-            },
+            "totals": totals,
             "datapoints": bucket,
         }
         out_dir = os.environ.get("REPRO_BENCH_OUT", ".")
@@ -294,109 +253,6 @@ RECORDER = _BenchRecorder()
 def flush_bench_json(figure: str) -> Dict:
     """Write ``BENCH_<figure>.json`` from the datapoints recorded so far."""
     return RECORDER.flush(figure)
-
-
-# ----------------------------------------------------------------------
-# Sweep helpers
-# ----------------------------------------------------------------------
-def _point_config(
-    n_nodes: int,
-    replication_degree: int,
-    clients_per_node: Optional[int],
-    n_keys: Optional[int],
-    seed_offset: int,
-) -> ClusterConfig:
-    return ClusterConfig(
-        n_nodes=n_nodes,
-        n_keys=n_keys if n_keys is not None else SETTINGS.n_keys,
-        replication_degree=min(replication_degree, n_nodes),
-        clients_per_node=(
-            clients_per_node
-            if clients_per_node is not None
-            else SETTINGS.clients_per_node
-        ),
-        seed=SETTINGS.seed + seed_offset,
-    )
-
-
-def run_point(
-    protocol: str,
-    n_nodes: int,
-    read_only_fraction: float,
-    replication_degree: int = 2,
-    read_only_txn_keys: int = 2,
-    locality_fraction: float = 0.0,
-    clients_per_node: int | None = None,
-    n_keys: int | None = None,
-    seed_offset: int = 0,
-) -> ExperimentMetrics:
-    """Run one datapoint (in-process) and return its metrics."""
-    config = _point_config(n_nodes, replication_degree, clients_per_node, n_keys, seed_offset)
-    workload = WorkloadConfig(
-        read_only_fraction=read_only_fraction,
-        read_only_txn_keys=read_only_txn_keys,
-        locality_fraction=locality_fraction,
-    )
-    result = run_experiment(
-        protocol,
-        config,
-        workload,
-        duration_us=SETTINGS.duration_us,
-        warmup_us=SETTINGS.warmup_us,
-    )
-    RECORDER.record(result)
-    return result.metrics
-
-
-def throughput_sweep(
-    protocols: Sequence[str],
-    node_counts: Sequence[int],
-    read_only_fraction: float,
-    replication_degree: int = 2,
-    read_only_txn_keys: int = 2,
-    locality_fraction: float = 0.0,
-    clients_per_node: int | None = None,
-    n_keys: int | None = None,
-    seed_offset: int = 0,
-) -> Dict[str, Dict[int, ExperimentMetrics]]:
-    """Sweep protocols x node counts at one read-only fraction.
-
-    The datapoints are independent simulations and run in parallel across
-    CPU cores (``REPRO_BENCH_PARALLEL`` controls the fan-out); results are
-    identical to a serial sweep.
-    """
-    workload = WorkloadConfig(
-        read_only_fraction=read_only_fraction,
-        read_only_txn_keys=read_only_txn_keys,
-        locality_fraction=locality_fraction,
-    )
-    points = [
-        ExperimentPoint(
-            protocol=protocol,
-            config=_point_config(
-                n_nodes, replication_degree, clients_per_node, n_keys, seed_offset
-            ),
-            workload=workload,
-            duration_us=SETTINGS.duration_us,
-            warmup_us=SETTINGS.warmup_us,
-            label=(protocol, n_nodes),
-        )
-        for protocol in protocols
-        for n_nodes in node_counts
-    ]
-    results: Dict[str, Dict[int, ExperimentMetrics]] = {p: {} for p in protocols}
-    for (protocol, n_nodes), result in run_points(points):
-        RECORDER.record(result)
-        results[protocol][n_nodes] = result.metrics
-    return results
-
-
-def ktps_rows(sweep: Dict[str, Dict[int, ExperimentMetrics]]) -> Dict[str, list]:
-    """Throughput rows (KTx/s) keyed by protocol for format_table."""
-    rows = {}
-    for protocol, by_nodes in sweep.items():
-        rows[protocol] = [metrics.throughput_ktps for metrics in by_nodes.values()]
-    return rows
 
 
 def run_once(benchmark, func):

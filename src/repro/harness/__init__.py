@@ -11,8 +11,6 @@ rates, latency percentiles and the internal/external commit breakdown.
 * :mod:`repro.harness.sketch` — deterministic mergeable quantile sketches.
 * :mod:`repro.harness.streaming` — online aggregation for open-loop runs
   (bounded memory at heavy traffic).
-* :mod:`repro.harness.experiments` — the per-figure experiment definitions
-  (workload and sweep parameters for Figures 3 through 8).
 * :mod:`repro.harness.reporting` — plain-text tables mirroring the paper's
   figures, used by the benchmarks and EXPERIMENTS.md.
 * :mod:`repro.harness.scenario` — one-shot scenario probe returning the

@@ -62,26 +62,6 @@ def format_series(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
     return f"{name}: {points}"
 
 
-def format_clock_metadata(metrics) -> str:
-    """One-line clock-metadata summary of an experiment's metrics.
-
-    Reports what the wire actually carried for vector clocks — mean/max
-    encoded bytes per clock and the achieved compression ratio against the
-    dense ``8 * width`` representation — alongside the usual throughput
-    line.  Returns an explanatory placeholder for runs without clock-bearing
-    messages (e.g. a protocol without vector clocks).
-    """
-    mean = metrics.clock_bytes_mean
-    if mean is None:
-        return "clock metadata: none shipped"
-    ratio = metrics.clock_compression_ratio
-    return (
-        f"clock metadata: mean {mean:.1f} B/clock, "
-        f"max {metrics.clock_bytes_max:.0f} B, "
-        f"compression {ratio:.2f}x dense"
-    )
-
-
 def speedup_rows(
     baseline: Mapping[object, float], others: Mapping[str, Mapping[object, float]]
 ) -> Dict[str, List[Optional[float]]]:

@@ -257,9 +257,10 @@ class Network:
         # width: the transport carries every protocol's messages).
         self._codecs: Dict[NodeId, VCCodec] = {}
         self._channels: Dict[NodeId, _Channel] = {}
-        # Full-cluster membership for partition mapping; defaults to the
-        # locally registered nodes (see declare_node_ids).
-        self._all_node_ids: Optional[List[NodeId]] = None
+        # Full-cluster membership (see declare_node_ids): partition mapping
+        # defaults to the locally registered nodes without it, and a send to
+        # a node outside it has nowhere to go.
+        self._all_node_ids: frozenset = frozenset()
         rate = self.config.bandwidth_msgs_per_us
         self._link_service_us = 1.0 / rate if rate > 0 else 0.0
 
@@ -280,9 +281,11 @@ class Network:
         A shard registers only the nodes it owns, but partition groups are
         defined over the whole cluster; the declared membership keeps the
         implicit "every unnamed node" partition group identical on every
-        shard (and on the serial engine).
+        shard (and on the serial engine).  It is also what tells a message
+        for a node another shard owns (exported at the next barrier) from a
+        message for a node nobody registered (:meth:`send` raises).
         """
-        self._all_node_ids = sorted(node_ids)
+        self._all_node_ids = frozenset(node_ids)
 
     @property
     def node_ids(self) -> List[NodeId]:
@@ -315,7 +318,7 @@ class Network:
         for group_count, group in enumerate(groups, start=1):
             for node_id in group:
                 mapping[node_id] = group_count - 1
-        members = self._all_node_ids if self._all_node_ids is not None else self._nodes
+        members = self._all_node_ids or self._nodes
         for node_id in members:
             mapping.setdefault(node_id, group_count)
         self._partition = mapping
@@ -477,6 +480,8 @@ class Network:
 
         channel = self._channels.get(destination)
         if channel is None:
+            if destination not in self._all_node_ids:
+                raise KeyError(destination)
             self.outbox.append((deliver_at, skey, destination, message, held))
             return
         if held:

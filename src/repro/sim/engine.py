@@ -48,6 +48,7 @@ serial-vs-parallel equivalence tests in
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf, nextafter
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -361,39 +362,10 @@ class Simulation:
         that instant, and their lane-0 wakes must sort before the local
         events of the same timestamp — so everything at ``until`` belongs to
         the *next* window.  The clock always lands exactly on ``until``.
+        That is :meth:`run` with the horizon at the largest float below
+        ``until``.
         """
-        heap = self._heap
-        crashed = self._crashed
-        sentinel = _CALL0
-        count = 0
-        try:
-            if crashed:
-                process, exc = crashed[0]
-                raise SimulationError(
-                    f"process {process.name!r} crashed at t={self._now:.1f}"
-                ) from exc
-            while heap:
-                entry = heappop(heap)
-                time, key, func, arg = entry
-                if time >= until:
-                    heappush(heap, entry)
-                    break
-                self._now = time
-                self._unitp = key >> _UNIT_SHIFT
-                self._ekey_time = time
-                self._ekey_key = key
-                count += 1
-                if arg is sentinel:
-                    func()
-                else:
-                    func(arg)
-                if crashed:
-                    process, exc = crashed[0]
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now:.1f}"
-                    ) from exc
-        finally:
-            self._event_count += count
+        self.run(until=nextafter(until, -inf))
         self._now = until
         return self._now
 

@@ -21,6 +21,15 @@ legitimately changes fail-free serialization in the rare reads that used to
 hit the timeout heuristic.  The three baseline protocols' histories were
 untouched by that PR and still match their PR-2 capture bit for bit.
 
+The same eight runs also pin what the history *cost*: the ``"counts"`` block
+holds each point's simulation events, network messages sent / delivered,
+bytes sent and messages handled.  These repeat to the last digit for a seed
+on any machine, so unlike a wall-clock floor they fail on one extra message
+per commit.  A separate test asserts them, so "the history moved" and "the
+cost moved" fail under different ids; a change that moves the counts on
+purpose refreshes the block in the same diff and says why, exactly like the
+hashes.
+
 Regenerate (deliberately!) with::
 
     PYTHONPATH=src python tests/integration/test_golden_histories.py --write
@@ -28,10 +37,12 @@ Regenerate (deliberately!) with::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Dict, Tuple
 
 import pytest
 
@@ -76,8 +87,14 @@ def history_fingerprint(history) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def run_golden_point(protocol: str, seed: int, replication_degree: int) -> str:
-    """One fail-free experiment at a fixed micro-configuration."""
+@functools.cache
+def run_golden_point(
+    protocol: str, seed: int, replication_degree: int
+) -> Tuple[str, Dict[str, int]]:
+    """One fail-free experiment at a fixed micro-configuration, run once.
+
+    Returns its history fingerprint and its cost counts.
+    """
     config = ClusterConfig(
         n_nodes=3,
         n_keys=24,
@@ -95,7 +112,15 @@ def run_golden_point(protocol: str, seed: int, replication_degree: int) -> str:
         record_history=True,
         keep_cluster=True,
     )
-    return history_fingerprint(result.cluster.history)
+    stats = result.cluster.network.stats
+    counts = {
+        "sim_events": int(result.metrics.extra["sim_events"]),
+        "sent": stats.total_sent,
+        "delivered": stats.total_delivered,
+        "bytes_sent": stats.bytes_sent,
+        "messages_handled": sum(node.messages_handled for node in result.cluster.nodes),
+    }
+    return history_fingerprint(result.cluster.history), counts
 
 
 def _point_key(protocol: str, seed: int, replication_degree: int) -> str:
@@ -118,18 +143,40 @@ def test_fail_free_history_matches_pre_refactor_golden(protocol, seed, replicati
     assert key in golden["fingerprints"], (
         f"no golden fingerprint for {key}; regenerate with --write"
     )
-    assert run_golden_point(protocol, seed, replication_degree) == (golden["fingerprints"][key]), (
+    fingerprint, _ = run_golden_point(protocol, seed, replication_degree)
+    assert fingerprint == golden["fingerprints"][key], (
         f"fail-free history for {key} diverged from the pre-refactor golden "
         "capture — the runtime port must preserve byte-identical histories"
     )
 
 
+@pytest.mark.parametrize(
+    "protocol,seed,replication_degree",
+    GOLDEN_POINTS,
+    ids=[_point_key(*point) for point in GOLDEN_POINTS],
+)
+def test_fail_free_cost_counts_match_golden(protocol, seed, replication_degree):
+    golden = load_golden()
+    key = _point_key(protocol, seed, replication_degree)
+    assert key in golden["counts"], f"no golden counts for {key}; regenerate with --write"
+    _, counts = run_golden_point(protocol, seed, replication_degree)
+    moved = {
+        name: f"{golden['counts'][key].get(name)} -> {value}"
+        for name, value in counts.items()
+        if golden["counts"][key].get(name) != value
+    }
+    assert not moved, (
+        f"the cost of the fail-free run {key} moved: {moved}. These counts are exact for "
+        "a seed; if the change is meant to move them, regenerate with --write and say why"
+    )
+
+
 def write_golden() -> None:
-    fingerprints = {}
+    fingerprints, counts = {}, {}
     for protocol, seed, replication_degree in GOLDEN_POINTS:
         key = _point_key(protocol, seed, replication_degree)
-        fingerprints[key] = run_golden_point(protocol, seed, replication_degree)
-        print(f"{key}: {fingerprints[key]}")
+        fingerprints[key], counts[key] = run_golden_point(protocol, seed, replication_degree)
+        print(f"{key}: {fingerprints[key]} {counts[key]}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "comment": (
@@ -145,6 +192,7 @@ def write_golden() -> None:
             "read_only_fraction": 0.5,
         },
         "fingerprints": fingerprints,
+        "counts": counts,
     }
     with GOLDEN_PATH.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

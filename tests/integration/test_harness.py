@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from benchmarks.figures import FIGURES, expand
 from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.core.cluster import SSSCluster
 from repro.harness.cluster import PROTOCOLS, build_cluster
-from repro.harness.experiments import ALL_EXPERIMENTS, FIGURE_3, benchmark_scale_for
 from repro.harness.runner import (
     average_throughput_ktps,
     find_saturation_throughput,
@@ -106,9 +108,11 @@ class TestRunner:
         assert idle.metrics.committed < busy.metrics.committed
 
 
-class TestExperimentDefinitions:
-    def test_every_figure_is_defined(self):
-        assert set(ALL_EXPERIMENTS) == {
+class TestFigureTable:
+    """``benchmarks/figures.py``: the one statement of the paper's figures."""
+
+    def test_every_section_v_figure_has_a_row(self):
+        assert set(FIGURES) == {
             "fig3",
             "fig4a",
             "fig4b",
@@ -116,25 +120,64 @@ class TestExperimentDefinitions:
             "fig6",
             "fig7",
             "fig8",
+            "ablation",
         }
 
-    def test_definitions_produce_valid_configs(self):
-        for definition in ALL_EXPERIMENTS.values():
-            for n_nodes in definition.node_counts:
-                for n_keys in definition.key_counts:
-                    definition.cluster(n_nodes, n_keys).validate()
-            for fraction in definition.read_only_fractions:
-                definition.workload(fraction).validate()
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_every_row_builds_valid_configs(self, name):
+        figure = FIGURES[name]
+        points = expand(figure)
+        assert len(points) == (
+            len(figure.read_only_fractions) * len(figure.protocols) * len(figure.axis_values())
+        )
+        assert len({point.label for point in points}) == len(points)
+        for point in points:
+            assert point.protocol in PROTOCOLS
+            point.config.validate()
+            point.workload.validate()
 
-    def test_fig3_matches_paper_parameters(self):
-        assert FIGURE_3.node_counts == (5, 10, 15, 20)
-        assert FIGURE_3.key_counts == (5_000, 10_000)
-        assert FIGURE_3.replication_degree == 2
-        assert FIGURE_3.clients_per_node == 10
+    def test_fig3_has_the_paper_structure(self):
+        fig3 = FIGURES["fig3"]
+        assert fig3.protocols == ("sss", "2pc", "walter")
+        assert fig3.replication_degree == 2
+        assert fig3.read_only_fractions == (0.2, 0.5, 0.8)
+        assert fig3.axis == "n_nodes"
+        assert {point.config.replication_degree for point in expand(fig3)} == {2}
 
-    def test_benchmark_scale_shrinks_latency_figures(self):
-        scale = benchmark_scale_for(ALL_EXPERIMENTS["fig4b"])
-        assert len(scale.node_counts) == 1
+    @pytest.mark.parametrize("name", ["fig4b", "fig5"])
+    def test_latency_rows_sweep_clients_on_one_node_count(self, name):
+        figure = FIGURES[name]
+        assert figure.axis == "clients_per_node"
+        points = expand(figure)
+        assert len({point.config.n_nodes for point in points}) == 1
+        assert sorted({point.config.clients_per_node for point in points}) == list(figure.values)
+
+    def test_fig8_widens_read_only_transactions_without_replication(self):
+        points = expand(FIGURES["fig8"])
+        assert sorted({point.workload.read_only_txn_keys for point in points}) == [2, 4, 8, 16]
+        assert {point.config.replication_degree for point in points} == {1}
+        assert {point.workload.read_only_fraction for point in points} == {0.8}
+
+    def test_claim_names_are_unique_and_carry_their_paper_sentence(self):
+        claims = [claim for figure in FIGURES.values() for claim in figure.claims]
+        names = [claim.name for claim in claims]
+        assert len(set(names)) == len(names)
+        for figure in FIGURES.values():
+            assert figure.claims, f"{figure.name} makes no claim"
+            for claim in figure.claims:
+                assert claim.name.startswith(f"{figure.name}."), claim.name
+                assert claim.paper.strip(), f"{claim.name} has no paper sentence"
+                assert callable(claim.holds)
+
+    def test_docs_list_every_claim_and_write_up_every_finding(self):
+        text = (Path(__file__).resolve().parents[2] / "docs" / "BENCHMARKS.md").read_text()
+        findings = text.partition("### Findings")[2]
+        for figure in FIGURES.values():
+            for claim in figure.claims:
+                assert f"`{claim.name}`" in text, f"{claim.name} is not in docs/BENCHMARKS.md"
+                if claim.finding:
+                    assert "docs/BENCHMARKS.md" in claim.finding
+                    assert f"`{claim.name}`" in findings, f"{claim.name}: no write-up"
 
 
 class TestFaultTolerance:

@@ -14,8 +14,9 @@ stays the golden reference; these tests pin the equivalence
 
 plus that ``engine="parallel", shards=1`` *is* the serial run, that each
 protocol's contract has one implementation answering for the live cluster
-and the merged view alike, and the driver's configuration guards
-(closed-loop only, no windowed recording, positive lookahead required).
+and the merged view alike, the driver's configuration guards (closed-loop
+only, no windowed recording, positive lookahead required), and that a
+message to a node nobody registered fails at send time on any shard count.
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ from repro.common.config import (
 from repro.baselines import walter
 from repro.common.errors import ConfigurationError
 from repro.consistency.history import HistoryRecorder
+from repro.harness.cluster import build_cluster
 from repro.harness.runner import run_experiment
+from repro.network.message import Message
 from repro.protocols.cluster import MergedClusterView
 from repro.protocols.registry import protocol_names
+from repro.sim.shard import shard_node_ids
 from repro.trace import export_chrome_trace, trace_to_bytes
 
 WORKLOAD = WorkloadConfig(read_only_fraction=0.5)
@@ -362,3 +366,20 @@ class TestGuards:
     def test_shards_require_the_parallel_engine(self):
         with pytest.raises(ConfigurationError):
             run_experiment("sss", _config(), WORKLOAD, shards=2)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_message_to_a_node_nobody_registered_fails_at_send_time(self, shards):
+        cluster = build_cluster(
+            "sss",
+            config=_config(),
+            record_history=False,
+            owned_node_ids=shard_node_ids(0, 4, shards),
+        )
+        network = cluster.network
+        with pytest.raises(KeyError):
+            network.send(0, 99, Message())
+        assert network.outbox == []
+        # Node 3 is a member: delivered locally by the one shard that owns
+        # every node, exported at the next barrier by the first shard of two.
+        network.send(0, 3, Message())
+        assert len(network.outbox) == (0 if shards == 1 else 1)
