@@ -4,6 +4,14 @@ Runs a single SSS experiment (the fig3 shape: 50 % read-only, rf = 2) under
 ``cProfile`` and prints the top functions by cumulative and by self time.
 Keep the machine otherwise idle; background load skews everything.
 
+Before the rankings comes the *entry census*: what the event loop called,
+by callee, per committed transaction — message arrivals
+(``NetworkedNode.enqueue``), serves (``_serve``), process resumes (CPU
+charges and callbacks, ``Process._resume``), event dispatches, timers — and
+the heap pushes and pops behind them.  These are call counts, not times:
+they repeat exactly for a seed on any machine.  The profile covers the
+whole run, so the divisor is every commit of the run, warm-up included.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_hotpath.py
@@ -33,6 +41,29 @@ import os
 import pstats
 import tempfile
 import time
+
+
+def print_entry_census(stats: pstats.Stats, committed: int, events: float) -> None:
+    """Callees of ``Simulation.run`` and heap operations, per committed transaction."""
+    engine = os.path.join("repro", "sim", "engine.py")
+    entries, heap_ops = {}, {"heappush": 0, "heappop": 0}
+    for (filename, _line, name), (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
+        for (caller_file, _caller_line, caller_name), edge in callers.items():
+            if not caller_file.endswith(engine):
+                continue
+            for op in heap_ops:
+                if op in name:
+                    heap_ops[op] += edge[0]
+            if caller_name == "run":
+                label = name if filename == "~" else f"{os.path.basename(filename)}:{name}"
+                entries[label] = entries.get(label, 0) + edge[0]
+    per_txn = max(committed, 1)
+    print(f"\n=== engine entries per committed transaction (exact counts, {committed} commits) ===")
+    for label, calls in sorted(entries.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{calls / per_txn:10.2f}  {calls:9d}  {label}")
+    for op, calls in heap_ops.items():
+        print(f"{calls / per_txn:10.2f}  {calls:9d}  engine {op} (all callers in sim/engine.py)")
+    print(f"{heap_ops['heappop'] / max(events, 1.0):10.3f}  heap pops per processed event")
 
 
 def main() -> int:
@@ -146,6 +177,9 @@ def main() -> int:
             stats = pstats.Stats(profiler)
     else:
         stats = pstats.Stats(profiler)
+    counters = result.node_counters
+    commits = counters.get("read_only_commits", 0) + counters.get("update_commits", 0)
+    print_entry_census(stats, commits, events)
     for sort in [args.sort] if args.sort else ["cumulative", "tottime"]:
         print(f"\n=== top {args.top} by {sort} ===")
         stats.sort_stats(sort).print_stats(args.top)

@@ -87,14 +87,11 @@ class _WindowedShard:
 # ----------------------------------------------------------------------
 # Barrier exchange (shared by both modes)
 # ----------------------------------------------------------------------
-def _entry_key(entry) -> Tuple[float, int]:
-    # (deliver_at, skey); skey is globally unique, so this never ties and
-    # the Message in the tuple is never compared.
-    return entry[0], entry[1]
-
-
 def _route(outboxes: Sequence[list], spec: ExperimentSpec, counters: _BarrierCounters):
-    """Split per-shard outboxes into per-shard sorted import batches."""
+    """Split per-shard outboxes into per-shard import batches.
+
+    Their order is free: every entry is admitted under its own engine key.
+    """
     imports: List[list] = [[] for _ in range(spec.shards)]
     n_nodes = spec.config.n_nodes
     shards = spec.shards
@@ -105,8 +102,6 @@ def _route(outboxes: Sequence[list], spec: ExperimentSpec, counters: _BarrierCou
         counters.cross_shard_messages += len(outbox)
         for entry in outbox:
             imports[shard_of(entry[2], n_nodes, shards)].append(entry)
-    for batch in imports:
-        batch.sort(key=_entry_key)
     counters.sync_rounds += 1
     return imports
 

@@ -65,9 +65,13 @@ class UniformLatency(LatencyModel):
             raise ValueError("require 0 <= jitter <= base")
         self.base = base
         self.jitter = jitter
+        # rng.uniform(lo, hi) is ``lo + (hi - lo) * rng.random()``; with the
+        # bounds computed once a sample is one call instead of three.
+        self._lo = base - jitter
+        self._span = (base + jitter) - self._lo
 
     def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.base - self.jitter, self.base + self.jitter)
+        return self._lo + self._span * rng.random()
 
     def mean(self) -> float:
         return self.base

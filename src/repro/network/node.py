@@ -3,7 +3,9 @@
 :class:`NetworkedNode` provides the machinery every protocol node (SSS, the
 2PC baseline, Walter, ROCOCO) needs:
 
-* a prioritized inbound message queue fed by the :class:`~repro.network.transport.Network`,
+* the arrival of a message (:meth:`NetworkedNode.enqueue`, the engine entry
+  :class:`~repro.network.transport.Network` pushes per message) and the
+  prioritized inbound queue behind it,
 * a dispatcher that serves the queue one message at a time, charging a
   per-message CPU handling cost (this is what makes a node saturate under
   load),
@@ -33,7 +35,9 @@ from repro.common.config import ServiceTimeConfig
 from repro.common.errors import NodeCrashedError
 from repro.common.ids import NodeId
 from repro.network.message import Message
+from repro.sim.engine import DELIVERY_KEY_MASK
 from repro.sim.events import Event
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.transport import Network
@@ -61,12 +65,12 @@ class NetworkedNode:
         self._arrivals = 0
         self._serving = False
         self._handling_us = self.service.message_handling_us
-        # message type -> (handler, is_generator_function); whether a handler
-        # needs to be spawned as a process is decided once at registration
-        # instead of via inspect on every delivery.
-        self._handlers: Dict[Type[Message], tuple] = {}
+        # message type -> (handler, process name); the name is None for a
+        # plain function.  Whether a handler needs to be spawned as a process
+        # is decided once at registration instead of via inspect on every
+        # delivery.
+        self._handlers: Dict[Type[Message], Tuple[Callable, Optional[str]]] = {}
         self._pending_replies: Dict[int, Event] = {}
-        self._process_names: Dict[type, str] = {}
         self.messages_handled = 0
         # Fault plane: ``crashed`` gates delivery, ``_epoch`` invalidates
         # handler processes spawned before a crash, ``_fault_mode`` keeps the
@@ -85,7 +89,22 @@ class NetworkedNode:
         process, allowing it to ``yield`` further events (remote calls, lock
         waits, condition waits).
         """
-        self._handlers[message_type] = (handler, inspect.isgeneratorfunction(handler))
+        self._handlers[message_type] = (
+            handler,
+            self._process_name(message_type) if inspect.isgeneratorfunction(handler) else None,
+        )
+
+    def _process_name(self, message_type: Type[Message]) -> str:
+        return f"node{self.node_id}.{message_type.__name__}"
+
+    def _resolve_handler(self, message_type: Type[Message]) -> Tuple[Callable, Optional[str]]:
+        """First delivery of a subclass of a registered type: cache its entry."""
+        for klass, (handler, name) in self._handlers.items():
+            if issubclass(message_type, klass):
+                entry = (handler, name and self._process_name(message_type))
+                self._handlers[message_type] = entry
+                return entry
+        raise LookupError(f"node {self.node_id} has no handler for {message_type.__name__}")
 
     # ------------------------------------------------------------- messaging
     def send(self, destination: NodeId, message: Message) -> None:
@@ -102,7 +121,7 @@ class NetworkedNode:
         :class:`~repro.common.errors.NodeCrashedError` so co-located client
         processes do not park forever on a reply that can never come.
         """
-        event = self.sim.event(name="reply")
+        event = Event(self.sim, "reply")
         if self.crashed:
             event.fail(NodeCrashedError(f"node {self.node_id} is crashed"))
             return event
@@ -117,13 +136,38 @@ class NetworkedNode:
 
     # ------------------------------------------------------------ inbound path
     def enqueue(self, message: Message) -> None:
-        """Called by the transport when a message arrives at this node.
+        """A message reaches this node: the engine entry the transport pushed.
 
-        An idle node starts on the message at once; a busy one queues it by
-        priority, then arrival.  The ``int()`` conversion is deliberate: the
-        priority-flattening ablation benchmark hooks
-        ``MessagePriority.__int__`` to collapse the priority classes.
+        A destination that crashed while the message was in flight drops it.
+        Otherwise it counts as delivered, and an idle node starts on it at
+        once while a busy one queues it by priority, then arrival.  The
+        ``int()`` conversion is deliberate: the priority-flattening ablation
+        benchmark hooks ``MessagePriority.__int__`` to collapse the priority
+        classes.  Tests call this directly for a message that was never sent.
         """
+        network = self.network
+        sim = self.sim
+        tracer = sim.tracer
+        type_name = message.type_name
+        if network._crashed and self.node_id in network._crashed:
+            network.stats.dropped[type_name] += 1
+            if tracer is not None:
+                tracer.message(
+                    "msg.dropped", getattr(message, "txn_id", None), self.node_id, kind=type_name
+                )
+            return
+        message.deliver_time = sim._now
+        network.stats.delivered[type_name] += 1
+        if tracer is not None:
+            # The flow id is the sender-local delivery key: the low bits of
+            # the key of the engine entry that is executing this arrival.
+            tracer.message(
+                "msg.recv",
+                getattr(message, "txn_id", None),
+                self.node_id,
+                flow=sim._ekey_key & DELIVERY_KEY_MASK,
+                kind=type_name,
+            )
         if self._serving:
             heappush(self._inbound, (int(message.priority), self._arrivals, message))
             self._arrivals += 1
@@ -132,7 +176,7 @@ class NetworkedNode:
         # The hand-off to an idle dispatcher counts as one processed event,
         # as the dequeue of a queued message does in _serve: events/sec stays
         # comparable with the BENCH baselines taken when both were events.
-        self.sim._event_count += 1
+        sim._event_count += 1
         self._start(message)
 
     def _start(self, message: Message) -> None:
@@ -145,9 +189,43 @@ class NetworkedNode:
             self._serve(message)
 
     def _serve(self, message: Message) -> None:
-        """Deliver ``message``, then start on the next queued one or go idle."""
+        """Handle ``message``, then start on the next queued one or go idle."""
         self.messages_handled += 1
-        self._deliver(message)
+        # Fault plane: a crashed node processes nothing.  The arrival already
+        # drops traffic to crashed nodes; this guard covers messages that
+        # were queued or in their handling time when the crash hit (and is
+        # only ever reached in fault mode).
+        if not (self._fault_mode and self.crashed):
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.message(
+                    "msg.handle",
+                    getattr(message, "txn_id", None),
+                    self.node_id,
+                    kind=message.type_name,
+                )
+            if message.reply_to is not None:
+                # Replies to outstanding requests complete the request event
+                # directly and bypass handler dispatch.  A reply with no
+                # matching request is stale — its request state died with a
+                # crash — and is dropped (a fail-free run never produces one:
+                # every respond() matches exactly one outstanding request).
+                pending = self._pending_replies.pop(message.reply_to, None)
+                if pending is not None and not pending.triggered:
+                    pending.succeed(message)
+            else:
+                message_type = type(message)
+                entry = self._handlers.get(message_type)
+                if entry is None:
+                    entry = self._resolve_handler(message_type)
+                handler, name = entry
+                if name is None:
+                    handler(message)
+                else:
+                    generator = handler(message)
+                    if self._fault_mode:
+                        generator = self._epoch_guard(generator, self._epoch)
+                    Process(self.sim, generator, name)
         if self._inbound:
             self.sim._event_count += 1
             self._start(heappop(self._inbound)[2])
@@ -158,64 +236,11 @@ class NetworkedNode:
         """Discard every queued message (crash semantics); returns the count.
 
         A message already in its handling time is not in the queue; it is
-        dropped on delivery, by the crash guard of :meth:`_deliver`.
+        dropped on delivery, by the crash guard of :meth:`_serve`.
         """
         dropped = len(self._inbound)
         self._inbound.clear()
         return dropped
-
-    def _deliver(self, message: Message) -> None:
-        # Fault plane: a crashed node processes nothing.  The transport
-        # already drops traffic to crashed nodes; this guard covers messages
-        # that were sitting in the inbound queue when the crash hit (and is
-        # only ever reached in fault mode).
-        if self._fault_mode and self.crashed:
-            return
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.message(
-                "msg.handle",
-                getattr(message, "txn_id", None),
-                self.node_id,
-                kind=message.type_name,
-            )
-        # Replies to outstanding requests complete the request event directly
-        # and bypass handler dispatch.  A reply with no matching request is
-        # stale — its request state died with a crash — and is dropped (a
-        # fail-free run never produces one: every respond() matches exactly
-        # one outstanding request).
-        if message.reply_to is not None:
-            pending = self._pending_replies.pop(message.reply_to, None)
-            if pending is not None and not pending.triggered:
-                pending.succeed(message)
-            return
-        entry = self._lookup_handler(type(message))
-        if entry is None:
-            raise LookupError(f"node {self.node_id} has no handler for {message.type_name}")
-        handler, is_generator = entry
-        if is_generator:
-            message_type = type(message)
-            name = self._process_names.get(message_type)
-            if name is None:
-                name = f"node{self.node_id}.{message_type.__name__}"
-                self._process_names[message_type] = name
-            generator = handler(message)
-            if self._fault_mode:
-                generator = self._epoch_guard(generator, self._epoch)
-            self.sim.process(generator, name=name)
-        else:
-            handler(message)
-
-    def _lookup_handler(self, message_type: Type[Message]) -> Optional[tuple]:
-        entry = self._handlers.get(message_type)
-        if entry is not None:
-            return entry
-        for klass, candidate in self._handlers.items():
-            if issubclass(message_type, klass):
-                # Cache the subclass resolution for subsequent deliveries.
-                self._handlers[message_type] = candidate
-                return candidate
-        return None
 
     # ------------------------------------------------------------ fault plane
     def enable_fault_mode(self) -> None:
@@ -237,7 +262,7 @@ class NetworkedNode:
         """
         if self._fault_mode:
             generator = self._epoch_guard(generator, self._epoch)
-        return self.sim.process(generator, name=name)
+        return Process(self.sim, generator, name)
 
     def _epoch_guard(self, generator, epoch: int):
         """Forward ``generator`` transparently until the node's epoch moves.

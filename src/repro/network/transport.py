@@ -4,18 +4,22 @@
 message stamps it with sender/destination, charges the sender's outgoing link
 (a simple M/D/1-style busy-until model that produces congestion when a node
 emits messages faster than the link service rate), samples a propagation
-latency and schedules delivery into the destination node's prioritized
-inbound queue.
+latency and schedules the message's arrival at the destination node.
 
-Delivery is *batched per destination*: each destination owns a
-:class:`_Channel` with a heap of in-flight messages ordered by
-``(deliver_time, seq)`` and a single drain callback per wake-up time.  One
-drain hands every message due at that instant to the node's inbound queue,
-whose priority heap then orders the batch — so a burst converging on a hot
-node (vote waves, decide fan-in, congested links) costs one engine event
-instead of N, the drain callback is one preallocated bound method per node
-instead of a fresh closure per message, and priority ordering is preserved
-exactly.
+A message is *one engine entry* from :meth:`Network.send` to its arrival:
+``send`` pushes ``(deliver_at, key, destination.enqueue, message)`` straight
+onto the event heap (:meth:`Simulation.schedule_delivery
+<repro.sim.engine.Simulation.schedule_delivery>`), and
+:meth:`NetworkedNode.enqueue <repro.network.node.NetworkedNode.enqueue>` does
+the delivery-side accounting and the node's queue-or-start decision in the
+same frame.  ``key`` places the entry in the destination's delivery lane
+under the sender-local ``(sender, seq)`` key, so arrivals at one node in one
+instant are served in that order, ahead of the node's own events of that
+instant.  (There used to be a per-destination channel in between, sharing
+one engine entry among the messages due at a node in the same instant; with
+any jitter no two arrivals coincide — 0 of 277 915 drains on the ledger's
+workloads carried a second message — so it cost every message a second heap
+and bought nothing.)
 
 Wire-size accounting goes through a per-sender
 :class:`~repro.clocks.compression.VCCodec`: clock-bearing messages charge the
@@ -43,10 +47,11 @@ scripted degradations (driven by the declarative
 All fault state is ``None``/empty by default and checked with one truthiness
 test on the send path, so fail-free runs are untouched.
 
-Shard awareness: randomness and sequence numbers are *per sender* (stream
-``network.latency.n<id>``, and a sequence key packing ``(sender, seq)`` into
-one integer), so a message's delivery key depends only on its sender's own
-send history — never on global send interleaving.  A node-sharded engine
+Shard awareness: randomness and sequence numbers are *per sender*
+(:class:`_Sender`: stream ``network.latency.n<id>``, and a delivery key
+packing ``(sender, seq)`` into one integer), so a message's delivery key
+depends only on its sender's own send history — never on global send
+interleaving.  A node-sharded engine
 (:mod:`repro.sim.shard`) can therefore compute identical delivery keys with
 only a subset of nodes present.  A send to a node that is not registered
 locally lands in :attr:`Network.outbox`; at a window barrier the driver
@@ -58,7 +63,6 @@ every node never exports, so its outbox stays empty.
 from __future__ import annotations
 
 from collections import defaultdict
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.clocks.compression import VCCodec
@@ -72,8 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.node import NetworkedNode
 
 #: One cross-shard message in flight: ``(deliver_at, skey, destination,
-#: message, held)`` — exactly the transport's channel entry plus the
-#: partition-held flag decided at the sender.
+#: message, held)`` — what the owning shard needs to push the engine entry,
+#: plus the partition-held flag decided at the sender.
 ExportEntry = Tuple[float, int, NodeId, Message, bool]
 
 
@@ -129,91 +133,23 @@ class NetworkStats:
         self.released += other.released
 
 
-class _Channel:
-    """Per-destination delivery state: in-flight heap + drain scheduling.
+class _Sender:
+    """What the transport keeps per sending node.
 
-    ``wakes`` is the strictly decreasing list of outstanding drain wake-up
-    times: a new wake is only scheduled when it is *earlier* than every
-    outstanding one, so the tail is always the next wake to fire and a drain
-    retires exactly its own tail entry.
+    A message's delivery time and key must depend only on its sender's own
+    history, so that shards reproduce them without observing other senders'
+    traffic: the link's busy-until horizon, the latency stream, the next
+    delivery key ``((sender + 1) << 44) | seq`` and the clock codec (adaptive
+    width: the transport carries every protocol's messages).
     """
 
-    __slots__ = ("network", "node", "unit", "pending", "wakes", "drain")
+    __slots__ = ("busy_until", "rng", "next_skey", "codec")
 
-    def __init__(self, network: "Network", node: "NetworkedNode"):
-        self.network = network
-        self.node = node
-        self.unit = node.node_id
-        self.pending: List[Tuple[float, int, Message]] = []
-        self.wakes: List[float] = []
-        # Preallocated bound method: one drain callback object per node for
-        # the whole run instead of one per scheduled delivery.
-        self.drain = self._drain
-
-    def _drain(self) -> None:
-        """Deliver every in-flight message due at this destination now."""
-        network = self.network
-        now = network.sim.now
-        wakes = self.wakes
-        if wakes and wakes[-1] <= now:
-            wakes.pop()
-        pending = self.pending
-        if not pending:
-            return
-        if pending[0][0] <= now:
-            stats = network.stats
-            node = self.node
-            tracer = network.sim.tracer
-            if network._crashed and node.node_id in network._crashed:
-                dropped = stats.dropped
-                while pending and pending[0][0] <= now:
-                    message = heappop(pending)[2]
-                    dropped[message.type_name] += 1
-                    if tracer is not None:
-                        tracer.message(
-                            "msg.dropped",
-                            getattr(message, "txn_id", None),
-                            self.unit,
-                            kind=message.type_name,
-                        )
-            elif len(pending) == 1:
-                # Singleton fast path: the only in-flight message is due.
-                _at, skey, message = pending.pop()
-                message.deliver_time = now
-                stats.delivered[message.type_name] += 1
-                if tracer is not None:
-                    tracer.message(
-                        "msg.recv",
-                        getattr(message, "txn_id", None),
-                        self.unit,
-                        flow=skey,
-                        kind=message.type_name,
-                    )
-                node.enqueue(message)
-                return
-            else:
-                delivered = stats.delivered
-                enqueue = node.enqueue
-                while pending and pending[0][0] <= now:
-                    _at, skey, message = heappop(pending)
-                    message.deliver_time = now
-                    delivered[message.type_name] += 1
-                    if tracer is not None:
-                        tracer.message(
-                            "msg.recv",
-                            getattr(message, "txn_id", None),
-                            self.unit,
-                            flow=skey,
-                            kind=message.type_name,
-                        )
-                    enqueue(message)
-        if pending:
-            head_time = pending[0][0]
-            if not wakes or wakes[-1] > head_time:
-                # No outstanding wake covers the new head; schedule one at
-                # its exact delivery time.
-                wakes.append(head_time)
-                network.sim.schedule_wake(head_time, self.unit, self.drain)
+    def __init__(self, sim: "Simulation", sender: NodeId):
+        self.busy_until = 0.0
+        self.rng = sim.rng.stream(f"network.latency.n{sender}")
+        self.next_skey = (sender + 1) << 44
+        self.codec = VCCodec()
 
 
 class Network:
@@ -246,17 +182,8 @@ class Network:
         #: barrier exchange.
         self.outbox: List[ExportEntry] = []
         self._degraded: Dict[Tuple[NodeId, NodeId], Tuple[float, float]] = {}
-        self._link_busy_until: Dict[NodeId, float] = defaultdict(float)
-        # Per-sender latency streams and sequence counters: a message's
-        # delivery key must depend only on its sender's own history so that
-        # shards reproduce it without observing other senders' traffic.
-        self._rngs: Dict[NodeId, "random.Random"] = {}
-        self._seqs: Dict[NodeId, int] = {}
+        self._senders: Dict[NodeId, _Sender] = {}
         self.stats = NetworkStats()
-        # Per-sender codec for delta-compressed clock accounting (adaptive
-        # width: the transport carries every protocol's messages).
-        self._codecs: Dict[NodeId, VCCodec] = {}
-        self._channels: Dict[NodeId, _Channel] = {}
         # Full-cluster membership (see declare_node_ids): partition mapping
         # defaults to the locally registered nodes without it, and a send to
         # a node outside it has nowhere to go.
@@ -270,7 +197,7 @@ class Network:
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} already registered")
         self._nodes[node.node_id] = node
-        self._channels[node.node_id] = _Channel(self, node)
+        self.sim.declare_units(node.node_id + 1)
 
     def node(self, node_id: NodeId) -> "NetworkedNode":
         return self._nodes[node_id]
@@ -327,33 +254,20 @@ class Network:
     def heal_partition(self) -> None:
         """Reconnect the cluster; release every held cross-partition message.
 
-        Held messages re-enter their destination channels with their original
-        sequence numbers (so order among them is preserved) at their original
-        delivery time or ``now``, whichever is later.
+        Held messages are delivered under their original keys (so order among
+        them is preserved) at their original delivery time or ``now``,
+        whichever is later.
         """
         self._partition = None
-        self._heal_times.append(self.sim.now)
-        if not self._held:
-            return
-        held = self._held
-        self._held = []
-        held.sort()
         sim = self.sim
         now = sim.now
-        stats = self.stats
-        touched: Dict[NodeId, _Channel] = {}
-        for deliver_at, seq, destination, message in held:
-            channel = self._channels[destination]
+        self._heal_times.append(now)
+        held = self._held
+        self._held = []
+        for deliver_at, skey, destination, message in held:
             at = deliver_at if deliver_at > now else now
-            heappush(channel.pending, (at, seq, message))
-            touched[destination] = channel
-            stats.released += 1
-        for channel in touched.values():
-            head_time = channel.pending[0][0]
-            wakes = channel.wakes
-            if not wakes or wakes[-1] > head_time:
-                wakes.append(head_time)
-                sim.schedule_wake(head_time, channel.unit, channel.drain)
+            sim.schedule_delivery(at, destination, skey, self._nodes[destination].enqueue, message)
+        self.stats.released += len(held)
 
     def is_partitioned(self, sender: NodeId, destination: NodeId) -> bool:
         """True when an active partition separates the two nodes."""
@@ -388,16 +302,16 @@ class Network:
         message.sender = sender
         message.destination = destination
         sim = self.sim
-        now = sim.now
+        now = sim._now
         message.send_time = now
         stats = self.stats
         tracer = sim.tracer
         type_name = message.type_name
         stats.sent[type_name] += 1
-        codec = self._codecs.get(sender)
-        if codec is None:
-            codec = self._codecs[sender] = VCCodec()
-        stats.bytes_sent += message.size_estimate(codec, destination)
+        state = self._senders.get(sender)
+        if state is None:
+            state = self._senders[sender] = _Sender(sim, sender)
+        stats.bytes_sent += message.size_estimate(state.codec, destination)
 
         if self._crashed and (sender in self._crashed or destination in self._crashed):
             stats.dropped[type_name] += 1
@@ -418,19 +332,14 @@ class Network:
         # node emits messages faster than its link drains them.
         service = self._link_service_us
         if service:
-            busy = self._link_busy_until
-            start = busy[sender]
+            start = state.busy_until
             if start < now:
                 start = now
-            deliver_at = start + service
-            busy[sender] = deliver_at
+            deliver_at = state.busy_until = start + service
         else:
             deliver_at = now
         if sender != destination:
-            rng = self._rngs.get(sender)
-            if rng is None:
-                rng = self._rngs[sender] = sim.rng.stream(f"network.latency.n{sender}")
-            latency = self.latency_model.sample(rng)
+            latency = self.latency_model.sample(state.rng)
             if self._degraded:
                 degradation = self._degraded.get((sender, destination))
                 if degradation is not None:
@@ -440,9 +349,8 @@ class Network:
         # Globally unique, sender-local delivery key: ties at one delivery
         # instant break by (sender, per-sender seq) rather than by global
         # send order, which every shard can reproduce independently.
-        seq = self._seqs.get(sender, 0)
-        self._seqs[sender] = seq + 1
-        skey = ((sender + 1) << 44) | seq
+        skey = state.next_skey
+        state.next_skey = skey + 1
 
         held = False
         if self._partition is not None and sender != destination:
@@ -478,20 +386,15 @@ class Network:
                 kind=type_name,
             )
 
-        channel = self._channels.get(destination)
-        if channel is None:
+        node = self._nodes.get(destination)
+        if node is None:
             if destination not in self._all_node_ids:
                 raise KeyError(destination)
             self.outbox.append((deliver_at, skey, destination, message, held))
-            return
-        if held:
+        elif held:
             self._held.append((deliver_at, skey, destination, message))
-            return
-        heappush(channel.pending, (deliver_at, skey, message))
-        wakes = channel.wakes
-        if not wakes or deliver_at < wakes[-1]:
-            wakes.append(deliver_at)
-            sim.schedule_wake(deliver_at, channel.unit, channel.drain)
+        else:
+            sim.schedule_delivery(deliver_at, destination, skey, node.enqueue, message)
 
     # ------------------------------------------------------ shard exchange
     def take_outbox(self) -> List[ExportEntry]:
@@ -503,13 +406,13 @@ class Network:
     def admit(self, imports: List[ExportEntry]) -> None:
         """Deliver messages exported by other shards (called at a barrier).
 
-        Ordinary messages enter the destination channel with their original
-        sender-local key, so their delivery order is the one-shard one.  A
-        partition-held message joins the local held set *unless* a mirrored
-        heal already ran since it was sent — then a network owning both
-        ends would have released it at that heal, at ``max(deliver_at,
-        heal_time) == deliver_at`` (cross-shard delivery times always lie
-        at or beyond the barrier, hence beyond any already-executed heal).
+        Ordinary messages are pushed under their original sender-local key,
+        so their delivery order is the one-shard one.  A partition-held
+        message joins the local held set *unless* a mirrored heal already
+        ran since it was sent — then a network owning both ends would have
+        released it at that heal, at ``max(deliver_at, heal_time) ==
+        deliver_at`` (cross-shard delivery times always lie at or beyond the
+        barrier, hence beyond any already-executed heal).
         """
         sim = self.sim
         held_list = self._held
@@ -521,12 +424,8 @@ class Network:
                 continue
             if held:
                 stats.released += 1
-            channel = self._channels[destination]
-            heappush(channel.pending, (deliver_at, skey, message))
-            wakes = channel.wakes
-            if not wakes or deliver_at < wakes[-1]:
-                wakes.append(deliver_at)
-                sim.schedule_wake(deliver_at, channel.unit, channel.drain)
+            arrive = self._nodes[destination].enqueue
+            sim.schedule_delivery(deliver_at, destination, skey, arrive, message)
 
     def broadcast(self, sender: NodeId, destinations: Iterable[NodeId], message_factory) -> None:
         """Send one message per destination, created by ``message_factory()``.
@@ -549,7 +448,7 @@ class Network:
         """
         clocks = encoded = dense = 0
         largest = 0
-        for codec in self._codecs.values():
+        for codec in (state.codec for state in self._senders.values()):
             clocks += codec.clocks_encoded
             encoded += codec.encoded_bytes_total
             dense += codec.dense_bytes_total

@@ -26,18 +26,23 @@ Tie-breaking at equal timestamps is *unit-local* rather than global: every
 event belongs to an execution unit (a node id, or the control unit ``-1``
 for scripted faults) and carries a packed integer key::
 
-    key = ((unit + 1) << 41) | (lane << 40) | useq
+    key = ((unit + 1) << 81) | (lane << 80) | low
 
-``lane 0`` is reserved for channel drain wake-ups (at most one per
-``(time, unit)``), ``lane 1`` for ordinary events, and ``useq`` is a
-monotonic per-unit counter.  At one timestamp, control events run first
-(``unit -1`` packs to the smallest keys), then each unit's pending deliveries
-and events in unit order.  Because the counter is per-unit, the total order
-over any single unit's events depends only on that unit's own scheduling
-history — which is what allows the node-sharded parallel engine
-(:mod:`repro.harness.parallel`) to replay an identical order with only a
-subset of units present.  Within a unit, creation order still breaks ties,
-so single-unit usage behaves exactly like the old global-sequence kernel.
+``lane 1`` holds ordinary events, whose ``low`` bits are a monotonic per-unit
+counter.  ``lane 0`` holds message deliveries to the unit
+(:meth:`Simulation.schedule_delivery`), one entry per message, whose ``low``
+bits are the transport's sender-local ``(sender, per-sender sequence)`` key
+— 80 bits wide because that key keeps the sequence in its low 44 bits and
+the sender above them.  At one timestamp, control events run first
+(``unit -1`` packs to the smallest keys), then in unit order each unit's
+arrivals by ``(sender, sequence)`` followed by its own events in creation
+order.  Neither the counter nor the delivery key depends on anything but
+one unit's, or one sender's, own history — which is what allows the
+node-sharded parallel engine (:mod:`repro.harness.parallel`) to replay an
+identical order with only a subset of units present: a shard that imports a
+cross-shard message pushes it under the very key the serial engine used.
+Within a unit, creation order still breaks ties, so single-unit usage
+behaves exactly like the old global-sequence kernel.
 
 Histories are byte-for-byte reproducible across kernel versions for a fixed
 seed (see the determinism tests in ``tests/unit/test_sim_engine.py`` and the
@@ -60,8 +65,10 @@ from repro.sim.rng import RngRegistry
 _CALL0 = object()
 
 #: Bit layout of the packed event key (see module docstring).
-_UNIT_SHIFT = 41
-_LANE1 = 1 << 40
+_UNIT_SHIFT = 81
+_LANE1 = 1 << 80
+#: Masks the transport's delivery key out of an executing lane-0 entry's key.
+DELIVERY_KEY_MASK = _LANE1 - 1
 
 #: The control unit that scripted fault-plane events execute under.
 CTRL_UNIT = -1
@@ -226,21 +233,18 @@ class Simulation:
         useqs[unitp] = useq + 1
         heappush(self._heap, (time, (unitp << _UNIT_SHIFT) | _LANE1 | useq, func, arg))
 
-    def schedule_wake(self, time: float, unit: int, func: Callable) -> None:
-        """Schedule a lane-0 wake-up for ``unit`` at absolute ``time``.
+    def schedule_delivery(self, time: float, unit: int, skey: int, func: Callable, arg) -> None:
+        """Schedule ``func(arg)`` as the lane-0 entry ``skey`` of ``unit`` at ``time``.
 
-        Wake-ups sort *before* every ordinary event of the unit at the same
-        timestamp and consume no per-unit sequence number, so a shard that
-        imports a cross-shard message can schedule the destination channel's
-        drain with a key identical to the one the serial engine would use.
-        Callers must guarantee at most one wake per ``(time, unit)`` (the
-        transport's per-channel ``wakes`` list does).
+        Deliveries sort *before* every ordinary event of the unit at the same
+        timestamp, among themselves by ``skey``, and consume no per-unit
+        sequence number: the entry's position is a function of the message
+        alone, so it is the same whichever shard pushes it.  ``unit`` must
+        have been declared (:meth:`declare_units`).
         """
         if time < self._now - 1e-9:
             raise SimulationError(f"cannot schedule in the past: {time} < now {self._now}")
-        unitp = unit + 1
-        self._ensure_unit(unitp)
-        heappush(self._heap, (time, unitp << _UNIT_SHIFT, func, _CALL0))
+        heappush(self._heap, (time, ((unit + 1) << _UNIT_SHIFT) | skey, func, arg))
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event``'s callbacks to run ``delay`` from now."""
@@ -359,7 +363,7 @@ class Simulation:
         The parallel engine's window step.  Unlike :meth:`run` (which is
         inclusive of ``until``), events at exactly ``until`` stay in the heap:
         the barrier at ``until`` may still admit cross-shard messages due at
-        that instant, and their lane-0 wakes must sort before the local
+        that instant, and their lane-0 entries must sort before the local
         events of the same timestamp — so everything at ``until`` belongs to
         the *next* window.  The clock always lands exactly on ``until``.
         That is :meth:`run` with the horizon at the largest float below

@@ -66,12 +66,12 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event succeeded (valid only once triggered)."""
-        return self.triggered and self._exception is None
+        return self._value is not _PENDING and self._exception is None
 
     @property
     def value(self):
         """The value the event succeeded with."""
-        if not self.triggered:
+        if self._value is _PENDING and self._exception is None:
             raise SimulationError(f"event {self!r} has not been triggered yet")
         if self._exception is not None:
             raise self._exception
@@ -98,7 +98,7 @@ class Event:
 
     def fail(self, exception: BaseException) -> "Event":
         """Mark the event as failed; waiters get ``exception`` thrown."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
@@ -175,15 +175,19 @@ class AnyOf(Event):
             event.add_callback(self._on_child)
 
     def _on_child(self, _child: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if _child.exception is not None:
-            self.fail(_child.exception)
+        if _child._exception is not None:
+            self.fail(_child._exception)
             return
         self.succeed(self._collect())
 
     def _collect(self) -> dict:
-        return {e: e._value for e in self.events if e.triggered and e.ok}
+        return {
+            e: e._value
+            for e in self.events
+            if e._value is not _PENDING and e._exception is None
+        }
 
 
 class AllOf(Event):
@@ -201,10 +205,10 @@ class AllOf(Event):
             event.add_callback(self._on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if child.exception is not None:
-            self.fail(child.exception)
+        if child._exception is not None:
+            self.fail(child._exception)
             return
         self._remaining -= 1
         if self._remaining == 0:

@@ -72,7 +72,7 @@ class Process(Event):
     # -- engine interface ---------------------------------------------------
     def _resume(self, event: Optional[Event]) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
         self._waiting_on = None
         try:

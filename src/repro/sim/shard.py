@@ -23,7 +23,8 @@ Determinism argument (sketch): the engine's event keys are unit-local
 (:mod:`repro.sim.engine`), the transport's delivery keys are sender-local,
 and scripted faults run under the control unit with the full plan installed
 on every shard — so each shard assigns its nodes the exact keys the serial
-engine would, and a barrier admission reproduces the serial channel state.
+engine would, and a barrier admission pushes the very heap entries the serial
+engine would hold.
 The serial-vs-parallel digest tests in ``tests/unit/test_parallel_engine.py``
 assert byte-identical histories for every protocol × fault plan.
 """
@@ -73,8 +74,10 @@ class EngineTagSequencer:
 
     ``(time, key)`` is the engine key of the event currently executing on
     ``sim`` and ``sub`` a within-event counter.  Engine keys are unique and
-    totally ordered across shards (unit-local keys; control-unit keys shared
-    identically by all shards), so any record stream tagged through one
+    totally ordered across shards (an ordinary event's by its unit's own
+    counter, a message arrival's by its sender's ``(sender, seq)`` key, which
+    no two messages share; control-unit keys shared identically by all
+    shards), so any record stream tagged through one
     sequencer per shard can be concatenated and sorted by tag to reproduce
     the exact order a serial recorder would have appended in.  Shared by
     :class:`~repro.consistency.history.HistoryRecorder` and the trace

@@ -30,6 +30,20 @@ cost moved" fail under different ids; a change that moves the counts on
 purpose refreshes the block in the same diff and says why, exactly like the
 hashes.
 
+The eight runs are 3-node micro-configurations, so the ``"counts"`` block
+also holds three SSS runs at the shapes of the performance ledger's
+workloads (:data:`LEDGER_SHAPES`): a cost that only shows at clock width,
+with long zipfian readers or in fault mode under a crash is pinned by name
+too.
+
+``"tie_order"`` pins what orders messages that reach one node in the same
+instant.  With the default jitter no two arrivals ever coincide, so the
+runs above never exercise it; :data:`TIE_ORDER_NETWORK` (constant latency,
+no link service time) makes ties the common case.  The transport breaks
+them by ``(sender, per-sender sequence)``, ahead of the node's own events of
+that instant, on any shard count — each protocol's history under that rule
+is pinned on one and on two shards.
+
 Regenerate (deliberately!) with::
 
     PYTHONPATH=src python tests/integration/test_golden_histories.py --write
@@ -46,7 +60,7 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.common.config import ClusterConfig, WorkloadConfig
+from repro.common.config import ClusterConfig, FaultPlan, NetworkConfig, WorkloadConfig
 from repro.harness.runner import run_experiment
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "history_hashes.json"
@@ -62,6 +76,48 @@ GOLDEN_POINTS = [
     ("rococo", 7, 1),
     ("rococo", 13, 1),
 ]
+
+#: name -> (config, workload, duration_us): SSS at the shapes of the ledger's
+#: workloads, each well under a second of host time.
+LEDGER_SHAPES = {
+    "sss/wide-32n": (
+        ClusterConfig(n_nodes=32, n_keys=704, replication_degree=2, clients_per_node=1, seed=7),
+        WorkloadConfig(read_only_fraction=0.5),
+        6_000,
+    ),
+    "sss/longro-6n": (
+        ClusterConfig(n_nodes=6, n_keys=400, replication_degree=2, clients_per_node=3, seed=7),
+        WorkloadConfig(
+            read_only_fraction=0.8,
+            read_only_txn_keys=8,
+            key_distribution="zipfian",
+            zipf_theta=0.9,
+        ),
+        12_000,
+    ),
+    "sss/crash-3n": (
+        ClusterConfig(
+            n_nodes=3,
+            n_keys=24,
+            replication_degree=2,
+            clients_per_node=2,
+            seed=13,
+            faults=FaultPlan.parse(["crash node=1 at=3750 for=2250"]),
+        ),
+        WorkloadConfig(read_only_fraction=0.2),
+        15_000,
+    ),
+}
+
+#: Every cross-node message takes exactly 20 us and occupies its link for no
+#: time, so fan-outs and their replies reach a node in the same instant.
+TIE_ORDER_NETWORK = NetworkConfig(base_latency_us=20.0, jitter_us=0.0, bandwidth_msgs_per_us=0.0)
+#: (protocol, replication_degree)
+TIE_ORDER_POINTS = [("sss", 2), ("2pc", 2), ("walter", 2), ("rococo", 1)]
+TIE_ORDER_ENGINES = {
+    "serial": {},
+    "2-shards": {"engine": "parallel", "shards": 2, "parallel_mode": "inline"},
+}
 
 
 def history_fingerprint(history) -> str:
@@ -87,30 +143,17 @@ def history_fingerprint(history) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-@functools.cache
-def run_golden_point(
-    protocol: str, seed: int, replication_degree: int
-) -> Tuple[str, Dict[str, int]]:
-    """One fail-free experiment at a fixed micro-configuration, run once.
-
-    Returns its history fingerprint and its cost counts.
-    """
-    config = ClusterConfig(
-        n_nodes=3,
-        n_keys=24,
-        replication_degree=replication_degree,
-        clients_per_node=2,
-        seed=seed,
-    )
-    workload = WorkloadConfig(read_only_fraction=0.5)
+def _run(protocol: str, config, workload, duration_us, **engine) -> Tuple[str, Dict[str, int]]:
+    """One recorded experiment: its history fingerprint and its cost counts."""
     result = run_experiment(
         protocol,
         config,
         workload,
-        duration_us=15_000,
+        duration_us=duration_us,
         warmup_us=0,
         record_history=True,
         keep_cluster=True,
+        **engine,
     )
     stats = result.cluster.network.stats
     counts = {
@@ -118,9 +161,46 @@ def run_golden_point(
         "sent": stats.total_sent,
         "delivered": stats.total_delivered,
         "bytes_sent": stats.bytes_sent,
-        "messages_handled": sum(node.messages_handled for node in result.cluster.nodes),
+        "messages_handled": int(result.node_counters["messages_handled"]),
     }
     return history_fingerprint(result.cluster.history), counts
+
+
+@functools.cache
+def run_golden_point(
+    protocol: str, seed: int, replication_degree: int
+) -> Tuple[str, Dict[str, int]]:
+    """One fail-free experiment at a fixed micro-configuration, run once."""
+    config = ClusterConfig(
+        n_nodes=3,
+        n_keys=24,
+        replication_degree=replication_degree,
+        clients_per_node=2,
+        seed=seed,
+    )
+    return _run(protocol, config, WorkloadConfig(read_only_fraction=0.5), 15_000)
+
+
+@functools.cache
+def run_ledger_shape(name: str) -> Tuple[str, Dict[str, int]]:
+    return _run("sss", *LEDGER_SHAPES[name])
+
+
+@functools.cache
+def run_tie_order_point(
+    protocol: str, replication_degree: int, engine: str
+) -> Tuple[str, Dict[str, int]]:
+    """A zero-jitter run: 4 nodes so that two shards own two nodes each."""
+    config = ClusterConfig(
+        n_nodes=4,
+        n_keys=24,
+        replication_degree=replication_degree,
+        clients_per_node=2,
+        seed=7,
+        network=TIE_ORDER_NETWORK,
+    )
+    workload = WorkloadConfig(read_only_fraction=0.5)
+    return _run(protocol, config, workload, 15_000, **TIE_ORDER_ENGINES[engine])
 
 
 def _point_key(protocol: str, seed: int, replication_degree: int) -> str:
@@ -150,25 +230,47 @@ def test_fail_free_history_matches_pre_refactor_golden(protocol, seed, replicati
     )
 
 
+def _assert_counts(key: str, counts: Dict[str, int]) -> None:
+    golden = load_golden()["counts"]
+    assert key in golden, f"no golden counts for {key}; regenerate with --write"
+    moved = {
+        name: f"{golden[key].get(name)} -> {value}"
+        for name, value in counts.items()
+        if golden[key].get(name) != value
+    }
+    assert not moved, (
+        f"the cost of the run {key} moved: {moved}. These counts are exact for a seed; "
+        "if the change is meant to move them, regenerate with --write and say why"
+    )
+
+
 @pytest.mark.parametrize(
     "protocol,seed,replication_degree",
     GOLDEN_POINTS,
     ids=[_point_key(*point) for point in GOLDEN_POINTS],
 )
 def test_fail_free_cost_counts_match_golden(protocol, seed, replication_degree):
-    golden = load_golden()
-    key = _point_key(protocol, seed, replication_degree)
-    assert key in golden["counts"], f"no golden counts for {key}; regenerate with --write"
     _, counts = run_golden_point(protocol, seed, replication_degree)
-    moved = {
-        name: f"{golden['counts'][key].get(name)} -> {value}"
-        for name, value in counts.items()
-        if golden["counts"][key].get(name) != value
-    }
-    assert not moved, (
-        f"the cost of the fail-free run {key} moved: {moved}. These counts are exact for "
-        "a seed; if the change is meant to move them, regenerate with --write and say why"
+    _assert_counts(_point_key(protocol, seed, replication_degree), counts)
+
+
+@pytest.mark.parametrize("name", LEDGER_SHAPES)
+def test_ledger_shape_cost_counts_match_golden(name):
+    _, counts = run_ledger_shape(name)
+    _assert_counts(name, counts)
+
+
+@pytest.mark.parametrize("engine", TIE_ORDER_ENGINES)
+@pytest.mark.parametrize("protocol,replication_degree", TIE_ORDER_POINTS)
+def test_simultaneous_arrivals_keep_their_order(protocol, replication_degree, engine):
+    golden = load_golden()["tie_order"]
+    fingerprint, counts = run_tie_order_point(protocol, replication_degree, engine)
+    assert fingerprint == golden["fingerprints"][protocol], (
+        f"the zero-jitter {protocol} history on {engine} diverged: arrivals at one node in "
+        "one instant must be served by (sender, per-sender sequence), before the node's "
+        "own events of that instant"
     )
+    assert counts["sim_events"] == golden["sim_events"][protocol]
 
 
 def write_golden() -> None:
@@ -177,6 +279,15 @@ def write_golden() -> None:
         key = _point_key(protocol, seed, replication_degree)
         fingerprints[key], counts[key] = run_golden_point(protocol, seed, replication_degree)
         print(f"{key}: {fingerprints[key]} {counts[key]}")
+    for name in LEDGER_SHAPES:
+        _, counts[name] = run_ledger_shape(name)
+        print(f"{name}: {counts[name]}")
+    tie_order = {"fingerprints": {}, "sim_events": {}}
+    for protocol, replication_degree in TIE_ORDER_POINTS:
+        fingerprint, tie_counts = run_tie_order_point(protocol, replication_degree, "serial")
+        tie_order["fingerprints"][protocol] = fingerprint
+        tie_order["sim_events"][protocol] = tie_counts["sim_events"]
+        print(f"tie order {protocol}: {fingerprint} {tie_counts}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "comment": (
@@ -193,6 +304,7 @@ def write_golden() -> None:
         },
         "fingerprints": fingerprints,
         "counts": counts,
+        "tie_order": tie_order,
     }
     with GOLDEN_PATH.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

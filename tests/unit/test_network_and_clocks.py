@@ -59,6 +59,14 @@ class TestLatencyModels:
         assert all(15.0 <= sample <= 25.0 for sample in samples)
         assert model.mean() == 20.0
 
+    def test_uniform_latency_draws_what_rng_uniform_draws(self):
+        """The precomputed ``lo + span * random()`` is ``rng.uniform``, bit for bit."""
+        base, jitter = 20.0, 4.0
+        model = UniformLatency(base=base, jitter=jitter)
+        ours, reference = random.Random(11), random.Random(11)
+        for _ in range(10_000):
+            assert model.sample(ours) == reference.uniform(base - jitter, base + jitter)
+
     def test_uniform_latency_invalid_jitter(self):
         with pytest.raises(ValueError):
             UniformLatency(base=10.0, jitter=20.0)
@@ -181,6 +189,41 @@ class TestTransport:
         # the urgent message must then overtake every still-queued slow one.
         assert order[0].startswith("slow")
         assert order[1] == "urgent"
+
+    def _simultaneous_arrivals(self):
+        """Three senders whose five messages all reach node 0 at t=20."""
+        sim = Simulation(seed=4)
+        network = Network(
+            sim,
+            config=NetworkConfig(bandwidth_msgs_per_us=0),
+            latency_model=ConstantLatency(20.0),
+        )
+        order = []
+        receiver = NetworkedNode(
+            sim, network, 0, service=ServiceTimeConfig(message_handling_us=0.0)
+        )
+        receiver.register_handler(Ping, lambda m: order.append(m.payload))
+        for node_id in (1, 2, 3):
+            NetworkedNode(sim, network, node_id)
+        # An ordinary event of the receiver's unit, created before any send.
+        sim.call_at(20.0, order.append, "own event")
+        for sender, payload in ((3, "3.0"), (1, "1.0"), (3, "3.1"), (2, "2.0"), (1, "1.1")):
+            network.send(sender, 0, Ping(payload))
+        return sim, network, order
+
+    def test_simultaneous_arrivals_ordered_by_sender_then_sequence(self):
+        sim, network, order = self._simultaneous_arrivals()
+        sim.run()
+        assert order == ["1.0", "1.1", "2.0", "3.0", "3.1", "own event"]
+        assert network.stats.delivered["Ping"] == 5
+
+    def test_destination_crashed_at_the_delivery_instant_drops_every_arrival(self):
+        sim, network, order = self._simultaneous_arrivals()
+        sim.schedule_fault(20.0, lambda: network.crash(0), label="crash 0")
+        sim.run()
+        assert order == ["own event"]
+        assert network.stats.dropped["Ping"] == 5
+        assert network.stats.total_delivered == 0
 
     def test_congestion_model_delays_bursts(self):
         sim, network, nodes = self._cluster(bandwidth_msgs_per_us=0.01)
