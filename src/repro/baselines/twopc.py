@@ -245,8 +245,14 @@ class TwoPCNode(ProtocolRuntime):
             ),
         )
 
+    def _recorded_vote(self, txn_id: TransactionId) -> Optional[Vote2PC]:
+        """``_prepared`` is the durable vote record: an entry is a yes-vote."""
+        return Vote2PC(txn_id=txn_id, success=True) if txn_id in self._prepared else None
+
     def on_prepare(self, message: Prepare2PC):
         txn_id = message.txn_id
+        if self._fault_mode and not self.admit_prepare(message, self._recorded_vote):
+            return
         local_reads = tuple(
             (key, version)
             for key, version in message.read_versions
@@ -275,6 +281,10 @@ class TwoPCNode(ProtocolRuntime):
                 if current.version != version:
                     success = False
                     break
+        if txn_id in self._decided:
+            # Fault mode: the decision overtook this prepare; preparing now
+            # would pin locks no second decision releases.
+            success = False
         if not success and locked:
             self.locks.release(txn_id, list(write_keys) + list(read_keys))
         if success:
@@ -282,10 +292,12 @@ class TwoPCNode(ProtocolRuntime):
                 txn_id=txn_id, read_versions=local_reads, write_items=local_writes
             )
         self.counters["prepares"] += 1
-        self.respond(message, Vote2PC(txn_id=txn_id, success=success))
+        self.cast_vote(message, Vote2PC(txn_id=txn_id, success=success))
 
     def on_decide(self, message: Decide2PC):
         txn_id = message.txn_id
+        if self._fault_mode:
+            self._decided.add(txn_id)
         prepared = self._prepared.pop(txn_id, None)
         installed = []
         if prepared is not None:
@@ -347,7 +359,7 @@ class TwoPCNode(ProtocolRuntime):
         )
         participants.add(self.node_id)
 
-        # Prepare phase: one shared vote round (crash-guard deadline included).
+        # Prepare phase: one shared vote round (crash guard included).
         outcome, _votes = yield from self.vote_round(
             sorted(participants),
             lambda _participant: Prepare2PC(
@@ -355,7 +367,6 @@ class TwoPCNode(ProtocolRuntime):
                 read_versions=read_versions,
                 write_items=write_items,
             ),
-            self.config.timeouts.prepare_timeout_us,
             trace_txn=txn_id,
         )
 

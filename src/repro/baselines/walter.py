@@ -252,21 +252,17 @@ class WalterNode(ProtocolRuntime):
         self.locks = LockTable(self.sim, name=f"walter-locks@{self.node_id}", owner=self.node_id)
         self._prepared: Dict[TransactionId, Tuple[Tuple[object, object], ...]] = {}
         # Fault mode only — durable slow-path state: coordinator decisions
-        # awaiting reliable delivery, recorded votes (for idempotent prepare
-        # re-sends), delivered decides, and the per-sender propagation
-        # watermark.  All grow with the faulted transactions of a run, like
-        # the other fault-recovery indexes; fail-free runs never write them.
+        # awaiting reliable delivery and the per-sender propagation
+        # watermark (``_prepared`` is the vote record, the runtime's
+        # ``_decided`` the delivered decides).  All grow with the faulted
+        # transactions of a run, like the other fault-recovery indexes;
+        # fail-free runs never write them.
         self.decisions = DecisionLog()
-        self._vote_log: Dict[TransactionId, bool] = {}
-        self._decide_done: set = set()
         self._prop_applied: Dict[int, int] = {}
-        # Fault mode only — volatile: prepares in flight (dedupes re-sends
-        # racing their original), out-of-order propagation batches awaiting
-        # their gap, and the retransmit-loop guard.
-        self._preparing: set = set()
+        # Fault mode only — volatile: out-of-order propagation batches
+        # awaiting their gap, and the retransmit-loop guard.
         self._prop_buffer: Dict[int, Dict[int, tuple]] = {}
         self._retx_running = False
-        self._prep_progress = self.sim.signal(name=f"walter-prepare@{self.node_id}")
         self.register_handler(WalterRead, self.on_read)
         self.register_handler(WalterPrepare, self.on_prepare)
         self.register_handler(WalterDecide, self.on_decide)
@@ -299,7 +295,6 @@ class WalterNode(ProtocolRuntime):
         restart still finds the write-set it covers.
         """
         self.locks.reset_except(set(self._prepared))
-        self._preparing.clear()
         self._prop_buffer.clear()
 
     def on_restart(self) -> None:
@@ -387,28 +382,14 @@ class WalterNode(ProtocolRuntime):
             ),
         )
 
+    def _recorded_vote(self, txn_id: TransactionId) -> Optional[WalterVote]:
+        """``_prepared`` is the durable vote record: an entry is a yes-vote."""
+        return WalterVote(txn_id=txn_id, success=True) if txn_id in self._prepared else None
+
     def on_prepare(self, message: WalterPrepare):
         txn_id = message.txn_id
-        if self._fault_mode:
-            # Idempotency against the coordinator's re-send cadence: a vote
-            # already recorded is simply repeated; a re-send racing its own
-            # original (still mid-prepare on this node) waits for it.
-            recorded = self._vote_log.get(txn_id)
-            if recorded is not None:
-                self.respond(message, WalterVote(txn_id=txn_id, success=recorded))
-                return
-            if txn_id in self._preparing:
-                yield self.sim.condition(
-                    lambda: txn_id not in self._preparing,
-                    self._prep_progress,
-                    name=f"prepare-dup:{txn_id}",
-                )
-                self.respond(
-                    message,
-                    WalterVote(txn_id=txn_id, success=self._vote_log.get(txn_id, False)),
-                )
-                return
-            self._preparing.add(txn_id)
+        if self._fault_mode and not self.admit_prepare(message, self._recorded_vote):
+            return
         local_items = tuple(
             (key, value)
             for key, value in message.write_items
@@ -427,25 +408,15 @@ class WalterNode(ProtocolRuntime):
                 if self._newer_version_exists(key, message.start_vts):
                     success = False
                     break
+        if txn_id in self._decided:
+            # Fault mode: the decision overtook this prepare; preparing now
+            # would pin locks no second decision releases.
+            success = False
         if not success and locked:
             self.locks.release(txn_id, keys)
-        if self._fault_mode:
-            if success and txn_id in self._decide_done:
-                # A stale re-sent prepare delivered after the decision was
-                # already applied: re-preparing would leak the locks forever
-                # (no second decide is coming).
-                self.locks.release(txn_id, keys)
-                success = False
-            if success:
-                self._prepared[txn_id] = local_items
-            self._vote_log[txn_id] = success
-            self._preparing.discard(txn_id)
-            self._prep_progress.notify()
-            self.respond(message, WalterVote(txn_id=txn_id, success=success))
-            return
         if success:
             self._prepared[txn_id] = local_items
-        self.respond(message, WalterVote(txn_id=txn_id, success=success))
+        self.cast_vote(message, WalterVote(txn_id=txn_id, success=success))
 
     def on_decide(self, message: WalterDecide):
         txn_id = message.txn_id
@@ -454,20 +425,19 @@ class WalterNode(ProtocolRuntime):
             # re-sending fan-out, so apply exactly once (keeping the prepared
             # entry until the installation lands — a crash mid-apply redoes
             # it from the re-send) and always acknowledge.
-            if txn_id not in self._decide_done:
+            if txn_id not in self._decided:
                 items = self._prepared.get(txn_id, ())
                 if message.outcome and items:
                     yield self.cpu(self.service.commit_apply_us * max(1, len(items)))
-                if txn_id not in self._decide_done:
+                if txn_id not in self._decided:
                     # Re-checked after the yield: a duplicate decide may have
                     # completed the installation while we held the CPU.
                     if message.outcome and items:
                         for key, value in items:
                             self._install(key, value, message.site, message.seqno, txn_id)
                         self._async_propagate(txn_id, message.site, message.seqno, items)
-                    self._decide_done.add(txn_id)
+                    self._decided.add(txn_id)
                     items = self._prepared.pop(txn_id, ())
-                    self._vote_log.pop(txn_id, None)
                     keys = [key for key, _value in items]
                     if keys:
                         self.locks.release(txn_id, keys)
@@ -725,34 +695,18 @@ class WalterNode(ProtocolRuntime):
         def make_prepare(_site):
             return WalterPrepare(txn_id=txn_id, start_vts=meta.vc, write_items=write_items)
 
+        outcome, _votes = yield from self.vote_round(sites, make_prepare, trace_txn=txn_id)
+        seqno = self.plog.next_seqno()
+        self.counters["slow_commits"] += 1
         if self._fault_mode:
-            # Bounded prepare: the re-send cadence detects a dead participant
-            # within the retry envelope instead of idling out the full
-            # prepare timeout; the decision is force-written and delivered
-            # reliably by a background fan-out — the client is answered now,
-            # as on the fail-free path.
-            outcome, _votes = yield from self.vote_round_retry(
-                sites,
-                make_prepare,
-                retry_us=self.config.timeouts.crash_resubscribe_us,
-                max_resends=self.config.timeouts.prepare_retry_limit,
-                trace_txn=txn_id,
-            )
-            seqno = self.plog.next_seqno()
+            # The decision is force-written and delivered reliably by a
+            # background fan-out — the client is answered now, as on the
+            # fail-free path.
             self.decisions.record(txn_id, outcome, seqno, tuple(sites))
             self.spawn_process(
                 self._decide_fanout(txn_id), name=f"walter-decide:{txn_id}"
             )
-            self.counters["slow_commits"] += 1
             return outcome
-        outcome, _votes = yield from self.vote_round(
-            sites,
-            make_prepare,
-            self.config.timeouts.prepare_timeout_us,
-            trace_txn=txn_id,
-        )
-
-        seqno = self.plog.next_seqno()
         for site in sites:
             self.send(
                 site,
@@ -763,7 +717,6 @@ class WalterNode(ProtocolRuntime):
                     seqno=seqno,
                 ),
             )
-        self.counters["slow_commits"] += 1
         return outcome
 
 

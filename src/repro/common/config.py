@@ -93,7 +93,10 @@ class TimeoutConfig:
     """Lock acquisition timeout; the paper sets 1 ms on its cluster."""
 
     prepare_timeout_us: float = 50_000.0
-    """2PC coordinator wait for votes before declaring the round failed."""
+    """Fail-free only: the coarse guard a 2PC coordinator waits for votes
+    before declaring the round failed.  With a fault plan installed the
+    round is re-driven instead (``crash_resubscribe_us`` /
+    ``prepare_retry_limit``) and this deadline is never armed."""
 
     starvation_threshold_us: float = 20_000.0
     """Queued-writer age beyond which read-only reads apply back-off."""
@@ -123,20 +126,22 @@ class TimeoutConfig:
     is far above the fail-free common case and far below the drain window."""
 
     crash_resubscribe_us: float = 5_000.0
-    """Fault-mode only: how often an external-commit dependency wait re-sends
-    its SubscribeExternal before trying again.  A crash can swallow both the
-    original subscription and the notification; periodic re-subscription is
-    what lets gated readers resolve once the writer's coordinator restarts.
+    """Fault-mode only: the re-send cadence of every round a crash can
+    swallow — the prepare round of every protocol (``vote_round``), read
+    waves, decide/commit rounds, external-status queries, and the
+    SubscribeExternal of an external-commit dependency wait.  A message
+    sent into a node's down window is lost, so only its sender can re-drive
+    it; the cadence is what lets the round resolve once the node restarts.
     Fail-free runs never take this path."""
 
     prepare_retry_limit: int = 3
     """Fault-mode only: how many unanswered ``crash_resubscribe_us`` re-send
-    waves a retrying prepare fan-out (``vote_round_retry``) tolerates before
-    declaring the silent participant dead and failing the round.  Bounds the
-    dead-participant abort at ``(limit + 1) * crash_resubscribe_us`` —
-    20 ms at the defaults — instead of the full ``prepare_timeout_us``,
-    while a participant that restarts within the envelope still answers a
-    re-send and the round completes honestly."""
+    waves the prepare round of any protocol (``vote_round``) tolerates
+    before declaring the silent participant dead and failing the round.
+    Bounds the dead-participant abort at ``(limit + 1) *
+    crash_resubscribe_us`` — 20 ms at the defaults — while a participant
+    that restarts within the envelope still answers a re-send and the round
+    completes honestly."""
 
     def validate(self) -> None:
         if self.lock_timeout_us <= 0:

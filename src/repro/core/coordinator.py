@@ -447,8 +447,9 @@ class CoordinatorMixin:
         participants = sorted(participants)
         write_replicas = set(self.placement.replicas_of(list(meta.write_set)))
 
-        # Prepare phase: one shared vote round (the runtime arms the coarse
-        # crash-guard deadline and the fail-fast VoteCollector).
+        # Prepare phase: one shared vote round (the runtime arms the fail-fast
+        # VoteCollector and the crash guard — fail-free a coarse deadline, in
+        # fault mode the re-send cadence).
         read_versions = tuple((key, record.version_vc) for key, record in meta.read_set.items())
         write_items = tuple(meta.write_set.items())
         outcome, collected = yield from self.vote_round(
@@ -459,7 +460,6 @@ class CoordinatorMixin:
                 read_versions=read_versions,
                 write_items=write_items,
             ),
-            self.config.timeouts.prepare_timeout_us,
             trace_txn=txn_id,
         )
 

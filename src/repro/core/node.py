@@ -118,6 +118,10 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self._prepared: Dict[TransactionId, _PreparedState] = {}
         # Decisions that arrived before (or without) a matching Prepare.
         self._decided_early: Dict[TransactionId, Decide] = {}
+        # When this incarnation of the node came up.  A Prepare sent before
+        # that outlived a crash of this node (a buffering partition held
+        # it), and its Decide may have been sent into the down window.
+        self._up_since = 0.0
         # Per-transaction write payloads waiting in the commit queue.
         self._pending_writes: Dict[TransactionId, Tuple[Tuple[object, object], ...]] = {}
         self._pending_propagated: Dict[TransactionId, Tuple[PropagatedEntry, ...]] = {}
@@ -850,22 +854,22 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             yield event
 
     def _resolve_in_doubt(self, txn_id: TransactionId):
-        """Restart recovery: learn the fate of a voted-but-undecided record.
+        """Crash recovery: learn the fate of a voted-but-undecided transaction.
 
         The Decide may have been lost while this node was down (or dropped
-        by a partition); without resolution the rebuilt *pending* commit-
-        queue entry would block every later install on this node.  The
-        coordinator is asked for its recorded decision (re-sent until
-        answered — a coordinator that is itself down answers after its own
-        restart); a decision still pending at the coordinator resolves
-        through the normal Decide, which reaches this node now that it is
-        back up.
+        by a partition); without resolution the *pending* commit-queue
+        entry — rebuilt from the redo log, or created by a prepare that a
+        buffering partition delivered after the restart — would block every
+        later install on this node.  The coordinator is asked for its
+        recorded decision (re-sent until answered — a coordinator that is
+        itself down answers after its own restart); a decision still
+        pending at the coordinator resolves through the normal Decide,
+        which reaches this node now that it is back up.
         """
         reply: ExternalStatusReply = yield from self.reliable_request(
             txn_id.node, lambda: ExternalStatusQuery(txn_id=txn_id)
         )
-        record = self.redo_log.find(txn_id)
-        if record is None or record.decided or txn_id not in self._prepared:
+        if txn_id not in self._prepared or txn_id in self._decided:
             return  # resolved by a Decide/PrecommitQuery that raced the reply
         if reply.outcome is None:
             return  # not decided yet: the normal Decide will arrive
@@ -873,7 +877,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self._apply_decide(
             Decide(
                 txn_id=txn_id,
-                commit_vc=reply.commit_vc if reply.outcome else record.vc,
+                commit_vc=reply.commit_vc,
                 outcome=reply.outcome,
                 propagated=reply.propagated,
             )
@@ -964,6 +968,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     def on_prepare(self, message: Prepare):
         """2PC prepare: lock, validate, vote (runs as a process)."""
         txn_id = message.txn_id
+        if self._fault_mode and not self.admit_prepare(message, self._recorded_vote):
+            return
         service = self.service
         local_read_versions = tuple(
             (k, vc) for k, vc in message.read_versions if self.is_replica_of(k)
@@ -989,7 +995,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             if locked:
                 self.locks.release(txn_id, list(write_keys) + list(local_reads))
             self.counters["prepare_rejects"] += 1
-            self.respond(message, Vote(txn_id=txn_id, vc=message.vc, success=False))
+            self.cast_vote(message, Vote(txn_id=txn_id, vc=message.vc, success=False))
             return
 
         is_write_replica = bool(local_writes)
@@ -1009,12 +1015,31 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self._prepared[txn_id] = _PreparedState(local_reads, local_writes, is_write_replica)
         self._pending_writes[txn_id] = local_writes
         self.counters["prepares"] += 1
-        self.respond(message, Vote(txn_id=txn_id, vc=prep_vc, success=True))
+        self.cast_vote(message, Vote(txn_id=txn_id, vc=prep_vc, success=True))
 
         # A decision that raced ahead of this prepare is applied now.
         early = self._decided_early.pop(txn_id, None)
         if early is not None:
             self._apply_decide(early)
+        elif message.send_time < self._up_since:
+            # The Decide may have been lost with the crash this prepare
+            # outlived: ask, as for a vote cast before the crash.
+            self.spawn_process(
+                self._resolve_in_doubt(txn_id), name=f"in-doubt:{txn_id}@{self.node_id}"
+            )
+
+    def _recorded_vote(self, txn_id: TransactionId) -> Optional[Vote]:
+        """The yes-vote this node's prepared state holds for ``txn_id``, if any.
+
+        A write replica repeats the redo-logged proposal (never a fresh
+        ``node_vc`` tick); a restart-replayed entry counts as voted.
+        """
+        state = self._prepared.get(txn_id)
+        if state is None:
+            return None
+        if state.is_write_replica:
+            return Vote(txn_id=txn_id, vc=self.redo_log.find(txn_id).vc, success=True)
+        return Vote(txn_id=txn_id, vc=self.nlog.most_recent_vc, success=True)
 
     def _validate(self, read_versions) -> bool:
         """Algorithm 1 lines 27-33: reject overwritten read keys.
@@ -1049,6 +1074,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         state = self._prepared.get(txn_id)
         if state is None:  # pragma: no cover - defensive
             return
+        if self._fault_mode:
+            self._decided.add(txn_id)
         if message.outcome:
             self.node_vc = self.node_vc.merge(message.commit_vc)
             if state.is_write_replica:
@@ -1423,6 +1450,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         retransmission), and the queue is drained so already-decided
         transactions apply and restart their pre-commit immediately.
         """
+        self._up_since = self.sim.now
         for record in self.redo_log.records():
             txn_id = record.txn_id
             self.counters["redo_replays"] += 1

@@ -20,11 +20,14 @@ every protocol node (SSS and the three competitors) extends:
 * **Replica fan-out** — :meth:`request_each` (one request per destination)
   and :meth:`fastest_of` (fastest-answer selection over a reply wave), the
   pattern behind every multi-replica read.
-* **Vote collection** — :meth:`vote_round`: one 2PC-style prepare wave with
-  a shared coarse crash-guard deadline and a :class:`VoteCollector` that
-  fails fast on the first negative vote; :meth:`vote_round_retry` is its
-  fault-mode counterpart, re-sending unanswered prepares on a cadence and
-  declaring a participant dead after a bounded number of silent waves.
+* **Vote collection** — :meth:`vote_round`: one 2PC-style prepare round
+  with a :class:`VoteCollector` that fails fast on the first negative vote.
+  Like its sibling round helpers it is fault-aware on its own: fail-free a
+  single wave under a shared coarse crash-guard deadline, in fault mode
+  re-sending unanswered prepares on a cadence and declaring a participant
+  dead after a bounded number of silent waves.  :meth:`admit_prepare` is
+  the participant half — the one guard that makes every protocol's prepare
+  handler idempotent under those re-sends.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, whatever the protocol
   declares volatile via :meth:`on_crash`) and replays its durable state on
@@ -37,7 +40,7 @@ and register their message handlers in ``__init__``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import NodeCrashedError, TransactionStateError
@@ -120,6 +123,13 @@ class ProtocolRuntime(NetworkedNode):
         self._txn_ids = TxnIdGenerator(node_id)
         self.coordinated: Dict[TransactionId, TransactionMeta] = {}
         self.counters = defaultdict(int)
+        # Fault mode only — participant-side idempotence of re-sent prepares
+        # (see admit_prepare): prepares whose handler is still running
+        # (volatile) and rounds whose decision this node applied (durable,
+        # kept with the protocol's logged state: a duplicate held by a
+        # buffering partition can outlive a crash of this node).
+        self._preparing: Set[TransactionId] = set()
+        self._decided: Set[TransactionId] = set()
 
     # ------------------------------------------------------------------
     # Placement helpers
@@ -323,106 +333,120 @@ class ProtocolRuntime(NetworkedNode):
                 self._pending_replies.pop(message.msg_id, None)
             self.counters["read_wave_retries"] += 1
 
-    def vote_round(self, participants, make_message, timeout_us: float, trace_txn=None):
-        """RPC-round generator: one 2PC-style vote wave over ``participants``.
+    def vote_round(self, participants, make_message, trace_txn=None):
+        """RPC-round generator: a 2PC-style vote round over ``participants``.
 
-        Sends one request per participant, arms a shared coarse crash-guard
-        deadline (see :meth:`Simulation.deadline` — a guard against crashed
-        participants, not a precise timer) and collects the votes with a
+        Sends one request per participant and collects the votes with a
         :class:`VoteCollector`.  Returns ``(outcome, votes)``; ``outcome`` is
-        ``False`` when any participant voted no or the deadline expired.
+        ``False`` when any participant voted no or the round gave up.
+        Fail-free this is a single wave under the shared coarse crash-guard
+        deadline (``prepare_timeout_us``; see :meth:`Simulation.deadline` — a
+        guard against crashed participants, not a precise timer).  In fault
+        mode a prepare sent into a participant's down window is lost by the
+        crash-stop model and only its coordinator can re-send it, so the
+        round is re-driven, never waited out (:meth:`_vote_round_retry`).
         """
-        inner = self._vote_round(participants, make_message, timeout_us, trace_txn)
-        tracer = self.sim.tracer
-        if tracer is None or trace_txn is None:
-            return inner
-        return self._traced_round(inner, tracer, trace_txn, "rpc.prepare")
-
-    def _vote_round(self, participants, make_message, timeout_us: float, trace_txn=None):
         participants = list(participants)
-        vote_events = self.request_each(participants, make_message)
-        timeout = self.sim.deadline(timeout_us)
-        votes = VoteCollector(self.sim, vote_events)
-        tracer = self.sim.tracer
-        start = self.sim.now if tracer is not None else 0.0
-        yield self.sim.any_of([votes, timeout])
-        if votes.triggered:
-            return votes.value
-        if tracer is not None and trace_txn is not None:
-            # The round resolved by *waiting out the crash-guard deadline*,
-            # not by votes: some participant's fate stayed ambiguous (its
-            # prepare or vote was swallowed by a crash) for the whole guard
-            # window.  Same span name as the reader-side external-status
-            # guard rounds — both are the ROADMAP stall: ambiguity resolved
-            # by a guard timer instead of being re-driven on restart.
-            silent = [
-                str(participant)
-                for participant, event in zip(participants, vote_events)
-                if not event.triggered
-            ]
-            tracer.span(
-                "wait.ambiguous_guard",
-                start,
-                txn=trace_txn,
-                node=self.node_id,
-                args={"outcome": "guard-timeout", "round": "prepare", "silent": silent},
-            )
-        return False, []
+        tracer = self.sim.tracer if trace_txn is not None else None
+        start = self.sim.now
+        args = None
+        if self._fault_mode:
+            votes, args = yield from self._vote_round_retry(participants, make_message)
+        else:
+            events = self.request_each(participants, make_message)
+            timeout = self.sim.deadline(self.config.timeouts.prepare_timeout_us)
+            votes = VoteCollector(self.sim, events)
+            yield self.sim.any_of([votes, timeout])
+            if tracer is not None and not votes.triggered:
+                # The round resolved by *waiting out the crash-guard
+                # deadline*, not by votes: with no fault plan that takes a
+                # participant whose queue delayed its vote past the guard.
+                silent = [str(p) for p, e in zip(participants, events) if not e.triggered]
+                tracer.span(
+                    "wait.ambiguous_guard",
+                    start,
+                    txn=trace_txn,
+                    node=self.node_id,
+                    args={"outcome": "guard-timeout", "round": "prepare", "silent": silent},
+                )
+        if tracer is not None:
+            tracer.span("rpc.prepare", start, txn=trace_txn, args=args)
+        return votes.value if votes.triggered else (False, [])
 
-    def vote_round_retry(
-        self, participants, make_message, retry_us: float, max_resends: int, trace_txn=None
-    ):
-        """RPC-round generator: a vote round with fault-mode re-send cadence.
+    def _vote_round_retry(self, participants, make_message):
+        """The fault-mode vote round: re-send unanswered prepares on a cadence.
 
-        The fault-mode counterpart of :meth:`vote_round`: prepares left
-        unanswered for ``retry_us`` are re-sent (a briefly-crashed or
-        partitioned participant answers the re-send after recovery — its
-        prepare handler must be idempotent), and a participant still silent
-        after ``max_resends`` re-send waves is declared dead and the round
-        fails.  The abort therefore lands within the retry envelope,
-        ``(max_resends + 1) * retry_us``, instead of idling out the full
-        prepare timeout.  Negative votes still fail fast within a wave (the
-        :class:`VoteCollector` semantics).  Returns ``(outcome, votes)``.
+        Prepares left unanswered for ``crash_resubscribe_us`` are re-sent — a
+        briefly-crashed or partitioned participant answers the re-send after
+        recovery, its handler made idempotent by :meth:`admit_prepare` — and
+        a participant still silent after ``prepare_retry_limit`` re-send
+        waves is declared dead: the round fails within ``(limit + 1) *
+        crash_resubscribe_us`` instead of idling out the coarse guard.  A
+        re-send is correlated to the participant's *original* reply event,
+        so whichever copy is answered first counts and a vote that was
+        merely slow is not discarded as stale.  Returns the collector and,
+        for a round that needed a re-send, the ``rpc.prepare`` span args.
         """
-        inner = self._vote_round_retry(participants, make_message, retry_us, max_resends)
-        tracer = self.sim.tracer
-        if tracer is None or trace_txn is None:
-            return inner
-        return self._traced_round(inner, tracer, trace_txn, "rpc.prepare")
-
-    def _vote_round_retry(self, participants, make_message, retry_us: float, max_resends: int):
-        remaining = list(participants)
-        votes_collected: List[object] = []
+        timeouts = self.config.timeouts
+        messages = [make_message(participant) for participant in participants]
+        events = [self.request(p, message) for p, message in zip(participants, messages)]
+        votes = VoteCollector(self.sim, events)
+        silent: List[str] = []
         resends = 0
         while True:
-            pairs = [(participant, make_message(participant)) for participant in remaining]
-            events = [
-                self.request(participant, message) for participant, message in pairs
-            ]
-            collector = VoteCollector(self.sim, events)
-            yield self.sim.any_of([collector, self.sim.timeout(retry_us)])
-            if collector.triggered:
-                outcome, votes = collector.value
-                votes_collected.extend(votes)
-                return outcome, votes_collected
-            # Cadence expired: bank the yes-votes that did arrive (a negative
-            # vote would have fired the collector) and re-send to the silent
-            # participants, retiring the stale correlation entries.
-            silent = []
-            for (participant, message), event in zip(pairs, events):
-                if event.triggered and event.ok:
-                    votes_collected.append(event.value)
-                else:
-                    self._pending_replies.pop(message.msg_id, None)
-                    silent.append(participant)
-            if not silent:
-                return True, votes_collected
+            yield self.sim.any_of([votes, self.sim.timeout(timeouts.crash_resubscribe_us)])
+            if votes.triggered or resends == timeouts.prepare_retry_limit:
+                break
             resends += 1
-            if resends > max_resends:
-                self.counters["prepare_retry_aborts"] += 1
-                return False, votes_collected
             self.counters["prepare_retries"] += 1
-            remaining = silent
+            waiting = [(p, event) for p, event in zip(participants, events) if not event.triggered]
+            if resends == 1:
+                silent = [str(p) for p, _event in waiting]
+            for participant, event in waiting:
+                message = make_message(participant)
+                messages.append(message)
+                self._pending_replies[message.msg_id] = event
+                self.send(participant, message)
+        # Retire the correlation entries of every copy that went unanswered.
+        for message in messages:
+            self._pending_replies.pop(message.msg_id, None)
+        if not resends:
+            return votes, None
+        args = {"resends": resends, "silent": silent}
+        if not votes.triggered:
+            self.counters["prepare_retry_aborts"] += 1
+            args["outcome"] = "retry-exhausted"
+        return votes, args
+
+    def admit_prepare(self, message, recorded_vote) -> bool:
+        """Fault-mode guard making a prepare handler idempotent under re-sends.
+
+        ``recorded_vote(txn_id)`` looks up the vote the protocol's durable
+        prepared state holds for a transaction (``None`` for none).  A prepare
+        whose round this node already *decided* is ignored — nobody waits
+        for the answer, and voting again would pin locks no second decision
+        releases; one racing its still-running original is dropped (the
+        original answers, and the coordinator counts either reply); one
+        already *voted and undecided* gets the same vote again, with no
+        second lock, clock tick or queue entry.  Returns ``True`` for a
+        first delivery, which the handler must end with :meth:`cast_vote`.
+        """
+        txn_id = message.txn_id
+        if txn_id in self._decided or txn_id in self._preparing:
+            self.counters["prepare_duplicates_dropped"] += 1
+            return False
+        vote = recorded_vote(txn_id)
+        if vote is not None:
+            self.counters["prepare_revotes"] += 1
+            self.respond(message, vote)
+            return False
+        self._preparing.add(txn_id)
+        return True
+
+    def cast_vote(self, prepare, vote) -> None:
+        """Answer ``prepare`` and close its in-flight window (any mode)."""
+        self._preparing.discard(prepare.txn_id)
+        self.respond(prepare, vote)
 
     def reliable_request(self, destination, make_message, trace_txn=None, trace_name="request"):
         """RPC generator: one request, re-sent in fault mode until answered.
@@ -538,6 +562,7 @@ class ProtocolRuntime(NetworkedNode):
             self._trace_down_since = self.sim.now
         self.network.crash(self.node_id)
         self.counters["crash_dropped_inbound"] += self.drop_inbound()
+        self._preparing.clear()
         # Fail in-flight RPCs: waiting handler processes die through the
         # epoch guard, while co-located *client* processes receive
         # NodeCrashedError and reconnect with a back-off (see the closed-loop

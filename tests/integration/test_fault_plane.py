@@ -27,6 +27,9 @@ import pytest
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.harness.runner import run_experiment
 
+from test_golden_histories import TIE_ORDER_ENGINES as SHARD_ENGINES  # serial and 2 inline shards
+from tests.unit.test_parallel_engine import _digest as run_digest
+
 
 def _config(faults, *, n_nodes=3, replication_degree=2, seed=11, **overrides):
     defaults = dict(
@@ -261,17 +264,39 @@ class TestCoordinatorCrashSessionTeardown:
         assert metrics.aborted > 0  # the torn-down transactions abort cleanly
         assert metrics.extra["stalled_clients"] == 0
 
+    # The PR-7 offsets spread the crash over the transaction lifecycle; the
+    # fine ones step it across one prepare round trip (~100 us) so some
+    # coordinator's Prepare is in flight or just sent at every step — the
+    # window a re-driven vote round exists for.
+    CRASH_OFFSETS_US = (1_500, 3_750, 7_500) + tuple(range(3_700, 3_820, 30))
+
     @pytest.mark.parametrize("protocol", ["sss", "2pc", "walter", "rococo"])
     def test_all_protocols_survive_crash_offset_sweep(self, protocol):
         # Sweep the crash instant across the transaction lifecycle so the
         # teardown window keeps being exercised as service times shift.
-        for at_us in (1_500, 3_750, 7_500):
-            result = _run(
-                protocol,
-                _config([f"crash node=1 at={at_us}us for=2250us"], n_keys=400, seed=2024),
-                duration_us=15_000,
-            )
+        # Every run keeps the protocol's own contract, drains clean, and is
+        # the same run on one and on two shards.
+        redriven = 0
+        for at_us in self.CRASH_OFFSETS_US:
+            results = {
+                name: _run(
+                    protocol,
+                    _config([f"crash node=1 at={at_us}us for=2250us"], n_keys=400, seed=2024),
+                    duration_us=15_000,
+                    drain_us=30_000,
+                    **engine,
+                )
+                for name, engine in SHARD_ENGINES.items()
+            }
+            assert len({run_digest(result) for result in results.values()}) == 1, (protocol, at_us)
+            result = results["serial"]
             assert result.metrics.committed > 0, (protocol, at_us)
+            assert result.metrics.extra["stalled_clients"] == 0, (protocol, at_us)
+            for check in result.cluster.check_contract():
+                assert check.ok, f"{protocol} broke {check.name} at crash offset {at_us}: {check}"
+            redriven += result.node_counters.get("prepare_retries", 0)
+        if protocol != "rococo":  # no vote round: dispatch/commit rounds re-send on their own
+            assert redriven > 0, "no crash offset ever swallowed a prepare"
 
 
 class TestRococoReplayOrdering:
@@ -407,7 +432,7 @@ class TestWalterBoundedPrepareAbort:
     Before the fault-mode prepare retry cadence, an update whose slow-path
     participant crash-stopped sat on the full ``prepare_timeout_us`` (50 ms
     — the "~40 ms drain" the session-teardown test historically budgeted
-    for).  With ``vote_round_retry`` the coordinator re-sends every
+    for).  In fault mode ``vote_round`` re-sends every
     ``crash_resubscribe_us`` (5 ms) and gives up after
     ``prepare_retry_limit`` (3) resends: the abort lands within ~20 ms, so
     a 30 ms drain — well under the old timeout — must fully quiesce.

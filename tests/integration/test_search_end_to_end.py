@@ -5,13 +5,17 @@ The expensive guarantees live here:
 * **Scoring determinism** — the same genome scores to the identical signal
   vector in a fresh process under a different ``PYTHONHASHSEED``; without
   this, corpus decisions and repro bundles would be unstable.
-* **Committed SSS-stall corpus genome** — the known post-restart
-  ambiguous-wait stall (ROADMAP) reproduces from the checked-in corpus and
-  a search campaign seeded with it emits a minimized repro bundle.
+* **Committed SSS-stall corpus genomes** — the post-restart stall they
+  were committed for (ROADMAP, fixed in PR 19 by the fault-aware vote
+  round) no longer reproduces: they score clean, a campaign seeded with
+  one finds nothing, and they stay in the corpus as regression seeds — a
+  relapse would be a *new* ``sss:stall`` fingerprint, no longer triaged.
 * **Planted-regression discovery** — with the PR-6 coordinator-crash
   teardown guard reverted (test-only env flag), a fixed-seed campaign
   rediscovers the historical Walter ``TransactionStateError`` crash from
-  scratch, minimizes it, and the bundle replays.
+  scratch, minimizes it, and the bundle replays.  This is the pipeline
+  test (mutate → minimize → bundle → replay) now that no committed genome
+  fails.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ class TestScoringDeterminism:
 
 class TestKnownStall:
     def test_committed_corpus_genome_reproduces_the_stall(self):
+        """Inverted in PR 19: the committed stall genomes no longer stall."""
         corpus_genomes = Corpus.load_genomes(COMMITTED_CORPUS)
         stall_seeds = [
             genome
@@ -88,34 +93,40 @@ class TestKnownStall:
             if "crash node=1 at=3750 for=2250" in genome.fault_specs
         ]
         assert len(stall_seeds) >= 2, "SSS-stall genomes missing from committed corpus"
-        outcome = score_genome(stall_seeds[0])
-        assert "stall" in outcome.failures
-        assert outcome.signal["excess_commit_gap_us"] > 40_000.0
+        for genome in stall_seeds:
+            outcome = score_genome(genome)
+            assert outcome.failures == (), outcome.failure_detail
+            signal = outcome.signal
+            assert signal["stalled_clients"] == 0
+            assert signal["quiescence_leaked_writers"] == 0
+            assert signal["quiescence_commit_queue"] == 0
+            # The stall was a ~44 ms commit gap and a ~50 ms p99 against a
+            # 10.5 ms threshold; a lost prepare now costs one 5 ms re-send.
+            assert signal["p99_us"] < signal["stall_threshold_us"]
+            assert signal["max_commit_gap_us"] < signal["stall_threshold_us"]
 
     def test_campaign_seeded_with_stall_genome_emits_replayable_bundle(self, tmp_path):
+        """Inverted in PR 19: seeded with the stall genome, a campaign finds nothing."""
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
-        (corpus_dir / "stall.genome.json").write_text(STALL_GENOME.to_json() + "\n")
+        genome_path = corpus_dir / "stall.genome.json"
+        genome_path.write_text(STALL_GENOME.to_json() + "\n")
         out_dir = tmp_path / "out"
         settings = SearchSettings(
             protocols=("sss",),
-            budget_runs=0,  # seed phase only: the committed genome IS the finding
+            budget_runs=0,  # seed phase only: the committed genome WAS the finding
             search_seed=1,
             corpus_dirs=(corpus_dir,),
             out_dir=out_dir,
             minimize_budget=25,
         )
         summary = run_search(settings)
-        fingerprints = {finding.fingerprint for finding in summary.findings}
-        assert "sss:stall" in fingerprints
-        bundle = next(
-            finding.bundle_path
-            for finding in summary.findings
-            if finding.fingerprint == "sss:stall"
-        )
-        assert bundle is not None and bundle.is_file()
-        assert replay_bundle(bundle, out=open(os.devnull, "w")) == 0
+        assert summary.seed_runs >= 1
+        assert [finding.fingerprint for finding in summary.findings] == []
+        assert not list(out_dir.glob("bundle-*.json"))
         assert (out_dir / "search-summary.json").is_file()
+        # exit 2 = NOT REPRODUCED, what CI's search-smoke now requires of it
+        assert replay_bundle(genome_path, out=open(os.devnull, "w")) == 2
 
 
 class TestPlantedRegression:
