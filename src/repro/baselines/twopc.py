@@ -177,8 +177,7 @@ class TwoPCNode(ProtocolRuntime):
     # ------------------------------------------------------------------
     def preload(self, keys, initial_value=0) -> None:
         for key in keys:
-            if self.is_replica_of(key):
-                self._data[key] = _KeyState(value=initial_value)
+            self._data[key] = _KeyState(value=initial_value)
 
     # ------------------------------------------------------------------
     # Fault plane

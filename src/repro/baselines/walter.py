@@ -32,8 +32,9 @@ is genuinely durable — every outbound batch is force-written to a
 :class:`~repro.storage.durable_log.PropagationLog` (which also owns the
 site's commit sequence counter), receivers apply per-sender streams
 gap-checked and idempotent behind a durable watermark, and everything above
-the acked watermark is retransmitted on restart and on the fault-mode
-cadence until acknowledged.  Fail-free runs never touch any of it.
+the acked watermark is retransmitted on restart, on the destination's
+rejoin and on the fault-mode fallback timer until acknowledged.  Fail-free
+runs never touch any of it.
 """
 
 from __future__ import annotations
@@ -276,10 +277,7 @@ class WalterNode(ProtocolRuntime):
     # ------------------------------------------------------------------
     def preload(self, keys, initial_value=0) -> None:
         for key in keys:
-            if self.is_replica_of(key):
-                self._chains[key] = [
-                    _WalterVersion(value=initial_value, site=0, seqno=0, writer=None)
-                ]
+            self._chains[key] = [_WalterVersion(value=initial_value, site=0, seqno=0, writer=None)]
 
     # ------------------------------------------------------------------
     # Fault plane
@@ -326,7 +324,7 @@ class WalterNode(ProtocolRuntime):
             )
         # The pre-crash retransmit loop died with the node's epoch.
         self._retx_running = False
-        self._retransmit_unacked()
+        self._retransmit_unacked(self.plog.destinations_with_unacked())
         self._ensure_retransmit_loop()
 
     # ------------------------------------------------------------------
@@ -465,7 +463,7 @@ class WalterNode(ProtocolRuntime):
                 # Gap: an earlier batch of this sender's stream is missing
                 # (lost while we were crashed or partitioned).  Buffer this
                 # one and keep acking the old watermark so the sender's
-                # cadence retransmits the gap.
+                # retransmit loop re-sends the gap.
                 self._prop_buffer.setdefault(sender, {})[message.stream_seq] = (
                     message.txn_id,
                     message.site,
@@ -523,7 +521,7 @@ class WalterNode(ProtocolRuntime):
             if payload:
                 if self._fault_mode:
                     # Force-write the batch to the durable stream before the
-                    # send; the cadence retransmits it until acknowledged.
+                    # send; the retransmit loop re-sends it until acknowledged.
                     record = self.plog.append(destination, txn_id, site, seqno, payload)
                     self.send(
                         destination,
@@ -553,16 +551,21 @@ class WalterNode(ProtocolRuntime):
         self.spawn_process(self._retransmit_loop(), name=f"walter-retx@{self.node_id}")
 
     def _retransmit_loop(self):
-        """Re-send unacked propagation batches on the fault-mode cadence."""
+        """Re-send unacked propagation batches until every stream is acked:
+        to a destination the instant it rejoins, to all on the fallback timer."""
+        plog = self.plog
         try:
-            while self.plog.has_unacked():
-                yield self.sim.timeout(self.config.timeouts.crash_resubscribe_us)
-                self._retransmit_unacked()
+            yield from self.redrive(
+                None,
+                plog.destinations_with_unacked,
+                self._retransmit_unacked,
+                lambda: not plog.has_unacked(),
+            )
         finally:
             self._retx_running = False
 
-    def _retransmit_unacked(self) -> None:
-        for destination in self.plog.destinations_with_unacked():
+    def _retransmit_unacked(self, destinations) -> None:
+        for destination in destinations:
             for record in self.plog.unacked(destination):
                 self.counters["propagation_retransmits"] += 1
                 self.send(
@@ -579,7 +582,7 @@ class WalterNode(ProtocolRuntime):
     def _decide_fanout(self, txn_id: TransactionId):
         """Reliably deliver one durable decision to its prepared sites.
 
-        ``request_all`` re-sends on the fault-mode cadence until every site
+        ``request_all`` re-drives the fan-out in fault mode until every site
         (this node included — its own prepared entry and locks need the
         decide too) acknowledged; the decide handler is idempotent, so
         re-sends and restart re-fans are harmless.  The record is dropped

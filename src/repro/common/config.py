@@ -126,17 +126,17 @@ class TimeoutConfig:
     is far above the fail-free common case and far below the drain window."""
 
     crash_resubscribe_us: float = 5_000.0
-    """Fault-mode only: the re-send cadence of every round a crash can
-    swallow — the prepare round of every protocol (``vote_round``), read
-    waves, decide/commit rounds, external-status queries, and the
-    SubscribeExternal of an external-commit dependency wait.  A message
-    sent into a node's down window is lost, so only its sender can re-drive
-    it; the cadence is what lets the round resolve once the node restarts.
-    Fail-free runs never take this path."""
+    """The fallback timer of every round a fault can swallow — the prepare
+    round of every protocol (``vote_round``), read waves, decide/commit
+    rounds, external-status queries, and the SubscribeExternal of an
+    external-commit dependency wait (``ProtocolRuntime.redrive``).  A
+    message sent into a node's down window is lost and only its sender can
+    re-drive it: at once when the node's ``Rejoin`` arrives, on this timer
+    for what no restart announces (drop-mode partitions, lost replies)."""
 
     prepare_retry_limit: int = 3
-    """Fault-mode only: how many unanswered ``crash_resubscribe_us`` re-send
-    waves the prepare round of any protocol (``vote_round``) tolerates
+    """Fault-mode only: how many silent waves (fallback timer expired, no
+    ``Rejoin``) the prepare round of any protocol (``vote_round``) tolerates
     before declaring the silent participant dead and failing the round.
     Bounds the dead-participant abort at ``(limit + 1) *
     crash_resubscribe_us`` — 20 ms at the defaults — while a participant

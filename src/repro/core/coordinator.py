@@ -286,16 +286,25 @@ class CoordinatorMixin:
                     "wait.pending_writers", trace_start, txn=meta.txn_id, link=trace_links
                 )
             return True
-        # Bounded waves.  Fault mode re-subscribes between waves — a crash
-        # can swallow both the subscription and the notification, and a
-        # restarted coordinator answers the fresh SubscribeExternal
-        # immediately (its crash tore the writer down).  Fail-free read-only
-        # waves resolve their leftovers definitively instead.
-        wave_us = (
-            timeouts.crash_resubscribe_us
-            if self._fault_mode
-            else timeouts.external_done_wait_us
-        )
+        # Bounded waves.  Fault mode re-subscribes — on the coordinator's
+        # Rejoin, and to everyone between waves: a crash can swallow both the
+        # subscription and the notification, and a restarted coordinator
+        # answers a fresh SubscribeExternal at once (its crash tore the writer
+        # down).  Fail-free read-only waves resolve leftovers definitively.
+
+        def pending_nodes():
+            return [w.node for w in still_pending if w not in self._externally_done]
+
+        def resubscribe(nodes):
+            self.counters["crash_resubscribes"] += 1
+            for writer in still_pending:
+                if writer in self._externally_done or writer.node not in nodes:
+                    continue
+                if writer.node == self.node_id:
+                    self._register_external_watcher(writer, self.node_id)
+                else:
+                    self.send(writer.node, SubscribeExternal(txn_id=writer, target=self.node_id))
+
         restart_deadline = (
             self.sim.now + timeouts.readonly_restart_wait_us
             if meta.is_read_only
@@ -315,7 +324,10 @@ class CoordinatorMixin:
                 return True
             events = [self.external_done_event(writer) for writer in still_pending]
             done = events[0] if len(events) == 1 else self.sim.all_of(events)
-            yield self.sim.any_of([done, self.sim.timeout(wave_us)])
+            if self._fault_mode:
+                yield from self.redrive(done, pending_nodes, resubscribe)
+            else:
+                yield self.sim.any_of([done, self.sim.timeout(timeouts.external_done_wait_us)])
             if done.triggered:
                 if tracer is not None:
                     tracer.span(
@@ -323,17 +335,7 @@ class CoordinatorMixin:
                     )
                 return True
             if self._fault_mode:
-                self.counters["crash_resubscribes"] += 1
-                for writer in still_pending:
-                    if writer in self._externally_done:
-                        continue
-                    if writer.node == self.node_id:
-                        self._register_external_watcher(writer, self.node_id)
-                    else:
-                        self.send(
-                            writer.node,
-                            SubscribeExternal(txn_id=writer, target=self.node_id),
-                        )
+                resubscribe(pending_nodes())
             leftovers = [
                 writer
                 for writer in still_pending
@@ -449,7 +451,7 @@ class CoordinatorMixin:
 
         # Prepare phase: one shared vote round (the runtime arms the fail-fast
         # VoteCollector and the crash guard — fail-free a coarse deadline, in
-        # fault mode the re-send cadence).
+        # fault mode the re-drive).
         read_versions = tuple((key, record.version_vc) for key, record in meta.read_set.items())
         write_items = tuple(meta.write_set.items())
         outcome, collected = yield from self.vote_round(
@@ -505,16 +507,11 @@ class CoordinatorMixin:
                     self.note_propagation(entry.txn_id, participant)
 
         if not outcome:
-            meta.phase = TransactionPhase.ABORTED
-            meta.abort_reason = meta.abort_reason or "validation-or-lock"
-            meta.abort_time = self.sim.now
-            self.counters["update_aborts"] += 1
             # Release any external-commit subscribers (none should exist for
             # an aborted writer, but a dangling watcher must never hang).
             self._external_commit_completed(txn_id, ())
-            if self.history is not None:
-                self.history.record_abort(meta)
-            return False
+            reason = meta.abort_reason or "validation-or-lock"
+            return self._finish_abort(meta, reason, "update_aborts")
 
         meta.phase = TransactionPhase.INTERNALLY_COMMITTED
         meta.internal_commit_time = self.sim.now
@@ -528,18 +525,16 @@ class CoordinatorMixin:
             yield ack_event
         else:
             # Fault mode: a write replica that crashed mid-pre-commit lost
-            # both the wait process and the ack; periodically ask the
-            # remaining replicas to replay from their durable logs.
-            retry_us = self.config.timeouts.crash_resubscribe_us
-            while not ack_event.triggered:
-                yield self.sim.any_of([ack_event, self.sim.timeout(retry_us)])
-                if ack_event.triggered:
-                    break
-                waiting = self._ack_waits.get(txn_id)
-                if waiting is None:
-                    break
+            # both the wait process and the ack; ask the remaining replicas
+            # to replay from their durable logs — a restarted one at once,
+            # all of them between waves.
+
+            def unacked():
+                return sorted(self._ack_waits.get(txn_id, (None, ()))[1])
+
+            def query(replicas):
                 self.counters["precommit_retries"] += 1
-                for replica in sorted(waiting[1]):
+                for replica in replicas:
                     # The query doubles as a decision retransmission: a
                     # replica whose Decide was lost (voted, then crashed, or
                     # a drop-mode partition ate it) applies the decision from
@@ -552,6 +547,10 @@ class CoordinatorMixin:
                             propagated=self._propagated_for_decide(meta),
                         ),
                     )
+
+            yield from self.redrive(
+                ack_event, unacked, query, lambda: ack_event.triggered or not unacked()
+            )
         if tracer is not None:
             tracer.span(
                 "wait.precommit_ack",

@@ -47,7 +47,7 @@ from repro.core.messages import (
     Vote,
 )
 from repro.core.metadata import PropagatedEntry, TransactionPhase
-from repro.protocols.runtime import ProtocolRuntime
+from repro.protocols.runtime import ProtocolRuntime, RoundRequests
 from repro.replication.placement import KeyPlacement
 from repro.sim.events import ThresholdWaiters
 from repro.storage.commit_queue import CommitQueue, ParticipantRedoLog
@@ -195,9 +195,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     # Helpers
     # ------------------------------------------------------------------
     def preload(self, keys, initial_value=0) -> None:
-        """Install version zero of the local replicas of ``keys``."""
-        local = [key for key in keys if self.is_replica_of(key)]
-        self.store.preload(local, initial_value=initial_value, n_nodes=self.config.n_nodes)
+        """Install version zero of ``keys``, this node's replicas."""
+        self.store.preload(keys, initial_value=initial_value, n_nodes=self.config.n_nodes)
 
     # ------------------------------------------------------------------
     # ReadRequest handling — Algorithm 6
@@ -658,9 +657,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         subset whose gate was refused (the reader is already withdrawn at
         that coordinator).  In a fail-free run every query is answered in
         one round; queries to unreachable coordinators (fault mode) are
-        re-sent every ``crash_resubscribe_us`` until answered — the
-        generator simply does not terminate while every remaining
-        coordinator is down.
+        re-driven (:meth:`redrive`) until answered — the generator simply
+        does not terminate while every remaining coordinator is down.
         """
         confirmed_pending = set()
         gated = set()
@@ -683,59 +681,50 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                             refused.add(writer)
             else:
                 outstanding.append(writer)
-        retry_us = self.config.timeouts.crash_resubscribe_us
+        if not outstanding:
+            return confirmed_pending, gated, refused
+
+        def probe(writer):
+            return ExternalStatusQuery(txn_id=writer, reader=reader, gate=writer in gate_writers)
+
+        requests = RoundRequests(self, outstanding, lambda writer: writer.node, probe)
+        events = dict(zip(outstanding, requests.events))
+        target = self.sim.all_of(requests.events)
+        tracer = self.sim.tracer
         while outstanding:
             self.counters["external_status_queries"] += 1
-            tracer = self.sim.tracer
             round_start = self.sim.now if tracer is not None else 0.0
-            probes = [
-                (
-                    writer,
-                    ExternalStatusQuery(
-                        txn_id=writer,
-                        reader=reader,
-                        gate=writer in gate_writers,
-                    ),
-                )
-                for writer in outstanding
-            ]
-            events = [
-                (writer, message, self.request(writer.node, message))
-                for writer, message in probes
-            ]
-            guard = self.sim.timeout(retry_us)
-            yield self.sim.any_of([self.sim.all_of([event for _w, _m, event in events]), guard])
+            yield from self.redrive(target, requests.waiting, requests.resend)
             next_round = []
-            for writer, message, event in events:
-                if event.triggered and event.ok:
-                    reply: ExternalStatusReply = event.value
-                    if reply.done:
-                        self._mark_externally_done(writer, reply.done_time)
-                    else:
-                        confirmed_pending.add(writer)
-                        if writer in gate_writers:
-                            if reply.gated:
-                                gated.add(writer)
-                            else:
-                                refused.add(writer)
+            for writer in outstanding:
+                event = events[writer]
+                if not event.triggered:
+                    next_round.append(writer)  # coordinator down, or reply lost
+                    continue
+                reply: ExternalStatusReply = event.value
+                if reply.done:
+                    self._mark_externally_done(writer, reply.done_time)
                 else:
-                    # Unanswered (coordinator down, or reply still in
-                    # flight): retire the stale correlation entry and retry.
-                    self._pending_replies.pop(message.msg_id, None)
-                    next_round.append(writer)
+                    confirmed_pending.add(writer)
+                    if writer in gate_writers:
+                        if reply.gated:
+                            gated.add(writer)
+                        else:
+                            refused.add(writer)
             if tracer is not None:
-                # A round that the resubscribe guard timed out (coordinator
-                # down or reply lost) is the stall signature ROADMAP.md calls
-                # out: the reader waits out the guard timer instead of being
-                # re-driven on the coordinator's restart.
+                # A round the fallback timer ended (coordinator down and not
+                # yet rejoined, or a reply lost) is the stall signature: the
+                # reader waited out the timer instead of being re-driven.
                 tracer.span(
                     "wait.ambiguous_guard" if next_round else "wait.external_status",
                     round_start,
                     txn=reader,
                     node=self.node_id,
-                    link=sorted(writer for writer, _m, _e in events),
+                    link=outstanding,
                     args={"outcome": "guard-timeout" if next_round else "answered"},
                 )
+            if next_round:
+                requests.resend(requests.waiting())
             outstanding = next_round
         return confirmed_pending, gated, refused
 
@@ -1367,9 +1356,13 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         (modelled as persisted with the commit log, so a restarted node
         never re-proposes a local clock value it already handed out) and the
         participant redo log (force-written before every yes-vote) —
-        survives untouched.  Everything else is volatile: 2PC participant
-        buffers, the commit queue (rebuilt from the redo log on restart),
-        lock and snapshot queues, and the external-commit notification
+        survives untouched, and so do the snapshot queues' reader entries
+        (with their index), which hold back replayed writers as before, and
+        the record of readers already removed, which keeps a replay from
+        re-inserting their propagated entries.
+        Everything else is volatile: 2PC participant buffers, the commit
+        queue (rebuilt from the redo log on restart), locks, the writers'
+        snapshot-queue entries, and the external-commit notification
         caches.  Locks follow the textbook participant model: only the
         redo-logged (voted, undecided-or-unapplied) transactions' locks
         survive — they must keep blocking until the decision is re-learned,
@@ -1383,8 +1376,6 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self._pending_writes.clear()
         self._pending_propagated.clear()
         self._forward_map.clear()
-        self._removed_readers.clear()
-        self._reader_keys.clear()
         self._backoff_level.clear()
         self._externally_done.clear()
         self._done_local_watermark = -1
@@ -1416,7 +1407,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self.locks.reset_except(set(self.redo_log.txn_ids()))
         self.commit_queue.clear()
         for squeue in self.store.squeues().values():
-            squeue.clear()
+            for entry in squeue.writers():
+                squeue.remove(entry.txn_id)
 
     def on_restart(self) -> None:
         """Replay durable state and run crash recovery after a restart.
@@ -1448,7 +1440,9 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         when the decision had already arrived, else as *pending*, to be
         finalized by the original coordinator's PrecommitQuery
         retransmission), and the queue is drained so already-decided
-        transactions apply and restart their pre-commit immediately.
+        transactions apply and restart their pre-commit immediately — held
+        by the read-only entries that survived the crash, each re-validated
+        at its reader's coordinator (a Remove sent while down was lost).
         """
         self._up_since = self.sim.now
         for record in self.redo_log.records():
@@ -1509,6 +1503,18 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                         node_id,
                         Remove(txn_id=txn_id, keys=tuple(by_replica.get(node_id, ()))),
                     )
+        for reader in sorted(reader for reader, keys in self._reader_keys.items() if keys):
+            self.spawn_process(
+                self._revalidate_reader(reader), name=f"revalidate:{reader}@{self.node_id}"
+            )
+
+    def _revalidate_reader(self, reader: TransactionId):
+        """Drop a surviving reader's entries if its coordinator says it is done."""
+        reply = yield from self.reliable_request(
+            reader.node, lambda: ExternalStatusQuery(txn_id=reader)
+        )
+        if reply.done:
+            self.on_remove(Remove(txn_id=reader))
 
     # ------------------------------------------------------------------
     # Introspection used by the harness and tests

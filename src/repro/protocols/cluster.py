@@ -141,7 +141,8 @@ class ProtocolCluster:
         for node_id in self.owned_node_ids:
             prev = self.sim.set_unit(node_id)
             try:
-                self.nodes[node_id].preload(self.keys, initial_value=initial_value)
+                keys = self.placement.local_keys(node_id)
+                self.nodes[node_id].preload(keys, initial_value=initial_value)
             finally:
                 self.sim.set_unit(prev)
         self.local_nodes: List[object] = [self.nodes[node_id] for node_id in self.owned_node_ids]

@@ -18,20 +18,22 @@ every protocol node (SSS and the three competitors) extends:
   :class:`~repro.core.metadata.TransactionMeta` (the per-transaction state
   machine) and feeding the optional history recorder.
 * **Replica fan-out** — :meth:`request_each` (one request per destination)
-  and :meth:`fastest_of` (fastest-answer selection over a reply wave), the
-  pattern behind every multi-replica read.
+  and :meth:`fastest_round` (fastest-answer selection over a reply wave),
+  the pattern behind every multi-replica read.
 * **Vote collection** — :meth:`vote_round`: one 2PC-style prepare round
   with a :class:`VoteCollector` that fails fast on the first negative vote.
   Like its sibling round helpers it is fault-aware on its own: fail-free a
   single wave under a shared coarse crash-guard deadline, in fault mode
-  re-sending unanswered prepares on a cadence and declaring a participant
-  dead after a bounded number of silent waves.  :meth:`admit_prepare` is
+  re-driving unanswered prepares and declaring a participant dead after a
+  bounded number of silent waves.  :meth:`admit_prepare` is
   the participant half — the one guard that makes every protocol's prepare
   handler idempotent under those re-sends.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, whatever the protocol
   declares volatile via :meth:`on_crash`) and replays its durable state on
-  restart via :meth:`on_restart`.  Fail-free runs never touch any of this.
+  restart via :meth:`on_restart`, then sends every peer a :class:`Rejoin`:
+  each fault-mode round waits through :meth:`redrive`, which re-sends to a
+  peer the instant it rejoins.  Fail-free runs never touch any of this.
 
 Protocol subclasses implement ``txn_read`` / ``txn_commit`` / ``preload``
 and register their message handlers in ``__init__``.
@@ -40,12 +42,13 @@ and register their message handlers in ``__init__``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import NodeCrashedError, TransactionStateError
 from repro.common.ids import NodeId, TransactionId, TxnIdGenerator
 from repro.core.metadata import TransactionMeta, TransactionPhase
+from repro.network.message import Message, MessagePriority
 from repro.network.node import NetworkedNode
 from repro.sim.events import Event
 
@@ -54,6 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.transport import Network
     from repro.replication.placement import KeyPlacement
     from repro.sim.engine import Simulation
+
+
+class Rejoin(Message):
+    """A restarted node's announcement to a peer, sent once its durable
+    state is replayed: re-send what I lost (:meth:`ProtocolRuntime.redrive`)."""
+
+    __slots__ = ()
+    priority = MessagePriority.CONTROL
 
 
 class VoteCollector(Event):
@@ -104,6 +115,53 @@ class VoteCollector(Event):
             self.succeed((True, self._votes))
 
 
+class RoundRequests:
+    """The requests of one fault-mode round, one per item, re-sent per peer.
+
+    The reply to a re-sent copy completes its item's original event.  The
+    copy it replaces is retired — a late reply to it is dropped as stale —
+    unless ``keep_stale``: the vote round counts whichever copy is answered
+    first, and retires them all when it ends.
+    """
+
+    __slots__ = ("node", "items", "destinations", "make", "counter", "messages", "events", "stale")
+
+    def __init__(self, node, items, destination_of, make, counter=None, keep_stale=False):
+        self.node = node
+        self.items = items = list(items)
+        self.destinations = [destination_of(item) for item in items] if destination_of else items
+        self.make = make
+        self.counter = counter
+        self.messages = [make(item) for item in items]
+        self.events = [node.request(d, m) for d, m in zip(self.destinations, self.messages)]
+        self.stale = [] if keep_stale else None
+
+    def waiting(self) -> list:
+        """The destinations of the requests still unanswered."""
+        return [d for d, event in zip(self.destinations, self.events) if not event.triggered]
+
+    def resend(self, peers) -> None:
+        """Re-send every unanswered request addressed to one of ``peers``."""
+        node = self.node
+        pending = node._pending_replies
+        if self.counter is not None:
+            node.counters[self.counter] += 1
+        for index, destination in enumerate(self.destinations):
+            event = self.events[index]
+            if destination in peers and not event.triggered:
+                if self.stale is None:
+                    pending.pop(self.messages[index].msg_id, None)
+                else:
+                    self.stale.append(self.messages[index])
+                message = self.messages[index] = self.make(self.items[index])
+                pending[message.msg_id] = event
+                node.send(destination, message)
+
+    def redrive(self, target, done, rejoined=None, limit=None):
+        """:meth:`ProtocolRuntime.redrive` over these requests."""
+        return self.node.redrive(target, self.waiting, self.resend, done, rejoined, limit)
+
+
 class ProtocolRuntime(NetworkedNode):
     """Common runtime of every protocol node (SSS, 2PC, Walter, ROCOCO)."""
 
@@ -130,6 +188,10 @@ class ProtocolRuntime(NetworkedNode):
         # buffering partition can outlive a crash of this node).
         self._preparing: Set[TransactionId] = set()
         self._decided: Set[TransactionId] = set()
+        # Fault mode only — peer -> the wake events of the rounds waiting on
+        # it, in arrival order (see redrive); a round removes its own on wake.
+        self._rejoin_waits: Dict[NodeId, Dict[Event, None]] = defaultdict(dict)
+        self.register_handler(Rejoin, self._on_rejoin)
 
     # ------------------------------------------------------------------
     # Placement helpers
@@ -187,7 +249,8 @@ class ProtocolRuntime(NetworkedNode):
         raise NotImplementedError
 
     def preload(self, keys, initial_value=0) -> None:  # pragma: no cover
-        """Install the initial key space; overridden by each protocol."""
+        """Install version zero of ``keys``, the keys this node replicates
+        (``KeyPlacement.local_keys``); overridden by each protocol."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -260,30 +323,76 @@ class ProtocolRuntime(NetworkedNode):
             for destination in destinations
         ]
 
-    def fastest_of(self, events: Sequence[Event]):
-        """Process generator: wait for the first reply among ``events``.
+    def _traced_round(self, round_fn, trace_txn, trace_name, *args):
+        """Start an RPC-round generator, in an ``rpc.<trace_name>`` span if traced.
 
-        Returns the winning reply message.  With a single event this is a
-        plain await (no ``AnyOf`` allocation), which keeps the common
-        replication-degree-1 path on the engine's fast path.
+        Untraced (the common case) the round generator itself is returned,
+        adding no delegation frame.  A round that re-sent on a peer's
+        :class:`Rejoin` names the peers in the span's ``rejoined`` arg.
         """
-        if len(events) == 1:
-            reply = yield events[0]
-            return reply
-        yield self.sim.any_of(events)
-        return next(event.value for event in events if event.triggered)
+        tracer = self.sim.tracer
+        if tracer is None or trace_txn is None:
+            return round_fn(*args)
+        return self._span_round(round_fn, args, tracer, trace_txn, f"rpc.{trace_name}")
 
-    def _traced_round(self, inner, tracer, txn_id: TransactionId, name: str):
-        """Wrap an RPC-round generator with an ``rpc.<name>`` trace span.
-
-        Only instantiated when tracing is on *and* the caller attributed the
-        round to a transaction — the untraced path returns the inner
-        generator directly, adding no delegation frame.
-        """
+    def _span_round(self, round_fn, args, tracer, txn_id: TransactionId, name: str):
         start = self.sim.now
-        result = yield from inner
-        tracer.span(name, start, txn=txn_id)
+        rejoined: List[str] = []
+        result = yield from round_fn(*args, rejoined)
+        tracer.span(name, start, txn=txn_id, args={"rejoined": rejoined} if rejoined else None)
         return result
+
+    def redrive(self, target, silent, resend, done=None, rejoined=None, limit=None):
+        """The one wait of every fault-mode round: re-drive it until ``done()``.
+
+        A wave waits for the first of ``target``, the fallback timer and a
+        :class:`Rejoin` from a peer in ``silent()`` (those still awaited),
+        which gets ``resend([peer])`` at once — no silent wave counted, the
+        peer appended to ``rejoined`` — before the wave goes on under a
+        fresh timer.  The ``crash_resubscribe_us`` timer covers what no
+        restart announces (drop-mode partitions, lost replies): unless
+        ``done()``, a silent wave ``resend(silent())`` follows, at most
+        ``limit`` of them; returns their count and the first one's peers.
+        ``done=None`` stops after one wave; ``target=None`` waits on the
+        timer alone; fail-free a wave is exactly ``any_of([target, timer])``.
+        """
+        waits = self._rejoin_waits
+        waves, first_silent = 0, []
+        while True:
+            timer = self.sim.timeout(self.config.timeouts.crash_resubscribe_us)
+            wake = timer if target is None else self.sim.any_of([target, timer])
+            if not self._fault_mode:
+                yield wake
+                return waves, first_silent
+            # The registry holds the wave's own wake event, and only while it
+            # waits: a shared event would keep every round's callbacks alive.
+            peers = silent()
+            for peer in peers:
+                waits[peer][wake] = None
+            try:
+                woken = yield wake
+            finally:
+                for peer in peers:
+                    waits[peer].pop(wake, None)
+            fired = target is not None and target.triggered
+            if isinstance(woken, Rejoin) and not fired:
+                resend([woken.sender])
+                if rejoined is not None:
+                    rejoined.append(str(woken.sender))
+                continue
+            if fired or done is None or done() or waves == limit:
+                return waves, first_silent
+            waves += 1
+            peers = silent()
+            if waves == 1:
+                first_silent = peers
+            resend(peers)
+
+    def _on_rejoin(self, message: Rejoin) -> None:
+        """A peer restarted: wake every wave waiting on it (see :meth:`redrive`)."""
+        for wake in self._rejoin_waits.get(message.sender, ()):
+            if not wake.triggered:
+                wake.succeed(message)
 
     def fastest_round(self, destinations, make_message, trace_txn=None, trace_name="read"):
         """RPC-round generator: fastest-answer fan-out with fault-mode retries.
@@ -291,47 +400,35 @@ class ProtocolRuntime(NetworkedNode):
         Sends ``make_message(destination)`` to every destination and returns
         ``(reply, events)`` — the fastest answer plus the reply events of the
         wave that produced it (callers inspect the losing events for
-        cleanup).  Fail-free this is exactly ``request_each`` +
-        :meth:`fastest_of`, allocation for allocation.  In fault mode a wave
-        left unanswered for ``crash_resubscribe_us`` — every contacted
-        replica crashed, the rf=1 read-wave stall — is re-sent until some
-        replica answers after its restart; read handlers are naturally
-        idempotent, and a crash of *this* node fails the wave's events and
-        propagates to the waiting client like any in-flight RPC.
+        cleanup).  Fail-free this is one wave of :meth:`request_each`, awaited
+        without an ``AnyOf`` when it has one event.  In fault mode a wave
+        nobody answers — every contacted replica crashed, the rf=1
+        read-wave stall — is re-driven (:meth:`redrive`) until some replica
+        answers after its restart; read handlers are naturally idempotent,
+        and a crash of *this* node fails the wave's events and propagates to
+        the waiting client like any in-flight RPC.
 
         ``trace_txn`` attributes the round to a transaction's trace as an
         ``rpc.<trace_name>`` span (no effect when tracing is off); the same
         pair works on every round helper below.
         """
-        inner = self._fastest_round(destinations, make_message)
-        tracer = self.sim.tracer
-        if tracer is None or trace_txn is None:
-            return inner
-        return self._traced_round(inner, tracer, trace_txn, f"rpc.{trace_name}")
+        return self._traced_round(
+            self._fastest_round, trace_txn, trace_name, destinations, make_message
+        )
 
-    def _fastest_round(self, destinations, make_message):
-        destinations = list(destinations)
+    def _fastest_round(self, destinations, make_message, rejoined=None):
         if not self._fault_mode:
             events = self.request_each(destinations, make_message)
-            reply = yield from self.fastest_of(events)
-            return reply, events
-        retry_us = self.config.timeouts.crash_resubscribe_us
-        while True:
-            messages = [make_message(destination) for destination in destinations]
-            events = [
-                self.request(destination, message)
-                for destination, message in zip(destinations, messages)
-            ]
-            target = events[0] if len(events) == 1 else self.sim.any_of(events)
-            yield self.sim.any_of([target, self.sim.timeout(retry_us)])
-            for event in events:
-                if event.triggered and event.ok:
-                    return event.value, events
-            # Unanswered wave: retire the stale correlation entries (late
-            # replies are dropped as stale) and re-send.
-            for message in messages:
-                self._pending_replies.pop(message.msg_id, None)
-            self.counters["read_wave_retries"] += 1
+            if len(events) == 1:  # a plain await: no AnyOf on the rf=1 path
+                reply = yield events[0]
+                return reply, events
+            yield self.sim.any_of(events)
+            return next(event.value for event in events if event.triggered), events
+        requests = RoundRequests(self, destinations, None, make_message, "read_wave_retries")
+        events = requests.events
+        target = events[0] if len(events) == 1 else self.sim.any_of(events)
+        yield from requests.redrive(target, lambda: any(e.triggered for e in events), rejoined)
+        return next(event.value for event in events if event.triggered), events
 
     def vote_round(self, participants, make_message, trace_txn=None):
         """RPC-round generator: a 2PC-style vote round over ``participants``.
@@ -374,49 +471,34 @@ class ProtocolRuntime(NetworkedNode):
         return votes.value if votes.triggered else (False, [])
 
     def _vote_round_retry(self, participants, make_message):
-        """The fault-mode vote round: re-send unanswered prepares on a cadence.
+        """The fault-mode vote round: unanswered prepares are re-driven.
 
-        Prepares left unanswered for ``crash_resubscribe_us`` are re-sent — a
-        briefly-crashed or partitioned participant answers the re-send after
-        recovery, its handler made idempotent by :meth:`admit_prepare` — and
-        a participant still silent after ``prepare_retry_limit`` re-send
-        waves is declared dead: the round fails within ``(limit + 1) *
-        crash_resubscribe_us`` instead of idling out the coarse guard.  A
-        re-send is correlated to the participant's *original* reply event,
-        so whichever copy is answered first counts and a vote that was
-        merely slow is not discarded as stale.  Returns the collector and,
-        for a round that needed a re-send, the ``rpc.prepare`` span args.
+        A participant that restarts gets its prepare again on its
+        :class:`Rejoin`, its handler made idempotent by
+        :meth:`admit_prepare`; prepares the fallback timer finds unanswered
+        are re-sent in a silent wave, and a participant still silent after
+        ``prepare_retry_limit`` such waves is declared dead: the round fails
+        within ``(limit + 1) * crash_resubscribe_us`` instead of idling out
+        the coarse guard.  Returns the collector and, for a round that
+        needed a re-send, the ``rpc.prepare`` span args: ``resends`` and
+        ``silent`` for the silent waves, ``rejoined`` for the Rejoin ones.
         """
-        timeouts = self.config.timeouts
-        messages = [make_message(participant) for participant in participants]
-        events = [self.request(p, message) for p, message in zip(participants, messages)]
-        votes = VoteCollector(self.sim, events)
-        silent: List[str] = []
-        resends = 0
-        while True:
-            yield self.sim.any_of([votes, self.sim.timeout(timeouts.crash_resubscribe_us)])
-            if votes.triggered or resends == timeouts.prepare_retry_limit:
-                break
-            resends += 1
-            self.counters["prepare_retries"] += 1
-            waiting = [(p, event) for p, event in zip(participants, events) if not event.triggered]
-            if resends == 1:
-                silent = [str(p) for p, _event in waiting]
-            for participant, event in waiting:
-                message = make_message(participant)
-                messages.append(message)
-                self._pending_replies[message.msg_id] = event
-                self.send(participant, message)
-        # Retire the correlation entries of every copy that went unanswered.
-        for message in messages:
-            self._pending_replies.pop(message.msg_id, None)
-        if not resends:
-            return votes, None
-        args = {"resends": resends, "silent": silent}
+        requests = RoundRequests(
+            self, participants, None, make_message, "prepare_retries", keep_stale=True
+        )
+        votes = VoteCollector(self.sim, requests.events)
+        rejoined: List[str] = []
+        limit = self.config.timeouts.prepare_retry_limit
+        waves, silent = yield from requests.redrive(votes, lambda: votes.triggered, rejoined, limit)
+        for message in requests.stale + requests.messages:
+            self._pending_replies.pop(message.msg_id, None)  # every unanswered copy
+        args = {"resends": waves, "silent": [str(p) for p in silent]} if waves else {}
+        if rejoined:
+            args["rejoined"] = rejoined
         if not votes.triggered:
             self.counters["prepare_retry_aborts"] += 1
             args["outcome"] = "retry-exhausted"
-        return votes, args
+        return votes, args or None
 
     def admit_prepare(self, message, recorded_vote) -> bool:
         """Fault-mode guard making a prepare handler idempotent under re-sends.
@@ -449,32 +531,26 @@ class ProtocolRuntime(NetworkedNode):
         self.respond(prepare, vote)
 
     def reliable_request(self, destination, make_message, trace_txn=None, trace_name="request"):
-        """RPC generator: one request, re-sent in fault mode until answered.
+        """RPC generator: one request, re-driven in fault mode until answered.
 
         Fail-free this is exactly a plain ``yield self.request(...)``.  In
-        fault mode the request is re-sent every ``crash_resubscribe_us``
-        until a reply arrives — a crashed destination answers after its
-        restart (the handler must be idempotent).  Returns the reply.
+        fault mode the request is re-sent (:meth:`redrive`) until a reply
+        arrives — the handler must be idempotent.  Returns the reply.
         """
-        inner = self._reliable_request(destination, make_message)
-        tracer = self.sim.tracer
-        if tracer is None or trace_txn is None:
-            return inner
-        return self._traced_round(inner, tracer, trace_txn, f"rpc.{trace_name}")
+        return self._traced_round(
+            self._reliable_request, trace_txn, trace_name, destination, make_message
+        )
 
-    def _reliable_request(self, destination, make_message):
+    def _reliable_request(self, destination, make_message, rejoined=None):
         if not self._fault_mode:
             reply = yield self.request(destination, make_message())
             return reply
-        retry_us = self.config.timeouts.crash_resubscribe_us
-        while True:
-            message = make_message()
-            event = self.request(destination, message)
-            yield self.sim.any_of([event, self.sim.timeout(retry_us)])
-            if event.triggered and event.ok:
-                return event.value
-            self._pending_replies.pop(message.msg_id, None)
-            self.counters["round_retries"] += 1
+        requests = RoundRequests(
+            self, (destination,), None, lambda _destination: make_message(), "round_retries"
+        )
+        event = requests.events[0]
+        yield from requests.redrive(event, lambda: event.triggered, rejoined)
+        return event.value
 
     def request_round(
         self, items, destination_of, make_message, trace_txn=None, trace_name="round"
@@ -483,50 +559,30 @@ class ProtocolRuntime(NetworkedNode):
 
         ``destination_of(item)`` routes each item (several items may share a
         destination — ROCOCO's per-key pieces do).  Fail-free this is
-        exactly the historical ``all_of`` wave.  In fault mode, unanswered
-        requests are re-sent every ``crash_resubscribe_us`` — a crashed
-        destination answers after its restart, so handlers of messages sent
-        through this helper must be idempotent.  Returns ``{item: reply}``.
+        exactly the historical ``all_of`` wave.  In fault mode unanswered
+        requests are re-driven (:meth:`redrive`) — a crashed destination
+        answers after its restart, so handlers of messages sent through
+        this helper must be idempotent.  Returns ``{item: reply}``.
         """
-        inner = self._request_round(items, destination_of, make_message)
-        tracer = self.sim.tracer
-        if tracer is None or trace_txn is None:
-            return inner
-        return self._traced_round(inner, tracer, trace_txn, f"rpc.{trace_name}")
+        return self._traced_round(
+            self._request_round, trace_txn, trace_name, items, destination_of, make_message
+        )
 
-    def _request_round(self, items, destination_of, make_message):
-        items = list(items)
+    def _request_round(self, items, destination_of, make_message, rejoined=None):
         if not self._fault_mode:
+            items = list(items)
             events = [
                 self.request(destination_of(item), make_message(item))
                 for item in items
             ]
             yield self.sim.all_of(events)
             return {item: event.value for item, event in zip(items, events)}
-        retry_us = self.config.timeouts.crash_resubscribe_us
-        replies: Dict[object, object] = {}
-        pending = []
-        for item in items:
-            message = make_message(item)
-            pending.append((item, message, self.request(destination_of(item), message)))
-        while True:
-            guard = self.sim.timeout(retry_us)
-            yield self.sim.any_of([self.sim.all_of([event for _i, _m, event in pending]), guard])
-            unanswered = []
-            for item, message, event in pending:
-                if event.triggered and event.ok:
-                    replies[item] = event.value
-                else:
-                    # Retire the stale correlation entry and re-send.
-                    self._pending_replies.pop(message.msg_id, None)
-                    unanswered.append(item)
-            if not unanswered:
-                return replies
-            self.counters["round_retries"] += 1
-            pending = []
-            for item in unanswered:
-                message = make_message(item)
-                pending.append((item, message, self.request(destination_of(item), message)))
+        requests = RoundRequests(self, items, destination_of, make_message, "round_retries")
+        events = requests.events
+        yield from requests.redrive(
+            self.sim.all_of(events), lambda: all(e.triggered for e in events), rejoined
+        )
+        return {item: event.value for item, event in zip(requests.items, events)}
 
     def request_all(self, destinations, make_message, trace_txn=None, trace_name="round"):
         """:meth:`request_round` specialized to one request per destination."""
@@ -596,7 +652,7 @@ class ProtocolRuntime(NetworkedNode):
         self.on_crash()
 
     def restart(self) -> None:
-        """Recover a crashed node: rejoin the network, replay durable state."""
+        """Rejoin the network, replay durable state, announce it (:class:`Rejoin`)."""
         if not self.crashed:
             return
         self.crashed = False
@@ -614,6 +670,9 @@ class ProtocolRuntime(NetworkedNode):
             # Durable-state replay runs synchronously inside on_restart, so
             # this marks its completion point on the node track.
             tracer.instant("node.recovered", node=self.node_id)
+        for peer in range(self.config.n_nodes):
+            if peer != self.node_id:
+                self.send(peer, Rejoin())
 
     def on_crash(self) -> None:
         """Protocol hook: drop volatile state (lock tables, prepare buffers)."""

@@ -21,11 +21,15 @@ The contract this suite pins:
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
+from repro.core.cluster import SSSCluster
 from repro.harness.runner import run_experiment
+from repro.search.genome import ScenarioGenome
+from repro.search.scoring import score_genome
 
 from test_golden_histories import TIE_ORDER_ENGINES as SHARD_ENGINES  # serial and 2 inline shards
 from tests.unit.test_parallel_engine import _digest as run_digest
@@ -115,9 +119,13 @@ class TestSSSUnderFaults:
 
     def test_availability_dips_during_fault_windows(self):
         result = _run("sss", _config(CRASH_RESTART))
-        crash_phase = next(p for p in result.metrics.phases if "crash" in p["label"])
-        first_phase = result.metrics.phases[0]
-        assert first_phase["availability"] == 1.0
+        phases = result.metrics.phases
+        crash_phase = next(p for p in phases if "crash" in p["label"])
+        # Availability is relative to the best phase — since rounds re-send
+        # on the restarted node's Rejoin, the post-restart one — and only the
+        # crash window falls far below it.
+        fail_free = [p["availability"] for p in phases if p is not crash_phase]
+        assert max(fail_free) == 1.0 and min(fail_free) > 0.85
         assert crash_phase["availability"] < 0.5
 
     def test_fault_events_recorded_in_engine_log(self):
@@ -229,6 +237,98 @@ class TestQuiescenceLeakRegression:
             txn for txn in result.cluster.history.aborted if not txn.is_update
         ]
         assert read_only_aborts == []
+
+
+class TestReaderEntriesSurviveACrash:
+    """A reader's snapshot-queue entry outlives a crash of the node holding it.
+
+    The entry holds back every writer its reader read around; the redo
+    replay brings those writers back, and with the entry gone they could
+    externally commit ahead of a reader still in flight.  Seed 59 of the
+    pathological sweep shape did exactly that once a restart re-drove its
+    rounds at once: ``T0.32(wr) -> T2.46(rw) -> T3.43(wr) -> T2.51(rw)``,
+    ``T2.51``'s entry at node 1 lost in the crash.  Entries survive now, and
+    the restart re-validates each at its reader's coordinator, dropping
+    those whose Remove the down window swallowed; the record of removed
+    readers survives too, so a replay does not re-insert theirs.
+    """
+
+    def test_seed_59_crash_keeps_the_four_party_cycle_out(self):
+        results = {
+            name: run_experiment(
+                "sss",
+                ClusterConfig(
+                    n_nodes=4,
+                    n_keys=4,
+                    replication_degree=1,
+                    clients_per_node=3,
+                    seed=59,
+                    faults=FaultPlan.parse(["crash node=1 at=15000 for=9000"]),
+                ),
+                WorkloadConfig(read_only_fraction=0.5, update_txn_keys=2),
+                duration_us=60_000,
+                warmup_us=0,
+                record_history=True,
+                keep_cluster=True,
+                drain_us=40_000,
+                **engine,
+            )
+            for name, engine in SHARD_ENGINES.items()
+        }
+        assert len({run_digest(result) for result in results.values()}) == 1
+        result = results["serial"]
+        assert result.cluster.check_consistency().ok
+        extra = result.metrics.extra
+        assert extra["stalled_clients"] == 0
+        assert extra["quiescence_leaked_writers"] == extra["quiescence_commit_queue"] == 0
+
+    def test_entry_of_a_reader_done_while_down_is_dropped_on_restart(self):
+        cluster = SSSCluster(
+            ClusterConfig(n_nodes=2, n_keys=8, replication_degree=1, clients_per_node=1, seed=5)
+        )
+        for node in cluster.nodes:
+            node.enable_fault_mode()
+        holder = cluster.nodes[1]
+        key = next(k for k in cluster.keys if cluster.placement.primary(k) == 1)
+        session = cluster.session(0)
+
+        def reader():
+            session.begin(read_only=True)
+            yield from session.read(key)
+            yield cluster.sim.timeout(2_000.0 - cluster.sim.now)
+            yield from session.commit()  # its Remove to node 1 is lost
+
+        cluster.spawn(reader(), unit=0)
+        cluster.run(until=1_000.0)
+        entries = holder.store.squeue(key).readers()
+        assert len(entries) == 1
+        holder.crash()
+        cluster.run(until=3_000.0)
+        assert session.last.phase.name == "EXTERNALLY_COMMITTED"
+        assert holder.store.squeue(key).readers() == entries  # survived the crash
+        holder.restart()
+        cluster.run()
+        assert len(holder.store.squeue(key)) == 0
+        assert not holder._reader_keys.get(entries[0].txn_id)
+
+    @pytest.mark.parametrize("name", ["sss-crash-local-readers", "sss-three-faults-seed982"])
+    def test_replayed_entries_of_returned_readers_strand_nobody(self, name):
+        """The two ``sss:stall`` / ``sss:leak`` reproductions of the triage list.
+
+        A restart replays redo records together with the reader entries
+        they propagated, of readers that may already have returned; with a
+        volatile removed-reader record and Removes lost in the down window
+        those entries stranded 8 and 4 clients, 9 and 3 writers parked in
+        pre-commit.  The durable record keeps them out and the restart's
+        re-validation drops the rest.  Both are corpus genomes, so a relapse
+        is a search finding.
+        """
+        path = Path(__file__).resolve().parents[2] / "benchmarks/search_corpus"
+        genome = ScenarioGenome.from_json((path / f"{name}.genome.json").read_text())
+        outcome = score_genome(genome)
+        assert outcome.failures == (), outcome.failure_detail
+        assert outcome.signal["stalled_clients"] == 0
+        assert outcome.signal["quiescence_leaked_writers"] == 0
 
 
 class TestCoordinatorCrashSessionTeardown:

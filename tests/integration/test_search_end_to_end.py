@@ -10,6 +10,10 @@ The expensive guarantees live here:
   round) no longer reproduces: they score clean, a campaign seeded with
   one finds nothing, and they stay in the corpus as regression seeds — a
   relapse would be a *new* ``sss:stall`` fingerprint, no longer triaged.
+* **Crash-forever exemption** — a Walter replica that never restarts
+  cannot converge with its peers, so the scorer drops Walter's
+  replica-convergence check for plans with a crash that has no ``for=``;
+  a crash that restarts and still diverges is a finding.
 * **Planted-regression discovery** — with the PR-6 coordinator-crash
   teardown guard reverted (test-only env flag), a fixed-seed campaign
   rediscovers the historical Walter ``TransactionStateError`` crash from
@@ -28,7 +32,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.walter import WalterNode
 from repro.core.session import PLANTED_REGRESSION_ENV
+from repro.harness.runner import run_experiment
 from repro.search.corpus import Corpus
 from repro.search.driver import SearchSettings, run_search
 from repro.search.genome import ScenarioGenome
@@ -101,7 +107,8 @@ class TestKnownStall:
             assert signal["quiescence_leaked_writers"] == 0
             assert signal["quiescence_commit_queue"] == 0
             # The stall was a ~44 ms commit gap and a ~50 ms p99 against a
-            # 10.5 ms threshold; a lost prepare now costs one 5 ms re-send.
+            # 10.5 ms threshold; a lost prepare now costs the rest of the
+            # down window, re-sent on the participant's Rejoin.
             assert signal["p99_us"] < signal["stall_threshold_us"]
             assert signal["max_commit_gap_us"] < signal["stall_threshold_us"]
 
@@ -127,6 +134,52 @@ class TestKnownStall:
         assert (out_dir / "search-summary.json").is_file()
         # exit 2 = NOT REPRODUCED, what CI's search-smoke now requires of it
         assert replay_bundle(genome_path, out=open(os.devnull, "w")) == 2
+
+
+def _walter_genome(crash_spec: str) -> ScenarioGenome:
+    return ScenarioGenome(
+        protocol="walter",
+        n_nodes=3,
+        n_keys=120,
+        replication_degree=2,
+        clients_per_node=3,
+        seed=1,
+        duration_us=30_000.0,
+        drain_us=30_000.0,
+        fault_specs=(crash_spec,),
+    ).normalize()
+
+
+class TestCrashForeverExemption:
+    def test_crash_forever_scores_no_walter_consistency(self):
+        genome = _walter_genome("crash node=1 at=3750")
+        result = run_experiment(
+            "walter",
+            genome.cluster_config(),
+            genome.workload_config(),
+            duration_us=genome.duration_us,
+            warmup_us=0.0,
+            record_history=True,
+            keep_cluster=True,
+            drain_us=genome.drain_us,
+        )
+        checks = {check.name: check for check in result.cluster.check_contract()}
+        assert not checks["walter-replica-convergence"].ok  # the dead replica lags
+        assert checks["committed-reads"].ok
+        outcome = score_genome(genome)
+        assert "consistency" not in outcome.failures
+        assert outcome.signal["consistency_violations"] == 0
+
+    def test_crash_that_restarts_and_diverges_still_fails(self, monkeypatch):
+        genome = _walter_genome("crash node=1 at=3750 for=2250")
+        assert score_genome(genome).failures == ()
+        # Lose what propagation sent into the down window for good.
+        monkeypatch.setattr(WalterNode, "_retransmit_unacked", lambda self, destinations: None)
+        outcome = score_genome(genome)
+        assert "consistency" in outcome.failures
+        assert all(
+            detail.startswith("walter-replica-convergence") for detail in outcome.failure_detail
+        )
 
 
 class TestPlantedRegression:

@@ -18,10 +18,11 @@ Three contracts:
   guard timer waited out against a silent restarted participant) as the
   dominant critical-path span of every stalled transaction, and these
   tests were written to fail when that stopped being true.  It stopped:
-  the fault-aware ``vote_round`` re-drives the round, so the same genomes
-  now score clean and the slowest commits are one ``rpc.prepare`` round
-  with ``args.resends`` — the artifact under ``docs/traces/`` (see its
-  README) was re-captured to say so.  The test ids are the parent's.
+  the fault-aware ``vote_round`` re-drives the round the instant the
+  restarted participant's ``Rejoin`` arrives, so the same genomes now score
+  clean and the slowest commits are one ``rpc.prepare`` round with
+  ``args.rejoined`` — the artifact under ``docs/traces/`` (see its README)
+  was re-captured to say so.  The test ids are the parent's.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class TestStallDiagnosis:
         the same two genomes: the run is clean, nothing is slower than the
         stall threshold, no transaction's critical path is dominated by a
         guard timeout, and the rounds that lost a prepare to the down
-        window say so on their ``rpc.prepare`` span.
+        window say on their ``rpc.prepare`` span that node 1's ``Rejoin``
+        re-drove them — to node 1 only, with no silent wave.
         """
         assert len(STALL_GENOME_PATHS) == 2
         for path in STALL_GENOME_PATHS:
@@ -184,12 +186,11 @@ class TestStallDiagnosis:
                 event
                 for events in outcome.trace.txns.values()
                 for event in events
-                if event.name == "rpc.prepare" and event.args and event.args.get("resends")
+                if event.name == "rpc.prepare" and event.args
             ]
             assert redriven, f"{path.name}: no prepare round needed a re-send"
             for event in redriven:
-                assert event.args["silent"] == ["1"]
-                assert "outcome" not in event.args  # none gave up
+                assert event.args == {"rejoined": ["1"]}  # no silent wave, none gave up
 
     def test_committed_artifact_matches_the_diagnosis(self):
         """The checked-in trace still says what the README claims it says."""
@@ -199,16 +200,21 @@ class TestStallDiagnosis:
         assert not [event for event in events if event.get("name") == "wait.ambiguous_guard"]
         down = next(e for e in events if e.get("name") == "node.down" and e["ph"] == "b")
         up = next(e for e in events if e.get("name") == "node.down" and e["ph"] == "e")
+        rejoins = [
+            event
+            for event in events
+            if event.get("name") == "msg.send" and event["args"].get("msg") == "Rejoin"
+        ]
+        assert sorted(event["args"]["peer"] for event in rejoins) == [0, 2]
+        assert all(event["ts"] == up["ts"] for event in rejoins)
         redriven = [
             event
             for event in events
-            if event.get("name") == "rpc.prepare"
-            and event["ph"] == "b"
-            and event.get("args", {}).get("resends")
+            if event.get("name") == "rpc.prepare" and event["ph"] == "b" and event.get("args")
         ]
         assert redriven, "committed trace lost its re-driven rpc.prepare rounds"
         for span in redriven:
-            assert span["args"] == {"resends": 1, "silent": ["1"]}
+            assert span["args"] == {"rejoined": ["1"]}
             # Sent into (or just before) the down window, swallowed there.
             assert span["ts"] < up["ts"]
         roots = [
@@ -217,11 +223,11 @@ class TestStallDiagnosis:
             if event["ph"] == "X" and event.get("args", {}).get("dominant") == "rpc.prepare"
         ]
         assert len(roots) == len(redriven)
-        cadence_us = 5_000.0  # TimeoutConfig.crash_resubscribe_us
+        hops_us = 200.0  # a handful of message hops at the default latency
         window_us = up["ts"] - down["ts"]
         for root in roots:
             assert root["args"]["outcome"] == "commit"
-            # One cadence for the re-send, not the 50 ms guard: the whole
-            # transaction fits in the down window plus one cadence.
-            assert cadence_us <= root["args"]["dominant_us"] < cadence_us + 100.0
-            assert root["dur"] < window_us + cadence_us
+            # The re-send follows node 1's Rejoin, not a 5 ms fallback timer:
+            # the round and the whole transaction end a few hops after t=6000us.
+            assert root["args"]["dominant_us"] < window_us + hops_us
+            assert root["ts"] + root["dur"] < up["ts"] + hops_us
