@@ -10,11 +10,17 @@ high-water mark with :mod:`tracemalloc` at two run lengths, ``D`` and
 ``2*D``.
 
 Doubling the run length doubles the transaction count but must *not*
-double the memory: with per-transaction records gone, the high-water mark
-is dominated by the key store (constant in transaction count) plus the
-bounded retained window and sketches.  The sub-linearity assertion
-(``peak(2D) <= SUBLINEAR_FACTOR * peak(D)``) is what fails if anyone
-reintroduces an unbounded per-transaction list anywhere on the hot path.
+double the memory.  What a run holds follows its in-flight work: a
+finished transaction leaves a small outcome record instead of its
+metadata, a decided vote round is released by its crash-guard timer, lock
+and snapshot-queue state exists only while a key has a holder, waiter or
+entry, and the clock pool keeps only clocks something else holds.  So the
+high-water mark is the key store (constant in transaction count), the
+bounded retained window and sketches, and a few hundred bytes per
+transaction in outcome records and per-node bookkeeping.  The
+sub-linearity assertion (``peak(2D) <= SUBLINEAR_FACTOR * peak(D)``) is
+what fails if anyone reintroduces a per-transaction term of any size on
+the hot path.
 
 At the default (full-scale) settings the run satisfies the scale floor
 this figure exists to document: **>= 1M keys** in the store and **>= 100k
@@ -68,10 +74,11 @@ SEED = 2024
 FULL_SCALE_KEYS = 1_000_000
 FULL_SCALE_SESSIONS = 100_000
 
-#: Memory at 2x the transactions may grow by at most this factor.  A
-#: linear (per-transaction) term would push the ratio toward 2.0; the
-#: bounded design keeps it near 1.0 plus allocator noise.
-SUBLINEAR_FACTOR = 1.6
+#: Memory at 2x the transactions may grow by at most this factor: the
+#: measured ratio plus 0.05 (1.046 under the CI knobs on Python 3.11,
+#: 1.047 on 3.12, 1.036 on 3.13).  Retaining every finished transaction's
+#: metadata measured 1.227; a linear term would push the ratio toward 2.0.
+SUBLINEAR_FACTOR = 1.10
 
 
 def at_full_scale() -> bool:

@@ -19,23 +19,8 @@ the simulated substrate:
 
 Every baseline extends the unified protocol layer — the nodes subclass
 :class:`repro.protocols.runtime.ProtocolRuntime`, the clusters subclass
-:class:`repro.protocols.cluster.ProtocolCluster`, and each registers itself
-in :data:`repro.protocols.REGISTRY` — so the benchmark harness treats all
-four protocols uniformly through one registry.
+:class:`repro.protocols.cluster.ProtocolCluster`, and
+:mod:`repro.protocols.registry` names each one's module — so the benchmark
+harness treats all four protocols uniformly through one registry, and a run
+of one protocol imports none of the others.
 """
-
-from repro.baselines.base import BaselineCluster, BaseProtocolNode
-from repro.baselines.rococo import RococoCluster, RococoNode
-from repro.baselines.twopc import TwoPCCluster, TwoPCNode
-from repro.baselines.walter import WalterCluster, WalterNode
-
-__all__ = [
-    "BaseProtocolNode",
-    "BaselineCluster",
-    "RococoCluster",
-    "RococoNode",
-    "TwoPCCluster",
-    "TwoPCNode",
-    "WalterCluster",
-    "WalterNode",
-]

@@ -49,7 +49,6 @@ from repro.consistency.checkers import check_committed_reads, check_serializabil
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.registry import register
 from repro.protocols.runtime import ProtocolRuntime
 from repro.storage.durable_log import PieceRedoLog
 
@@ -788,5 +787,3 @@ class RococoCluster(ProtocolCluster):
         no client may observe a torn or uncommitted write."""
         return [check_serializability(history), check_committed_reads(history)]
 
-
-register("rococo", RococoCluster)

@@ -30,7 +30,6 @@ from repro.common.ids import TransactionId
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.registry import register
 from repro.protocols.runtime import ProtocolRuntime
 from repro.storage.locks import LockTable
 
@@ -401,5 +400,3 @@ class TwoPCCluster(ProtocolCluster):
     node_class = TwoPCNode
     protocol_name = "2pc"
 
-
-register("2pc", TwoPCCluster)

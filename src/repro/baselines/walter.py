@@ -50,7 +50,6 @@ from repro.core.messages import vc_wire_size
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.registry import register
 from repro.protocols.runtime import ProtocolRuntime
 from repro.storage.durable_log import DecisionLog, PropagationLog
 from repro.storage.locks import LockTable
@@ -788,5 +787,3 @@ def replica_convergence(replica_versions: Dict[object, Dict[int, set]]) -> Check
         checked_transactions=len(replica_versions),
     )
 
-
-register("walter", WalterCluster)

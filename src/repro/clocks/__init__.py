@@ -7,8 +7,3 @@ entry-wise algebra used throughout the paper's pseudo-code (entry-wise max,
 :mod:`repro.clocks.compression` implements the delta-based wire compression
 the paper mentions as the mitigation for metadata overhead.
 """
-
-from repro.clocks.compression import VCCodec
-from repro.clocks.vector_clock import VectorClock
-
-__all__ = ["VCCodec", "VectorClock"]

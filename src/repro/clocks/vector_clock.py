@@ -18,18 +18,21 @@ dictionary keys by the storage layer, and sharing mutable clocks between the
 coordinator and participants of a 2PC round would be a correctness hazard.
 
 Sharing is what makes immutability cheap: clocks produced by the internal
-constructors are *interned* in a bounded pool keyed by their entry tuple, so
-the same logical clock — a commit clock merged at every replica, a node clock
+constructors are *interned* in a pool keyed by their entry tuple, so the
+same logical clock — a commit clock merged at every replica, a node clock
 echoed in every vote — is one object cluster-wide.  Interned clocks make the
 identity fast paths of ``merge``/``__eq__``/``VCCodec.encode`` hit on the
 dominant no-change case, and their cached hash is computed once per *value*
-instead of once per copy.
+instead of once per copy.  The pool holds its clocks by weak reference: a
+clock is shared while something else holds it and released with its last
+holder, so the pool follows the clocks a run keeps, not the ones it made.
 """
 
 from __future__ import annotations
 
 from operator import ge as _ge, le as _le
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from weakref import WeakValueDictionary
 
 
 class VectorClock:
@@ -46,14 +49,11 @@ class VectorClock:
     downstream identity checks short-circuit.
     """
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries", "_hash", "__weakref__")
 
-    # Interning pool: entry tuple -> canonical instance.  Bounded so a long
-    # simulation cannot grow it without limit; when full it is simply
-    # cleared (the pool is a cache, identity is an optimization — equality
-    # semantics never depend on it).
-    _pool: Dict[Tuple[int, ...], "VectorClock"] = {}
-    _POOL_MAX = 1 << 16
+    # Interning pool: entry tuple -> canonical live instance (identity is an
+    # optimization — equality semantics never depend on it).
+    _pool: "WeakValueDictionary[Tuple[int, ...], VectorClock]" = WeakValueDictionary()
     _zeros: Dict[int, "VectorClock"] = {}
 
     def __init__(self, entries: Iterable[int]):
@@ -78,8 +78,6 @@ class VectorClock:
         pool = cls._pool
         clock = pool.get(entries_tuple)
         if clock is None:
-            if len(pool) >= cls._POOL_MAX:
-                pool.clear()
             clock = cls._wrap(entries_tuple)
             pool[entries_tuple] = clock
         return clock
@@ -90,8 +88,6 @@ class VectorClock:
         pool = cls._pool
         canonical = pool.get(clock._entries)
         if canonical is None:
-            if len(pool) >= cls._POOL_MAX:
-                pool.clear()
             pool[clock._entries] = clock
             return clock
         return canonical

@@ -4,37 +4,3 @@ The :mod:`repro.common` package contains small building blocks used by every
 other subsystem of the reproduction: the exception hierarchy, configuration
 dataclasses describing a cluster and a workload, and identifier helpers.
 """
-
-from repro.common.config import (
-    ClusterConfig,
-    NetworkConfig,
-    ServiceTimeConfig,
-    TimeoutConfig,
-    WorkloadConfig,
-)
-from repro.common.errors import (
-    AbortError,
-    ConfigurationError,
-    LockTimeoutError,
-    ReproError,
-    TransactionStateError,
-    ValidationFailure,
-)
-from repro.common.ids import NodeId, TransactionId, TxnIdGenerator
-
-__all__ = [
-    "AbortError",
-    "ClusterConfig",
-    "ConfigurationError",
-    "LockTimeoutError",
-    "NetworkConfig",
-    "NodeId",
-    "ReproError",
-    "ServiceTimeConfig",
-    "TimeoutConfig",
-    "TransactionId",
-    "TransactionStateError",
-    "TxnIdGenerator",
-    "ValidationFailure",
-    "WorkloadConfig",
-]

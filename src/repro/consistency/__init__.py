@@ -19,33 +19,3 @@ by the simulated clusters:
   discarded so memory stays bounded (the post-hoc checkers above remain
   the golden oracle).
 """
-
-from repro.consistency.checkers import (
-    CheckResult,
-    check_committed_reads,
-    check_external_consistency,
-    check_serializability,
-    check_snapshot_reads,
-)
-from repro.consistency.dsg import DependencyEdge, build_dsg
-from repro.consistency.history import CommittedTransaction, HistoryRecorder
-from repro.consistency.window import (
-    WindowedConsistencyChecker,
-    WindowedHistoryRecorder,
-    default_retention_us,
-)
-
-__all__ = [
-    "CheckResult",
-    "CommittedTransaction",
-    "DependencyEdge",
-    "HistoryRecorder",
-    "WindowedConsistencyChecker",
-    "WindowedHistoryRecorder",
-    "build_dsg",
-    "check_committed_reads",
-    "check_external_consistency",
-    "check_serializability",
-    "check_snapshot_reads",
-    "default_retention_us",
-]

@@ -17,10 +17,3 @@ substrate:
 * :mod:`repro.core.cluster` — :class:`SSSCluster`, the public facade that
   assembles a simulated cluster and runs transactions against it.
 """
-
-from repro.core.cluster import SSSCluster
-from repro.core.metadata import TransactionMeta, TransactionPhase
-from repro.core.node import SSSNode
-from repro.core.session import Session
-
-__all__ = ["SSSCluster", "SSSNode", "Session", "TransactionMeta", "TransactionPhase"]

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from repro.common.config import ClusterConfig
 from repro.core.node import SSSNode
 from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.registry import register
 
 
 class SSSCluster(ProtocolCluster):
@@ -46,5 +45,3 @@ class SSSCluster(ProtocolCluster):
     def node(self, node_id: int) -> SSSNode:
         return self.nodes[node_id]
 
-
-register("sss", SSSCluster)

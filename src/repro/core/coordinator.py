@@ -41,7 +41,6 @@ from repro.core.metadata import (
     TransactionMeta,
     TransactionPhase,
 )
-from repro.protocols.runtime import VoteCollector  # noqa: F401 - re-export
 from repro.sim.events import Event
 
 
@@ -205,6 +204,7 @@ class CoordinatorMixin:
         meta.abort_reason = "client-abort"
         meta.abort_time = self.sim.now
         self.counters["client_aborts"] += 1
+        self._retire(meta)
 
     # ------------------------------------------------------------------
     # Commit — Algorithm 1
@@ -384,6 +384,7 @@ class CoordinatorMixin:
         meta.abort_reason = READONLY_RESTART_REASON
         meta.abort_time = self.sim.now
         self.counters["readonly_restarts"] += 1
+        self._retire(meta)
 
     def _commit_read_only(self, meta: TransactionMeta) -> bool:
         """Lines 2-8: read-only transactions return immediately, then Remove."""

@@ -181,3 +181,31 @@ class TransactionMeta:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "U" if self.is_update else "RO"
         return f"<Txn {self.txn_id} {kind} {self.phase.value}>"
+
+
+class TransactionOutcome:
+    """What a finished transaction leaves at its coordinator.
+
+    Its :class:`TransactionMeta` — read and write sets, ``hasRead``, clocks —
+    is released when it finishes; status replies and external-commit
+    notifications about it need only this.  The commit clock and the
+    propagated entries are kept for a transaction that passed its vote round
+    (``internal_commit_time`` set), the only one whose status reply
+    carries them.
+    """
+
+    __slots__ = (
+        "phase",
+        "internal_commit_time",
+        "external_commit_time",
+        "commit_vc",
+        "propagated_set",
+    )
+
+    def __init__(self, meta: TransactionMeta):
+        self.phase = meta.phase
+        self.internal_commit_time = meta.internal_commit_time
+        self.external_commit_time = meta.external_commit_time
+        decided = meta.internal_commit_time is not None
+        self.commit_vc = meta.commit_vc if decided else None
+        self.propagated_set = meta.propagated_set if decided and meta.propagated_set else ()

@@ -740,7 +740,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         transaction aborted before a decision (or is unknown: presumed
         abort), and *undecided* otherwise.
         """
-        meta = self.coordinated.get(message.txn_id)
+        meta = self.txn_state(message.txn_id)
         if meta is None:
             self.respond(
                 message,
@@ -1243,7 +1243,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         ``None`` for transactions that never answered a client (aborts and
         crash teardowns): they impose no real-time order on readers.
         """
-        meta = self.coordinated.get(txn_id)
+        meta = self.txn_state(txn_id)
         if meta is None or meta.phase is not TransactionPhase.EXTERNALLY_COMMITTED:
             return None
         return meta.external_commit_time

@@ -2,18 +2,14 @@
 
 The registry itself lives in :mod:`repro.protocols.registry` — one
 name -> cluster-factory map shared by the harness, the benchmarks and the
-examples (it used to be split between ``baselines.PROTOCOL_CLUSTERS`` and a
-harness-side dict that special-cased ``"sss"``).  This module re-exports it
-under the historical names so existing imports keep working.
+examples.  This module names it under the harness's historical names.
 """
 
 from __future__ import annotations
 
-from repro.protocols.registry import REGISTRY, build_cluster, ensure_registry
-
-ensure_registry()
+from repro.protocols.registry import REGISTRY, build_cluster
 
 PROTOCOLS = REGISTRY
-"""Protocol name -> cluster facade class (alias of ``repro.protocols.REGISTRY``)."""
+"""Protocol name -> cluster facade class (``repro.protocols.registry.REGISTRY``)."""
 
 __all__ = ["PROTOCOLS", "build_cluster"]

@@ -31,23 +31,24 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
-from repro.consistency.history import HistoryRecorder
 from repro.harness.cluster import PROTOCOLS, build_cluster
 from repro.harness.metrics import ExperimentMetrics, compute_timeseries
-from repro.harness.streaming import StreamingAccumulator
 from repro.network.transport import NetworkStats
 from repro.protocols.cluster import MergedClusterView
 from repro.sim.shard import safe_lookahead, shard_node_ids
 from repro.trace.spec import TraceSpec
-from repro.workload.openloop import OpenLoopStats, aggregate_open_loop, install_open_loop
 from repro.workload.profiles import WorkloadGenerator
 from repro.workload.ycsb import ClientStats, closed_loop_client
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.consistency.history import HistoryRecorder
+    from repro.harness.streaming import StreamingAccumulator
+    from repro.workload.openloop import OpenLoopStats
 
 
 @dataclass
@@ -145,6 +146,8 @@ class Shard:
         self.tracer = cluster.attach_tracer(spec.trace)
         self.sink: Optional[StreamingAccumulator] = None
         if spec.streaming_metrics:
+            from repro.harness.streaming import StreamingAccumulator
+
             # Open loop keeps its windowed time series; closed loop streams
             # the run-wide sketches and online phase counters only
             # (window_us=0), matching the exact closed-loop path, which
@@ -158,6 +161,8 @@ class Shard:
         self.sessions = []
         self.sources = []
         if config.traffic:
+            from repro.workload.openloop import install_open_loop
+
             # Open loop: the traffic plan's arrival sources drive the run;
             # closed-loop clients (and clients_per_node) do not apply.
             self.sources = install_open_loop(
@@ -416,6 +421,8 @@ def _merged_view(spec: ExperimentSpec, reports: Sequence[ShardReport]) -> Merged
     history = None
     replica_versions: Dict[object, Dict[int, set]] = {}
     if spec.record_history:
+        from repro.consistency.history import HistoryRecorder
+
         history = HistoryRecorder.merge([report.history for report in reports])
         for report in reports:
             for key, held in report.replica_versions.items():
@@ -461,6 +468,8 @@ def _merge_reports(
     sorted_shed: List[float] = []
     sources = [stats for report in reports for stats in report.open_loop]
     if sources:
+        from repro.workload.openloop import aggregate_open_loop
+
         open_loop_extra, all_stats = aggregate_open_loop(sources, measured)
         extra.update(open_loop_extra)
         if sink is None:
@@ -509,12 +518,9 @@ def _merge_reports(
     extra.update(barrier_extra)
     trace_result = None
     if spec.trace is not None:
-        from repro.trace import (
-            analyze_trace,
-            attribution_extra,
-            merge_trace_payloads,
-            write_chrome_trace,
-        )
+        from repro.trace.analysis import analyze_trace, attribution_extra
+        from repro.trace.export import write_chrome_trace
+        from repro.trace.recorder import merge_trace_payloads
 
         trace_result = merge_trace_payloads(
             spec.trace, [report.trace_payload for report in reports]
@@ -727,6 +733,8 @@ def run_points(
     max_workers = min(max_workers, len(points)) or 1
     if max_workers <= 1 or len(points) <= 1:
         return [_run_point_worker(point) for point in points]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(_run_point_worker, points))
 

@@ -17,24 +17,3 @@ This package reproduces that substrate on top of :mod:`repro.sim`:
   prioritized inbound queues, a CPU dispatcher charging per-message service
   time, handler registration, and RPC-style request/response helpers.
 """
-
-from repro.network.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    UniformLatency,
-)
-from repro.network.message import Message, MessagePriority
-from repro.network.node import NetworkedNode
-from repro.network.transport import Network
-
-__all__ = [
-    "ConstantLatency",
-    "LatencyModel",
-    "LogNormalLatency",
-    "Message",
-    "MessagePriority",
-    "Network",
-    "NetworkedNode",
-    "UniformLatency",
-]

@@ -11,30 +11,17 @@ competitors it is evaluated against) share:
   cluster facade (sessions, client processes, history, consistency checks,
   fault-plan installation).
 * :mod:`repro.protocols.registry` — the single name -> cluster-factory
-  :data:`REGISTRY` used by the harness, the benchmarks and the examples.
+  :data:`~repro.protocols.registry.REGISTRY` used by the harness, the
+  benchmarks and the examples; :func:`build_cluster` imports the module of
+  the protocol it builds and no other.
 * :mod:`repro.protocols.faults` — binds a declarative
   :class:`~repro.common.config.FaultPlan` to a running cluster.
 """
 
-from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.faults import install_fault_plan
-from repro.protocols.registry import (
-    REGISTRY,
-    build_cluster,
-    ensure_registry,
-    protocol_names,
-    register,
-)
-from repro.protocols.runtime import ProtocolRuntime, VoteCollector
+from repro import lazy_exports
 
-__all__ = [
-    "REGISTRY",
-    "ProtocolCluster",
-    "ProtocolRuntime",
-    "VoteCollector",
-    "build_cluster",
-    "ensure_registry",
-    "install_fault_plan",
-    "protocol_names",
-    "register",
-]
+_EXPORTS = {
+    "build_cluster": "repro.protocols.registry",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

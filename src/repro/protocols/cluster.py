@@ -29,23 +29,17 @@ crash/partition/slow-link events are scheduled on the engine (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
-from repro.consistency.checkers import CheckResult, check_external_consistency
-from repro.consistency.history import HistoryRecorder
-from repro.consistency.window import (
-    WindowedConsistencyChecker,
-    WindowedHistoryRecorder,
-    default_retention_us,
-)
 from repro.core.session import Session
 from repro.network.transport import Network
-from repro.protocols.faults import install_fault_plan
 from repro.replication.placement import KeyPlacement
 from repro.sim.engine import Simulation
-from repro.sim.shard import EngineTagSequencer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.consistency.checkers import CheckResult
 
 
 class ProtocolCluster:
@@ -99,23 +93,9 @@ class ProtocolCluster:
             replication_degree=self.config.replication_degree,
             keys=self.keys,
         )
-        if record_history == "windowed":
-            self.history = WindowedHistoryRecorder(
-                checker=WindowedConsistencyChecker(
-                    retention_us=default_retention_us(self.config.timeouts)
-                )
-            )
-        elif isinstance(record_history, (HistoryRecorder, WindowedHistoryRecorder)):
-            self.history = record_history
-        elif isinstance(record_history, str):
-            raise ConfigurationError(
-                f"unknown record_history mode {record_history!r}; "
-                "expected True/False/'windowed' or a recorder instance"
-            )
-        else:
-            self.history = HistoryRecorder() if record_history else None
-        if isinstance(self.history, HistoryRecorder):
-            self.history.tags = EngineTagSequencer(self.sim)
+        self.history = None
+        if record_history:
+            self.history = _history_recorder(record_history, self.config, self.sim)
         if owned_node_ids is None:
             self.owned_node_ids: List[int] = list(range(self.config.n_nodes))
         else:
@@ -147,8 +127,10 @@ class ProtocolCluster:
                 self.sim.set_unit(prev)
         self.local_nodes: List[object] = [self.nodes[node_id] for node_id in self.owned_node_ids]
         self._session_counter: Dict[int, int] = {}
-        # Fault plane: schedule the declarative plan (no-op when empty).
-        install_fault_plan(self, self.config.faults)
+        if self.config.faults:
+            from repro.protocols.faults import install_fault_plan
+
+            install_fault_plan(self, self.config.faults)
         self.sim.set_unit(0)
 
     # ------------------------------------------------------------------
@@ -200,13 +182,14 @@ class ProtocolCluster:
         the run starts.  The recorder is passive — attaching it never
         changes histories or metrics (see ``docs/OBSERVABILITY.md``).
         """
-        from repro.trace.recorder import TraceRecorder
         from repro.trace.spec import TraceSpec
 
         resolved = TraceSpec.coerce(spec)
         if resolved is None:
             self.sim.tracer = None
             return None
+        from repro.trace.recorder import TraceRecorder
+
         recorder = TraceRecorder(self.sim, resolved)
         self.sim.tracer = recorder
         return recorder
@@ -266,8 +249,37 @@ class ProtocolCluster:
         )
 
 
+def _history_recorder(record_history, config: ClusterConfig, sim: Simulation):
+    """The recorder a truthy ``record_history`` selects (see ``ProtocolCluster``)."""
+    from repro.consistency.history import HistoryRecorder
+    from repro.consistency.window import (
+        WindowedConsistencyChecker,
+        WindowedHistoryRecorder,
+        default_retention_us,
+    )
+    from repro.sim.shard import EngineTagSequencer
+
+    if record_history == "windowed":
+        return WindowedHistoryRecorder(
+            checker=WindowedConsistencyChecker(retention_us=default_retention_us(config.timeouts))
+        )
+    if isinstance(record_history, WindowedHistoryRecorder):
+        return record_history
+    if isinstance(record_history, str):
+        raise ConfigurationError(
+            f"unknown record_history mode {record_history!r}; "
+            "expected True/False/'windowed' or a recorder instance"
+        )
+    history = record_history if isinstance(record_history, HistoryRecorder) else HistoryRecorder()
+    history.tags = EngineTagSequencer(sim)
+    return history
+
+
 def external_consistency(history) -> CheckResult:
     """The external-consistency verdict of ``history``, whichever recorder kept it."""
+    from repro.consistency.checkers import check_external_consistency
+    from repro.consistency.window import WindowedHistoryRecorder
+
     if history is None:
         raise ConfigurationError("history recording is disabled for this cluster")
     if isinstance(history, WindowedHistoryRecorder):

@@ -1,55 +1,52 @@
 """The single protocol registry.
 
-Every protocol in the repository registers its cluster facade here under
-its experiment name (``"sss"``, ``"2pc"``, ``"walter"``, ``"rococo"``); the
-harness, the benchmarks, and the examples all build clusters through
-:func:`build_cluster`, so there is exactly one name -> factory mapping in
-the codebase (this used to be split between ``baselines.PROTOCOL_CLUSTERS``
-and a harness-side dict that special-cased ``"sss"``).
-
-Registration happens at module-definition time: each protocol module calls
-:func:`register` next to its cluster class.  :func:`ensure_registry`
-imports the built-in protocol modules so the registry is populated no
-matter which entry point the process started from.
+Every protocol in the repository is built by its experiment name
+(``"sss"``, ``"2pc"``, ``"walter"``, ``"rococo"``) through
+:func:`build_cluster`; the harness, the benchmarks and the examples all go
+through it, so there is exactly one name -> cluster-facade mapping in the
+codebase.  The registry names the module defining each facade and imports
+it on first lookup, so building one protocol imports none of the others.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Mapping
+from importlib import import_module
+from typing import List, Optional, Sequence
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
 
-REGISTRY: Dict[str, type] = {}
+#: Protocol name -> (module, cluster facade class name).
+_CLUSTERS = {
+    "sss": ("repro.core.cluster", "SSSCluster"),
+    "2pc": ("repro.baselines.twopc", "TwoPCCluster"),
+    "walter": ("repro.baselines.walter", "WalterCluster"),
+    "rococo": ("repro.baselines.rococo", "RococoCluster"),
+}
+
+
+class _Registry(Mapping):
+    """Protocol name -> cluster facade class, its module imported on lookup."""
+
+    def __getitem__(self, name: str) -> type:
+        module, cluster_class = _CLUSTERS[name]
+        return getattr(import_module(module), cluster_class)
+
+    def __iter__(self):
+        return iter(_CLUSTERS)
+
+    def __len__(self) -> int:
+        return len(_CLUSTERS)
+
+
+REGISTRY = _Registry()
 """Protocol name -> cluster facade class (one registry for the whole repo)."""
-
-
-def register(name: str, cluster_class: type) -> type:
-    """Register ``cluster_class`` under ``name``; returns the class.
-
-    Re-registering the same class under the same name is a no-op (modules
-    may be re-imported); registering a *different* class under a taken name
-    is a configuration error.
-    """
-    existing = REGISTRY.get(name)
-    if existing is not None and existing is not cluster_class:
-        raise ConfigurationError(f"protocol {name!r} already registered to {existing.__name__}")
-    REGISTRY[name] = cluster_class
-    return cluster_class
-
-
-def ensure_registry() -> Dict[str, type]:
-    """Import the built-in protocol modules; returns the populated registry."""
-    # Imported for their registration side effects.
-    import repro.baselines  # noqa: F401
-    import repro.core.cluster  # noqa: F401
-
-    return REGISTRY
 
 
 def protocol_names() -> List[str]:
     """Sorted names of every registered protocol."""
-    return sorted(ensure_registry())
+    return sorted(REGISTRY)
 
 
 def build_cluster(
@@ -66,11 +63,8 @@ def build_cluster(
     throughput measurements); tests and examples pass
     ``record_history=True``.
     """
-    ensure_registry()
-    try:
-        cluster_class = REGISTRY[protocol]
-    except KeyError:
+    if protocol not in _CLUSTERS:
         raise ConfigurationError(
-            f"unknown protocol {protocol!r}; expected one of {sorted(REGISTRY)}"
-        ) from None
-    return cluster_class(config=config, keys=keys, record_history=record_history, **kwargs)
+            f"unknown protocol {protocol!r}; expected one of {protocol_names()}"
+        )
+    return REGISTRY[protocol](config=config, keys=keys, record_history=record_history, **kwargs)

@@ -16,7 +16,10 @@ every protocol node (SSS and the three competitors) extends:
   ``txn_abort`` plus the ``_finish_commit`` / ``_finish_abort`` outcome
   transitions shared by every coordinator, all operating on
   :class:`~repro.core.metadata.TransactionMeta` (the per-transaction state
-  machine) and feeding the optional history recorder.
+  machine) and feeding the optional history recorder.  ``coordinated``
+  holds the metadata of the transactions in flight (and of those a crash
+  tore down); a finished one leaves only its
+  :class:`~repro.core.metadata.TransactionOutcome` in ``outcomes``.
 * **Replica fan-out** — :meth:`request_each` (one request per destination)
   and :meth:`fastest_round` (fastest-answer selection over a reply wave),
   the pattern behind every multi-replica read.
@@ -47,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.common.config import ClusterConfig
 from repro.common.errors import NodeCrashedError, TransactionStateError
 from repro.common.ids import NodeId, TransactionId, TxnIdGenerator
-from repro.core.metadata import TransactionMeta, TransactionPhase
+from repro.core.metadata import TransactionMeta, TransactionOutcome, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.network.node import NetworkedNode
 from repro.sim.events import Event
@@ -180,6 +183,7 @@ class ProtocolRuntime(NetworkedNode):
         self.history = history
         self._txn_ids = TxnIdGenerator(node_id)
         self.coordinated: Dict[TransactionId, TransactionMeta] = {}
+        self.outcomes: Dict[TransactionId, TransactionOutcome] = {}
         self.counters = defaultdict(int)
         # Fault mode only — participant-side idempotence of re-sent prepares
         # (see admit_prepare): prepares whose handler is still running
@@ -241,6 +245,7 @@ class ProtocolRuntime(NetworkedNode):
         meta.abort_reason = "client-abort"
         meta.abort_time = self.sim.now
         self.counters["client_aborts"] += 1
+        self._retire(meta)
 
     def txn_read(self, meta: TransactionMeta, key: object):  # pragma: no cover
         raise NotImplementedError
@@ -266,6 +271,7 @@ class ProtocolRuntime(NetworkedNode):
             self.history.record_commit(meta)
         if self.sim.tracer is not None:
             self._trace_txn_end(meta, "commit")
+        self._retire(meta)
         return True
 
     def _finish_abort(self, meta: TransactionMeta, reason: str, counter: str = "aborts") -> bool:
@@ -277,7 +283,25 @@ class ProtocolRuntime(NetworkedNode):
             self.history.record_abort(meta)
         if self.sim.tracer is not None:
             self._trace_txn_end(meta, f"abort:{reason}")
+        self._retire(meta)
         return False
+
+    def _retire(self, meta: TransactionMeta) -> None:
+        """Swap a finished transaction's metadata for its outcome record.
+
+        A transaction a crash tore down keeps its metadata until the restart
+        has recovered it (``crash_phase`` cleared): the recovery reads its
+        read and write sets.
+        """
+        if meta.crash_phase is None:
+            self.coordinated.pop(meta.txn_id, None)
+            self.outcomes[meta.txn_id] = TransactionOutcome(meta)
+
+    def txn_state(self, txn_id: TransactionId):
+        """The metadata of a transaction this node coordinates, the outcome
+        record it left if it finished, or ``None`` if this node never began it."""
+        meta = self.coordinated.get(txn_id)
+        return meta if meta is not None else self.outcomes.get(txn_id)
 
     def _trace_txn_end(self, meta: TransactionMeta, outcome: str) -> None:
         """Record the transaction's end plus its phase timeline (trace plane).

@@ -5,7 +5,3 @@ shared key can be stored in one or more nodes, depending upon the chosen
 replication degree" and assumes "a local look-up function that matches keys
 with nodes".  This package implements that look-up function.
 """
-
-from repro.replication.placement import KeyPlacement, hash_placement
-
-__all__ = ["KeyPlacement", "hash_placement"]

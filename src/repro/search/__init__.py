@@ -27,19 +27,3 @@ Everything is deterministic given ``--search-seed``: genomes carry their
 simulation seeds, the driver's randomness comes from one
 ``random.Random``, and scoring never consults wall-clock state.
 """
-
-from repro.search.corpus import Corpus, CorpusEntry
-from repro.search.genome import ScenarioGenome
-from repro.search.minimize import minimize_genome
-from repro.search.mutators import MUTATORS, mutate
-from repro.search.scoring import score_genome
-
-__all__ = [
-    "Corpus",
-    "CorpusEntry",
-    "MUTATORS",
-    "ScenarioGenome",
-    "minimize_genome",
-    "mutate",
-    "score_genome",
-]

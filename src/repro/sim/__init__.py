@@ -18,23 +18,3 @@ provides a small but complete discrete-event simulation (DES) kernel:
 The engine is deterministic: given the same seed and the same sequence of
 process creations, two runs produce identical event orderings.
 """
-
-from repro.sim.engine import Simulation
-from repro.sim.events import AllOf, AnyOf, Condition, Event, Signal, Timeout
-from repro.sim.process import Process, ProcessKilled
-from repro.sim.resources import SimLock
-from repro.sim.rng import RngRegistry
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Event",
-    "Process",
-    "ProcessKilled",
-    "RngRegistry",
-    "Signal",
-    "SimLock",
-    "Simulation",
-    "Timeout",
-]

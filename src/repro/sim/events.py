@@ -161,7 +161,10 @@ class AnyOf(Event):
     """Composite event that fires when *any* child event fires.
 
     The value is a dict mapping the already-triggered child events to their
-    values at the time the composite fired.
+    values at the time the composite fired.  Firing detaches the composite
+    from the children still pending: a long crash-guard timer would
+    otherwise keep every decided round it ever guarded alive until it
+    expires, and schedule a dispatch of callbacks with nothing left to do.
     """
 
     __slots__ = ("events",)
@@ -177,6 +180,10 @@ class AnyOf(Event):
     def _on_child(self, _child: Event) -> None:
         if self._value is not _PENDING or self._exception is not None:
             return
+        callback = self._on_child
+        for event in self.events:
+            if event._value is _PENDING and event._exception is None:
+                event.callbacks.remove(callback)
         if _child._exception is not None:
             self.fail(_child._exception)
             return

@@ -24,38 +24,3 @@ Everything one node keeps on its data plane lives here:
   :class:`~repro.storage.durable_log.DecisionLog`), generalizing the SSS
   :class:`~repro.storage.commit_queue.ParticipantRedoLog` to the baselines.
 """
-
-from repro.storage.commit_queue import CommitQueue, CommitQueueEntry
-from repro.storage.durable_log import (
-    DecisionLog,
-    DecisionRecord,
-    PieceRecord,
-    PieceRedoLog,
-    PropagationLog,
-    PropagationRecord,
-)
-from repro.storage.locks import LockMode, LockTable
-from repro.storage.mvstore import MultiVersionStore
-from repro.storage.nlog import NLog, NLogEntry
-from repro.storage.snapshot_queue import SnapshotQueue, SQueueEntry
-from repro.storage.version import Version, VersionChain
-
-__all__ = [
-    "CommitQueue",
-    "CommitQueueEntry",
-    "DecisionLog",
-    "DecisionRecord",
-    "LockMode",
-    "LockTable",
-    "MultiVersionStore",
-    "NLog",
-    "NLogEntry",
-    "PieceRecord",
-    "PieceRedoLog",
-    "PropagationLog",
-    "PropagationRecord",
-    "SQueueEntry",
-    "SnapshotQueue",
-    "Version",
-    "VersionChain",
-]

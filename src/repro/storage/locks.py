@@ -16,6 +16,8 @@ lock acquisition a timeout (1 ms on their cluster); a timed-out prepare votes
   compatible with nothing.  A transaction that already holds an exclusive
   lock implicitly holds the shared lock; a shared holder that is the only
   holder may upgrade to exclusive.
+* A key's state exists only while the key has a holder or a waiter: the
+  table follows the locks in use, not every key ever locked.
 """
 
 from __future__ import annotations
@@ -71,12 +73,19 @@ class LockTable:
             self._keys[key] = _KeyLockState()
         return self._keys[key]
 
+    def _drop_if_idle(self, key: object, state: _KeyLockState) -> None:
+        """Forget ``key``'s state once nobody holds or waits for it."""
+        if not state.holders and not state.waiters and self._keys.get(key) is state:
+            del self._keys[key]
+
     def holders(self, key: object) -> Dict[TransactionId, LockMode]:
         """Current holders of ``key`` (copy)."""
-        return dict(self._state(key).holders)
+        state = self._keys.get(key)
+        return dict(state.holders) if state is not None else {}
 
     def holds(self, txn_id: TransactionId, key: object) -> bool:
-        return txn_id in self._state(key).holders
+        state = self._keys.get(key)
+        return state is not None and txn_id in state.holders
 
     def try_acquire(self, txn_id: TransactionId, key: object, mode: LockMode) -> bool:
         """Non-blocking acquisition attempt."""
@@ -105,6 +114,7 @@ class LockTable:
             if txn_id in state.holders:
                 del state.holders[txn_id]
             self._grant_waiters(key, state)
+            self._drop_if_idle(key, state)
 
     def release_all(self, txn_id: TransactionId) -> None:
         """Release every lock held by ``txn_id`` (abort cleanup)."""
@@ -112,6 +122,7 @@ class LockTable:
             if txn_id in state.holders:
                 del state.holders[txn_id]
                 self._grant_waiters(key, state)
+                self._drop_if_idle(key, state)
 
     def reset(self) -> None:
         """Forget every holder and waiter (crash semantics).
@@ -130,10 +141,11 @@ class LockTable:
         transactions' locks survive recovery (and keep blocking, which is
         2PC's in-doubt window).
         """
-        for state in self._keys.values():
+        for key, state in list(self._keys.items()):
             state.waiters.clear()
             for txn_id in [t for t in state.holders if t not in keep]:
                 del state.holders[txn_id]
+            self._drop_if_idle(key, state)
 
     def _grant_waiters(self, key: object, state: _KeyLockState) -> None:
         """Grant queued waiters in FIFO order while compatible."""
@@ -210,6 +222,7 @@ class LockTable:
             else:
                 # Timed out while queued: withdraw the waiter and give up.
                 state.waiters = deque(waiter for waiter in state.waiters if waiter[2] is not grant)
+                self._drop_if_idle(key, state)
                 self.timeout_count += 1
                 if tracer is not None:
                     tracer.span(

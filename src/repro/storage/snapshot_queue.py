@@ -67,29 +67,47 @@ class SQueueEntry:
         return self.only_for is None or self.only_for == writer
 
 
+class _Entries:
+    """One kind's entries of a snapshot queue, ordered by insertion snapshot."""
+
+    __slots__ = ("entries", "snaps", "ids", "txns")
+
+    def __init__(self) -> None:
+        self.entries: List[SQueueEntry] = []
+        # The parallel sorted snapshot list for O(log n) positioning, the
+        # (txn, carrier) identity set for O(1) duplicate suppression, and per
+        # transaction the time its entry was queued, for O(1) membership
+        # checks (Remove handling probes every key a reader may have
+        # touched, and the common case is "not here").
+        self.snaps: List[int] = []
+        self.ids: Set[Tuple[TransactionId, Optional[TransactionId]]] = set()
+        self.txns: Dict[TransactionId, float] = {}
+
+
+#: The containers of every empty side, shared and never mutated: ``insert``
+#: gives a side its own on the first entry, ``remove`` hands this back when
+#: the last one leaves.
+_EMPTY = _Entries()
+
+
 class SnapshotQueue:
-    """Ordered per-key queue of snapshot-queue entries."""
+    """Ordered per-key queue of snapshot-queue entries.
+
+    Each kind's containers exist only while the queue holds an entry of that
+    kind: most keys' queues are empty most of the time, and a run touches
+    every key of a large key space.  The queue itself and its signal stay,
+    because waiting conditions are bound to the signal.
+    """
+
+    __slots__ = ("key", "_sim", "_signal", "_readers", "_writers")
 
     def __init__(self, key: object, sim: Optional["Simulation"] = None):
         self.key = key
-        self._readers: List[SQueueEntry] = []
-        self._writers: List[SQueueEntry] = []
-        # Parallel sorted snapshot lists for O(log n) positioning, and the
-        # (txn, carrier) identity sets for O(1) duplicate suppression.
-        self._reader_snaps: List[int] = []
-        self._writer_snaps: List[int] = []
-        self._reader_ids: Set[Tuple[TransactionId, Optional[TransactionId]]] = set()
-        self._writer_ids: Set[Tuple[TransactionId, Optional[TransactionId]]] = set()
-        # Per-transaction entry counts for O(1) membership checks: Remove
-        # handling probes every key a reader may have touched, and the
-        # common case is "not here".
-        self._reader_txns: Dict[TransactionId, int] = {}
-        self._writer_txns: Dict[TransactionId, int] = {}
+        self._sim = sim
         self._signal: Optional["Signal"] = (
             sim.signal(name=f"squeue:{key}") if sim is not None else None
         )
-        self._writer_enqueue_time: dict[TransactionId, float] = {}
-        self._sim = sim
+        self._readers = self._writers = _EMPTY
 
     # ------------------------------------------------------------- mutation
     def insert(self, entry: SQueueEntry) -> None:
@@ -101,45 +119,44 @@ class SnapshotQueue:
         the read-only transaction.
         """
         read_only = entry.is_read_only()
-        ids = self._reader_ids if read_only else self._writer_ids
+        side = self._readers if read_only else self._writers
+        if side is _EMPTY:
+            side = _Entries()
+            if read_only:
+                self._readers = side
+            else:
+                self._writers = side
         identity = (entry.txn_id, entry.only_for)
-        if identity in ids:
+        if identity in side.ids:
             return
-        ids.add(identity)
-        bucket = self._readers if read_only else self._writers
-        snaps = self._reader_snaps if read_only else self._writer_snaps
-        counts = self._reader_txns if read_only else self._writer_txns
-        counts[entry.txn_id] = counts.get(entry.txn_id, 0) + 1
-        index = bisect_right(snaps, entry.insertion_snapshot)
-        snaps.insert(index, entry.insertion_snapshot)
-        bucket.insert(index, entry)
-        if not read_only and self._sim is not None:
-            self._writer_enqueue_time[entry.txn_id] = self._sim.now
+        side.ids.add(identity)
+        side.txns.setdefault(entry.txn_id, self._sim.now if self._sim is not None else 0.0)
+        index = bisect_right(side.snaps, entry.insertion_snapshot)
+        side.snaps.insert(index, entry.insertion_snapshot)
+        side.entries.insert(index, entry)
         self._notify()
 
     def remove(self, txn_id: TransactionId) -> bool:
         """Remove every entry of ``txn_id``; return True if anything removed."""
-        if txn_id not in self._reader_txns and txn_id not in self._writer_txns:
-            return False
         removed = False
         for read_only in (True, False):
-            counts = self._reader_txns if read_only else self._writer_txns
-            if txn_id not in counts:
+            side = self._readers if read_only else self._writers
+            if txn_id not in side.txns:
                 continue
-            del counts[txn_id]
             removed = True
-            bucket = self._readers if read_only else self._writers
-            ids = self._reader_ids if read_only else self._writer_ids
-            kept = []
-            for entry in bucket:
-                if entry.txn_id == txn_id:
-                    ids.discard((entry.txn_id, entry.only_for))
+            kept = [entry for entry in side.entries if entry.txn_id != txn_id]
+            if not kept:
+                if read_only:
+                    self._readers = _EMPTY
                 else:
-                    kept.append(entry)
-            bucket[:] = kept
-            snaps = self._reader_snaps if read_only else self._writer_snaps
-            snaps[:] = [entry.insertion_snapshot for entry in kept]
-        self._writer_enqueue_time.pop(txn_id, None)
+                    self._writers = _EMPTY
+                continue
+            del side.txns[txn_id]
+            for entry in side.entries:
+                if entry.txn_id == txn_id:
+                    side.ids.discard((entry.txn_id, entry.only_for))
+            side.entries[:] = kept
+            side.snaps[:] = [entry.insertion_snapshot for entry in kept]
         if removed:
             self._notify()
         return removed
@@ -151,34 +168,26 @@ class SnapshotQueue:
         die with the node (see the runtime's epoch guard), and post-restart
         insertions notify as usual.
         """
-        dropped = len(self._readers) + len(self._writers)
-        self._readers.clear()
-        self._writers.clear()
-        self._reader_snaps.clear()
-        self._writer_snaps.clear()
-        self._reader_ids.clear()
-        self._writer_ids.clear()
-        self._reader_txns.clear()
-        self._writer_txns.clear()
-        self._writer_enqueue_time.clear()
+        dropped = len(self)
+        self._readers = self._writers = _EMPTY
         return dropped
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
-        return len(self._readers) + len(self._writers)
+        return len(self._readers.entries) + len(self._writers.entries)
 
     def __contains__(self, txn_id: TransactionId) -> bool:
-        return txn_id in self._reader_txns or txn_id in self._writer_txns
+        return txn_id in self._readers.txns or txn_id in self._writers.txns
 
     def entries(self) -> Iterable[SQueueEntry]:
         """All entries, readers then writers (each ordered by snapshot)."""
-        return list(self._readers) + list(self._writers)
+        return self._readers.entries + self._writers.entries
 
     def readers(self) -> List[SQueueEntry]:
-        return list(self._readers)
+        return list(self._readers.entries)
 
     def writers(self) -> List[SQueueEntry]:
-        return list(self._writers)
+        return list(self._writers.entries)
 
     def has_reader_below(self, snapshot: int, for_txn=None) -> bool:
         """True if a read-only entry with insertion-snapshot < ``snapshot`` exists.
@@ -189,8 +198,8 @@ class SnapshotQueue:
         the asking writer so that propagated entries scoped to another
         transaction are ignored.
         """
-        end = bisect_left(self._reader_snaps, snapshot)
-        readers = self._readers
+        end = bisect_left(self._readers.snaps, snapshot)
+        readers = self._readers.entries
         for index in range(end):
             if readers[index].gates(for_txn):
                 return True
@@ -208,8 +217,8 @@ class SnapshotQueue:
         """
         if self.has_reader_below(snapshot, for_txn=exclude_txn):
             return True
-        end = bisect_left(self._writer_snaps, snapshot)
-        writers = self._writers
+        end = bisect_left(self._writers.snaps, snapshot)
+        writers = self._writers.entries
         for index in range(end):
             if writers[index].txn_id != exclude_txn:
                 return True
@@ -217,7 +226,7 @@ class SnapshotQueue:
 
     def has_writer(self, txn_id: TransactionId) -> bool:
         """True while ``txn_id``'s pre-commit entry is still queued here."""
-        return txn_id in self._writer_txns
+        return txn_id in self._writers.txns
 
     def writers_above(self, snapshot: int) -> List[SQueueEntry]:
         """Update entries with insertion-snapshot > ``snapshot``.
@@ -227,7 +236,8 @@ class SnapshotQueue:
         ``SSSNode._excluded_vcs``, which walks the version chain and applies
         the externally-done set, coverage, and the done-watermark rule.)
         """
-        return self._writers[bisect_right(self._writer_snaps, snapshot):]
+        writers = self._writers
+        return writers.entries[bisect_right(writers.snaps, snapshot):]
 
     def oldest_writer_age(self, now: float) -> Optional[float]:
         """Age (in simulated time) of the oldest queued writer, if any.
@@ -235,10 +245,10 @@ class SnapshotQueue:
         The starvation-avoidance back-off uses this to detect keys whose
         writers have been stuck behind readers for too long.
         """
-        if not self._writer_enqueue_time:
+        enqueued = self._writers.txns
+        if not enqueued or self._sim is None:
             return None
-        oldest = min(self._writer_enqueue_time.values())
-        return now - oldest
+        return now - min(enqueued.values())
 
     # -------------------------------------------------------------- signalling
     @property
@@ -252,6 +262,6 @@ class SnapshotQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<SQueue {self.key!r} readers={len(self._readers)} "
-            f"writers={len(self._writers)}>"
+            f"<SQueue {self.key!r} readers={len(self._readers.entries)} "
+            f"writers={len(self._writers.entries)}>"
         )

@@ -32,26 +32,17 @@ Modules:
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and workflow.
 """
 
-from repro.trace.analysis import CriticalPath, analyze_trace, attribution_extra
-from repro.trace.export import (
-    export_chrome_trace,
-    render_summary,
-    trace_to_bytes,
-    write_chrome_trace,
-)
-from repro.trace.recorder import TraceRecorder, TraceResult, merge_trace_payloads
-from repro.trace.spec import TraceSpec
+from repro import lazy_exports
 
-__all__ = [
-    "CriticalPath",
-    "TraceRecorder",
-    "TraceResult",
-    "TraceSpec",
-    "analyze_trace",
-    "attribution_extra",
-    "export_chrome_trace",
-    "merge_trace_payloads",
-    "render_summary",
-    "trace_to_bytes",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "TraceRecorder": "repro.trace.recorder",
+    "TraceSpec": "repro.trace.spec",
+    "analyze_trace": "repro.trace.analysis",
+    "attribution_extra": "repro.trace.analysis",
+    "export_chrome_trace": "repro.trace.export",
+    "merge_trace_payloads": "repro.trace.recorder",
+    "render_summary": "repro.trace.export",
+    "trace_to_bytes": "repro.trace.export",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

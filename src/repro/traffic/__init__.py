@@ -23,40 +23,21 @@ The open-loop client that consumes these plans lives in
 in :mod:`repro.harness.metrics`.
 """
 
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    RateSchedule,
-    RateSegment,
-    burst_schedule,
-    constant_schedule,
-    piecewise_schedule,
-    ramp_schedule,
-)
-from repro.traffic.plan import (
-    ArrivalSpec,
-    BurstArrivals,
-    ConstArrivals,
-    PiecewiseArrivals,
-    PoissonArrivals,
-    RampArrivals,
-    TrafficPhase,
-    TrafficPlan,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "ArrivalSpec",
-    "BurstArrivals",
-    "ConstArrivals",
-    "PiecewiseArrivals",
-    "PoissonArrivals",
-    "RampArrivals",
-    "RateSchedule",
-    "RateSegment",
-    "TrafficPhase",
-    "TrafficPlan",
-    "burst_schedule",
-    "constant_schedule",
-    "piecewise_schedule",
-    "ramp_schedule",
-]
+_EXPORTS = {
+    "ArrivalProcess": "repro.traffic.arrivals",
+    "BurstArrivals": "repro.traffic.plan",
+    "ConstArrivals": "repro.traffic.plan",
+    "PiecewiseArrivals": "repro.traffic.plan",
+    "PoissonArrivals": "repro.traffic.plan",
+    "RampArrivals": "repro.traffic.plan",
+    "TrafficPhase": "repro.traffic.plan",
+    "TrafficPlan": "repro.traffic.plan",
+    "burst_schedule": "repro.traffic.arrivals",
+    "constant_schedule": "repro.traffic.arrivals",
+    "piecewise_schedule": "repro.traffic.arrivals",
+    "ramp_schedule": "repro.traffic.arrivals",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -15,35 +15,3 @@ biased in Figure 7), and clients operate in a closed loop.
   :class:`~repro.traffic.plan.TrafficPlan`, with bounded pending sets and
   explicit overload accounting (drops, queue timeouts, queue depth).
 """
-
-from repro.workload.distributions import (
-    KeySelector,
-    LocalityKeySelector,
-    UniformKeySelector,
-    ZipfianKeySelector,
-    make_key_selector,
-)
-from repro.workload.openloop import (
-    OpenLoopSource,
-    OpenLoopStats,
-    aggregate_open_loop,
-    install_open_loop,
-)
-from repro.workload.profiles import TransactionSpec, WorkloadGenerator
-from repro.workload.ycsb import ClientStats, closed_loop_client
-
-__all__ = [
-    "ClientStats",
-    "KeySelector",
-    "LocalityKeySelector",
-    "OpenLoopSource",
-    "OpenLoopStats",
-    "TransactionSpec",
-    "UniformKeySelector",
-    "WorkloadGenerator",
-    "ZipfianKeySelector",
-    "aggregate_open_loop",
-    "closed_loop_client",
-    "install_open_loop",
-    "make_key_selector",
-]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clocks.vector_clock import VectorClock
+from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.ids import TransactionId
 from repro.core.messages import (
     Decide,
@@ -18,9 +19,12 @@ from repro.core.messages import (
 from repro.core.metadata import (
     PropagatedEntry,
     TransactionMeta,
+    TransactionOutcome,
     TransactionPhase,
 )
+from repro.harness.runner import run_experiment
 from repro.network.message import MessagePriority
+from repro.protocols.registry import protocol_names
 
 
 def make_meta(is_update=True, n_nodes=3):
@@ -82,6 +86,37 @@ class TestTransactionMeta:
     def test_read_only_flag(self):
         assert make_meta(is_update=False).is_read_only
         assert not make_meta(is_update=True).is_read_only
+
+
+class TestTransactionOutcome:
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_finished_transactions_leave_only_outcome_records(self, protocol):
+        config = ClusterConfig(
+            n_nodes=3,
+            n_keys=24,
+            replication_degree=1 if protocol == "rococo" else 2,
+            clients_per_node=2,
+            seed=7,
+        )
+        result = run_experiment(
+            protocol,
+            config,
+            WorkloadConfig(read_only_fraction=0.5),
+            duration_us=5_000,
+            warmup_us=0,
+            keep_cluster=True,
+        )
+        finished = (TransactionPhase.EXTERNALLY_COMMITTED, TransactionPhase.ABORTED)
+        for node in result.cluster.local_nodes:
+            # Only the transactions the clients still had open keep metadata.
+            assert len(node.coordinated) <= config.clients_per_node
+            assert all(meta.phase not in finished for meta in node.coordinated.values())
+            assert len(node.outcomes) > 10
+            for txn_id, outcome in node.outcomes.items():
+                assert isinstance(outcome, TransactionOutcome)
+                assert node.txn_state(txn_id) is outcome
+                if protocol == "sss" and outcome.phase is TransactionPhase.EXTERNALLY_COMMITTED:
+                    assert node._done_time_of(txn_id) == outcome.external_commit_time
 
 
 class TestMessages:

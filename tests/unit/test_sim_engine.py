@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Simulation
+from repro.sim.events import AnyOf
 from repro.sim.resources import SimLock
 
 
@@ -189,6 +193,27 @@ class TestEventsAndProcesses:
         assert results[0][0] is True
         assert results[0][1] is False
         assert results[0][2] == 5.0
+
+    def test_fired_any_of_is_not_pinned_by_its_pending_children(self, sim):
+        # A vote round's shared crash-guard deadline outlives the round by
+        # far; once the round is decided the guard must not keep it alive.
+        class WeaklyReferable(AnyOf):
+            __slots__ = ("__weakref__",)
+
+        guard = sim.deadline(50_000)
+        reply = sim.event()
+        composite = WeaklyReferable(sim, [reply, guard])
+        alive = weakref.ref(composite)
+        reply.succeed("vote")
+        sim.run(until=10)
+        assert composite.triggered
+        assert guard.callbacks == []
+        del composite
+        gc.collect()
+        assert alive() is None
+        before = sim.processed_events
+        sim.run()
+        assert sim.processed_events == before + 1  # the guard's own timer, no dispatch
 
     def test_all_of_waits_for_every_child(self, sim):
         results = []

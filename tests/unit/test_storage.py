@@ -170,6 +170,21 @@ class TestSnapshotQueue:
         sim.run()
         assert queue.oldest_writer_age(now=35.0) == pytest.approx(25.0)
 
+    def test_emptied_queue_holds_no_containers_but_keeps_its_signal(self, sim):
+        queue = SnapshotQueue("k", sim=sim)
+        signal = queue.signal
+        queue.insert(SQueueEntry(txn(1), 5, READ_KIND))
+        queue.insert(SQueueEntry(txn(1), 5, READ_KIND, only_for=txn(9)))
+        queue.insert(SQueueEntry(txn(2), 8, WRITE_KIND))
+        queue.remove(txn(1))
+        queue.remove(txn(2))
+        # Every empty side shares one set of never-mutated containers.
+        untouched = SnapshotQueue("fresh")
+        assert queue._readers is queue._writers is untouched._readers
+        assert queue.signal is signal and len(queue) == 0
+        queue.insert(SQueueEntry(txn(3), 2, WRITE_KIND))
+        assert untouched.writers() == [] and [e.txn_id for e in queue.writers()] == [txn(3)]
+
 
 class TestLockTable:
     def test_shared_locks_are_compatible(self, sim):
@@ -250,6 +265,32 @@ class TestLockTable:
         table.try_acquire(txn(1), "b", LockMode.SHARED)
         table.release_all(txn(1))
         assert table.locked_keys() == []
+
+    def test_released_table_keeps_no_key_state(self, sim):
+        """A key's lock state lives only while someone holds or waits for it."""
+        table = LockTable(sim)
+
+        def holder():
+            yield from table.acquire_all(txn(1), ["a", "b"], timeout_us=1000)
+            yield sim.timeout(100)
+            table.release(txn(1), ["a", "b"])
+
+        def granted():
+            yield sim.timeout(1)
+            yield from table.acquire_all(txn(2), ["a"], timeout_us=1000)
+            table.release(txn(2), ["a"])
+
+        def timed_out():
+            yield sim.timeout(1)
+            yield from table.acquire_all(txn(3), ["c", "b"], timeout_us=10)
+
+        for process in (holder(), granted(), timed_out()):
+            sim.process(process)
+        sim.run()
+        assert table.timeout_count == 1
+        assert table._keys == {}
+        assert not table.holds(txn(1), "a") and table.holders("a") == {}
+        assert table._keys == {}
 
 
 class TestNLog:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.clocks.vector_clock import VectorClock
@@ -113,3 +116,17 @@ class TestOrdering:
     def test_comparison_with_non_clock_rejected(self):
         with pytest.raises(TypeError):
             VectorClock([1]) <= 3  # noqa: B015
+
+
+class TestInterning:
+    def test_pool_shares_live_clocks_and_releases_dropped_ones(self):
+        base = VectorClock([4, 0, 1_000_003])
+        clock = base.increment(1)
+        # Identity interning: the same value is the same object while held.
+        assert base.increment(1) is clock
+        assert VectorClock.intern(VectorClock([4, 1, 1_000_003])) is clock
+        released = weakref.ref(clock)
+        del clock
+        gc.collect()
+        assert released() is None
+        assert (4, 1, 1_000_003) not in VectorClock._pool
