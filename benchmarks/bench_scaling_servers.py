@@ -11,20 +11,9 @@ message and the achieved compression ratio against the dense ``8 * n_nodes``
 representation.  ``BENCH_scaling.json`` is the machine-readable output the
 CI smoke job gates on.
 
-Points at or above ``REPRO_BENCH_SCALING_PARALLEL_FROM`` servers run on the
-node-sharded conservative engine (``engine="parallel"``) — the single-core
-event loop is what capped this sweep at 64 servers; the parallel points also
-record per-shard utilization and null-message/sync-round overhead counters
-so the conservative-synchronization cost is visible in the JSON, and a
-serial/parallel pair at the crossover width pins that the engines agree on
-the figure's numbers.
-
-Every datapoint uses bounded-memory accounting by default: streaming
-metrics plus — on the serial points — windowed online consistency checking
-(``record_history="windowed"``; its verdict lands in ``consistency_ok``).
-The parallel engine keeps history recording off here: its full-history mode
-exists for the digest-equivalence tests, and windowed checking is a
-serial-path feature.
+Every datapoint runs on the serial engine with bounded-memory accounting:
+streaming metrics plus windowed online consistency checking
+(``record_history="windowed"``), whose verdict lands in ``consistency_ok``.
 
 The sweep holds the *total* offered load fixed (classic scale-out design:
 the same client population spread over more servers) rather than growing it
@@ -32,8 +21,7 @@ with the cluster; with per-node load fixed instead, the inter-message gap on
 every channel grows with the cluster and the reference clocks go stale,
 which measures load growth, not clock-width growth.  Past
 ``REPRO_BENCH_SCALING_CLIENTS`` servers the per-node count floors at one
-client per node, so load grows again — which only makes the wall-clock
-parity target (256 parallel vs 64 serial) harder, not easier.
+client per node, so load grows again.
 
 Environment knobs (on top of the shared ones in :mod:`benchmarks.common`):
 
@@ -44,11 +32,6 @@ Environment knobs (on top of the shared ones in :mod:`benchmarks.common`):
 * ``REPRO_BENCH_SCALING_DURATION_US`` — simulated microseconds per datapoint
   (default: the shared ``REPRO_BENCH_DURATION_US``, capped at 40 000 — the
   widest points cost real wall-clock time).
-* ``REPRO_BENCH_SCALING_PARALLEL_FROM`` — server count at which points
-  switch to the parallel engine (default 128; ``0`` forces parallel
-  everywhere, a huge value forces serial everywhere).
-* ``REPRO_BENCH_SCALING_SHARDS`` — shard count for the parallel points
-  (default: the engine's own default, up to 4).
 """
 
 from __future__ import annotations
@@ -85,15 +68,6 @@ def _total_clients() -> int:
     return int(os.environ.get("REPRO_BENCH_SCALING_CLIENTS", 64))
 
 
-def _parallel_from() -> int:
-    return int(os.environ.get("REPRO_BENCH_SCALING_PARALLEL_FROM", 128))
-
-
-def _parallel_shards():
-    raw = os.environ.get("REPRO_BENCH_SCALING_SHARDS")
-    return int(raw) if raw else None
-
-
 @pytest.mark.benchmark(group="scaling")
 def test_scaling_servers(benchmark):
     """4 -> 256 servers: throughput, events/sec and encoded clock bytes."""
@@ -101,12 +75,9 @@ def test_scaling_servers(benchmark):
     duration_us = _scaling_duration_us()
     warmup_us = min(SETTINGS.warmup_us, duration_us / 4)
     total_clients = _total_clients()
-    parallel_from = _parallel_from()
-    shards = _parallel_shards()
     workload = WorkloadConfig(read_only_fraction=0.5, read_only_txn_keys=2)
 
     def _point(n_nodes: int) -> ExperimentPoint:
-        parallel = n_nodes >= parallel_from
         return ExperimentPoint(
             protocol="sss",
             config=ClusterConfig(
@@ -121,9 +92,7 @@ def test_scaling_servers(benchmark):
             warmup_us=warmup_us,
             label=n_nodes,
             streaming_metrics=True,
-            record_history=False if parallel else "windowed",
-            engine="parallel" if parallel else "serial",
-            shards=shards if parallel else None,
+            record_history="windowed",
         )
 
     def sweep():
@@ -156,9 +125,6 @@ def test_scaling_servers(benchmark):
             results[n].clock_compression_ratio for n in node_counts
         ],
         "wall seconds": [wall_by_nodes[n] for n in node_counts],
-        "shards": [
-            float(results[n].extra.get("parallel_shards", 0)) for n in node_counts
-        ],
     }
     print()
     print(
@@ -175,24 +141,13 @@ def test_scaling_servers(benchmark):
         f"{payload['totals']['events_per_sec']}, "
         f"datapoints={payload['totals']['datapoints']}"
     )
-    for n_nodes in node_counts:
-        extra = results[n_nodes].extra
-        if extra.get("parallel_shards") is not None:
-            print(
-                f"parallel {n_nodes} srv: shards={extra['parallel_shards']}, "
-                f"sync_rounds={extra['parallel_sync_rounds']}, "
-                f"null_messages={extra['parallel_null_messages']}, "
-                f"cross_shard_messages={extra['parallel_cross_shard_messages']}, "
-                f"shard_utilization_min={extra['parallel_shard_utilization_min']}"
-            )
 
     # The sweep must actually have recorded clock metadata at every point,
-    # and every windowed-checked (serial) point must have kept the contract.
+    # and every point must carry its verdict and have kept the contract.
     for n_nodes in node_counts:
         assert results[n_nodes].clock_bytes_mean is not None
         verdict = results[n_nodes].extra.get("consistency_ok")
-        if verdict is not None:
-            assert verdict == 1.0, f"consistency violated at {n_nodes} servers"
+        assert verdict == 1.0, f"consistency verdict {verdict!r} at {n_nodes} servers"
 
     if not shape_checks_enabled():
         return
@@ -213,39 +168,3 @@ def test_scaling_servers(benchmark):
     assert saved_large > saved_small, (
         "absolute bytes saved per clock must grow with the clock width"
     )
-    # The reason the parallel engine exists: the widest (parallel) point
-    # must run in no more wall-clock than the 64-server serial point, even
-    # though past 64 servers the floored per-node client count makes the
-    # wide points carry *more* total load.  Wall-clock parity needs the
-    # cores the shards were asked for; on narrower hosts (this includes
-    # the CI smoke runners) the machine-independent form of the same claim
-    # is asserted instead — the busiest shard's event-loop time (the
-    # parallel critical path, which *is* the wall on a wide-enough host)
-    # must fit the 64-server serial budget.
-    # (``parallel_shards`` is absent when the point ran as one shard.)
-    ran_sharded = "parallel_shards" in results[largest].extra
-    if 64 in wall_by_nodes and largest >= 256 and largest >= parallel_from and ran_sharded:
-        largest_shards = int(results[largest].extra["parallel_shards"])
-        busy_max = float(results[largest].extra["parallel_shard_busy_max_s"])
-        try:
-            usable_cores = len(os.sched_getaffinity(0))
-        except AttributeError:
-            usable_cores = os.cpu_count() or 1
-        if usable_cores >= largest_shards >= 4:
-            assert wall_by_nodes[largest] <= wall_by_nodes[64], (
-                f"{largest}-server parallel point took {wall_by_nodes[largest]}s, "
-                f"worse than the 64-server serial point ({wall_by_nodes[64]}s)"
-            )
-        else:
-            print(
-                f"note: {usable_cores} usable cores < {largest_shards} shards — "
-                f"checking the parallel critical path instead of wall-clock "
-                f"(busiest shard {busy_max:.2f}s vs 64-server serial "
-                f"{wall_by_nodes[64]:.2f}s)"
-            )
-            assert busy_max <= wall_by_nodes[64], (
-                f"busiest shard of the {largest}-server point needed "
-                f"{busy_max:.2f}s of event-loop time, more than the whole "
-                f"64-server serial point ({wall_by_nodes[64]:.2f}s) — the "
-                f"parallel engine cannot reach wall-clock parity on any host"
-            )

@@ -114,7 +114,6 @@ _OPTIONAL_EXTRAS = (
     "parallel_shard_events_min",
     "parallel_shard_events_max",
     "parallel_shard_utilization_min",
-    "parallel_shard_busy_max_s",
     # Fault-plane accounting (present when the config carried a fault
     # plan; see run_experiment and ExperimentMetrics.phases).
     "availability_min",
@@ -162,7 +161,7 @@ class _BenchRecorder:
             "committed_txns_per_wall_sec": (round(metrics.committed / wall) if wall > 0 else 0),
         }
         # ``engine`` is recorded explicitly so serial and parallel datapoints
-        # can be told apart (and rolled up separately in the totals).
+        # can be told apart.
         parallel = metrics.extra.get("parallel_shards") is not None
         point["engine"] = "parallel" if parallel else "serial"
         for field_name in _OPTIONAL_EXTRAS:
@@ -189,11 +188,6 @@ class _BenchRecorder:
             for point in bucket
             if point.get("consistency_ok") is not None
         ]
-        parallel_points = [
-            point for point in bucket if point.get("engine") == "parallel"
-        ]
-        parallel_wall = sum(point["wall_seconds"] for point in parallel_points)
-        parallel_events = sum(point["sim_events"] for point in parallel_points)
         totals = {
             "datapoints": len(bucket),
             "sim_events": events,
@@ -211,20 +205,9 @@ class _BenchRecorder:
             totals["consistency_ok_all"] = float(all(flag == 1.0 for flag in checked))
         # Coverage floor: the widest cluster the figure measured.
         # check_regression fails if a later run silently shrinks it (e.g. the
-        # >=256-server parallel points dropping out).
+        # 256-server point dropping out).
         if bucket:
             totals["max_n_nodes"] = max(point["n_nodes"] for point in bucket)
-        # Parallel-engine rollup (absent for all-serial figures): how many
-        # points ran on the node-sharded engine and the events/sec over just
-        # those, reported separately so a slow parallel path cannot hide
-        # behind fast serial points.
-        if parallel_points:
-            totals["parallel_datapoints"] = len(parallel_points)
-            totals["parallel_sim_events"] = parallel_events
-            totals["parallel_wall_seconds"] = round(parallel_wall, 4)
-            totals["parallel_events_per_sec"] = (
-                round(parallel_events / parallel_wall) if parallel_wall > 0 else 0
-            )
         payload = {
             "figure": figure,
             "schema_version": 1,

@@ -17,20 +17,16 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py
         [--nodes 6] [--duration-us 60000] [--top 30]
         [--sort cumulative|tottime] [--out PROFILE.pstats]
-        [--engine serial|parallel] [--shards N] [--profile-shard K]
+        [--engine serial|parallel] [--shards N]
 
 ``--out`` additionally dumps the raw stats for ``snakeviz``/``pstats``
 post-processing.
 
 With ``--engine parallel`` the run uses the node-sharded conservative
-engine: every shard worker dumps its own ``shard-<i>.pstats`` (via the
-``REPRO_PARALLEL_PROFILE_DIR`` hook in :mod:`repro.harness.parallel`), the
-rankings printed come from the shard chosen with ``--profile-shard``
-(default 0), and the parallel-overhead counters — sync rounds, null
-messages, cross-shard messages, per-shard utilization — are printed so the
-conservative-synchronization cost is observable, not guessed.  The
-in-process profile (``--out``) then covers the coordinator: routing,
-pickling and barrier bookkeeping.
+engine.  Its shards are stepped in this process, so the one profile covers
+all of them plus the barrier routing, the census sums every shard's event
+loop, and the barrier counters — sync rounds, null messages, cross-shard
+messages, per-shard utilization — are printed as well.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ import argparse
 import cProfile
 import os
 import pstats
-import tempfile
 import time
 
 
@@ -96,17 +91,6 @@ def main() -> int:
         default=None,
         help="Shard count for --engine parallel (default: engine default).",
     )
-    parser.add_argument(
-        "--profile-shard",
-        type=int,
-        default=0,
-        help="Which shard's worker profile to print (--engine parallel).",
-    )
-    parser.add_argument(
-        "--shard-profile-dir",
-        default=None,
-        help="Keep per-shard pstats dumps here (default: a temp directory).",
-    )
     args = parser.parse_args()
 
     # Import after argparse so --help stays fast.
@@ -122,27 +106,19 @@ def main() -> int:
     )
     workload = WorkloadConfig(read_only_fraction=args.read_only, read_only_txn_keys=2)
 
-    shard_dir = None
-    if args.engine == "parallel":
-        shard_dir = args.shard_profile_dir or tempfile.mkdtemp(prefix="repro-shard-prof-")
-        os.environ["REPRO_PARALLEL_PROFILE_DIR"] = shard_dir
-
     profiler = cProfile.Profile()
     wall_start = time.perf_counter()
     profiler.enable()
-    try:
-        result = run_experiment(
-            args.protocol,
-            config,
-            workload,
-            duration_us=args.duration_us,
-            warmup_us=args.warmup_us,
-            engine=args.engine,
-            shards=args.shards if args.engine == "parallel" else None,
-        )
-    finally:
-        profiler.disable()
-        os.environ.pop("REPRO_PARALLEL_PROFILE_DIR", None)
+    result = run_experiment(
+        args.protocol,
+        config,
+        workload,
+        duration_us=args.duration_us,
+        warmup_us=args.warmup_us,
+        engine=args.engine,
+        shards=args.shards if args.engine == "parallel" else None,
+    )
+    profiler.disable()
     wall = time.perf_counter() - wall_start
 
     metrics = result.metrics
@@ -165,18 +141,7 @@ def main() -> int:
             f"shard_utilization_min={metrics.extra['parallel_shard_utilization_min']}"
         )
 
-    if args.engine == "parallel":
-        shard_path = os.path.join(shard_dir, f"shard-{args.profile_shard}.pstats")
-        if os.path.exists(shard_path):
-            print(f"\nper-shard profiles in {shard_dir}; printing shard {args.profile_shard}")
-            stats = pstats.Stats(shard_path)
-        else:
-            # Inline fallback (shards=1 runs in-process): the coordinator
-            # profile below already contains the whole event loop.
-            print(f"\nno worker profile at {shard_path}; printing the in-process profile")
-            stats = pstats.Stats(profiler)
-    else:
-        stats = pstats.Stats(profiler)
+    stats = pstats.Stats(profiler)
     counters = result.node_counters
     commits = counters.get("read_only_commits", 0) + counters.get("update_commits", 0)
     print_entry_census(stats, commits, events)
@@ -184,8 +149,8 @@ def main() -> int:
         print(f"\n=== top {args.top} by {sort} ===")
         stats.sort_stats(sort).print_stats(args.top)
     if args.out:
-        pstats.Stats(profiler).dump_stats(args.out)
-        print(f"coordinator/in-process raw stats written to {args.out}")
+        stats.dump_stats(args.out)
+        print(f"raw stats written to {args.out}")
     return 0
 
 

@@ -8,8 +8,8 @@ it owns, plus the clients of those nodes; what it observed leaves it as data
 serial engine is simply the single shard that owns every node: it has
 nobody to exchange messages with, so it runs one event loop with no
 barriers, and merging its one report is the identity.  Several shards run
-the lookahead-window barrier schedule of :mod:`repro.harness.parallel`,
-in-process or one worker process each, to byte-identical results.
+the lookahead-window barrier schedule of :mod:`repro.harness.parallel`, all
+in the calling process, to byte-identical results.
 
 The client plane is chosen by the configuration: an empty
 :class:`~repro.traffic.plan.TrafficPlan` (the default) starts
@@ -80,11 +80,7 @@ def default_shards(n_nodes: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a shard needs to assemble and drive itself.
-
-    With several shards it is picklable: in process mode the spec is the
-    only thing that travels to a worker at start-up.
-    """
+    """Everything a shard needs to assemble and drive itself."""
 
     protocol: str
     config: ClusterConfig
@@ -106,7 +102,7 @@ class ExperimentSpec:
 
 @dataclass
 class ShardReport:
-    """What one shard observed, as data the merge (and a pipe) can carry."""
+    """What one shard observed, as plain data the merge folds."""
 
     clients: List[ClientStats]
     open_loop: List[OpenLoopStats]
@@ -126,8 +122,6 @@ class ShardReport:
     #: one-shard run hands out its live cluster instead).
     history: Optional[HistoryRecorder] = None
     replica_versions: Optional[Dict[object, Dict[int, set]]] = None
-    #: CPU seconds inside the barrier schedule's windows.
-    busy_seconds: float = 0.0
 
 
 class Shard:
@@ -210,8 +204,8 @@ class Shard:
 
     def report(self) -> ShardReport:
         cluster = self.cluster
-        # The accumulator ships once per shard; the per-client sink
-        # references would each pickle another copy.
+        # The accumulator is reported once per shard, not through every
+        # client that fed it.
         for stats in self.clients:
             stats.sink = None
         sessions = self.sessions + [s for source in self.sources for s in source.sessions]
@@ -277,7 +271,7 @@ def run_experiment(
     streaming_metrics: bool = False,
     engine: str = "serial",
     shards: Optional[int] = None,
-    parallel_mode: str = "process",
+    parallel_mode: str = "inline",
     trace=None,
 ) -> ExperimentResult:
     """Run one (protocol, configuration, workload) experiment.
@@ -319,18 +313,16 @@ def run_experiment(
         ``"serial"`` (default) runs one shard that owns every node: a
         single event loop.  ``"parallel"`` splits the cluster's nodes over
         ``shards`` shards that exchange messages at lookahead-sized window
-        barriers (:mod:`repro.harness.parallel`) — byte-identical results,
-        scaled across cores.  Closed-loop only; ``record_history`` must be
-        ``True``/``False``; the latency model needs a positive minimum.
+        barriers (:mod:`repro.harness.parallel`), every shard stepped in
+        the calling process — byte-identical results, no speed-up; it pins
+        partitionability and shard-count determinism.  Closed-loop only;
+        ``record_history`` must be ``True``/``False``; the latency model
+        needs a positive minimum.
     shards:
         Shard count for ``engine="parallel"`` (default: up to 4, capped at
-        the node count); ``1`` is the serial path.  Otherwise each shard is
-        one worker process, so sweeps fanning out via :func:`run_points`
-        budget ``shards × pool workers`` against the CPU count.
+        the node count); ``1`` is the serial path.
     parallel_mode:
-        ``"process"`` (default) runs one worker process per shard;
-        ``"inline"`` runs every shard in-process (debugging, equivalence
-        tests — same results, no parallel speed-up).
+        Only ``"inline"``, the default.
     trace:
         Causal-tracing plane (see :mod:`repro.trace` and
         ``docs/OBSERVABILITY.md``).  ``None``/``False`` (default) disables
@@ -348,6 +340,12 @@ def run_experiment(
     """
     if engine not in ("serial", "parallel"):
         raise ConfigurationError(f"unknown engine {engine!r}; expected 'serial' or 'parallel'")
+    # parallel_mode stays only because benchmarks/ledger/spec.py passes it by name.
+    if parallel_mode != "inline":
+        raise ConfigurationError(
+            f"unknown parallel mode {parallel_mode!r}: shards run inline only; worker "
+            "processes showed no gain over the serial engine (docs/BENCHMARKS.md, `scaling`)"
+        )
     config.validate()
     workload.validate()
     if engine == "serial":
@@ -365,8 +363,6 @@ def run_experiment(
                 "the parallel engine supports record_history=True/False; "
                 "windowed recording and recorder injection need engine='serial'"
             )
-        if parallel_mode not in ("process", "inline"):
-            raise ConfigurationError(f"unknown parallel mode {parallel_mode!r}")
         if shards is None:
             shards = default_shards(config.n_nodes)
         if shards < 1:
@@ -408,7 +404,7 @@ def run_experiment(
         from repro.harness.parallel import run_shards
 
         wall_start = time.perf_counter()
-        reports, barrier_extra = run_shards(spec, parallel_mode)
+        reports, barrier_extra = run_shards(spec)
         wall_seconds = time.perf_counter() - wall_start
     result = _merge_reports(spec, reports, wall_seconds, barrier_extra)
     if keep_cluster:
@@ -625,7 +621,7 @@ def _experiment_phase_windows(
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One picklable datapoint of a sweep, for the parallel runner."""
+    """One picklable datapoint of a sweep, for :func:`run_points`."""
 
     protocol: str
     config: ClusterConfig
@@ -642,21 +638,6 @@ class ExperimentPoint:
     ``consistency_violations``)."""
     drain_us: Optional[float] = None
     streaming_metrics: bool = False
-    engine: str = "serial"
-    """``"serial"`` or ``"parallel"`` (the node-sharded engine).  Parallel
-    points spawn ``shards`` worker processes *each*, so :func:`run_points`
-    shrinks its pool to keep ``shards × pool workers`` within the CPU
-    count."""
-    shards: Optional[int] = None
-
-
-def _point_shards(point: ExperimentPoint) -> int:
-    """How many worker processes one point occupies while running."""
-    if point.engine != "parallel":
-        return 1
-    if point.shards is not None:
-        return max(1, min(point.shards, point.config.n_nodes))
-    return default_shards(point.config.n_nodes)
 
 
 def _run_point_worker(point: ExperimentPoint) -> Tuple[object, ExperimentResult]:
@@ -672,8 +653,6 @@ def _run_point_worker(point: ExperimentPoint) -> Tuple[object, ExperimentResult]
         keep_cluster=bool(record_history),
         drain_us=point.drain_us,
         streaming_metrics=point.streaming_metrics,
-        engine=point.engine,
-        shards=point.shards if point.engine == "parallel" else None,
     )
     if record_history and result.cluster is not None:
         checks = result.cluster.check_contract()
@@ -716,20 +695,9 @@ def run_points(
     only wall-clock time changes.  Results are returned in input order.
     With one worker (or a single point) everything runs in-process, which
     keeps debugging and profiling simple.
-
-    Points using the parallel engine spawn their own shard processes, so
-    the pool shrinks to keep ``max point shards × pool workers`` within
-    the CPU count (``REPRO_BENCH_PARALLEL`` still caps the pool
-    explicitly; it is applied after the shard budget).
     """
-    explicit_cap = max_workers is not None or bool(
-        (os.environ.get("REPRO_BENCH_PARALLEL") or "").strip()
-    )
     if max_workers is None:
         max_workers = default_parallelism()
-    widest = max((_point_shards(point) for point in points), default=1)
-    if widest > 1 and not explicit_cap:
-        max_workers = min(max_workers, max(1, (os.cpu_count() or 2) // widest))
     max_workers = min(max_workers, len(points)) or 1
     if max_workers <= 1 or len(points) <= 1:
         return [_run_point_worker(point) for point in points]

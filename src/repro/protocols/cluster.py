@@ -290,9 +290,9 @@ def external_consistency(history) -> CheckResult:
 class MergedClusterView:
     """Read-only stand-in for the cluster of a run split over several shards.
 
-    No shard holds the whole cluster (and in process mode none of them
-    outlives its worker), so post-run consumers get this instead: the merged
-    history, the summed network accounting and the fault log, with
+    No shard holds the whole cluster, so post-run consumers get this
+    instead: the merged history, the summed network accounting and the
+    fault log, with
     ``check_consistency`` / ``check_contract`` answered by the protocol's
     own :meth:`ProtocolCluster.contract` over the merged state.
     """

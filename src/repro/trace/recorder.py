@@ -183,7 +183,7 @@ class TraceRecorder:
 
     # ---------------------------------------------------------------- payload
     def payload(self) -> Tuple[List[TraceEvent], Dict, Dict]:
-        """Picklable ``(events, staged, finished)`` triple for shard reports."""
+        """Plain ``(events, staged, finished)`` triple for shard reports."""
         return (self.events, self.staged, self.finished)
 
 

@@ -7,8 +7,8 @@ identical
 * between the serial engine and the node-sharded parallel engine (the
   shard recorders tag events with engine keys and the merge reproduces
   the serial recording order);
-* across shard counts (1, 2, 4) and execution modes (inline vs worker
-  processes — trace payloads ride home in the shard reports);
+* across shard counts (1, 2, 4 — trace payloads ride home in the shard
+  reports);
 * across interpreters with different ``PYTHONHASHSEED`` values;
 * for every protocol × {fail-free, crash}.
 
@@ -136,12 +136,6 @@ class TestShardAndModeInvariance:
         }
         assert len(set(blobs.values())) == 1, sorted(blobs)
         assert blobs[2] == _trace_bytes(_run("serial", faults=faults))
-
-    def test_process_mode_matches_inline(self):
-        faults = FAULT_PLANS["crash"]
-        inline = _run("parallel", faults=faults, shards=2, parallel_mode="inline")
-        process = _run("parallel", faults=faults, shards=2, parallel_mode="process")
-        assert _trace_bytes(process) == _trace_bytes(inline)
 
 
 class TestHashSeedInvariance:

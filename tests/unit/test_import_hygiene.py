@@ -78,6 +78,18 @@ def test_a_closed_loop_sss_run_imports_no_plane_it_does_not_use():
     assert _imported_after(code, NEVER_CALLED) == []
 
 
+def test_a_sharded_run_starts_no_worker_process():
+    code = (
+        "from repro.harness.runner import run_experiment\n"
+        "from repro.common.config import ClusterConfig, WorkloadConfig\n"
+        "result = run_experiment('sss', ClusterConfig(n_nodes=4, n_keys=60, clients_per_node=2),"
+        " WorkloadConfig(read_only_fraction=0.5), duration_us=2_000, warmup_us=0,"
+        " engine='parallel', shards=2)\n"
+        "assert result.metrics.extra['parallel_shards'] == 2"
+    )
+    assert _imported_after(code, ["concurrent.futures", "multiprocessing"]) == []
+
+
 def test_building_one_protocol_imports_no_other():
     code = (
         "from repro.protocols.registry import build_cluster\n"

@@ -9,14 +9,14 @@ stays the golden reference; these tests pin the equivalence
 
 * for every protocol × {fail-free, crash, crash+partition};
 * across shard counts (1, 2, 4 shards — one digest);
-* across execution modes (inline vs worker processes);
 * across interpreters with different ``PYTHONHASHSEED`` values.
 
 plus that ``engine="parallel", shards=1`` *is* the serial run, that each
 protocol's contract has one implementation answering for the live cluster
 and the merged view alike, the driver's configuration guards (closed-loop
-only, no windowed recording, positive lookahead required), and that a
-message to a node nobody registered fails at send time on any shard count.
+only, no windowed recording, positive lookahead required, shards run
+inline only), and that a message to a node nobody registered fails at send
+time on any shard count.
 """
 
 from __future__ import annotations
@@ -293,15 +293,6 @@ class TestShardCountInvariance:
 
 
 class TestProcessMode:
-    def test_process_mode_matches_inline(self):
-        faults = FAULT_PLANS["crash+partition"]
-        inline = _run("parallel", faults, shards=2, parallel_mode="inline")
-        process = _run("parallel", faults, shards=2, parallel_mode="process")
-        assert _digest(process) == _digest(inline)
-        assert process.metrics.extra["parallel_sync_rounds"] == (
-            inline.metrics.extra["parallel_sync_rounds"]
-        )
-
     def test_streaming_metrics_merge_across_shards(self):
         exact = _run("serial")
         streaming = run_experiment(
@@ -313,7 +304,6 @@ class TestProcessMode:
             streaming_metrics=True,
             engine="parallel",
             shards=2,
-            parallel_mode="process",
         )
         assert streaming.metrics.committed == exact.metrics.committed
         assert streaming.metrics.aborted == exact.metrics.aborted
@@ -366,6 +356,12 @@ class TestGuards:
     def test_shards_require_the_parallel_engine(self):
         with pytest.raises(ConfigurationError):
             run_experiment("sss", _config(), WORKLOAD, shards=2)
+
+    def test_process_mode_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="docs/BENCHMARKS.md"):
+            run_experiment(
+                "sss", _config(), WORKLOAD, engine="parallel", shards=2, parallel_mode="process"
+            )
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_message_to_a_node_nobody_registered_fails_at_send_time(self, shards):
