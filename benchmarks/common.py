@@ -89,12 +89,9 @@ def shape_checks_enabled() -> bool:
 # ----------------------------------------------------------------------
 #: ``metrics.extra`` fields copied into a datapoint whenever the run set them.
 _OPTIONAL_EXTRAS = (
-    # Clock-metadata accounting (present whenever the run shipped
-    # clock-bearing messages; see run_experiment).
-    "clock_bytes_mean",
-    "clock_bytes_max",
-    "clock_bytes_per_msg",
-    "clock_compression_ratio",
+    # Modelled wire bytes per sent message (present whenever the run sent
+    # messages; see run_experiment).
+    "bytes_per_msg",
     # Traffic-plane accounting (present when the config carried a traffic
     # plan, i.e. the run was open-loop; see repro.workload.openloop).
     "open_loop",

@@ -128,7 +128,9 @@ def _ablations(points: Sequence[ExperimentPoint]) -> PointResults:
     then as shipped.  *Metadata compression*: each node's commit vector clocks
     from the as-shipped run are replayed through the delta codec, as the wire
     would between two peers; the mean share of the dense bytes it ships is that
-    run's ``codec_ratio``.
+    run's ``codec_ratio``.  This replay is where the repo measures Section
+    III-A's compression: the transport charges every clock densely and keeps
+    no per-channel reference clocks.
     """
     results = []
     for point in points:

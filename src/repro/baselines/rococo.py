@@ -76,9 +76,6 @@ class PieceDispatch(Message):
         self.is_write = is_write
         self.write_value = write_value
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 56
-
 
 class PieceDispatchReply(Message):
     __slots__ = ("txn_id", "key", "deps")
@@ -96,7 +93,7 @@ class PieceDispatchReply(Message):
         self.key = key
         self.deps = deps
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 40 + 16 * len(self.deps)
 
 
@@ -128,9 +125,6 @@ class PieceCommit(Message):
         self.is_write = is_write
         self.write_value = write_value
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 56
-
 
 class PieceExecuted(Message):
     __slots__ = ("txn_id", "key", "value", "version", "writer")
@@ -152,9 +146,6 @@ class PieceExecuted(Message):
         self.version = version
         self.writer = writer
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 56
-
 
 class PieceAbort(Message):
     """Fault-plane recovery: withdraw a dispatched-but-uncommitted piece.
@@ -174,9 +165,6 @@ class PieceAbort(Message):
         self.txn_id = txn_id
         self.key = key
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 48
-
 
 class SnapshotRead(Message):
     """Read-only transactions: one round of key reads."""
@@ -195,9 +183,6 @@ class SnapshotRead(Message):
         self.txn_id = txn_id
         self.key = key
         self.wait_for_pending = wait_for_pending
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
 
 
 class SnapshotReadReturn(Message):
@@ -219,9 +204,6 @@ class SnapshotReadReturn(Message):
         self.value = value
         self.version = version
         self.writer = writer
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 56
 
 
 @dataclass

@@ -47,9 +47,6 @@ class ReadRequest2PC(Message):
         self.txn_id = txn_id
         self.key = key
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
-
 
 class ReadReturn2PC(Message):
     __slots__ = ("txn_id", "key", "value", "version", "writer")
@@ -71,9 +68,6 @@ class ReadReturn2PC(Message):
         self.version = version
         self.writer = writer
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 56
-
 
 class Prepare2PC(Message):
     __slots__ = ("txn_id", "read_versions", "write_items")
@@ -91,7 +85,7 @@ class Prepare2PC(Message):
         self.read_versions = read_versions
         self.write_items = write_items
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 48 + 24 * len(self.read_versions) + 32 * len(self.write_items)
 
 
@@ -105,9 +99,6 @@ class Vote2PC(Message):
         self.txn_id = txn_id
         self.success = success
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
-
 
 class Decide2PC(Message):
     __slots__ = ("txn_id", "outcome")
@@ -118,9 +109,6 @@ class Decide2PC(Message):
         Message.__init__(self)
         self.txn_id = txn_id
         self.outcome = outcome
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
 
 
 class DecideAck2PC(Message):
@@ -147,7 +135,7 @@ class DecideAck2PC(Message):
         self.txn_id = txn_id
         self.versions = versions
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 32 + 24 * len(self.versions)
 
 

@@ -74,8 +74,8 @@ class WalterRead(Message):
         self.key = key
         self.start_vts = start_vts
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40 + vc_wire_size(self.start_vts, codec, peer)
+    def size_estimate(self) -> int:
+        return 40 + vc_wire_size(self.start_vts)
 
 
 class WalterReadReturn(Message):
@@ -100,9 +100,6 @@ class WalterReadReturn(Message):
         self.seqno = seqno
         self.writer = writer
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 64
-
 
 class WalterPrepare(Message):
     """Slow-path prepare sent to the preferred sites of written keys."""
@@ -122,7 +119,7 @@ class WalterPrepare(Message):
         self.start_vts = start_vts
         self.write_items = write_items
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 48 + 32 * len(self.write_items)
 
 
@@ -135,9 +132,6 @@ class WalterVote(Message):
         Message.__init__(self)
         self.txn_id = txn_id
         self.success = success
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
 
 
 class WalterDecide(Message):
@@ -157,9 +151,6 @@ class WalterDecide(Message):
         self.outcome = outcome
         self.site = site
         self.seqno = seqno
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 48
 
 
 class WalterPropagate(Message):
@@ -190,7 +181,7 @@ class WalterPropagate(Message):
         self.write_items = write_items
         self.stream_seq = stream_seq
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         size = 48 + 32 * len(self.write_items)
         if self.stream_seq:
             size += 8
@@ -208,9 +199,6 @@ class WalterPropagateAck(Message):
         Message.__init__(self)
         self.watermark = watermark
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
-
 
 class WalterDecideAck(Message):
     """Fault mode: acknowledges a reliably-delivered slow-path decide."""
@@ -222,9 +210,6 @@ class WalterDecideAck(Message):
     def __init__(self, txn_id: TransactionId = None):
         Message.__init__(self)
         self.txn_id = txn_id
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
 
 
 @dataclass

@@ -8,17 +8,17 @@ clock exchanged and only the entries that changed are shipped as
 ``(index, value)`` deltas, falling back to the dense representation when a
 majority of entries changed.
 
-The codec is self-contained and stateless apart from the per-peer reference
-clock.  It is wired into the transport's wire-size accounting — every
-message-borne clock goes through :meth:`VCCodec.clock_bytes`, so
-``Network.stats.bytes_sent`` and the benchmark JSON reflect delta-compressed
-clocks rather than the naive ``8 * vc.size`` — and it is exercised by
-unit/property tests that round-trip captured protocol clock traffic.
+The transport does not run it: wire-size accounting charges every clock
+densely (``8 * width``, see :meth:`repro.network.message.Message.size_estimate`),
+because a per-channel codec holds a reference clock per destination and per
+clock field — O(n²) live clocks — and saved only 7–13 % of clock bytes from
+16 servers up.  Compression is measured offline instead, by the ``ablation``
+row of ``benchmarks/figures.py``, which replays each node's NLog commit
+clocks through :meth:`VCCodec.encode` and reports :meth:`compression_ratio`.
 """
 
 from __future__ import annotations
 
-from operator import ne as _ne
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.clocks.vector_clock import VectorClock
@@ -29,63 +29,35 @@ Encoding = Union[DenseEncoding, DeltaEncoding]
 
 
 class VCCodec:
-    """Delta codec for vector clocks exchanged with a set of peers.
+    """Delta codec for fixed-width vector clocks exchanged with a set of peers.
 
-    One codec instance lives on each node; the peer key is typically the
-    remote node identifier.  Encoding and decoding must observe the same
-    sequence of clocks per peer (which holds for FIFO channels).
-
-    ``size`` may be ``None`` ("adaptive"): the codec then accepts clocks of
-    any width and treats a width change on a channel as a reference reset.
-    The transport uses adaptive codecs because it carries every protocol's
-    messages without knowing the cluster width up front.
-
-    The codec keeps running totals of its encoding work (clocks encoded,
-    encoded vs. dense bytes, largest encoding) so experiments can report the
-    achieved compression alongside throughput; see :meth:`stats`.
+    The peer key is typically the remote node identifier.  Encoding and
+    decoding must observe the same sequence of clocks per peer (which holds
+    for FIFO channels).
     """
 
     DENSE = "dense"
     DELTA = "delta"
 
-    __slots__ = (
-        "size",
-        "_last_sent",
-        "_last_received",
-        "clocks_encoded",
-        "encoded_bytes_total",
-        "dense_bytes_total",
-        "encoded_bytes_max",
-    )
+    __slots__ = ("size", "_last_sent", "_last_received")
 
-    def __init__(self, size: Optional[int] = None):
-        if size is not None and size < 1:
+    def __init__(self, size: int):
+        if size < 1:
             raise ValueError("size must be >= 1")
         self.size = size
         self._last_sent: Dict[object, VectorClock] = {}
         self._last_received: Dict[object, VectorClock] = {}
-        # Accounting of every clock that went through clock_bytes().
-        self.clocks_encoded = 0
-        self.encoded_bytes_total = 0
-        self.dense_bytes_total = 0
-        self.encoded_bytes_max = 0
 
-    # ------------------------------------------------------------ encoding
     def encode(self, peer: object, clock: VectorClock) -> Encoding:
         """Encode ``clock`` for transmission to ``peer``."""
-        if self.size is not None and clock.size != self.size:
+        if clock.size != self.size:
             raise ValueError(f"clock size {clock.size} != codec size {self.size}")
         reference = self._last_sent.get(peer)
-        if reference is clock:
-            # Interned clocks make the unchanged case an identity hit.
-            return (self.DELTA, ())
         self._last_sent[peer] = clock
-        if reference is None or reference.size != clock.size:
+        if reference is None:
             return (self.DENSE, clock.entries)
         reference_entries = reference.entries
         clock_entries = clock.entries
-        if reference_entries == clock_entries:
-            return (self.DELTA, ())
         # A delta entry costs roughly twice a dense entry (index + value), so
         # the delta form only wins below half the width; bail out of the diff
         # scan as soon as the delta form can no longer win.
@@ -117,12 +89,11 @@ class VCCodec:
                 clock = VectorClock._shared(tuple(entries))
         else:
             raise ValueError(f"unknown encoding kind {kind!r}")
-        if self.size is not None and clock.size != self.size:
+        if clock.size != self.size:
             raise ValueError("decoded clock has wrong size")
         self._last_received[peer] = clock
         return clock
 
-    # ------------------------------------------------------------ accounting
     @staticmethod
     def encoded_size_bytes(encoding: Encoding) -> int:
         """Approximate wire size of an encoding (8 bytes per integer)."""
@@ -131,72 +102,10 @@ class VCCodec:
             return 1 + 8 * len(payload)
         return 1 + 16 * len(payload)
 
-    def clock_bytes(self, peer: object, clock: VectorClock) -> int:
-        """Encode ``clock`` for ``peer`` and return its wire size in bytes.
-
-        This is the transport's accounting entry point (one call per clock
-        per sent message); it advances the per-peer reference exactly as a
-        real sender would and accumulates the codec's compression statistics.
-        It computes the same size :meth:`encode` would produce, but inline —
-        no encoding tuples are materialized and the interned-clock identity
-        fast path costs one dict probe (the property tests pin the
-        equivalence with :meth:`encode`).
-        """
-        entries = clock.entries
-        width = len(entries)
-        last = self._last_sent
-        reference = last.get(peer)
-        if reference is clock:
-            nbytes = 1  # unchanged: empty delta
-        else:
-            last[peer] = clock
-            if reference is None:
-                nbytes = 1 + 8 * width
-            else:
-                reference_entries = reference.entries
-                if reference_entries == entries:
-                    nbytes = 1
-                elif len(reference_entries) != width:
-                    nbytes = 1 + 8 * width
-                else:
-                    # C-level diff count: one map(ne) pass beats a Python
-                    # loop with early exit at every realistic clock width.
-                    changed = sum(map(_ne, reference_entries, entries))
-                    if changed > (width - 1) // 2:
-                        nbytes = 1 + 8 * width
-                    else:
-                        nbytes = 1 + 16 * changed
-        self.clocks_encoded += 1
-        self.encoded_bytes_total += nbytes
-        self.dense_bytes_total += 1 + 8 * width
-        if nbytes > self.encoded_bytes_max:
-            self.encoded_bytes_max = nbytes
-        return nbytes
-
-    def stats(self) -> Dict[str, float]:
-        """Running totals of the codec's encoding work (see class docstring)."""
-        return {
-            "clocks_encoded": self.clocks_encoded,
-            "encoded_bytes_total": self.encoded_bytes_total,
-            "dense_bytes_total": self.dense_bytes_total,
-            "encoded_bytes_max": self.encoded_bytes_max,
-        }
-
-    def reset_peer(self, peer: object) -> None:
-        """Forget the reference clocks for ``peer`` (used after reconnects)."""
-        self._last_sent.pop(peer, None)
-        self._last_received.pop(peer, None)
-
     def compression_ratio(self, history: List[Encoding]) -> Optional[float]:
-        """Ratio of encoded size to dense size over ``history`` (for reports).
-
-        Requires a fixed-width codec (``size`` given at construction); the
-        adaptive transport codecs report through :meth:`stats` instead.
-        """
+        """Ratio of encoded size to dense size over ``history`` (for reports)."""
         if not history:
             return None
-        if self.size is None:
-            raise ValueError("compression_ratio requires a fixed-width codec")
         dense = len(history) * (1 + 8 * self.size)
         encoded = sum(self.encoded_size_bytes(encoding) for encoding in history)
         return encoded / dense

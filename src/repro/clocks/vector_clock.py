@@ -21,8 +21,8 @@ Sharing is what makes immutability cheap: clocks produced by the internal
 constructors are *interned* in a pool keyed by their entry tuple, so the
 same logical clock — a commit clock merged at every replica, a node clock
 echoed in every vote — is one object cluster-wide.  Interned clocks make the
-identity fast paths of ``merge``/``__eq__``/``VCCodec.encode`` hit on the
-dominant no-change case, and their cached hash is computed once per *value*
+identity fast paths of ``merge`` and ``__eq__`` hit on the dominant
+no-change case, and their cached hash is computed once per *value*
 instead of once per copy.  The pool holds its clocks by weak reference: a
 clock is shared while something else holds it and released with its last
 holder, so the pool follows the clocks a run keeps, not the ones it made.

@@ -8,51 +8,23 @@ that.
 All message types are ``__slots__`` classes (see
 :mod:`repro.network.message`): one instance is allocated per protocol send,
 so they carry no per-instance ``__dict__``, their priority and fixed size
-component are class-level constants, and their ``size_estimate`` accounts
-vector clocks at the delta-compressed wire size when the transport provides
-its channel codec.
+component are class-level constants, and their ``size_estimate`` charges
+every vector clock at its dense wire size (``8 * width``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.clocks.vector_clock import VectorClock
 from repro.common.ids import NodeId, TransactionId
 from repro.core.metadata import PropagatedEntry
 from repro.network.message import Message, MessagePriority
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.clocks.compression import VCCodec
 
-
-# Reference-stream ids for the delta codec.  Each clock-carrying message
-# field diffs against the last clock *of the same field* shipped to the same
-# peer (a real encoder diffs field-wise inside its wire format); mixing roles
-# in one stream would make e.g. a version clock diff against a visibility
-# bound, destroying delta locality.  The stream id is folded into the codec's
-# peer key with integer math (peers are integer node ids on the transport
-# path), so no per-call tuple is allocated.
-_STREAM_TXN_VC = 0
-_STREAM_MAX_VC = 1
-_STREAM_VERSION_VC = 2
-_STREAM_VOTE_VC = 3
-_STREAM_COMMIT_VC = 4
-_STREAM_READ_SET = 5
-_STREAMS = 8
-
-
-def vc_wire_size(
-    vc: Optional[VectorClock],
-    codec: Optional["VCCodec"],
-    peer: object,
-    stream: int = _STREAM_TXN_VC,
-) -> int:
-    if vc is None:
-        return 0
-    if codec is None:
-        return 8 * vc.size
-    return codec.clock_bytes(peer * _STREAMS + stream, vc)
+def vc_wire_size(vc: Optional[VectorClock]) -> int:
+    """Dense wire size of a message-borne clock (0 when absent)."""
+    return 0 if vc is None else 8 * vc.size
 
 
 class ReadRequest(Message):
@@ -77,15 +49,8 @@ class ReadRequest(Message):
         self.has_read = has_read
         self.is_update = is_update
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        # Hot path (one call per read request): vc_wire_size inlined;
-        # must mirror its peer-key scheme.
-        vc = self.vc
-        if vc is None:
-            return 48 + len(self.has_read)
-        if codec is None:
-            return 48 + 8 * vc.size + len(self.has_read)
-        return 48 + codec.clock_bytes(peer * _STREAMS, vc) + len(self.has_read)
+    def size_estimate(self) -> int:
+        return 48 + vc_wire_size(self.vc) + len(self.has_read)
 
 
 class ReadReturn(Message):
@@ -150,24 +115,14 @@ class ReadReturn(Message):
         self.stale = stale
         self.gated = gated
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        # Hot path (one call per read reply, two clocks): vc_wire_size
-        # inlined; must mirror its peer-key scheme.
-        size = 66 + 16 * len(self.propagated) + 16 * len(self.gated)
-        max_vc = self.max_vc
-        version_vc = self.version_vc
-        if codec is None:
-            if max_vc is not None:
-                size += 8 * max_vc.size
-            if version_vc is not None:
-                size += 8 * version_vc.size
-            return size
-        base = peer * _STREAMS
-        if max_vc is not None:
-            size += codec.clock_bytes(base + _STREAM_MAX_VC, max_vc)
-        if version_vc is not None:
-            size += codec.clock_bytes(base + _STREAM_VERSION_VC, version_vc)
-        return size
+    def size_estimate(self) -> int:
+        return (
+            66
+            + vc_wire_size(self.max_vc)
+            + vc_wire_size(self.version_vc)
+            + 16 * len(self.propagated)
+            + 16 * len(self.gated)
+        )
 
 
 class Prepare(Message):
@@ -200,10 +155,10 @@ class Prepare(Message):
     def read_keys(self) -> Tuple[object, ...]:
         return tuple(key for key, _vc in self.read_versions)
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        size = 64 + vc_wire_size(self.vc, codec, peer) + 32 * len(self.write_items)
+    def size_estimate(self) -> int:
+        size = 64 + vc_wire_size(self.vc) + 32 * len(self.write_items)
         for _key, read_vc in self.read_versions:
-            size += 16 + vc_wire_size(read_vc, codec, peer, _STREAM_READ_SET)
+            size += 16 + vc_wire_size(read_vc)
         return size
 
 
@@ -225,8 +180,8 @@ class Vote(Message):
         self.vc = vc
         self.success = success
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 48 + vc_wire_size(self.vc, codec, peer, _STREAM_VOTE_VC)
+    def size_estimate(self) -> int:
+        return 48 + vc_wire_size(self.vc)
 
 
 class Decide(Message):
@@ -255,10 +210,10 @@ class Decide(Message):
         self.outcome = outcome
         self.propagated = propagated
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return (
             56
-            + vc_wire_size(self.commit_vc, codec, peer, _STREAM_COMMIT_VC)
+            + vc_wire_size(self.commit_vc)
             + 16 * len(self.propagated)
         )
 
@@ -274,9 +229,6 @@ class ExternalAck(Message):
         Message.__init__(self)
         self.txn_id = txn_id
         self.snapshot = snapshot
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
 
 
 class ExternalDone(Message):
@@ -307,9 +259,6 @@ class ExternalDone(Message):
         Message.__init__(self)
         self.txn_id = txn_id
         self.done_time = done_time
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 40
 
 
 class PrecommitQuery(Message):
@@ -345,10 +294,10 @@ class PrecommitQuery(Message):
         self.commit_vc = commit_vc
         self.propagated = propagated
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return (
             32
-            + vc_wire_size(self.commit_vc, codec, peer, _STREAM_COMMIT_VC)
+            + vc_wire_size(self.commit_vc)
             + 16 * len(self.propagated)
         )
 
@@ -393,7 +342,7 @@ class ExternalStatusQuery(Message):
         self.reader = reader
         self.gate = gate
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 33 + (8 if self.reader is not None else 0)
 
 
@@ -439,10 +388,10 @@ class ExternalStatusReply(Message):
         self.commit_vc = commit_vc
         self.propagated = propagated
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return (
             42
-            + vc_wire_size(self.commit_vc, codec, peer, _STREAM_COMMIT_VC)
+            + vc_wire_size(self.commit_vc)
             + 16 * len(self.propagated)
         )
 
@@ -466,9 +415,6 @@ class SubscribeExternal(Message):
         Message.__init__(self)
         self.txn_id = txn_id
         self.target = target
-
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 36
 
 
 class ReleaseGate(Message):
@@ -494,7 +440,7 @@ class ReleaseGate(Message):
         self.txn_id = txn_id
         self.writers = writers
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 32 + 8 * len(self.writers)
 
 
@@ -530,5 +476,5 @@ class Remove(Message):
         self.keys = keys
         self.mark_returned = mark_returned
 
-    def size_estimate(self, codec=None, peer=None) -> int:
+    def size_estimate(self) -> int:
         return 33 + 16 * len(self.keys)

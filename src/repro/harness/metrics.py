@@ -374,21 +374,11 @@ class ExperimentMetrics:
             return 0.0
         return self.aborted / attempts
 
-    # -------------------------------------------------- clock metadata plane
+    # ------------------------------------------------------- metadata plane
     @property
-    def clock_bytes_mean(self) -> Optional[float]:
-        """Mean encoded (delta-compressed) bytes per message-borne clock."""
-        return self.extra.get("clock_bytes_mean")
-
-    @property
-    def clock_bytes_max(self) -> Optional[float]:
-        """Largest single encoded clock, in bytes."""
-        return self.extra.get("clock_bytes_max")
-
-    @property
-    def clock_compression_ratio(self) -> Optional[float]:
-        """Encoded/dense byte ratio over every clock shipped (lower = better)."""
-        return self.extra.get("clock_compression_ratio")
+    def bytes_per_msg(self) -> Optional[float]:
+        """Modelled wire bytes per sent message (every clock charged densely)."""
+        return self.extra.get("bytes_per_msg")
 
     # ---------------------------------------------------------- traffic plane
     @property

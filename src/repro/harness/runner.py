@@ -109,7 +109,6 @@ class ShardReport:
     accumulator: Optional[StreamingAccumulator]
     counters: Dict[str, int]
     network_stats: NetworkStats
-    clock_stats: Dict[str, float]
     fault_log: List[Tuple[float, str]]
     processed_events: int
     stalled_clients: int
@@ -226,7 +225,6 @@ class Shard:
             accumulator=self.sink,
             counters=cluster.total_counters(),
             network_stats=cluster.network.stats,
-            clock_stats=cluster.network.clock_stats(),
             fault_log=cluster.sim.fault_log,
             processed_events=cluster.sim.processed_events,
             stalled_clients=sum(1 for session in sessions if session.current is not None),
@@ -247,15 +245,6 @@ class MergedNetwork:
         self.stats = NetworkStats()
         for report in reports:
             self.stats.merge_from(report.network_stats)
-        self._clock_stats = {
-            name: (max if name == "encoded_bytes_max" else sum)(
-                report.clock_stats[name] for report in reports
-            )
-            for name in reports[0].clock_stats
-        }
-
-    def clock_stats(self) -> Dict[str, float]:
-        return self._clock_stats
 
 
 def run_experiment(
@@ -498,19 +487,11 @@ def _merge_reports(
     # Machine-readable performance accounting for the benchmark JSON output.
     extra["sim_events"] = float(sum(report.processed_events for report in reports))
     extra["wall_seconds"] = wall_seconds
-    # Clock-metadata accounting: what the transport's per-sender delta
-    # codecs actually charged for message-borne vector clocks (the paper's
-    # metadata-compression story, Section III-A).
-    clock_stats = network.clock_stats()
-    clocks = clock_stats["clocks_encoded"]
-    if clocks:
-        encoded = clock_stats["encoded_bytes_total"]
-        messages_sent = network.stats.total_sent
-        extra["clocks_encoded"] = float(clocks)
-        extra["clock_bytes_mean"] = round(encoded / clocks, 2)
-        extra["clock_bytes_max"] = float(clock_stats["encoded_bytes_max"])
-        extra["clock_bytes_per_msg"] = round(encoded / messages_sent if messages_sent else 0.0, 2)
-        extra["clock_compression_ratio"] = round(encoded / clock_stats["dense_bytes_total"], 4)
+    # Modelled wire bytes per message: dense vector clocks grow with the
+    # server count, the metadata cost Section III-A of the paper discusses.
+    messages_sent = network.stats.total_sent
+    if messages_sent:
+        extra["bytes_per_msg"] = round(network.stats.bytes_sent / messages_sent, 2)
     extra.update(barrier_extra)
     trace_result = None
     if spec.trace is not None:

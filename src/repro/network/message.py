@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import itertools
 from enum import IntEnum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.common.ids import NodeId
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.clocks.compression import VCCodec
 
 _next_message_id = itertools.count().__next__
 
@@ -101,16 +98,16 @@ class Message:
         super().__init_subclass__(**kwargs)
         cls.type_name = cls.__name__
 
-    def size_estimate(self, codec: Optional["VCCodec"] = None, peer: object = None) -> int:
-        """Rough serialized size in bytes, used by the congestion model.
+    def size_estimate(self) -> int:
+        """Rough serialized size in bytes, counted into ``NetworkStats.bytes_sent``.
 
-        Subclasses carrying vector clocks or value payloads override this to
-        reflect the metadata cost the paper discusses (vector clocks grow
-        linearly with the system size).  When the transport passes its
-        per-sender ``codec`` and the destination ``peer``, clock-bearing
-        subclasses account their clocks at the *delta-compressed* wire size
-        (the paper's metadata-compression mitigation); without a codec the
-        naive dense size ``8 * vc.size`` is used.
+        Bytes are statistics only: link service is per message
+        (``NetworkConfig.bandwidth_msgs_per_us``), so no simulated outcome
+        depends on them.  Subclasses carrying vector clocks or value payloads
+        override this to show the metadata cost the paper discusses (vector
+        clocks grow linearly with the system size).  Every clock is charged
+        densely, ``8 * width`` bytes, so the same message costs the same
+        bytes on every send and to any destination.
         """
         return self.base_size
 

@@ -21,11 +21,13 @@ any jitter no two arrivals coincide — 0 of 277 915 drains on the ledger's
 workloads carried a second message — so it cost every message a second heap
 and bought nothing.)
 
-Wire-size accounting goes through a per-sender
-:class:`~repro.clocks.compression.VCCodec`: clock-bearing messages charge the
-delta-compressed size of their clocks (the paper's metadata compression)
-rather than the naive dense ``8 * vc.size``, and the codecs' running totals
-feed the per-experiment compression metrics.
+Wire-size accounting is a formula of the message alone
+(:meth:`Message.size_estimate <repro.network.message.Message.size_estimate>`,
+every vector clock charged densely at ``8 * width`` bytes) and feeds only
+``NetworkStats.bytes_sent``; the transport keeps no per-channel clock state.
+The paper's metadata compression (Section III-A) is measured offline, by the
+``ablation`` row of ``benchmarks/figures.py`` replaying NLog commit clocks
+through :class:`~repro.clocks.compression.VCCodec`.
 
 Reliability model: channels are reliable unless an endpoint has crashed, in
 which case messages to or from that node are dropped — exactly the paper's
@@ -65,7 +67,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.clocks.compression import VCCodec
 from repro.common.config import NetworkConfig
 from repro.common.ids import NodeId
 from repro.network.latency import LatencyModel, UniformLatency
@@ -138,18 +139,16 @@ class _Sender:
 
     A message's delivery time and key must depend only on its sender's own
     history, so that shards reproduce them without observing other senders'
-    traffic: the link's busy-until horizon, the latency stream, the next
-    delivery key ``((sender + 1) << 44) | seq`` and the clock codec (adaptive
-    width: the transport carries every protocol's messages).
+    traffic: the link's busy-until horizon, the latency stream and the next
+    delivery key ``((sender + 1) << 44) | seq``.
     """
 
-    __slots__ = ("busy_until", "rng", "next_skey", "codec")
+    __slots__ = ("busy_until", "rng", "next_skey")
 
     def __init__(self, sim: "Simulation", sender: NodeId):
         self.busy_until = 0.0
         self.rng = sim.rng.stream(f"network.latency.n{sender}")
         self.next_skey = (sender + 1) << 44
-        self.codec = VCCodec()
 
 
 class Network:
@@ -311,7 +310,7 @@ class Network:
         state = self._senders.get(sender)
         if state is None:
             state = self._senders[sender] = _Sender(sim, sender)
-        stats.bytes_sent += message.size_estimate(state.codec, destination)
+        stats.bytes_sent += message.size_estimate()
 
         if self._crashed and (sender in self._crashed or destination in self._crashed):
             stats.dropped[type_name] += 1
@@ -436,28 +435,3 @@ class Network:
         """
         for destination in destinations:
             self.send(sender, destination, message_factory())
-
-    # ------------------------------------------------------------ clock stats
-    def clock_stats(self) -> Dict[str, float]:
-        """Aggregate clock-compression accounting over every sender codec.
-
-        Returns the totals needed by the experiment reports: number of
-        clocks encoded, encoded vs. dense byte totals and the largest single
-        encoded clock.  Derived quantities (mean bytes per clock/message,
-        compression ratio) are computed by the harness.
-        """
-        clocks = encoded = dense = 0
-        largest = 0
-        for codec in (state.codec for state in self._senders.values()):
-            clocks += codec.clocks_encoded
-            encoded += codec.encoded_bytes_total
-            dense += codec.dense_bytes_total
-            if codec.encoded_bytes_max > largest:
-                largest = codec.encoded_bytes_max
-        return {
-            "clocks_encoded": clocks,
-            "encoded_bytes_total": encoded,
-            "dense_bytes_total": dense,
-            "encoded_bytes_max": largest,
-        }
-

@@ -29,7 +29,7 @@ crash/partition/slow-link events are scheduled on the engine (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
@@ -79,10 +79,10 @@ class ProtocolCluster:
             raise ConfigurationError("ProtocolCluster must be subclassed")
         self.config = config or ClusterConfig()
         self.config.validate()
-        self.keys: List[object] = (
-            list(keys)
+        self.keys: Tuple[object, ...] = (
+            tuple(keys)
             if keys is not None
-            else [f"key-{index}" for index in range(self.config.n_keys)]
+            else tuple(f"key-{index}" for index in range(self.config.n_keys))
         )
         self.sim = Simulation(seed=self.config.seed)
         self.network = Network(self.sim, config=self.config.network)

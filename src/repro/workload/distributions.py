@@ -10,6 +10,10 @@ Three selectors are provided:
 * :class:`LocalityKeySelector` — with probability ``locality_fraction`` the
   key is drawn from the keys replicated on the client's local node, otherwise
   from the full key space (the Figure 7 configuration: 50 % locality).
+
+Every client owns a selector, so selectors hold the key space as a tuple:
+``tuple()`` of the cluster's key tuple is that tuple itself, so all clients
+share one sequence instead of copying it per client.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class UniformKeySelector(KeySelector):
     def __init__(self, keys: Sequence[object]):
         if not keys:
             raise ConfigurationError("key space must not be empty")
-        self.keys = list(keys)
+        self.keys = tuple(keys)
 
     def select(self, rng: random.Random, count: int) -> List[object]:
         if count > len(self.keys):
@@ -70,7 +74,7 @@ class ZipfianKeySelector(KeySelector):
             raise ConfigurationError("key space must not be empty")
         if not 0.0 <= theta < 1.0:
             raise ConfigurationError("zipfian theta must be in [0, 1)")
-        self.keys = list(keys)
+        self.keys = tuple(keys)
         self.theta = theta
         # Cumulative distribution over ranks.
         weights = [1.0 / math.pow(rank, theta) for rank in range(1, len(keys) + 1)]
@@ -106,8 +110,8 @@ class LocalityKeySelector(KeySelector):
             raise ConfigurationError("key space must not be empty")
         if not 0.0 <= locality_fraction <= 1.0:
             raise ConfigurationError("locality_fraction must be in [0, 1]")
-        self.keys = list(keys)
-        self.local_keys = list(local_keys) if local_keys else list(keys)
+        self.keys = tuple(keys)
+        self.local_keys = tuple(local_keys) if local_keys else self.keys
         self.locality_fraction = locality_fraction
 
     def select(self, rng: random.Random, count: int) -> List[object]:

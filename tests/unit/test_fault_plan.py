@@ -183,9 +183,6 @@ class Ping(Message):
         Message.__init__(self)
         self.payload = payload
 
-    def size_estimate(self, codec=None, peer=None) -> int:
-        return 16
-
 
 class Recorder(NetworkedNode):
     """Node that records every Ping it handles."""

@@ -2,10 +2,10 @@
 
 Every package ``__init__`` is empty of imports and the optional planes —
 history and windowed checking, fault plans, streaming metrics, open-loop
-traffic, trace recording, the process pool — are imported where they are
-used, so a closed-loop SSS run never loads them (nor their memory).  Each
-check runs in a fresh interpreter: this process has long imported
-everything.
+traffic, trace recording, the process pool, the clock codec — are imported
+where they are used, so a closed-loop SSS run never loads them (nor their
+memory).  Each check runs in a fresh interpreter: this process has long
+imported everything.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ NEVER_CALLED = [
     "repro.baselines.rococo",
     "repro.baselines.twopc",
     "repro.baselines.walter",
+    # The delta codec is the compression ablation's offline replay tool;
+    # the transport charges clocks densely and never loads it.
+    "repro.clocks.compression",
     "repro.consistency",
     "repro.consistency.checkers",
     "repro.consistency.dsg",

@@ -1,19 +1,27 @@
 """Unit tests for the metadata plane: interned clocks, slotted messages,
-codec accounting.
+dense wire-size accounting.
 
-PR 2 rebuilt the metadata plane around three mechanisms — an interning pool
-with copy-on-write semantics for :class:`VectorClock`, ``__slots__``-based
-wire messages with class-level priority/size constants, and delta-compressed
-clock accounting through :class:`VCCodec` — and these tests pin their
-observable semantics.
+PR 2 rebuilt the metadata plane around an interning pool with copy-on-write
+semantics for :class:`VectorClock` and ``__slots__``-based wire messages
+with class-level priority/size constants; these tests pin their observable
+semantics.  Wire bytes are a formula of the message alone — every clock
+charged densely, no per-channel state — which the accounting tests pin
+through the transport.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+import repro.baselines.rococo  # noqa: F401  (registers the message classes below)
+import repro.baselines.twopc  # noqa: F401
+import repro.protocols.runtime  # noqa: F401
+from repro.baselines.walter import WalterRead
 from repro.clocks.compression import VCCodec
 from repro.clocks.vector_clock import VectorClock
+from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.core.messages import (
     Decide,
     ExternalAck,
@@ -25,7 +33,10 @@ from repro.core.messages import (
     SubscribeExternal,
     Vote,
 )
+from repro.harness.runner import run_experiment
 from repro.network.message import Message, MessagePriority
+from repro.network.transport import Network
+from repro.sim.engine import Simulation
 
 
 class TestVectorClockInterning:
@@ -130,52 +141,85 @@ class TestSlottedMessages:
         prepare = Prepare(vc=vc, read_versions=(("k", vc),), write_items=(("k", 1),))
         assert prepare.size_estimate() == 64 + 32 + (16 + 32) + 32
 
-    def test_codec_size_estimates_reflect_delta_compression(self):
+class TestDenseAccounting:
+    """The transport charges a formula of the message, never a channel's history."""
+
+    @staticmethod
+    def _charged(sends):
+        """Bytes the transport counts for each ``(sender, destination, message)``."""
+        network = Network(Simulation(seed=1))
+        # Declared but unregistered nodes: sends land in the outbox, which is
+        # all the accounting needs.
+        network.declare_node_ids(range(4))
+        charged = []
+        for sender, destination, message in sends:
+            before = network.stats.bytes_sent
+            network.send(sender, destination, message)
+            charged.append(network.stats.bytes_sent - before)
+        return charged
+
+    def test_same_message_charges_the_same_bytes_on_every_send_and_destination(self):
         vc = VectorClock([5, 6, 7, 8])
-        codec = VCCodec()
-        first = Vote(vc=vc).size_estimate(codec, peer=3)
-        second = Vote(vc=vc).size_estimate(codec, peer=3)
-        # First shipment is dense (no reference yet), repeats are one byte.
-        assert first == 48 + (1 + 8 * 4)
-        assert second == 48 + 1
-        # A different destination has its own reference stream.
-        other = Vote(vc=vc).size_estimate(codec, peer=4)
-        assert other == first
+        routes = [(0, 1), (0, 1), (0, 1), (0, 2), (0, 3), (2, 1), (1, 1)]
+        charged = self._charged([(src, dst, Vote(vc=vc)) for src, dst in routes])
+        assert charged == [Vote.base_size + 8 * 4] * len(routes)
+
+    def test_charge_is_base_size_plus_dense_clocks_plus_payload(self):
+        vc = VectorClock([1, 2, 3, 4, 5])
+        clock = 8 * vc.size
+        cases = [
+            (lambda: ReadRequest(vc=vc, has_read=(True,) * 5), ReadRequest.base_size + clock + 5),
+            (
+                lambda: ReadReturn(max_vc=vc, version_vc=vc, gated=("w",)),
+                ReadReturn.base_size + 2 * clock + 16,
+            ),
+            (
+                lambda: Prepare(vc=vc, read_versions=(("k", vc),), write_items=(("k", 1),)),
+                Prepare.base_size + clock + (16 + clock) + 32,
+            ),
+            (lambda: Decide(commit_vc=vc), Decide.base_size + clock),
+            (lambda: WalterRead(start_vts=vc), WalterRead.base_size + clock),
+            (lambda: Remove(keys=("a", "b")), Remove.base_size + 2 * 16),
+            (lambda: ExternalAck(), ExternalAck.base_size),
+        ]
+        for make, expected in cases:
+            assert self._charged([(0, 1, make()), (3, 2, make()), (0, 1, make())]) == [expected] * 3
+
+    def test_no_message_takes_a_codec_or_a_peer(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = list(subclasses(Message))
+        assert len(classes) > 30
+        for cls in classes:
+            assert list(inspect.signature(cls.size_estimate).parameters) == ["self"], cls
+
+    def test_run_reports_bytes_per_msg_from_the_network_totals(self):
+        config = ClusterConfig(n_nodes=4, n_keys=40, replication_degree=2, clients_per_node=1, seed=3)
+        result = run_experiment(
+            "sss", config, WorkloadConfig(), duration_us=4_000.0, warmup_us=0.0, keep_cluster=True
+        )
+        stats = result.cluster.network.stats
+        assert stats.total_sent > 0
+        assert result.metrics.bytes_per_msg == round(stats.bytes_sent / stats.total_sent, 2)
+        assert not any(name.startswith("clock") for name in result.metrics.extra)
 
 
 class TestCodecAccounting:
-    def test_clock_bytes_matches_encode(self):
-        clocks = [
-            VectorClock([0, 0, 0, 0]),
-            VectorClock([1, 0, 0, 0]),
-            VectorClock([1, 0, 0, 0]),
-            VectorClock([4, 5, 6, 7]),
-            VectorClock([4, 5, 6, 8]),
-        ]
-        accounting = VCCodec()
-        reference = VCCodec()
-        for clock in clocks:
-            nbytes = accounting.clock_bytes("peer", clock)
-            encoding = reference.encode("peer", clock)
-            assert nbytes == VCCodec.encoded_size_bytes(encoding)
-
-    def test_stats_accumulate(self):
-        codec = VCCodec()
-        codec.clock_bytes(0, VectorClock([1, 2, 3]))
-        codec.clock_bytes(0, VectorClock([1, 2, 4]))
-        stats = codec.stats()
-        assert stats["clocks_encoded"] == 2
-        assert stats["dense_bytes_total"] == 2 * (1 + 24)
-        assert 0 < stats["encoded_bytes_total"] <= stats["dense_bytes_total"]
-        assert stats["encoded_bytes_max"] == 1 + 24  # the initial dense shipment
-
-    def test_adaptive_codec_handles_width_change(self):
-        codec = VCCodec()
-        assert codec.clock_bytes(1, VectorClock([1, 2])) == 1 + 16
-        # Width change resets the reference to a dense shipment.
-        assert codec.clock_bytes(1, VectorClock([1, 2, 3])) == 1 + 24
-
     def test_fixed_width_still_validates(self):
         codec = VCCodec(2)
         with pytest.raises(ValueError):
             codec.encode(0, VectorClock([1, 2, 3]))
+
+    def test_delta_needs_the_peer_reference_clock(self):
+        encoder, decoder = VCCodec(4), VCCodec(4)
+        decoder.decode("a", encoder.encode("a", VectorClock([1, 2, 3, 4])))
+        delta = encoder.encode("a", VectorClock([1, 2, 3, 5]))
+        assert delta == (VCCodec.DELTA, ((3, 5),))
+        assert decoder.decode("a", delta) == VectorClock([1, 2, 3, 5])
+        # Another peer never saw the reference, so the delta cannot decode.
+        with pytest.raises(ValueError):
+            decoder.decode("b", delta)
+        assert encoder.compression_ratio([]) is None

@@ -174,6 +174,18 @@ class TestKeySelectors:
         with pytest.raises(ConfigurationError):
             make_key_selector(WorkloadConfig(locality_fraction=0.5), KEYS)
 
+    def test_clients_share_the_cluster_key_tuple(self):
+        # Every client owns a selector; none may copy the key space.
+        keys = tuple(KEYS)
+        placement = KeyPlacement(n_nodes=3, replication_degree=2, keys=keys)
+        for workload in (
+            WorkloadConfig(),
+            WorkloadConfig(key_distribution="zipfian"),
+            WorkloadConfig(locality_fraction=0.5),
+        ):
+            selectors = [make_key_selector(workload, keys, placement, node_id=1) for _ in range(2)]
+            assert all(selector.keys is keys for selector in selectors)
+
 
 class TestWorkloadGenerator:
     def test_read_only_fraction_respected(self):
