@@ -50,7 +50,7 @@ from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
 from repro.protocols.runtime import ProtocolRuntime
-from repro.storage.durable_log import PieceRedoLog
+from repro.storage.durable_log import PieceRecord, PieceRedoLog
 
 
 # ----------------------------------------------------------------------
@@ -215,23 +215,25 @@ class _RococoKey:
     writer: Optional[TransactionId] = None
 
 
-@dataclass
-class _PendingPiece:
-    txn_id: TransactionId
-    is_write: bool
-    write_value: object
-    order: Optional[float] = None  # assigned by the commit round
-    executed: bool = False
-
-
 class RococoNode(ProtocolRuntime):
-    """One node of the ROCOCO store."""
+    """One node of the ROCOCO store.
+
+    The executed key states (value/version/writer) are the node's durable
+    data, and so are the piece redo log and the coordinator's
+    crash-completion entries; the in-memory piece buffers are volatile —
+    the restart rebuilds them from the log and replays ordered-but-unexecuted
+    pieces.
+    """
+
+    _VOLATILE = ("_pending",)
+    _DURABLE = ("_data", "redo", "_crash_completions", "_progress")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._data: Dict[object, _RococoKey] = {}
-        # Per-key pending pieces of dispatched-but-not-executed transactions.
-        self._pending: Dict[object, Dict[TransactionId, _PendingPiece]] = {}
+        # Per-key pending pieces of dispatched-but-not-executed transactions;
+        # in fault mode each is the record the redo log holds.
+        self._pending: Dict[object, Dict[TransactionId, PieceRecord]] = {}
         # Fault mode only: the durable piece redo log.  The piece payload is
         # force-written at dispatch, the assigned order before the execute
         # reply, and execution advances the per-key order frontier — the
@@ -260,17 +262,7 @@ class RococoNode(ProtocolRuntime):
     # ------------------------------------------------------------------
     # Fault plane
     # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        """Volatile state: the in-memory piece buffers.
-
-        The executed key states (value/version/writer) are the node's
-        durable data, and so are the piece redo log and the coordinator's
-        crash-completion entries — the restart rebuilds the pending lists
-        from the log and replays ordered-but-unexecuted pieces.
-        """
-        self._pending.clear()
-
-    def on_restart(self) -> None:
+    def on_restart(self, torn_down) -> None:
         """Replay the piece redo log, then recover coordinated transactions.
 
         Server side first: every logged-but-unexecuted piece is restored to
@@ -284,33 +276,19 @@ class RococoNode(ProtocolRuntime):
         buffered at an alive server would otherwise block every later piece
         on its key, waiting for an order that will never come).
         """
-        restored = False
-        for record in self.redo.unexecuted_records():
-            pending = self._pending.setdefault(record.key, {})
-            piece = pending.get(record.txn_id)
-            if piece is None:
-                piece = _PendingPiece(
-                    txn_id=record.txn_id,
-                    is_write=record.is_write,
-                    write_value=record.write_value,
-                    order=record.order,
-                )
-                pending[record.txn_id] = piece
-            restored = True
-            if piece.order is not None:
+        restored = self.redo.unexecuted_records()
+        for record in restored:
+            self._pending.setdefault(record.key, {})[record.txn_id] = record
+            if record.order is not None:
                 self.counters["pieces_replayed"] += 1
                 self.spawn_process(
-                    self._replay_piece(record.key, piece),
+                    self._run_piece(record.key, record, record.order),
                     name=f"rococo-replay:{record.txn_id}",
                 )
         if restored:
             self._progress.notify()
-        for txn_id in sorted(self.coordinated):
-            meta = self.coordinated[txn_id]
-            crash_phase = meta.crash_phase
-            if crash_phase is None:
-                continue
-            meta.crash_phase = None
+        for meta, crash_phase in torn_down:
+            txn_id = meta.txn_id
             if crash_phase is not TransactionPhase.PREPARING or meta.is_read_only:
                 continue  # read-only rounds buffer no pieces
             self.counters["crash_recoveries"] += 1
@@ -356,18 +334,7 @@ class RococoNode(ProtocolRuntime):
             deps = tuple(t for t in pending if t != message.txn_id)
         else:
             deps = tuple(pending.keys())
-            pending[message.txn_id] = _PendingPiece(
-                txn_id=message.txn_id,
-                is_write=message.is_write,
-                write_value=message.write_value,
-            )
-        if self._fault_mode:
-            # Force-write the piece payload before the dispatch reply: once
-            # the coordinator has seen the reply it may assign an order, and
-            # a crash on this server must not lose the piece it covers.
-            self.redo.log_dispatch(
-                message.key, message.txn_id, message.is_write, message.write_value
-            )
+            pending[message.txn_id] = self._piece(message)
         self._progress.notify()
         self.counters["pieces_dispatched"] += 1
         self.respond(
@@ -402,12 +369,7 @@ class RococoNode(ProtocolRuntime):
             # The buffered piece is gone — a crash wiped the pending map (or
             # the dispatch itself was lost).  Recreate it from the commit
             # message's payload; fail-free runs never take this branch.
-            piece = _PendingPiece(
-                message.txn_id,
-                is_write=message.is_write,
-                write_value=message.write_value,
-            )
-            pending[message.txn_id] = piece
+            piece = pending[message.txn_id] = self._piece(message)
         piece.order = message.order
         if self._fault_mode:
             if not piece.executed and message.order < self.redo.frontier(key):
@@ -448,7 +410,21 @@ class RococoNode(ProtocolRuntime):
             ),
         )
 
-    def _run_piece(self, key, piece: _PendingPiece, order: float):
+    def _piece(self, message):
+        """The pending piece of a dispatch or commit message.
+
+        In fault mode it is the redo log's record, force-written here —
+        before the dispatch reply: once the coordinator has seen the reply
+        it may assign an order, and a crash on this server must not lose
+        the piece it covers.
+        """
+        if self._fault_mode:
+            return self.redo.log_dispatch(
+                message.key, message.txn_id, message.is_write, message.write_value
+            )
+        return PieceRecord(message.txn_id, message.key, message.is_write, message.write_value)
+
+    def _run_piece(self, key, piece: PieceRecord, order: float):
         """Execute one ordered piece once its turn on the key comes.
 
         The shared execution core of the commit handler and the restart
@@ -507,14 +483,6 @@ class RococoNode(ProtocolRuntime):
         self._progress.notify()
         self.counters["pieces_executed"] += 1
         return (read_value, read_version, read_writer)
-
-    def _replay_piece(self, key, piece: _PendingPiece):
-        """Restart replay of one logged ordered piece.
-
-        There is no requester to answer — the coordinator's fault-mode
-        re-send of the commit message collects the reply from the redo log.
-        """
-        yield from self._run_piece(key, piece, piece.order)
 
     def on_piece_abort(self, message: PieceAbort) -> None:
         """Withdraw a dispatched piece that never received an order."""
@@ -657,13 +625,7 @@ class RococoNode(ProtocolRuntime):
         meta.phase = TransactionPhase.PREPARING
         meta.prepare_time = self.sim.now
         txn_id = meta.txn_id
-
-        # Every accessed key becomes one piece routed to the key's primary.
-        pieces: Dict[object, bool] = {}
-        for key in meta.read_set:
-            pieces[key] = False
-        for key in meta.write_set:
-            pieces[key] = True
+        pieces = self._pieces(meta)
 
         # Round 1: dispatch.
         yield from self._piece_round(
@@ -687,26 +649,41 @@ class RococoNode(ProtocolRuntime):
         # value doubles as the per-key version-order hint for the checker.
         meta.version_hints = {key: order for key in meta.write_set}
 
-        # Round 2: commit / execute.
+        yield from self._commit_round(meta, pieces, order, "commit")
+        self.counters["two_round_commits"] += 1
+        return self._finish_commit(meta, "update_commits")
+
+    @staticmethod
+    def _pieces(meta: TransactionMeta) -> Dict[object, bool]:
+        """Every accessed key is one piece, routed to the key's primary
+        (mapped to whether it writes)."""
+        pieces = dict.fromkeys(meta.read_set, False)
+        pieces.update(dict.fromkeys(meta.write_set, True))
+        return pieces
+
+    def _commit_round(self, meta: TransactionMeta, pieces, order: float, trace_name: str):
+        """Round 2: execute every piece at ``order``, then fold what each
+        observed into the recorded reads — the replies carry what the pieces
+        observed *at the assigned order*; keeping the EXECUTING-phase
+        snapshot instead would fabricate anti-dependencies against writers
+        ordered before us."""
         executed_replies = yield from self._piece_round(
             pieces,
             lambda key: PieceCommit(
-                txn_id=txn_id,
+                txn_id=meta.txn_id,
                 key=key,
                 order=order,
                 is_write=pieces[key],
                 write_value=meta.write_set.get(key),
             ),
-            trace_txn=txn_id,
-            trace_name="commit",
+            trace_txn=meta.txn_id,
+            trace_name=trace_name,
         )
         for executed in executed_replies.values():
             if executed.key in meta.read_set:
                 record = meta.read_set[executed.key]
                 record.value = executed.value
                 record.writer = executed.writer
-        self.counters["two_round_commits"] += 1
-        return self._finish_commit(meta, "update_commits")
 
     def _complete_crashed_commit(self, txn_id: TransactionId):
         """Finish the commit round of a decided transaction the crash cut short.
@@ -723,33 +700,7 @@ class RococoNode(ProtocolRuntime):
         order = self._crash_completions.get(txn_id)
         if order is None:
             return
-        pieces: Dict[object, bool] = {}
-        for key in meta.read_set:
-            pieces[key] = False
-        for key in meta.write_set:
-            pieces[key] = True
-        executed_replies = yield from self._piece_round(
-            pieces,
-            lambda key: PieceCommit(
-                txn_id=txn_id,
-                key=key,
-                order=order,
-                is_write=pieces[key],
-                write_value=meta.write_set.get(key),
-            ),
-            trace_txn=txn_id,
-            trace_name="redo-commit",
-        )
-        # Fold the execution observations into the recorded reads, exactly as
-        # the fail-free commit round does: the durable replies carry what the
-        # pieces observed *at the assigned order* — recording the stale
-        # EXECUTING-phase snapshot instead would fabricate anti-dependencies
-        # against writers ordered before us.
-        for executed in executed_replies.values():
-            if executed.key in meta.read_set:
-                record = meta.read_set[executed.key]
-                record.value = executed.value
-                record.writer = executed.writer
+        yield from self._commit_round(meta, self._pieces(meta), order, "redo-commit")
         if self._crash_completions.pop(txn_id, None) is None:
             return  # a racing completion (re-restart) already finished it
         self.counters["crash_completed_commits"] += 1

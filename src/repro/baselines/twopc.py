@@ -149,7 +149,17 @@ class _KeyState:
 
 
 class TwoPCNode(ProtocolRuntime):
-    """One node of the 2PC-baseline store."""
+    """One node of the 2PC-baseline store.
+
+    Textbook participant crash model: a participant force-writes the
+    prepare record before voting yes, so ``_prepared`` and the prepared
+    transactions' locks survive a crash (and keep blocking — 2PC's in-doubt
+    window, resolved when the coordinator re-sends the decision).  Lock
+    waiters and holders of transactions that never reached the vote die
+    with the process; the single-version store is the node's recovered data.
+    """
+
+    _DURABLE = ("_data", "locks", "_prepared")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -170,18 +180,9 @@ class TwoPCNode(ProtocolRuntime):
     # Fault plane
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        """Textbook participant crash: only *prepared* state is durable.
-
-        A participant force-writes the prepare record before voting yes, so
-        ``_prepared`` and the prepared transactions' locks survive the crash
-        (and keep blocking — 2PC's in-doubt window, resolved when the
-        coordinator re-sends the decision).  Everything else — lock waiters
-        and holders of transactions that never reached the vote — dies with
-        the process.  The single-version store is the node's recovered data.
-        """
         self.locks.reset_except(set(self._prepared))
 
-    def on_restart(self) -> None:
+    def on_restart(self, torn_down) -> None:
         """Resolve in-doubt 2PC rounds pinned by transactions that died with us.
 
         A coordinated transaction that crashed mid-round left durable
@@ -197,12 +198,7 @@ class TwoPCNode(ProtocolRuntime):
         idempotent, so participants that already applied simply re-ack into
         the void.
         """
-        for txn_id in sorted(self.coordinated):
-            meta = self.coordinated[txn_id]
-            crash_phase = meta.crash_phase
-            if crash_phase is None:
-                continue
-            meta.crash_phase = None
+        for meta, crash_phase in torn_down:
             if crash_phase is not TransactionPhase.PREPARING:
                 continue
             self.counters["crash_recoveries"] += 1
@@ -212,7 +208,7 @@ class TwoPCNode(ProtocolRuntime):
             )
             participants.add(self.node_id)
             for participant in sorted(participants):
-                self.send(participant, Decide2PC(txn_id=txn_id, outcome=outcome))
+                self.send(participant, Decide2PC(txn_id=meta.txn_id, outcome=outcome))
 
     # ------------------------------------------------------------------
     # Server-side handlers

@@ -27,7 +27,7 @@ interleavings, which is demonstrated in the test suite).
 Under the fault plane (and only then) the node is crash-consistent: the
 slow-path prepare buffers are durable 2PC-style (locks of prepared
 transactions survive a crash, decides are delivered reliably from a durable
-:class:`~repro.storage.durable_log.DecisionLog`), and the propagation stream
+:class:`DecisionRecord` per decision), and the propagation stream
 is genuinely durable — every outbound batch is force-written to a
 :class:`~repro.storage.durable_log.PropagationLog` (which also owns the
 site's commit sequence counter), receivers apply per-sender streams
@@ -51,7 +51,7 @@ from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
 from repro.protocols.runtime import ProtocolRuntime
-from repro.storage.durable_log import DecisionLog, PropagationLog
+from repro.storage.durable_log import PropagationLog
 from repro.storage.locks import LockTable
 
 
@@ -220,8 +220,37 @@ class _WalterVersion:
     writer: Optional[TransactionId]
 
 
+@dataclass
+class DecisionRecord:
+    """One slow-path decision awaiting reliable delivery to its sites."""
+
+    outcome: bool
+    seqno: int
+    sites: Tuple[int, ...]
+
+
 class WalterNode(ProtocolRuntime):
-    """One node of the Walter (PSI) store."""
+    """One node of the Walter (PSI) store.
+
+    The version chains, the committed vector timestamp, the propagation log
+    (with the site sequence counter), the slow-path prepare buffers with
+    their recorded votes, the decisions and the propagation watermark are
+    durable.  Prepared transactions keep their locks across a crash —
+    2PC-style — so a decide arriving after the restart still finds the
+    write-set it covers; the other locks, the gap buffers and the
+    retransmit-loop flag (re-armed by the restart) are volatile.
+    """
+
+    _VOLATILE = ("_prop_buffer", "_retx_running")
+    _DURABLE = (
+        "_chains",
+        "committed_vts",
+        "plog",
+        "locks",
+        "_prepared",
+        "decisions",
+        "_prop_applied",
+    )
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -231,21 +260,21 @@ class WalterNode(ProtocolRuntime):
         # Committed vector timestamp: highest sequence number applied per site.
         self.committed_vts = VectorClock.zeros(n_nodes)
         # Durable outbound propagation streams; also owns the site commit
-        # sequence counter (the historical ``_local_seq``), so a restarted
-        # preferred site never reuses a seqno it already handed out.
+        # sequence counter, so a restarted preferred site never reuses a
+        # seqno it already handed out.
         self.plog = PropagationLog()
         self.locks = LockTable(self.sim, name=f"walter-locks@{self.node_id}", owner=self.node_id)
         self._prepared: Dict[TransactionId, Tuple[Tuple[object, object], ...]] = {}
         # Fault mode only — durable slow-path state: coordinator decisions
-        # awaiting reliable delivery and the per-sender propagation
-        # watermark (``_prepared`` is the vote record, the runtime's
-        # ``_decided`` the delivered decides).  All grow with the faulted
-        # transactions of a run, like the other fault-recovery indexes;
-        # fail-free runs never write them.
-        self.decisions = DecisionLog()
+        # awaiting reliable delivery, force-written before the decide
+        # fan-out and dropped once every site acked, and the per-sender
+        # propagation watermark (``_prepared`` is the vote record, the
+        # runtime's ``_decided`` the delivered decides); fail-free runs
+        # never write them.
+        self.decisions: Dict[TransactionId, DecisionRecord] = {}
         self._prop_applied: Dict[int, int] = {}
-        # Fault mode only — volatile: out-of-order propagation batches
-        # awaiting their gap, and the retransmit-loop guard.
+        # Fault mode only: out-of-order propagation batches awaiting their
+        # gap, and the retransmit-loop guard.
         self._prop_buffer: Dict[int, Dict[int, tuple]] = {}
         self._retx_running = False
         self.register_handler(WalterRead, self.on_read)
@@ -253,10 +282,6 @@ class WalterNode(ProtocolRuntime):
         self.register_handler(WalterDecide, self.on_decide)
         self.register_handler(WalterPropagate, self.on_propagate)
         self.register_handler(WalterPropagateAck, self.on_propagate_ack)
-
-    @property
-    def _local_seq(self) -> int:
-        return self.plog.seqno
 
     # ------------------------------------------------------------------
     def preload(self, keys, initial_value=0) -> None:
@@ -267,19 +292,9 @@ class WalterNode(ProtocolRuntime):
     # Fault plane
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        """Volatile state: non-prepared locks, in-flight prepares, gap buffers.
-
-        The version chains, the committed vector timestamp, the propagation
-        log (with the site sequence counter), the slow-path prepare buffers
-        with their recorded votes, the decision log and the propagation
-        watermark are all durable.  Prepared transactions keep their locks
-        across the crash — 2PC-style — so a decide arriving after the
-        restart still finds the write-set it covers.
-        """
         self.locks.reset_except(set(self._prepared))
-        self._prop_buffer.clear()
 
-    def on_restart(self) -> None:
+    def on_restart(self, torn_down) -> None:
         """Re-deliver decisions and retransmit unacked propagation.
 
         Transactions this node was coordinating that died mid-vote-round
@@ -289,20 +304,14 @@ class WalterNode(ProtocolRuntime):
         entry — and retransmit everything above the acked propagation
         watermarks.
         """
-        for txn_id in sorted(self.coordinated):
-            meta = self.coordinated[txn_id]
-            crash_phase = meta.crash_phase
-            if crash_phase is None:
-                continue
-            meta.crash_phase = None
+        for meta, crash_phase in torn_down:
             if crash_phase is not TransactionPhase.PREPARING:
                 continue
             self.counters["crash_recoveries"] += 1
-            if txn_id in self.decisions:
-                continue
-            preferred_sites = tuple(sorted({self.primary(key) for key in meta.write_set}))
-            self.decisions.record(txn_id, False, 0, preferred_sites)
-        for txn_id in self.decisions.txn_ids():
+            if meta.txn_id not in self.decisions:
+                sites = tuple(sorted({self.primary(key) for key in meta.write_set}))
+                self.decisions[meta.txn_id] = DecisionRecord(False, 0, sites)
+        for txn_id in sorted(self.decisions):
             self.spawn_process(
                 self._decide_fanout(txn_id), name=f"walter-decide:{txn_id}"
             )
@@ -572,7 +581,7 @@ class WalterNode(ProtocolRuntime):
         re-sends and restart re-fans are harmless.  The record is dropped
         only once every site acked.
         """
-        decision = self.decisions.find(txn_id)
+        decision = self.decisions.get(txn_id)
         if decision is None:
             return
         yield from self.request_all(
@@ -586,7 +595,7 @@ class WalterNode(ProtocolRuntime):
             trace_txn=txn_id,
             trace_name="decide",
         )
-        self.decisions.discard(txn_id)
+        self.decisions.pop(txn_id, None)
 
     # ------------------------------------------------------------------
     # Coordinator side (Session interface)
@@ -689,7 +698,7 @@ class WalterNode(ProtocolRuntime):
             # The decision is force-written and delivered reliably by a
             # background fan-out — the client is answered now, as on the
             # fail-free path.
-            self.decisions.record(txn_id, outcome, seqno, tuple(sites))
+            self.decisions[txn_id] = DecisionRecord(outcome, seqno, tuple(sites))
             self.spawn_process(
                 self._decide_fanout(txn_id), name=f"walter-decide:{txn_id}"
             )

@@ -166,7 +166,7 @@ class CrashFault:
     """Crash-stop ``node`` at ``at_us``; restart after ``duration_us``.
 
     ``duration_us=None`` means the node never restarts.  A crashed node
-    loses its volatile state (see ``ProtocolRuntime.on_crash``) and replays
+    loses its volatile state (see ``ProtocolRuntime.crash``) and replays
     its durable state on restart.
     """
 

@@ -21,7 +21,7 @@ All methods that involve waiting are generators intended to be driven with
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict
 
 from repro.common.errors import SnapshotRestartError, TransactionStateError
 from repro.common.ids import TransactionId
@@ -41,7 +41,6 @@ from repro.core.metadata import (
     TransactionMeta,
     TransactionPhase,
 )
-from repro.sim.events import Event
 
 
 class CoordinatorMixin:
@@ -53,10 +52,6 @@ class CoordinatorMixin:
     what is SSS-specific — Algorithm 5 reads, the Algorithm 1 commit with
     its external-commit dependency waits, and the read-only Remove cleanup.
     """
-
-    def _init_coordinator_state(self) -> None:
-        # External-commit bookkeeping: txn -> (event, nodes still to ack).
-        self._ack_waits: Dict[TransactionId, Tuple["Event", Set[int]]] = {}
 
     def txn_read(self, meta: TransactionMeta, key: object):
         """Algorithm 5: read ``key`` on behalf of ``meta`` (generator)."""

@@ -274,7 +274,7 @@ class PrecommitQuery(Message):
     was lost in the crash; the query therefore doubles as a decision
     retransmission: ``commit_vc`` and ``propagated`` carry the coordinator's
     recorded commit decision, and a replica holding a durable redo record of
-    its vote (see :class:`repro.storage.commit_queue.ParticipantRedoLog`)
+    its vote (see :class:`repro.storage.commit_queue.RedoLog`)
     applies the decision exactly as the original Decide would have — closing
     the voted-then-crashed in-doubt window.
     """

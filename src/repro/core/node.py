@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.clocks.vector_clock import VectorClock
 from repro.common.config import ClusterConfig
-from repro.common.errors import NodeCrashedError
 from repro.common.ids import NodeId, TransactionId
 from repro.core.coordinator import CoordinatorMixin
 from repro.core.messages import (
@@ -50,7 +49,7 @@ from repro.core.metadata import PropagatedEntry, TransactionPhase
 from repro.protocols.runtime import ProtocolRuntime, RoundRequests
 from repro.replication.placement import KeyPlacement
 from repro.sim.events import ThresholdWaiters
-from repro.storage.commit_queue import CommitQueue, ParticipantRedoLog
+from repro.storage.commit_queue import CommitQueue, ParticipantRecord, RedoLog
 from repro.storage.locks import LockTable
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.nlog import NLog, NLogEntry
@@ -66,24 +65,53 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
 
 
-class _PreparedState:
-    """Book-keeping for a transaction this node prepared as a 2PC participant."""
-
-    __slots__ = ("read_keys", "write_items", "is_write_replica")
-
-    def __init__(
-        self,
-        read_keys: Tuple[object, ...],
-        write_items: Tuple[Tuple[object, object], ...],
-        is_write_replica: bool,
-    ):
-        self.read_keys = read_keys
-        self.write_items = write_items
-        self.is_write_replica = is_write_replica
-
-
 class SSSNode(CoordinatorMixin, ProtocolRuntime):
-    """A node of the SSS key-value store."""
+    """A node of the SSS key-value store.
+
+    The crash model (see :class:`ProtocolRuntime`): the multi-version store,
+    the NLog, ``node_vc`` (persisted with the commit log, so a restarted
+    node never re-proposes a local clock value it already handed out), the
+    redo log (force-written before every yes-vote), the snapshot queues'
+    reader entries with their index (they hold back replayed writers as
+    before) and the record of removed readers (it keeps a replay from
+    re-inserting their propagated entries) are durable.  Locks follow the
+    textbook participant model: only the redo-logged transactions' locks
+    survive — they must keep blocking until the decision is re-learned,
+    2PC's in-doubt window.  The rest is volatile, the writers'
+    snapshot-queue entries and the commit queue (rebuilt from the redo log
+    on restart) included.  The ``_externally_done`` cache is dropped
+    *conservatively*: versions are re-gated until a fresh SubscribeExternal
+    round-trip re-learns the writer's fate, trading post-restart latency for
+    safety.
+    """
+
+    _WAITS = ("_ack_waits", "_ext_done_events", "_answer_gate_events")
+    _VOLATILE = _WAITS + (
+        "_read_prepared",
+        "_decided_early",
+        "_forward_map",
+        "_backoff_level",
+        "_externally_done",
+        "_done_local_watermark",
+        "_applied_local_value",
+        "_answer_gates",
+        "_gates_by_reader",
+        "_external_watchers",
+        "_subscriptions_sent",
+        "commit_queue",
+    )
+    _DURABLE = (
+        "store",
+        "nlog",
+        "node_vc",
+        "redo_log",
+        "_reader_keys",
+        "_removed_readers",
+        "locks",
+        "_up_since",
+        "strict_visibility",
+        "_read_waiters",
+    )
 
     def __init__(
         self,
@@ -109,22 +137,20 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self._read_waiters = ThresholdWaiters(
             sim, self._installed_through, [self.nlog.signal, self.commit_queue.signal]
         )
-        # Durable redo log of write-replica votes: survives crashes, closes
-        # the voted-then-crashed in-doubt window (see on_restart).
-        self.redo_log = ParticipantRedoLog()
         self.node_vc = VectorClock.zeros(n_nodes)
 
-        # Participant-side state for in-flight 2PC rounds.
-        self._prepared: Dict[TransactionId, _PreparedState] = {}
+        # Participant state of in-flight 2PC rounds, one record per vote: a
+        # write replica's goes to the durable redo log (it closes the
+        # voted-then-crashed in-doubt window, see on_restart), a read-only
+        # participant keeps only its read keys.
+        self.redo_log = RedoLog()
+        self._read_prepared: Dict[TransactionId, Tuple[object, ...]] = {}
         # Decisions that arrived before (or without) a matching Prepare.
         self._decided_early: Dict[TransactionId, Decide] = {}
         # When this incarnation of the node came up.  A Prepare sent before
         # that outlived a crash of this node (a buffering partition held
         # it), and its Decide may have been sent into the down window.
         self._up_since = 0.0
-        # Per-transaction write payloads waiting in the commit queue.
-        self._pending_writes: Dict[TransactionId, Tuple[Tuple[object, object], ...]] = {}
-        self._pending_propagated: Dict[TransactionId, Tuple[PropagatedEntry, ...]] = {}
 
         # Remove-forwarding: reader transaction -> nodes we shipped its
         # snapshot-queue entry to (via ReadReturn propagated sets or Decide).
@@ -174,10 +200,11 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # ExternalDone arrives.
         self._subscriptions_sent: Dict[TransactionId, Set[NodeId]] = defaultdict(set)
 
-        # Coordinator-side state (owned by CoordinatorMixin helpers); the
-        # transaction-id generator, the coordinated-transaction map and the
-        # metrics counters live in ProtocolRuntime.
-        self._init_coordinator_state()
+        # Coordinator side (CoordinatorMixin): txn -> (external-commit
+        # event, write replicas still to ack).  The transaction-id
+        # generator, the coordinated-transaction map and the metrics
+        # counters live in ProtocolRuntime.
+        self._ack_waits: Dict[TransactionId, Tuple[object, Set[NodeId]]] = {}
 
         # Message handlers.
         self.register_handler(ReadRequest, self.on_read_request)
@@ -858,7 +885,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         reply: ExternalStatusReply = yield from self.reliable_request(
             txn_id.node, lambda: ExternalStatusQuery(txn_id=txn_id)
         )
-        if txn_id not in self._prepared or txn_id in self._decided:
+        if not self._voted(txn_id) or txn_id in self._decided:
             return  # resolved by a Decide/PrecommitQuery that raced the reply
         if reply.outcome is None:
             return  # not decided yet: the normal Decide will arrive
@@ -987,8 +1014,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             self.cast_vote(message, Vote(txn_id=txn_id, vc=message.vc, success=False))
             return
 
-        is_write_replica = bool(local_writes)
-        if is_write_replica:
+        if local_writes:
             # Lines 8-11: propose NodeVC with the local entry incremented and
             # enqueue the transaction as pending.  The redo record is
             # force-written before the vote leaves the node, so a crash
@@ -997,12 +1023,10 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             self.node_vc = self.node_vc.increment(self.node_id)
             prep_vc = self.node_vc
             self.commit_queue.put(txn_id, prep_vc)
-            self.redo_log.record_vote(txn_id, prep_vc, local_writes, local_reads)
+            self.redo_log[txn_id] = ParticipantRecord(txn_id, local_reads, local_writes, prep_vc)
         else:
             prep_vc = self.nlog.most_recent_vc
-
-        self._prepared[txn_id] = _PreparedState(local_reads, local_writes, is_write_replica)
-        self._pending_writes[txn_id] = local_writes
+            self._read_prepared[txn_id] = local_reads
         self.counters["prepares"] += 1
         self.cast_vote(message, Vote(txn_id=txn_id, vc=prep_vc, success=True))
 
@@ -1018,17 +1042,20 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             )
 
     def _recorded_vote(self, txn_id: TransactionId) -> Optional[Vote]:
-        """The yes-vote this node's prepared state holds for ``txn_id``, if any.
+        """The yes-vote this node's participant records hold for ``txn_id``.
 
         A write replica repeats the redo-logged proposal (never a fresh
-        ``node_vc`` tick); a restart-replayed entry counts as voted.
+        ``node_vc`` tick).
         """
-        state = self._prepared.get(txn_id)
-        if state is None:
-            return None
-        if state.is_write_replica:
-            return Vote(txn_id=txn_id, vc=self.redo_log.find(txn_id).vc, success=True)
-        return Vote(txn_id=txn_id, vc=self.nlog.most_recent_vc, success=True)
+        record = self.redo_log.get(txn_id)
+        if record is not None:
+            return Vote(txn_id=txn_id, vc=record.vc, success=True)
+        if txn_id in self._read_prepared:
+            return Vote(txn_id=txn_id, vc=self.nlog.most_recent_vc, success=True)
+        return None
+
+    def _voted(self, txn_id: TransactionId) -> bool:
+        return txn_id in self.redo_log or txn_id in self._read_prepared
 
     def _validate(self, read_versions) -> bool:
         """Algorithm 1 lines 27-33: reject overwritten read keys.
@@ -1051,7 +1078,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
 
     def on_decide(self, message: Decide) -> None:
         """2PC decision (Algorithm 2 lines 16-28)."""
-        if message.txn_id not in self._prepared:
+        if not self._voted(message.txn_id):
             # Prepare still in flight (possible with prioritized queues):
             # stash the decision and apply it right after the vote.
             self._decided_early[message.txn_id] = message
@@ -1060,28 +1087,29 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
 
     def _apply_decide(self, message: Decide) -> None:
         txn_id = message.txn_id
-        state = self._prepared.get(txn_id)
-        if state is None:  # pragma: no cover - defensive
+        record = self.redo_log.get(txn_id)
+        read_keys = record.read_keys if record is not None else self._read_prepared.get(txn_id)
+        if read_keys is None:  # pragma: no cover - defensive
             return
         if self._fault_mode:
             self._decided.add(txn_id)
         if message.outcome:
             self.node_vc = self.node_vc.merge(message.commit_vc)
-            if state.is_write_replica:
-                self._pending_propagated[txn_id] = message.propagated
-                self.redo_log.record_decision(txn_id, message.commit_vc, message.propagated)
+            if record is not None:
+                record.vc = message.commit_vc
+                record.decided = True
+                record.propagated = message.propagated
                 self.commit_queue.update(txn_id, message.commit_vc)
             else:
                 # Read-only participants are done once the decision arrives.
-                self.locks.release(txn_id, state.read_keys)
-                del self._prepared[txn_id]
-                self._pending_writes.pop(txn_id, None)
+                self.locks.release(txn_id, read_keys)
+                del self._read_prepared[txn_id]
         else:
             self.commit_queue.remove(txn_id)
-            self.redo_log.discard(txn_id)
-            self.locks.release(txn_id, [k for k, _v in state.write_items] + list(state.read_keys))
-            del self._prepared[txn_id]
-            self._pending_writes.pop(txn_id, None)
+            write_keys = [k for k, _v in record.write_items] if record is not None else []
+            self.locks.release(txn_id, write_keys + list(read_keys))
+            self.redo_log.pop(txn_id, None)
+            self._read_prepared.pop(txn_id, None)
             self.counters["participant_aborts"] += 1
         self._drain_commit_queue()
 
@@ -1095,9 +1123,11 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             self._apply_internal_commit(entry.txn_id, entry.vc)
 
     def _apply_internal_commit(self, txn_id: TransactionId, commit_vc: VectorClock) -> None:
-        state = self._prepared.pop(txn_id, None)
-        write_items = self._pending_writes.pop(txn_id, ())
-        propagated = self._pending_propagated.pop(txn_id, ())
+        # From here the NLog entry is the durable truth; retire the redo
+        # record (PrecommitQuery replays from the log).
+        record = self.redo_log.pop(txn_id)
+        write_items = record.write_items
+        propagated = record.propagated
         write_keys = tuple(k for k, _v in write_items)
 
         for key, value in write_items:
@@ -1113,11 +1143,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             )
         )
         self.commit_queue.remove(txn_id)
-        # From here the NLog entry is the durable truth; retire the redo
-        # record (PrecommitQuery replays from the log).
-        self.redo_log.discard(txn_id)
-        if state is not None:
-            self.locks.release(txn_id, list(write_keys) + list(state.read_keys))
+        self.locks.release(txn_id, list(write_keys) + list(record.read_keys))
         self.counters["internal_commits"] += 1
 
         # Algorithm 3: enter the pre-commit phase for the local written keys.
@@ -1350,67 +1376,17 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     # Fault plane
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        """Drop everything a crash-stopped SSS process loses.
-
-        Durable state — the multi-version store, the NLog, ``node_vc``
-        (modelled as persisted with the commit log, so a restarted node
-        never re-proposes a local clock value it already handed out) and the
-        participant redo log (force-written before every yes-vote) —
-        survives untouched, and so do the snapshot queues' reader entries
-        (with their index), which hold back replayed writers as before, and
-        the record of readers already removed, which keeps a replay from
-        re-inserting their propagated entries.
-        Everything else is volatile: 2PC participant buffers, the commit
-        queue (rebuilt from the redo log on restart), locks, the writers'
-        snapshot-queue entries, and the external-commit notification
-        caches.  Locks follow the textbook participant model: only the
-        redo-logged (voted, undecided-or-unapplied) transactions' locks
-        survive — they must keep blocking until the decision is re-learned,
-        which is 2PC's in-doubt window.  The ``_externally_done`` cache is
-        dropped *conservatively*: versions are re-gated until a fresh
-        SubscribeExternal round-trip re-learns the writer's fate, trading
-        post-restart latency for safety.
-        """
-        self._prepared.clear()
-        self._decided_early.clear()
-        self._pending_writes.clear()
-        self._pending_propagated.clear()
-        self._forward_map.clear()
-        self._backoff_level.clear()
-        self._externally_done.clear()
-        self._done_local_watermark = -1
-        self._applied_local_value.clear()
-        # Fail coordinator-side waits so co-located clients are interrupted
-        # (and reconnect) instead of parking forever on dead events.
-        for txn_id in sorted(self._ack_waits):
-            event, _remaining = self._ack_waits[txn_id]
-            if not event.triggered:
-                event.fail(NodeCrashedError(f"node {self.node_id} crashed"))
-        self._ack_waits.clear()
-        for txn_id in sorted(self._ext_done_events):
-            event = self._ext_done_events[txn_id]
-            if not event.triggered:
-                event.fail(NodeCrashedError(f"node {self.node_id} crashed"))
-        self._ext_done_events.clear()
-        # Answer gates die with the coordinator: the gated writers are this
-        # node's own (torn down by the crash), and waiting commit processes
-        # are interrupted like any other in-flight wait.
-        for txn_id in sorted(self._answer_gate_events):
-            event = self._answer_gate_events[txn_id]
-            if not event.triggered:
-                event.fail(NodeCrashedError(f"node {self.node_id} crashed"))
-        self._answer_gate_events.clear()
-        self._answer_gates.clear()
-        self._gates_by_reader.clear()
-        self._external_watchers.clear()
-        self._subscriptions_sent.clear()
-        self.locks.reset_except(set(self.redo_log.txn_ids()))
+        """Keep only the redo-logged locks, drop the commit queue (rebuilt
+        from the redo log on restart) and the writers' snapshot-queue
+        entries, and reset the done-watermark."""
+        self.locks.reset_except(set(self.redo_log))
         self.commit_queue.clear()
         for squeue in self.store.squeues().values():
             for entry in squeue.writers():
                 squeue.remove(entry.txn_id)
+        self._done_local_watermark = -1
 
-    def on_restart(self) -> None:
+    def on_restart(self, torn_down) -> None:
         """Replay durable state and run crash recovery after a restart.
 
         The store, the NLog and ``node_vc`` were never dropped; the
@@ -1436,24 +1412,20 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
 
         Participant-side, the redo log is replayed first: every voted
         transaction that neither aborted nor reached the NLog gets its
-        commit-queue entry and pending-writes buffer rebuilt (as *ready*
-        when the decision had already arrived, else as *pending*, to be
-        finalized by the original coordinator's PrecommitQuery
-        retransmission), and the queue is drained so already-decided
-        transactions apply and restart their pre-commit immediately — held
-        by the read-only entries that survived the crash, each re-validated
-        at its reader's coordinator (a Remove sent while down was lost).
+        commit-queue entry back (as *ready* when the decision had already
+        arrived, else as *pending*, to be finalized by the original
+        coordinator's PrecommitQuery retransmission), and the queue is
+        drained so already-decided transactions apply and restart their
+        pre-commit immediately — held by the read-only entries that
+        survived the crash, each re-validated at its reader's coordinator (a
+        Remove sent while down was lost).
         """
         self._up_since = self.sim.now
         for record in self.redo_log.records():
-            txn_id = record.txn_id
             self.counters["redo_replays"] += 1
-            self._prepared[txn_id] = _PreparedState(record.read_keys, record.write_items, True)
-            self._pending_writes[txn_id] = record.write_items
-            self.commit_queue.put(txn_id, record.vc)
+            self.commit_queue.put(record.txn_id, record.vc)
             if record.decided:
-                self._pending_propagated[txn_id] = record.propagated
-                self.commit_queue.update(txn_id, record.vc)
+                self.commit_queue.update(record.txn_id, record.vc)
         self._drain_commit_queue()
         for record in self.redo_log.records():
             if not record.decided:
@@ -1464,12 +1436,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                     self._resolve_in_doubt(record.txn_id),
                     name=f"in-doubt:{record.txn_id}@{self.node_id}",
                 )
-        for txn_id in sorted(self.coordinated):
-            meta = self.coordinated[txn_id]
-            crash_phase = meta.crash_phase
-            if crash_phase is None:
-                continue
-            meta.crash_phase = None
+        for meta, crash_phase in torn_down:
+            txn_id = meta.txn_id
             self.counters["crash_recoveries"] += 1
             if crash_phase is TransactionPhase.PREPARING:
                 participants = set(
@@ -1487,22 +1455,12 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                         ),
                     )
             elif meta.is_read_only:
-                # Broadcast: anti-dependency propagation may have copied the
-                # reader's entries to nodes beyond its read keys' replicas,
-                # and the forward chains that would reach them died with us.
-                # The broadcast must not depend on the recorded read-set —
-                # a read whose reply died with the crash left entries at the
-                # serving replicas while the read-set stayed empty; each
-                # node's own reader-key index resolves the empty key list.
-                by_replica: Dict[int, list] = {}
-                for key in meta.read_set:
-                    for replica in self.replicas(key):
-                        by_replica.setdefault(replica, []).append(key)
-                for node_id in range(self.config.n_nodes):
-                    self.send(
-                        node_id,
-                        Remove(txn_id=txn_id, keys=tuple(by_replica.get(node_id, ()))),
-                    )
+                # The fault-mode Remove is a broadcast, which must not depend
+                # on the recorded read-set: a read whose reply died with the
+                # crash left entries at the serving replicas while the
+                # read-set stayed empty; each node's own reader-key index
+                # resolves the empty key list.
+                self._send_removes(meta)
         for reader in sorted(reader for reader, keys in self._reader_keys.items() if keys):
             self.spawn_process(
                 self._revalidate_reader(reader), name=f"revalidate:{reader}@{self.node_id}"

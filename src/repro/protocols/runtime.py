@@ -32,11 +32,12 @@ every protocol node (SSS and the three competitors) extends:
   the participant half — the one guard that makes every protocol's prepare
   handler idempotent under those re-sends.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
-  its volatile state (inbound queue, in-flight RPCs, whatever the protocol
-  declares volatile via :meth:`on_crash`) and replays its durable state on
-  restart via :meth:`on_restart`, then sends every peer a :class:`Rejoin`:
-  each fault-mode round waits through :meth:`redrive`, which re-sends to a
-  peer the instant it rejoins.  Fail-free runs never touch any of this.
+  its volatile state (inbound queue, in-flight RPCs, and what the protocol
+  class declares in ``_WAITS`` / ``_VOLATILE``) and replays its durable
+  state on restart via :meth:`on_restart`, handed the transactions the
+  crash tore down, then sends every peer a :class:`Rejoin`: each
+  fault-mode round waits through :meth:`redrive`, which re-sends to a peer
+  the instant it rejoins.  Fail-free runs never touch any of this.
 
 Protocol subclasses implement ``txn_read`` / ``txn_commit`` / ``preload``
 and register their message handlers in ``__init__``.
@@ -166,7 +167,21 @@ class RoundRequests:
 
 
 class ProtocolRuntime(NetworkedNode):
-    """Common runtime of every protocol node (SSS, 2PC, Walter, ROCOCO)."""
+    """Common runtime of every protocol node (SSS, 2PC, Walter, ROCOCO).
+
+    Each protocol class declares its crash model once, naming every
+    attribute it adds: ``_WAITS`` — maps of waiting events (values are
+    events, or tuples led by one), whose untriggered events a crash fails;
+    ``_VOLATILE`` — what a crash loses, the wait maps first: :meth:`crash`
+    empties every plain container there (dict, set, list), and the class's
+    :meth:`on_crash` resets the rest; ``_DURABLE`` — everything a crash
+    keeps.  The runtime's and the network layer's own attributes are not
+    declared: :meth:`crash` handles them itself.
+    """
+
+    _WAITS: Tuple[str, ...] = ()
+    _VOLATILE: Tuple[str, ...] = ()
+    _DURABLE: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -195,6 +210,7 @@ class ProtocolRuntime(NetworkedNode):
         # Fault mode only — peer -> the wake events of the rounds waiting on
         # it, in arrival order (see redrive); a round removes its own on wake.
         self._rejoin_waits: Dict[NodeId, Dict[Event, None]] = defaultdict(dict)
+        self._trace_down_since: Optional[float] = None
         self.register_handler(Rejoin, self._on_rejoin)
 
     # ------------------------------------------------------------------
@@ -627,9 +643,12 @@ class ProtocolRuntime(NetworkedNode):
         The network drops all traffic to and from the node, the inbound
         queue and in-flight RPC correlation state are discarded, handler
         processes die at their next scheduling point (the epoch guard
-        installed by fault mode), and the protocol's volatile state is
-        dropped via :meth:`on_crash`.  Durable state — whatever the protocol
-        treats as logged/persisted — survives untouched.
+        installed by fault mode), and the protocol's declared volatile state
+        is dropped: the events waiting in its ``_WAITS`` maps fail (map by
+        map, by transaction id), so co-located clients are interrupted
+        instead of parking on dead events, every ``_VOLATILE`` container is
+        emptied, and :meth:`on_crash` resets the rest.  Durable state —
+        whatever the class does not declare volatile — survives untouched.
         """
         if self.crashed:
             return
@@ -673,10 +692,27 @@ class ProtocolRuntime(NetworkedNode):
                 # traces here — a torn-down transaction would otherwise
                 # look identical to a genuinely stuck one.
                 self._trace_txn_end(meta, "torn-down")
+        for name in self._WAITS:
+            waits = getattr(self, name)
+            for txn_id in sorted(waits):
+                event = waits[txn_id]
+                if isinstance(event, tuple):
+                    event = event[0]
+                if not event.triggered:
+                    event.fail(NodeCrashedError(f"node {self.node_id} crashed"))
+        for name in self._VOLATILE:
+            state = getattr(self, name)
+            if isinstance(state, (dict, set, list)):
+                state.clear()
         self.on_crash()
 
     def restart(self) -> None:
-        """Rejoin the network, replay durable state, announce it (:class:`Rejoin`)."""
+        """Rejoin the network, replay durable state, announce it (:class:`Rejoin`).
+
+        Every transaction the crash tore down is handed to :meth:`on_restart`
+        once, in transaction-id order, as ``(meta, crash_phase)`` with its
+        ``crash_phase`` cleared.
+        """
         if not self.crashed:
             return
         self.crashed = False
@@ -684,12 +720,17 @@ class ProtocolRuntime(NetworkedNode):
         self.network.recover(self.node_id)
         tracer = self.sim.tracer
         if tracer is not None:
-            down_since = getattr(self, "_trace_down_since", None)
-            if down_since is not None:
-                tracer.span("node.down", down_since, node=self.node_id)
+            if self._trace_down_since is not None:
+                tracer.span("node.down", self._trace_down_since, node=self.node_id)
                 self._trace_down_since = None
             tracer.instant("node.restart", node=self.node_id)
-        self.on_restart()
+        torn_down = []
+        for txn_id in sorted(self.coordinated):
+            meta = self.coordinated[txn_id]
+            if meta.crash_phase is not None:
+                torn_down.append((meta, meta.crash_phase))
+                meta.crash_phase = None
+        self.on_restart(torn_down)
         if tracer is not None:
             # Durable-state replay runs synchronously inside on_restart, so
             # this marks its completion point on the node track.
@@ -699,10 +740,11 @@ class ProtocolRuntime(NetworkedNode):
                 self.send(peer, Rejoin())
 
     def on_crash(self) -> None:
-        """Protocol hook: drop volatile state (lock tables, prepare buffers)."""
+        """Protocol hook: the crash resets that are not "empty a container"."""
 
-    def on_restart(self) -> None:
-        """Protocol hook: replay durable state after a restart."""
+    def on_restart(self, torn_down) -> None:
+        """Protocol hook: replay durable state after a restart and recover
+        ``torn_down``, the ``(meta, crash_phase)`` pairs of :meth:`restart`."""
 
     # ------------------------------------------------------------------
     # Introspection

@@ -17,10 +17,10 @@ Everything one node keeps on its data plane lives here:
   vector clocks, exposing ``most_recent_vc`` and visible-snapshot queries.
 * :class:`~repro.storage.commit_queue.CommitQueue` — the paper's
   ``CommitQ`` ordering internally-committing transactions by their commit
-  vector clock entry for this node.
-* :mod:`~repro.storage.durable_log` — the crash-consistency logs
-  (:class:`~repro.storage.durable_log.PieceRedoLog`,
-  :class:`~repro.storage.durable_log.PropagationLog`,
-  :class:`~repro.storage.durable_log.DecisionLog`), generalizing the SSS
-  :class:`~repro.storage.commit_queue.ParticipantRedoLog` to the baselines.
+  vector clock entry for this node, and the SSS write replica's durable
+  :class:`~repro.storage.commit_queue.RedoLog` of votes it is rebuilt from.
+* :mod:`~repro.storage.durable_log` — the two crash-consistency logs that
+  hide an algorithm: ROCOCO's order-fenced
+  :class:`~repro.storage.durable_log.PieceRedoLog` and Walter's
+  ack-watermarked :class:`~repro.storage.durable_log.PropagationLog`.
 """

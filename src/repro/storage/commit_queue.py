@@ -15,10 +15,10 @@ The commit queue itself is volatile (a crash drops it), which historically
 opened the classic 2PC in-doubt window on the SSS side: a write replica that
 crashed after voting lost its queue entry and pending writes, and the
 coordinator's ``PrecommitQuery`` recovery missed because nothing durable
-recorded the vote.  :class:`ParticipantRedoLog` closes that window — a
-participant force-writes a redo record before voting yes (exactly like the
-2PC-baseline's durable prepared state) and the restart replay rebuilds the
-queue from it.
+recorded the vote.  The :class:`RedoLog` closes that window — a write
+replica force-writes its :class:`ParticipantRecord` before voting yes
+(exactly like the 2PC-baseline's durable prepared state) and the restart
+replay rebuilds the queue from it.
 """
 
 from __future__ import annotations
@@ -192,80 +192,33 @@ class CommitQueue:
 # Participant redo log
 # ----------------------------------------------------------------------
 @dataclass
-class RedoRecord:
-    """Durable record of one vote this node cast as a write replica.
+class ParticipantRecord:
+    """One yes-vote of a write replica, force-written before the vote leaves.
 
-    ``vc`` is the proposed vector clock at vote time; once the decision
-    arrives it is replaced by the final commit clock and ``decided`` flips.
-    ``write_items`` carries the payload needed to re-apply after a crash
-    (the in-memory pending-writes buffer dies with the process);
-    ``read_keys`` lets the restart re-pin the prepared locks.
+    It lives from the vote until the transaction aborts or internally
+    commits — from then on the NLog entry is the durable truth and
+    ``PrecommitQuery`` replays from it.  ``vc`` is the proposed clock until
+    the decision replaces it with the commit clock, sets ``decided`` and
+    hands over the reader entries to ``propagated``; ``write_items`` is the
+    payload to install, ``read_keys`` the shared locks the vote holds.
     """
 
     txn_id: TransactionId
-    vc: VectorClock
-    write_items: Tuple[Tuple[object, object], ...]
     read_keys: Tuple[object, ...]
+    write_items: Tuple[Tuple[object, object], ...]
+    vc: VectorClock
     decided: bool = False
     propagated: Tuple = ()
 
 
-class ParticipantRedoLog:
-    """Durable redo log of votes cast by a 2PC write-replica participant.
+class RedoLog(dict):
+    """Transaction id -> :class:`ParticipantRecord`: a write replica's votes.
 
-    Modelled as force-written before the Vote message leaves the node (the
-    same durability assumption the 2PC-baseline makes for its prepared
-    state), so it survives crashes.  A record lives from the yes-vote until
-    the transaction either aborts or internally commits — from then on the
-    NLog entry is the durable truth and ``PrecommitQuery`` replays from it.
+    Durable (the same assumption the 2PC baseline makes for its prepared
+    state), so it survives crashes and the restart rebuilds the commit queue
+    from it.
     """
 
-    def __init__(self) -> None:
-        self._records: Dict[TransactionId, RedoRecord] = {}
-
-    def record_vote(
-        self,
-        txn_id: TransactionId,
-        vc: VectorClock,
-        write_items: Tuple[Tuple[object, object], ...],
-        read_keys: Tuple[object, ...],
-    ) -> RedoRecord:
-        """Force-write the vote record (before the Vote message is sent)."""
-        record = RedoRecord(txn_id=txn_id, vc=vc, write_items=write_items, read_keys=read_keys)
-        self._records[txn_id] = record
-        return record
-
-    def record_decision(
-        self, txn_id: TransactionId, commit_vc: VectorClock, propagated: Tuple = ()
-    ) -> None:
-        """Overwrite the proposed clock with the decided commit clock."""
-        record = self._records.get(txn_id)
-        if record is None:
-            return
-        record.vc = commit_vc
-        record.decided = True
-        record.propagated = propagated
-
-    def discard(self, txn_id: TransactionId) -> None:
-        """Retire a record (internal commit reached the NLog, or abort)."""
-        self._records.pop(txn_id, None)
-
-    def find(self, txn_id: TransactionId) -> Optional[RedoRecord]:
-        return self._records.get(txn_id)
-
-    def __contains__(self, txn_id: TransactionId) -> bool:
-        return txn_id in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def txn_ids(self):
-        """The logged transaction ids (sorted, for deterministic replay)."""
-        return sorted(self._records)
-
-    def records(self) -> List[RedoRecord]:
-        """All records in sorted transaction-id order (restart replay)."""
-        return [self._records[txn_id] for txn_id in sorted(self._records)]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ParticipantRedoLog len={len(self._records)}>"
+    def records(self) -> List[ParticipantRecord]:
+        """The records in transaction-id order: the restart's replay order."""
+        return [self[txn_id] for txn_id in sorted(self)]

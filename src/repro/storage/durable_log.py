@@ -1,8 +1,8 @@
-"""Durable per-node logs for crash-consistent recovery.
+"""Durable per-node logs that hide an algorithm.
 
-The SSS participant redo log (:class:`repro.storage.commit_queue.ParticipantRedoLog`,
-PR 4) established the durable-log contract this module generalizes to the
-baselines:
+A protocol's plain durable records are dicts it declares durable (see
+:class:`~repro.protocols.runtime.ProtocolRuntime`); the two logs here stay
+classes because each owns more than a map.  Both follow the same contract:
 
 * **force-write before externalization** — a record is written *before* the
   reply/vote/propagation that makes the state externally observable, so a
@@ -14,11 +14,9 @@ baselines:
 
 Like the rest of the fault plane, these logs model durability inside the
 simulator: "force-written" means the record is mutated in the same simulation
-step as the action it covers (no yield point in between), and :meth:`on_crash
-<repro.protocols.runtime.ProtocolRuntime.on_crash>` simply does not clear
-them.  Fail-free runs never write any of these logs.
-
-Three logs live here:
+step as the action it covers (no yield point in between), and a crash keeps
+them because their node declares them durable.  Fail-free runs never write
+either log.
 
 * :class:`PieceRedoLog` — ROCOCO's per-server piece log.  The piece payload
   is logged at dispatch, the assigned order before the execute-round reply,
@@ -27,13 +25,10 @@ Three logs live here:
   so a late fault-mode re-send of an earlier-ordered piece can never replay
   behind already-executed successors.
 * :class:`PropagationLog` — Walter's per-site outbound propagation stream.
-  It owns the site's commit sequence counter (making ``_local_seq``
-  explicitly durable) and keeps, per destination, the contiguous stream of
+  It owns the site's commit sequence counter (so a restarted site never
+  reuses a seqno) and keeps, per destination, the contiguous stream of
   unacknowledged propagation records plus the acked watermark; restart and a
   fault-mode cadence retransmit everything above the watermark.
-* :class:`DecisionLog` — Walter's coordinator-side slow-path decisions,
-  force-written before the decide fan-out so a restarted coordinator re-fans
-  the *decided* outcome (commit or abort) instead of guessing.
 
 Executed piece records are retained for the rest of the run (they answer
 fault-mode duplicate commits faithfully), like the other fault-recovery
@@ -42,7 +37,7 @@ indexes; acked propagation records are dropped at the watermark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.ids import TransactionId
@@ -267,56 +262,3 @@ class PropagationLog:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pending = sum(len(stream) for stream in self._streams.values())
         return f"<PropagationLog seqno={self._seqno} unacked={pending}>"
-
-
-# ----------------------------------------------------------------------
-# Walter: coordinator-side durable decisions
-# ----------------------------------------------------------------------
-@dataclass
-class DecisionRecord:
-    """One slow-path decision awaiting reliable delivery to its sites."""
-
-    txn_id: TransactionId
-    outcome: bool
-    seqno: int
-    sites: Tuple[int, ...] = field(default_factory=tuple)
-
-
-class DecisionLog:
-    """Durable slow-path decisions, force-written before the decide fan-out.
-
-    A record lives until every site acknowledged the decide; a restarted
-    coordinator re-fans every surviving record (the fan-out that was in
-    flight died with the crash)."""
-
-    def __init__(self) -> None:
-        self._records: Dict[TransactionId, DecisionRecord] = {}
-
-    def record(
-        self,
-        txn_id: TransactionId,
-        outcome: bool,
-        seqno: int,
-        sites: Tuple[int, ...],
-    ) -> DecisionRecord:
-        record = DecisionRecord(txn_id=txn_id, outcome=outcome, seqno=seqno, sites=sites)
-        self._records[txn_id] = record
-        return record
-
-    def find(self, txn_id: TransactionId) -> Optional[DecisionRecord]:
-        return self._records.get(txn_id)
-
-    def discard(self, txn_id: TransactionId) -> None:
-        self._records.pop(txn_id, None)
-
-    def txn_ids(self) -> List[TransactionId]:
-        return sorted(self._records)
-
-    def __contains__(self, txn_id: TransactionId) -> bool:
-        return txn_id in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<DecisionLog undelivered={len(self._records)}>"

@@ -10,7 +10,9 @@ Three contracts over ``README.md`` and ``docs/``:
   the docs fails here;
 * every fenced DSL example in ``docs/SCENARIOS.md`` (the ``fault-dsl`` /
   ``traffic-dsl`` fences, one spec per line) parses through the real
-  plan parsers, and the ``python`` fences there execute end to end.
+  plan parsers, and the ``python`` fences there execute end to end;
+* ARCHITECTURE.md's durable-state table names exactly each protocol
+  node's declared ``_DURABLE`` attributes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import FaultPlan
+from repro.protocols.registry import REGISTRY
 from repro.traffic.plan import TrafficPlan
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -166,3 +169,19 @@ class TestScenarioExamples:
         assert fences, "SCENARIOS.md lost its runnable python example"
         for fence in fences:
             exec(compile(fence, str(self.SCENARIOS), "exec"), {"__name__": "__docs__"})
+
+
+@pytest.mark.parametrize("protocol", ["SSS", "2PC", "ROCOCO", "Walter"])
+def test_durable_state_table_matches_the_declarations(protocol):
+    rows = [
+        line.split("|")[1:-1]
+        for line in _prose(REPO_ROOT / "docs" / "ARCHITECTURE.md").splitlines()
+        if line.startswith(f"| {protocol} |")
+    ]
+    assert len(rows) == 1, f"ARCHITECTURE.md has {len(rows)} durable-state rows for {protocol}"
+    documented = set(_CODE_SPAN_RE.findall(rows[0][1]))
+    declared = set(REGISTRY[protocol.lower()].node_class._DURABLE)
+    assert documented == declared, (
+        f"{protocol}: documented, not declared {sorted(documented - declared)}; "
+        f"declared, not documented {sorted(declared - documented)}"
+    )

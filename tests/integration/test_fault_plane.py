@@ -21,6 +21,7 @@ The contract this suite pins:
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ import pytest
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.core.cluster import SSSCluster
 from repro.harness.runner import run_experiment
+from repro.network.node import NetworkedNode
 from repro.search.genome import ScenarioGenome
 from repro.search.scoring import score_genome
 
@@ -364,28 +366,52 @@ class TestCoordinatorCrashSessionTeardown:
         assert metrics.aborted > 0  # the torn-down transactions abort cleanly
         assert metrics.extra["stalled_clients"] == 0
 
-    # The PR-7 offsets spread the crash over the transaction lifecycle; the
-    # fine ones step it across one prepare round trip (~100 us) so some
-    # coordinator's Prepare is in flight or just sent at every step — the
-    # window a re-driven vote round exists for.
-    CRASH_OFFSETS_US = (1_500, 3_750, 7_500) + tuple(range(3_700, 3_820, 30))
+    # Crash points are not hand-picked: they are the instants at which node 1
+    # handles a message in one recording run of a tiny cluster (~100
+    # transactions), whose plan crashes after the run only to arm fault mode
+    # as the crash runs do.  Tier-1 tries every CRASH_POINT_STRIDE-th; the
+    # nightly job sets REPRO_STRESS_SCALE to the stride and tries them all.
+    CRASH_POINT_STRIDE = 32
+    TINY_US = 4_000
+
+    def _tiny(self, protocol, crash_at_us, **engine):
+        return _run(
+            protocol,
+            _config(
+                [f"crash node=1 at={crash_at_us}us for=2250us"],
+                n_keys=400,
+                seed=2024,
+                clients_per_node=1,
+            ),
+            duration_us=self.TINY_US,
+            drain_us=15_000,
+            **engine,
+        )
+
+    def _crash_points(self, protocol, monkeypatch):
+        instants = set()
+        serve = NetworkedNode._serve
+
+        def recording_serve(node, message):
+            if node.node_id == 1:
+                instants.add(node.sim.now)
+            serve(node, message)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NetworkedNode, "_serve", recording_serve)
+            self._tiny(protocol, 1_000 * self.TINY_US)
+        scale = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1") or "1"))
+        stride = max(1, self.CRASH_POINT_STRIDE // scale)
+        return sorted(t for t in instants if t < self.TINY_US)[::stride]
 
     @pytest.mark.parametrize("protocol", ["sss", "2pc", "walter", "rococo"])
-    def test_all_protocols_survive_crash_offset_sweep(self, protocol):
-        # Sweep the crash instant across the transaction lifecycle so the
-        # teardown window keeps being exercised as service times shift.
+    def test_all_protocols_survive_crash_offset_sweep(self, protocol, monkeypatch):
         # Every run keeps the protocol's own contract, drains clean, and is
         # the same run on one and on two shards.
         redriven = 0
-        for at_us in self.CRASH_OFFSETS_US:
+        for at_us in self._crash_points(protocol, monkeypatch):
             results = {
-                name: _run(
-                    protocol,
-                    _config([f"crash node=1 at={at_us}us for=2250us"], n_keys=400, seed=2024),
-                    duration_us=15_000,
-                    drain_us=30_000,
-                    **engine,
-                )
+                name: self._tiny(protocol, at_us, **engine)
                 for name, engine in SHARD_ENGINES.items()
             }
             assert len({run_digest(result) for result in results.values()}) == 1, (protocol, at_us)
@@ -393,10 +419,10 @@ class TestCoordinatorCrashSessionTeardown:
             assert result.metrics.committed > 0, (protocol, at_us)
             assert result.metrics.extra["stalled_clients"] == 0, (protocol, at_us)
             for check in result.cluster.check_contract():
-                assert check.ok, f"{protocol} broke {check.name} at crash offset {at_us}: {check}"
+                assert check.ok, f"{protocol} broke {check.name} at crash point {at_us}: {check}"
             redriven += result.node_counters.get("prepare_retries", 0)
         if protocol != "rococo":  # no vote round: dispatch/commit rounds re-send on their own
-            assert redriven > 0, "no crash offset ever swallowed a prepare"
+            assert redriven > 0, "no crash point ever swallowed a prepare"
 
 
 class TestRococoReplayOrdering:

@@ -43,6 +43,7 @@ from repro.clocks.vector_clock import VectorClock
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.core.cluster import SSSCluster
 from repro.core.messages import Decide, Prepare
+from repro.core.node import SSSNode
 from repro.harness.runner import run_experiment
 from repro.storage.locks import LockMode
 from repro.trace import TraceSpec
@@ -75,6 +76,14 @@ PROTOCOLS = {
         lambda txn, outcome, vote: WalterDecide(txn_id=txn, outcome=outcome, site=0, seqno=1),
     ),
 }
+
+
+def _prepared(node):
+    """The transactions a participant holds a yes-vote for (SSS keeps a write
+    replica's in its redo log, a read-only participant's apart)."""
+    if isinstance(node, SSSNode):
+        return [*node.redo_log, *node._read_prepared]
+    return list(node._prepared)
 
 
 class _Round:
@@ -112,11 +121,12 @@ class _Round:
     def state(self):
         """Everything a second prepare could disturb at the participant."""
         node = self.participant
+        sss = isinstance(self.cluster, SSSCluster)
         state = {
             "locks": {key: node.locks.holders(key) for key in node.locks.locked_keys()},
-            "prepared": sorted(node._prepared),
+            "prepared": sorted(_prepared(node)),
         }
-        if isinstance(self.cluster, SSSCluster):
+        if sss:
             state["node_vc"] = node.node_vc
             state["commit_queue"] = [(e.txn_id, e.vc, e.status) for e in node.commit_queue.entries()]
             state["redo_log"] = [(r.txn_id, r.vc, r.decided) for r in node.redo_log.records()]
@@ -244,7 +254,7 @@ class TestRedrive:
         hops = 3 * round_trip_us(round_.cluster.config)
         assert rest_of_window < latency < rest_of_window + hops < timeouts.crash_resubscribe_us
         for node in round_.cluster.nodes:
-            assert node.locks.locked_keys() == [] and not node._prepared
+            assert node.locks.locked_keys() == [] and not _prepared(node)
 
     def test_participant_never_back_aborts_within_the_envelope(self, protocol):
         round_ = _Round(protocol, faults=[f"crash node=1 at={DOWN_AT_US}"])
@@ -322,7 +332,7 @@ class TestOnOneAndTwoShards:
         assert extra["quiescence_commit_queue"] == 0
         for node in serial.cluster.nodes:
             assert node.locks.locked_keys() == [], f"node {node.node_id} leaked locks"
-            assert not node._prepared
+            assert not _prepared(node)
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_sss_prepare_that_outlives_a_crash_is_resolved_in_doubt(self, seed):

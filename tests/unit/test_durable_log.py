@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.common.ids import TransactionId
-from repro.storage.durable_log import DecisionLog, PieceRedoLog, PropagationLog
+from repro.storage.durable_log import PieceRedoLog, PropagationLog
 
 
 class TestPieceRedoLog:
@@ -122,25 +122,3 @@ class TestPropagationLog:
         assert log.destinations_with_unacked() == [1, 3]
         assert log.has_unacked()
 
-
-class TestDecisionLog:
-    def test_record_find_discard(self):
-        log = DecisionLog()
-        txn = TransactionId(0, 1)
-        record = log.record(txn, True, 7, (0, 2))
-        assert txn in log
-        assert log.find(txn) is record
-        assert record.outcome and record.seqno == 7 and record.sites == (0, 2)
-
-        log.discard(txn)
-        log.discard(txn)  # idempotent
-        assert txn not in log
-        assert log.find(txn) is None
-        assert len(log) == 0
-
-    def test_txn_ids_sorted_for_deterministic_refanout(self):
-        log = DecisionLog()
-        ids = [TransactionId(1, 5), TransactionId(0, 9), TransactionId(1, 2)]
-        for txn in ids:
-            log.record(txn, False, 0, ())
-        assert log.txn_ids() == sorted(ids)
