@@ -264,8 +264,8 @@ class TwoPCNode(ProtocolRuntime):
                     success = False
                     break
         if txn_id in self._decided:
-            # Fault mode: the decision overtook this prepare; preparing now
-            # would pin locks no second decision releases.
+            # The decision (a fail-fast abort) overtook this prepare;
+            # preparing now would pin locks no second decision releases.
             success = False
         if not success and locked:
             self.locks.release(txn_id, list(write_keys) + list(read_keys))
@@ -278,8 +278,7 @@ class TwoPCNode(ProtocolRuntime):
 
     def on_decide(self, message: Decide2PC):
         txn_id = message.txn_id
-        if self._fault_mode:
-            self._decided.add(txn_id)
+        self._decided.add(txn_id)
         prepared = self._prepared.pop(txn_id, None)
         installed = []
         if prepared is not None:

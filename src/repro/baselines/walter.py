@@ -400,8 +400,8 @@ class WalterNode(ProtocolRuntime):
                     success = False
                     break
         if txn_id in self._decided:
-            # Fault mode: the decision overtook this prepare; preparing now
-            # would pin locks no second decision releases.
+            # The decision (a fail-fast abort) overtook this prepare;
+            # preparing now would pin locks no second decision releases.
             success = False
         if not success and locked:
             self.locks.release(txn_id, keys)
@@ -410,40 +410,34 @@ class WalterNode(ProtocolRuntime):
         self.cast_vote(message, WalterVote(txn_id=txn_id, success=success))
 
     def on_decide(self, message: WalterDecide):
+        """Apply a decide exactly once; ``_decided`` records it, which also
+        keeps a prepare this decide overtook from pinning locks.
+
+        The prepared entry stays until the installation lands.  In fault
+        mode decides arrive through the coordinator's re-sending fan-out (a
+        crash mid-apply redoes it from the re-send) and every copy is
+        acknowledged.
+        """
         txn_id = message.txn_id
-        if self._fault_mode:
-            # Reliable delivery: decides arrive through the coordinator's
-            # re-sending fan-out, so apply exactly once (keeping the prepared
-            # entry until the installation lands — a crash mid-apply redoes
-            # it from the re-send) and always acknowledge.
+        if txn_id not in self._decided:
+            items = self._prepared.get(txn_id, ())
+            if message.outcome and items:
+                yield self.cpu(self.service.commit_apply_us * max(1, len(items)))
             if txn_id not in self._decided:
-                items = self._prepared.get(txn_id, ())
+                # Re-checked after the yield: a duplicate decide may have
+                # completed the installation while we held the CPU.
                 if message.outcome and items:
-                    yield self.cpu(self.service.commit_apply_us * max(1, len(items)))
-                if txn_id not in self._decided:
-                    # Re-checked after the yield: a duplicate decide may have
-                    # completed the installation while we held the CPU.
-                    if message.outcome and items:
-                        for key, value in items:
-                            self._install(key, value, message.site, message.seqno, txn_id)
-                        self._async_propagate(txn_id, message.site, message.seqno, items)
-                    self._decided.add(txn_id)
-                    items = self._prepared.pop(txn_id, ())
-                    keys = [key for key, _value in items]
-                    if keys:
-                        self.locks.release(txn_id, keys)
+                    for key, value in items:
+                        self._install(key, value, message.site, message.seqno, txn_id)
+                    # Propagate asynchronously to the other replicas.
+                    self._async_propagate(txn_id, message.site, message.seqno, items)
+                self._decided.add(txn_id)
+                items = self._prepared.pop(txn_id, ())
+                keys = [key for key, _value in items]
+                if keys:
+                    self.locks.release(txn_id, keys)
+        if self._fault_mode:
             self.respond(message, WalterDecideAck(txn_id=txn_id))
-            return
-        items = self._prepared.pop(txn_id, ())
-        keys = [key for key, _value in items]
-        if message.outcome and items:
-            yield self.cpu(self.service.commit_apply_us * max(1, len(items)))
-            for key, value in items:
-                self._install(key, value, message.site, message.seqno, txn_id)
-            # Propagate asynchronously to the remaining replicas of the keys.
-            self._async_propagate(txn_id, message.site, message.seqno, items)
-        if keys:
-            self.locks.release(txn_id, keys)
 
     def on_propagate(self, message: WalterPropagate) -> None:
         if self._fault_mode and message.stream_seq:

@@ -200,11 +200,13 @@ class ProtocolRuntime(NetworkedNode):
         self.coordinated: Dict[TransactionId, TransactionMeta] = {}
         self.outcomes: Dict[TransactionId, TransactionOutcome] = {}
         self.counters = defaultdict(int)
-        # Fault mode only — participant-side idempotence of re-sent prepares
-        # (see admit_prepare): prepares whose handler is still running
-        # (volatile) and rounds whose decision this node applied (durable,
-        # kept with the protocol's logged state: a duplicate held by a
-        # buffering partition can outlive a crash of this node).
+        # Participant-side idempotence of re-sent prepares (see
+        # admit_prepare): prepares whose handler is still running (volatile,
+        # fault mode only) and rounds whose decision this node applied
+        # (durable, kept with the protocol's logged state: a duplicate held
+        # by a buffering partition can outlive a crash of this node; 2PC and
+        # Walter record every decide, so a prepare a fail-fast abort
+        # overtook takes no lock either).
         self._preparing: Set[TransactionId] = set()
         self._decided: Set[TransactionId] = set()
         # Fault mode only — peer -> the wake events of the rounds waiting on

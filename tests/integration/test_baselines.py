@@ -267,3 +267,26 @@ class TestRococoSemantics:
         from repro.consistency.checkers import check_serializability
 
         assert check_serializability(result.cluster.history).ok
+
+
+class TestDecideOvertakingPrepare:
+    """A fail-fast ``Decide(abort)`` (CONTROL priority) can overtake a sibling
+    ``Prepare`` still queued or in its lock wait at another participant.  The
+    late prepare used to take its locks with no second decide coming, and
+    contended keys stayed locked for the rest of the run (fail-free, on both
+    2PC-style baselines).  Every decide is recorded now, and the prepare's
+    post-lock-wait check of the decided set releases instead of voting."""
+
+    @pytest.mark.parametrize("protocol", ["2pc", "walter"])
+    def test_no_lock_outlives_the_drain(self, protocol):
+        result = run_experiment(
+            protocol,
+            ClusterConfig(n_nodes=3, n_keys=12, clients_per_node=4, seed=5),
+            WorkloadConfig(),
+            duration_us=60_000,
+            drain_us=60_000,
+            keep_cluster=True,
+        )
+        for node in result.cluster.nodes:
+            assert node.locks.locked_keys() == [], f"node {node.node_id} leaked locks"
+            assert not node._prepared
