@@ -280,6 +280,8 @@ class RococoNode(ProtocolRuntime):
         for record in restored:
             self._pending.setdefault(record.key, {})[record.txn_id] = record
             if record.order is not None:
+                # Nobody waits for the reply: the coordinator's re-sent
+                # commit collects it from the redo log.
                 self.counters["pieces_replayed"] += 1
                 self.spawn_process(
                     self._run_piece(record.key, record, record.order),

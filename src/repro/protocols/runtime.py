@@ -173,9 +173,9 @@ class ProtocolRuntime(NetworkedNode):
     attribute it adds: ``_WAITS`` — maps of waiting events (values are
     events, or tuples led by one), whose untriggered events a crash fails;
     ``_VOLATILE`` — what a crash loses, the wait maps first: :meth:`crash`
-    empties every plain container there (dict, set, list), and the class's
-    :meth:`on_crash` resets the rest; ``_DURABLE`` — everything a crash
-    keeps.  The runtime's and the network layer's own attributes are not
+    empties every plain container there (dict, set, list), and the class
+    resets the rest in :meth:`on_crash` (or, for a flag, on restart);
+    ``_DURABLE`` — everything a crash keeps.  The runtime's and the network layer's own attributes are not
     declared: :meth:`crash` handles them itself.
     """
 
