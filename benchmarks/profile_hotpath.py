@@ -17,10 +17,18 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py
         [--nodes 6] [--duration-us 60000] [--top 30]
         [--sort cumulative|tottime] [--out PROFILE.pstats]
-        [--engine serial|parallel] [--shards N]
+        [--engine serial|parallel] [--shards N] [--sample]
 
 ``--out`` additionally dumps the raw stats for ``snakeviz``/``pstats``
 post-processing.
+
+``--sample`` runs the same experiment a second time, without ``cProfile``,
+under a stack sampler (:class:`StackSampler`) and prints its view after the
+rankings: each sample charged to the innermost ``src/repro/<layer>/`` frame
+on the stack, then the top self frames.  ``cProfile`` charges a fixed cost
+to every Python call it sees and misjudges code that is a few calls into C
+(a big-int loop, ``map(max, ...)``); the sampler's bias is a different one,
+stated in its docstring, and the two views side by side bound the truth.
 
 With ``--engine parallel`` the run uses the node-sharded conservative
 engine.  Its shards are stepped in this process, so the one profile covers
@@ -35,7 +43,76 @@ import argparse
 import cProfile
 import os
 import pstats
+import signal
 import time
+from collections import Counter
+from typing import Optional
+
+
+class StackSampler:
+    """``SIGPROF`` stack sampler over the process's CPU time (stdlib only).
+
+    Every ``interval_s`` of CPU time ``setitimer(ITIMER_PROF)`` raises
+    ``SIGPROF``; the handler charges the sample to the innermost frame
+    under ``src/repro/`` (its layer and its function: frames outside the
+    package — stdlib, builtins' Python callers — charge the repro frame that
+    called them) and to the innermost frame of all (the self frame).
+
+    Its bias: CPython runs a Python signal handler only between bytecodes,
+    at the points where the interpreter checks for pending work — function
+    entries, loop back-edges, returns from calls.  A sample that falls
+    inside a C call (a big-int operation, ``sorted``, ``heappop``) waits
+    for that call to return and lands on its caller, which is the right
+    frame for self time; but samples land at call boundaries, so a long
+    straight-line stretch of bytecode is charged to the call that ends it.
+    Nothing is charged per call, which is ``cProfile``'s bias.  Unix only.
+    """
+
+    def __init__(self, interval_s: float = 0.001):
+        self.interval_s = interval_s
+        self.layers: Counter = Counter()
+        self.frames: Counter = Counter()
+        self.samples = 0
+        self._root = os.sep + "repro" + os.sep
+        self._previous = None
+
+    def _layer(self, filename: str) -> Optional[str]:
+        position = filename.rfind(self._root)
+        if position < 0:
+            return None
+        rest = filename[position + len(self._root) :]
+        return rest.split(os.sep, 1)[0] if os.sep in rest else "repro"
+
+    def _handler(self, _signum, frame) -> None:
+        self.samples += 1
+        code = frame.f_code
+        self.frames[f"{os.path.basename(code.co_filename)}:{code.co_name}"] += 1
+        while frame is not None:
+            layer = self._layer(frame.f_code.co_filename)
+            if layer is not None:
+                self.layers[layer] += 1
+                return
+            frame = frame.f_back
+        self.layers["(outside repro)"] += 1
+
+    def __enter__(self) -> "StackSampler":
+        self._previous = signal.signal(signal.SIGPROF, self._handler)
+        signal.setitimer(signal.ITIMER_PROF, self.interval_s, self.interval_s)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, self._previous)
+
+    def report(self, top: int) -> None:
+        total = max(self.samples, 1)
+        every = f"{self.interval_s * 1e3:g} ms CPU each"
+        print(f"\n=== sampled layers ({self.samples} samples, {every}) ===")
+        for layer, count in self.layers.most_common():
+            print(f"{100.0 * count / total:7.2f}%  {count:7d}  {layer}")
+        print(f"\n=== top {top} sampled self frames ===")
+        for name, count in self.frames.most_common(top):
+            print(f"{100.0 * count / total:7.2f}%  {count:7d}  {name}")
 
 
 def print_entry_census(stats: pstats.Stats, committed: int, events: float) -> None:
@@ -80,6 +157,11 @@ def main() -> int:
     )
     parser.add_argument("--out", default=None, help="Dump raw pstats here.")
     parser.add_argument(
+        "--sample",
+        action="store_true",
+        help="Also run the experiment unprofiled under the SIGPROF stack sampler.",
+    )
+    parser.add_argument(
         "--engine",
         choices=("serial", "parallel"),
         default="serial",
@@ -106,18 +188,21 @@ def main() -> int:
     )
     workload = WorkloadConfig(read_only_fraction=args.read_only, read_only_txn_keys=2)
 
+    def run():
+        return run_experiment(
+            args.protocol,
+            config,
+            workload,
+            duration_us=args.duration_us,
+            warmup_us=args.warmup_us,
+            engine=args.engine,
+            shards=args.shards if args.engine == "parallel" else None,
+        )
+
     profiler = cProfile.Profile()
     wall_start = time.perf_counter()
     profiler.enable()
-    result = run_experiment(
-        args.protocol,
-        config,
-        workload,
-        duration_us=args.duration_us,
-        warmup_us=args.warmup_us,
-        engine=args.engine,
-        shards=args.shards if args.engine == "parallel" else None,
-    )
+    result = run()
     profiler.disable()
     wall = time.perf_counter() - wall_start
 
@@ -151,6 +236,10 @@ def main() -> int:
     if args.out:
         stats.dump_stats(args.out)
         print(f"raw stats written to {args.out}")
+    if args.sample:
+        with StackSampler() as sampler:
+            run()
+        sampler.report(args.top)
     return 0
 
 

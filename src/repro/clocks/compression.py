@@ -86,7 +86,7 @@ class VCCodec:
                 entries = list(reference.entries)
                 for index, value in payload:
                     entries[index] = int(value)
-                clock = VectorClock._shared(tuple(entries))
+                clock = VectorClock(entries)
         else:
             raise ValueError(f"unknown encoding kind {kind!r}")
         if clock.size != self.size:

@@ -234,7 +234,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         queued install lies inside it.  Holds for every smaller target too
         (both terms compare ``target`` with one number), which is what
         :class:`~repro.sim.events.ThresholdWaiters` needs."""
-        if self.nlog.most_recent_vc[self.node_id] < target:
+        if self.nlog.local_value() < target:
             return False
         return not self.commit_queue.has_entry_at_or_below(target)
 
@@ -281,6 +281,9 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # ---- read-only transactions -------------------------------------
         reader_vc = message.vc
         has_read = message.has_read
+        # The read coordinates as one clock selector: every bound check
+        # below is a masked clock comparison, not a loop over the flags.
+        read = VectorClock.selector(has_read)
         squeue = self.store.squeue(key)
 
         # Starvation avoidance: back off when the key's writers have been
@@ -334,7 +337,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             # writers still in flight on expiry get their client answer
             # gated behind this reader before they may be excluded.
             gated, refused = yield from self._resolve_ambiguous_writers(
-                message, key, reader_vc, has_read
+                message, key, reader_vc, read
             )
             if refused:
                 self.counters["reads_gate_refused"] += 1
@@ -351,7 +354,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
 
             # Lines 6-9: visible snapshot minus pre-committing writers above
             # the reader's bound.
-            excluded_vcs = self._excluded_vcs(key, reader_vc, has_read, force_exclude=gated)
+            excluded_vcs = self._excluded_vcs(key, reader_vc, read, force_exclude=gated)
             max_vc = self.nlog.visible_max_vc(
                 reader_vc, has_read, excluded_vcs, strict=self.strict_visibility
             )
@@ -379,7 +382,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             # below-watermark preference of the first-read path does not
             # apply).
             gated, refused = yield from self._resolve_ambiguous_writers(
-                message, key, reader_vc, has_read, gate_all=True
+                message, key, reader_vc, read, gate_all=True
             )
             if refused:
                 self.counters["reads_gate_refused"] += 1
@@ -404,7 +407,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # keep the exclusion answer-ordered; the coordinator restarts the
         # transaction under a fresh snapshot).
         version, rt_stale = self._select_version(
-            key, has_read, max_vc, excluded_vcs, check_stale=True
+            key, read, max_vc, excluded_vcs, check_stale=True
         )
         if rt_stale:
             yield self.cpu(service.version_walk_us * max(1, len(self.store.chain(key))))
@@ -473,8 +476,9 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                 )
         return True
 
-    def _covered(self, vc: VectorClock, reader_vc: VectorClock, has_read) -> bool:
-        """True when the reader's bound admits ``vc`` on every read coordinate.
+    def _covered(self, vc: VectorClock, reader_vc: VectorClock, read: int) -> bool:
+        """True when the reader's bound admits ``vc`` on every read coordinate
+        (``read``: the :meth:`VectorClock.selector` of the reader's ``hasRead``).
 
         A covered writer must *not* be excluded from the reader's snapshot:
         the reader's earlier reads were served under a bound that admits it
@@ -483,12 +487,10 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         fracture the reader's snapshot — and deadlock the reader's
         external-commit dependency wait against the writer's pre-commit wait.
         """
-        if not any(has_read):
-            return False
-        return all(not flag or vc[index] <= reader_vc[index] for index, flag in enumerate(has_read))
+        return bool(read) and vc.le_on(reader_vc, read)
 
     def _excluded_vcs(
-        self, key: object, reader_vc: VectorClock, has_read, force_exclude=frozenset()
+        self, key: object, reader_vc: VectorClock, read: int, force_exclude=frozenset()
     ) -> Set[VectorClock]:
         """Commit clocks of writers the reader must not observe (ExcludedSet).
 
@@ -522,12 +524,12 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                 # already-done writer's local value; the ambiguous-zone wait
                 # handles it instead (see _ambiguous_writers).
                 continue
-            if not self._covered(vc, reader_vc, has_read):
+            if not self._covered(vc, reader_vc, read):
                 excluded.add(vc)
         return excluded
 
     def _ambiguous_writers(
-        self, key: object, reader_vc: VectorClock, has_read
+        self, key: object, reader_vc: VectorClock, read: int
     ) -> List[Tuple[TransactionId, int]]:
         """Writers above the reader's bound in the "ambiguous zone".
 
@@ -553,7 +555,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             writer = version.writer
             if writer is None or writer in done:
                 continue
-            if self._covered(vc, reader_vc, has_read):
+            if self._covered(vc, reader_vc, read):
                 continue
             if vc[i] > watermark and squeue.has_writer(writer):
                 # Still locally gated and above every done writer's local
@@ -568,7 +570,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         message: ReadRequest,
         key: object,
         reader_vc: VectorClock,
-        has_read,
+        read: int,
         gate_all: bool = False,
     ):
         """Bounded wait, then *definitive* resolution of ambiguous writers.
@@ -609,7 +611,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         resolved: Set[TransactionId] = set()
         deadline = None
         while True:
-            ambiguous = self._ambiguous_writers(key, reader_vc, has_read)
+            ambiguous = self._ambiguous_writers(key, reader_vc, read)
             pending = [
                 (writer, local)
                 for writer, local in ambiguous
@@ -902,21 +904,22 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     def _select_version(
         self,
         key: object,
-        has_read: List[bool],
+        read: int,
         max_vc: VectorClock,
         excluded_vcs: Set[VectorClock],
         check_stale: bool = False,
     ):
         """Newest version within the visibility bound, plus an rt-staleness flag.
 
-        Returns ``(version, rt_stale)``.  ``rt_stale`` is True when a version
-        the bound rejects belongs to a writer whose client was *already
-        answered* (a recorded external-commit timestamp, carried by
-        ExternalDone).  Missing such a version would serialize the reader
-        before a writer that answers first — an exclusion edge with no
-        answer-order gate behind it, which is exactly the ingredient that
-        lets contradictory serialization decisions at different nodes commit
-        (the paper's Figure 2 cycle).  Serializing the reader after the
+        ``read`` is the :meth:`VectorClock.selector` of the reader's
+        ``hasRead`` flags.  Returns ``(version, rt_stale)``.  ``rt_stale`` is
+        True when a version the bound rejects belongs to a writer whose
+        client was *already answered* (a recorded external-commit timestamp,
+        carried by ExternalDone).  Missing such a version would serialize
+        the reader before a writer that answers first — an exclusion edge
+        with no answer-order gate behind it, which is exactly the ingredient
+        that lets contradictory serialization decisions at different nodes
+        commit (the paper's Figure 2 cycle).  Serializing the reader after the
         writer is impossible under its frozen coordinates, so the reader
         must restart with a fresh snapshot.  Pending (excluded) writers are
         handled by the exclusion/gate machinery, and torn-down writers
@@ -927,15 +930,13 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         chain = self.store.chain(key)
         rt_stale = False
         done = self._externally_done
+        bound = max_vc[i]
         for version in chain.newest_to_oldest():
             vc = version.vc
-            excluded = vc in excluded_vcs and vc[i] > max_vc[i]
-            out_of_bound = vc[i] > max_vc[i]
-            if not out_of_bound:
-                for w, flag in enumerate(has_read):
-                    if flag and vc[w] > max_vc[w]:
-                        out_of_bound = True
-                        break
+            out_of_bound = vc[i] > bound
+            excluded = out_of_bound and vc in excluded_vcs
+            if not out_of_bound and read:
+                out_of_bound = not vc.le_on(max_vc, read)
             if not excluded and not out_of_bound:
                 return version, rt_stale
             if not excluded and check_stale and version.writer is not None:
@@ -975,7 +976,9 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                     args={"key": str(key), "level": level},
                 )
         else:
-            self._backoff_level[key] = 0
+            # A missing key reads as level 0 (defaultdict): drop it rather
+            # than store a zero for every key a reader ever touched.
+            self._backoff_level.pop(key, None)
         return None
 
     # ------------------------------------------------------------------

@@ -49,6 +49,8 @@ class CommitQueueEntry:
     vc: VectorClock
     status: CommitStatus = CommitStatus.PENDING
     enqueue_time: float = field(default=0.0)
+    #: ``vc`` at the queue's own node: the sort key, read once per ``vc``.
+    local: int = field(default=0, repr=False)
 
 
 class CommitQueue:
@@ -82,6 +84,7 @@ class CommitQueue:
             vc=vc,
             status=CommitStatus.PENDING,
             enqueue_time=self._sim.now if self._sim is not None else 0.0,
+            local=vc[self.node_index],
         )
         self._by_id[txn_id] = entry
         self._place(entry)
@@ -95,6 +98,7 @@ class CommitQueue:
             raise KeyError(f"{txn_id} not in commit queue")
         self._unplace(entry)
         entry.vc = vc
+        entry.local = vc[self.node_index]
         entry.status = CommitStatus.READY
         self._place(entry)
         self._notify()
@@ -123,7 +127,7 @@ class CommitQueue:
 
     def min_pending_local(self) -> Optional[int]:
         """Smallest node-local clock entry among queued installs, if any."""
-        return self._entries[0].vc[self.node_index] if self._entries else None
+        return self._entries[0].local if self._entries else None
 
     def has_entry_at_or_below(self, value: int) -> bool:
         """True if some queued install has a node-local clock entry <= ``value``.
@@ -138,7 +142,7 @@ class CommitQueue:
         prepares already claimed there).
         """
         head = self._entries[0] if self._entries else None
-        return head is not None and head.vc[self.node_index] <= value
+        return head is not None and head.local <= value
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -160,9 +164,10 @@ class CommitQueue:
         return dropped
 
     # ------------------------------------------------------------- internals
-    def _key(self, entry: CommitQueueEntry) -> Tuple[int, int, int]:
+    @staticmethod
+    def _key(entry: CommitQueueEntry) -> Tuple[int, int, int]:
         txn_id = entry.txn_id
-        return (entry.vc[self.node_index], txn_id.node, txn_id.seq)
+        return (entry.local, txn_id.node, txn_id.seq)
 
     def _place(self, entry: CommitQueueEntry) -> None:
         key = self._key(entry)

@@ -70,6 +70,8 @@ class NLog:
         #: ``_entries``; when an id is retained twice, the later entry.
         self._by_id: Dict[TransactionId, NLogEntry] = {}
         self._most_recent_vc = VectorClock.zeros(n_nodes)
+        #: ``_most_recent_vc[node_index]``, read by every read request.
+        self._local_value = 0
         self._cumulative_max = VectorClock.zeros(n_nodes)
         self._signal: Optional["Signal"] = (
             sim.signal(name=f"nlog:{node_index}") if sim is not None else None
@@ -82,6 +84,7 @@ class NLog:
         self._entries.append(entry)
         self.total_appended += 1
         self._most_recent_vc = entry.vc
+        self._local_value = entry.vc[self.node_index]
         self._cumulative_max = self._cumulative_max.merge(entry.vc)
         self._by_id[entry.txn_id] = entry
         if self.retention and len(self._entries) > self.retention:
@@ -118,7 +121,7 @@ class NLog:
 
     def local_value(self) -> int:
         """``most_recent_vc[i]`` for this node's own index."""
-        return self._most_recent_vc[self.node_index]
+        return self._local_value
 
     # ------------------------------------------------------------ queries
     def visible_max_vc(
@@ -146,56 +149,42 @@ class NLog:
             Use the literal whole-log scan instead of the summary
             computation.
         """
+        read = VectorClock.selector(has_read)
         if strict:
-            return self._visible_max_strict(reader_vc, has_read, set(excluded))
-        return self._visible_max_summary(reader_vc, has_read, list(excluded))
+            return self._visible_max_strict(reader_vc, read, set(excluded))
+        return self._visible_max_summary(reader_vc, read, list(excluded))
 
     def _visible_max_strict(
-        self,
-        reader_vc: VectorClock,
-        has_read: Sequence[bool],
-        excluded: Set[VectorClock],
+        self, reader_vc: VectorClock, read: int, excluded: Set[VectorClock]
     ) -> VectorClock:
-        visible_vcs = []
-        for entry in self._entries:
-            vc = entry.vc
-            if vc in excluded:
-                continue
-            visible = all(
-                not flag or vc[index] <= reader_vc[index]
-                for index, flag in enumerate(has_read)
-            )
-            if visible:
-                visible_vcs.append(vc)
+        visible_vcs = [
+            entry.vc
+            for entry in self._entries
+            if entry.vc not in excluded and entry.vc.le_on(reader_vc, read)
+        ]
         return VectorClock.zeros(self.n_nodes).merge_many(visible_vcs)
 
     def _visible_max_summary(
-        self,
-        reader_vc: VectorClock,
-        has_read: Sequence[bool],
-        excluded: List[VectorClock],
+        self, reader_vc: VectorClock, read: int, excluded: List[VectorClock]
     ) -> VectorClock:
         cumulative = self._cumulative_max
-        if not excluded and not any(has_read):
+        if not excluded and not read:
             # First read of a transaction: the visible maximum is simply the
             # cumulative maximum (no bounds to apply, nothing excluded).
             return cumulative
-        entries = list(cumulative.entries)
-        for index, flag in enumerate(has_read):
-            if flag:
-                bound = reader_vc[index]
-                if entries[index] > bound:
-                    entries[index] = bound
+        visible = cumulative.clamp(reader_vc, read)
+        if not excluded:
+            return visible
         # Stay below every excluded writer on this node's own coordinate so
         # that the reader's insertion-snapshot orders it before those writers.
         local = self.node_index
+        bound = reader_vc[local]
+        value = visible[local]
         for vc in excluded:
-            if vc[local] > reader_vc[local] and entries[local] >= vc[local]:
-                entries[local] = vc[local] - 1
-        entries_tuple = tuple(entries)
-        if entries_tuple == cumulative.entries:
-            return cumulative
-        return VectorClock._shared(entries_tuple)
+            own = vc[local]
+            if own > bound and value >= own:
+                value = own - 1
+        return visible.with_entry(local, value)
 
     def find(self, txn_id: TransactionId) -> Optional[NLogEntry]:
         """Retained entry of ``txn_id``, or ``None`` (fault-plane recovery)."""

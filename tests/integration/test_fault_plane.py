@@ -78,18 +78,35 @@ def _history_digest(history) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def sss_run():
+    """``_run("sss", _config(faults))``, made once per fault plan in this
+    module: several tests below assert different things about the same
+    120 ms experiment, and they only read the result."""
+    results = {}
+
+    def run(faults):
+        key = tuple(faults)
+        if key not in results:
+            results[key] = _run("sss", _config(faults))
+        return results[key]
+
+    yield run
+    results.clear()
+
+
 class TestSSSUnderFaults:
     @pytest.mark.parametrize(
         "faults", [CRASH_RESTART, PARTITION, SLOWLINK], ids=["crash", "partition", "slowlink"]
     )
-    def test_consistency_preserved(self, faults):
-        result = _run("sss", _config(faults))
+    def test_consistency_preserved(self, faults, sss_run):
+        result = sss_run(faults)
         check = result.cluster.check_consistency()
         assert check.ok, f"SSS violated external consistency under {faults}: {check}"
         assert result.metrics.committed > 0
 
-    def test_crash_restart_recovers_fully(self):
-        result = _run("sss", _config(CRASH_RESTART))
+    def test_crash_restart_recovers_fully(self, sss_run):
+        result = sss_run(CRASH_RESTART)
         metrics = result.metrics
         assert metrics.extra["stalled_clients"] == 0
         assert metrics.extra["quiescence_leaked_writers"] == 0
@@ -108,8 +125,8 @@ class TestSSSUnderFaults:
         # node's participants, and nothing ever leaks inconsistently.
         assert result.metrics.extra["stalled_clients"] >= 0
 
-    def test_buffered_partition_heals_without_stalls(self):
-        result = _run("sss", _config(PARTITION))
+    def test_buffered_partition_heals_without_stalls(self, sss_run):
+        result = sss_run(PARTITION)
         metrics = result.metrics
         assert metrics.extra["stalled_clients"] == 0
         assert metrics.extra["quiescence_leaked_writers"] == 0
@@ -119,8 +136,8 @@ class TestSSSUnderFaults:
         tail_phase = metrics.phases[-1]
         assert tail_phase["availability"] > 0.5
 
-    def test_availability_dips_during_fault_windows(self):
-        result = _run("sss", _config(CRASH_RESTART))
+    def test_availability_dips_during_fault_windows(self, sss_run):
+        result = sss_run(CRASH_RESTART)
         phases = result.metrics.phases
         crash_phase = next(p for p in phases if "crash" in p["label"])
         # Availability is relative to the best phase — since rounds re-send
@@ -130,8 +147,8 @@ class TestSSSUnderFaults:
         assert max(fail_free) == 1.0 and min(fail_free) > 0.85
         assert crash_phase["availability"] < 0.5
 
-    def test_fault_events_recorded_in_engine_log(self):
-        result = _run("sss", _config(CRASH_RESTART))
+    def test_fault_events_recorded_in_engine_log(self, sss_run):
+        result = sss_run(CRASH_RESTART)
         labels = [label for _t, label in result.cluster.sim.fault_log]
         assert labels == ["crash:1", "restart:1"]
 

@@ -154,6 +154,23 @@ class TestStarvationBackoff:
         cluster.run()
         assert all(node.counters.get("starvation_backoffs", 0) == 0 for node in cluster.nodes)
 
+    def test_backoff_levels_stay_empty_without_backoffs(self):
+        """A read of a key whose writers are not starving drops the key's
+        back-off level instead of storing a zero, so a run that never backs
+        off leaves every node's level map empty."""
+        result = run_experiment(
+            "sss",
+            ClusterConfig(n_nodes=3, n_keys=60, replication_degree=2, clients_per_node=2, seed=9),
+            WorkloadConfig(read_only_fraction=0.5),
+            duration_us=20_000,
+            warmup_us=0,
+            keep_cluster=True,
+        )
+        assert result.metrics.committed > 0
+        assert result.node_counters.get("starvation_backoffs", 0) == 0
+        assert result.node_counters.get("reads_read_only", 0) > 0
+        assert all(not node._backoff_level for node in result.cluster.nodes)
+
 
 class TestVisibilityModes:
     @pytest.mark.parametrize("strict", [False, True])

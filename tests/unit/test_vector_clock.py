@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import weakref
-
 import pytest
 
 from repro.clocks.vector_clock import VectorClock
@@ -118,15 +115,25 @@ class TestOrdering:
             VectorClock([1]) <= 3  # noqa: B015
 
 
-class TestInterning:
-    def test_pool_shares_live_clocks_and_releases_dropped_ones(self):
-        base = VectorClock([4, 0, 1_000_003])
-        clock = base.increment(1)
-        # Identity interning: the same value is the same object while held.
-        assert base.increment(1) is clock
-        assert VectorClock.intern(VectorClock([4, 1, 1_000_003])) is clock
-        released = weakref.ref(clock)
-        del clock
-        gc.collect()
-        assert released() is None
-        assert (4, 1, 1_000_003) not in VectorClock._pool
+class TestValueSemantics:
+    def test_equal_clocks_from_different_paths_are_interchangeable(self):
+        # There is no interning pool: equality and hashing are by value, so a
+        # clock built by any path finds a dict entry keyed by any other.
+        read = VectorClock.selector([False, True, True])
+        paths = [
+            VectorClock([3, 0, 7]),
+            VectorClock.zeros(3).increment(0, 3).with_entry(2, 7),
+            VectorClock([1, 0, 7]).merge(VectorClock([3, 0, 2])),
+            VectorClock([0, 0, 1]).merge_many([VectorClock([3, 0, 0]), VectorClock([0, 0, 7])]),
+            VectorClock([3, 5, 9]).clamp(VectorClock([9, 0, 7]), read),
+            VectorClock([9, 0, 9]).with_entries([0], 3).with_entries([2], 7),
+        ]
+        assert len({id(clock) for clock in paths}) == len(paths)
+        mapping = {paths[0]: "x"}
+        for clock in paths:
+            assert clock == paths[0]
+            assert hash(clock) == hash(paths[0])
+            assert mapping[clock] == "x"
+        assert len(set(paths)) == 1
+        # Width is part of the value: all-zero clocks of two widths differ.
+        assert VectorClock.zeros(3) != VectorClock.zeros(4)
