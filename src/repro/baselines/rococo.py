@@ -242,10 +242,11 @@ class RococoNode(ProtocolRuntime):
         # Grows with the committed transactions of a run, like the other
         # fault-recovery indexes; fail-free runs never write it.
         self.redo = PieceRedoLog()
-        # Fault mode only, durable: order assignments of transactions this
-        # node coordinated whose commit round a crash cut short.  The restart
-        # re-runs the round so the decided writes land on every key.
-        self._crash_completions: Dict[TransactionId, float] = {}
+        # Fault mode only, durable: order assignments (with the metadata) of
+        # transactions this node coordinated whose commit round a crash cut
+        # short.  The restart re-runs the round so the decided writes land on
+        # every key.
+        self._crash_completions: Dict[TransactionId, Tuple[float, TransactionMeta]] = {}
         self.register_handler(PieceDispatch, self.on_dispatch)
         self.register_handler(PieceCommit, self.on_commit)
         self.register_handler(PieceAbort, self.on_piece_abort)
@@ -298,7 +299,8 @@ class RococoNode(ProtocolRuntime):
                 # The order was assigned (force-written with version_hints)
                 # before the crash: the outcome is decided, finish the
                 # commit round instead of tearing the writes.
-                self._crash_completions[txn_id] = next(iter(meta.version_hints.values()))
+                order = next(iter(meta.version_hints.values()))
+                self._crash_completions[txn_id] = (order, meta)
                 continue
             for key in sorted(set(meta.read_set) | set(meta.write_set), key=repr):
                 primary = self.primary(key)
@@ -698,10 +700,10 @@ class RococoNode(ProtocolRuntime):
         writes legitimately committed for the consistency checkers: crash
         recovery is all-or-nothing, never a torn partial commit.
         """
-        meta = self.coordinated[txn_id]
-        order = self._crash_completions.get(txn_id)
-        if order is None:
+        entry = self._crash_completions.get(txn_id)
+        if entry is None:
             return
+        order, meta = entry
         yield from self._commit_round(meta, self._pieces(meta), order, "redo-commit")
         if self._crash_completions.pop(txn_id, None) is None:
             return  # a racing completion (re-restart) already finished it

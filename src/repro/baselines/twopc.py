@@ -233,7 +233,7 @@ class TwoPCNode(ProtocolRuntime):
 
     def on_prepare(self, message: Prepare2PC):
         txn_id = message.txn_id
-        if self._fault_mode and not self.admit_prepare(message, self._recorded_vote):
+        if not self.admit_prepare(message, self._recorded_vote):
             return
         local_reads = tuple(
             (key, version)
@@ -340,7 +340,7 @@ class TwoPCNode(ProtocolRuntime):
         )
         participants.add(self.node_id)
 
-        # Prepare phase: one shared vote round (crash guard included).
+        # Prepare phase: one shared vote round (re-driven if a prepare is lost).
         outcome, _votes = yield from self.vote_round(
             sorted(participants),
             lambda _participant: Prepare2PC(

@@ -379,7 +379,7 @@ class WalterNode(ProtocolRuntime):
 
     def on_prepare(self, message: WalterPrepare):
         txn_id = message.txn_id
-        if self._fault_mode and not self.admit_prepare(message, self._recorded_vote):
+        if not self.admit_prepare(message, self._recorded_vote):
             return
         local_items = tuple(
             (key, value)

@@ -92,12 +92,6 @@ class TimeoutConfig:
     lock_timeout_us: float = 1_000.0
     """Lock acquisition timeout; the paper sets 1 ms on its cluster."""
 
-    prepare_timeout_us: float = 50_000.0
-    """Fail-free only: the coarse guard a 2PC coordinator waits for votes
-    before declaring the round failed.  With a fault plan installed the
-    round is re-driven instead (``crash_resubscribe_us`` /
-    ``prepare_retry_limit``) and this deadline is never armed."""
-
     starvation_threshold_us: float = 20_000.0
     """Queued-writer age beyond which read-only reads apply back-off."""
 
@@ -132,22 +126,24 @@ class TimeoutConfig:
     external-commit dependency wait (``ProtocolRuntime.redrive``).  A
     message sent into a node's down window is lost and only its sender can
     re-drive it: at once when the node's ``Rejoin`` arrives, on this timer
-    for what no restart announces (drop-mode partitions, lost replies)."""
+    for what no restart announces (drop-mode partitions, lost replies).
+    Armed only when a message can be lost (a fault plan, or a crash
+    injected through ``Network.crash``); a run that loses none waits on
+    its replies alone."""
 
     prepare_retry_limit: int = 3
-    """Fault-mode only: how many silent waves (fallback timer expired, no
-    ``Rejoin``) the prepare round of any protocol (``vote_round``) tolerates
-    before declaring the silent participant dead and failing the round.
-    Bounds the dead-participant abort at ``(limit + 1) *
-    crash_resubscribe_us`` — 20 ms at the defaults — while a participant
-    that restarts within the envelope still answers a re-send and the round
-    completes honestly."""
+    """How many silent waves (fallback timer expired, no ``Rejoin``) the
+    prepare round of any protocol (``vote_round``) tolerates before
+    declaring the silent participant dead and failing the round.  Bounds
+    the dead-participant abort at ``(limit + 1) * crash_resubscribe_us`` —
+    20 ms at the defaults, the retry envelope — while a participant that
+    restarts within the envelope still answers a re-send and the round
+    completes honestly.  A vote round has no other timeout: with no
+    message lost it waits for every vote."""
 
     def validate(self) -> None:
         if self.lock_timeout_us <= 0:
             raise ConfigurationError("lock_timeout_us must be > 0")
-        if self.prepare_timeout_us <= 0:
-            raise ConfigurationError("prepare_timeout_us must be > 0")
         if self.prepare_retry_limit < 1:
             raise ConfigurationError("prepare_retry_limit must be >= 1")
         if self.backoff_initial_us <= 0 or self.backoff_max_us < self.backoff_initial_us:

@@ -12,7 +12,8 @@ participate in a new violation:
   record can ever land behind the frontier.
 * A new transaction's dependency and real-time edges only reach a bounded
   distance into the past: its begin time is at most the maximum transaction
-  lifetime ago (the prepare timeout plus the read-only restart wait), and
+  lifetime ago (the vote round's retry envelope plus the read-only restart
+  wait), and
   the versions it observed are at most the protocols' staleness bound old.
   ``retention_us`` over-approximates that *ambiguous zone*; its default is
   derived from the cluster's :class:`~repro.common.config.TimeoutConfig`.
@@ -89,14 +90,15 @@ ALL_CHECKS: Tuple[str, ...] = (
 def default_retention_us(timeouts) -> float:
     """Ambiguous-zone bound derived from a :class:`TimeoutConfig`.
 
-    A transaction's edges reach back at most one full lifetime: the prepare
-    timeout bounds how long an update can stay in flight, the read-only
-    restart wait bounds snapshot retries, and one external-done wait covers
-    the answer-to-record slack.  Doubling the done-wait adds headroom for
-    the staleness of served snapshots.
+    A transaction's edges reach back at most one full lifetime: the vote
+    round's retry envelope, ``(prepare_retry_limit + 1) *
+    crash_resubscribe_us``, bounds how long a prepare round waits on a
+    silent participant, the read-only restart wait bounds snapshot retries,
+    and one external-done wait covers the answer-to-record slack.  Doubling
+    the done-wait adds headroom for the staleness of served snapshots.
     """
     return (
-        timeouts.prepare_timeout_us
+        (timeouts.prepare_retry_limit + 1) * timeouts.crash_resubscribe_us
         + timeouts.readonly_restart_wait_us
         + 2.0 * timeouts.external_done_wait_us
     )

@@ -270,22 +270,13 @@ class CoordinatorMixin:
         trace_start = self.sim.now if tracer is not None else 0.0
         trace_links = tuple(still_pending) if tracer is not None else ()
         timeouts = self.config.timeouts
-        if not self._fault_mode and not meta.is_read_only:
-            events = [self.external_done_event(writer) for writer in still_pending]
-            if len(events) == 1:
-                yield events[0]
-            else:
-                yield self.sim.all_of(events)
-            if tracer is not None:
-                tracer.span(
-                    "wait.pending_writers", trace_start, txn=meta.txn_id, link=trace_links
-                )
-            return True
-        # Bounded waves.  Fault mode re-subscribes — on the coordinator's
-        # Rejoin, and to everyone between waves: a crash can swallow both the
-        # subscription and the notification, and a restarted coordinator
-        # answers a fresh SubscribeExternal at once (its crash tore the writer
-        # down).  Fail-free read-only waves resolve leftovers definitively.
+        # Waves re-driven by redrive: with a message possibly lost it
+        # re-subscribes — on the coordinator's Rejoin, and to everyone
+        # between waves: a crash can swallow both the subscription and the
+        # notification, and a restarted coordinator answers a fresh
+        # SubscribeExternal at once (its crash tore the writer down).  A
+        # fail-free update waits on the notifications alone; fail-free
+        # read-only waves are bounded and resolve leftovers definitively.
 
         def pending_nodes():
             return [w.node for w in still_pending if w not in self._externally_done]
@@ -319,10 +310,10 @@ class CoordinatorMixin:
                 return True
             events = [self.external_done_event(writer) for writer in still_pending]
             done = events[0] if len(events) == 1 else self.sim.all_of(events)
-            if self._fault_mode:
-                yield from self.redrive(done, pending_nodes, resubscribe)
-            else:
+            if meta.is_read_only and not self._fault_mode:
                 yield self.sim.any_of([done, self.sim.timeout(timeouts.external_done_wait_us)])
+            else:
+                yield from self.redrive(done, pending_nodes, resubscribe)
             if done.triggered:
                 if tracer is not None:
                     tracer.span(
@@ -375,11 +366,8 @@ class CoordinatorMixin:
         self._send_removes(meta)
         if meta.gated_writers:
             self._release_gated(meta.txn_id, meta.gated_writers)
-        meta.phase = TransactionPhase.ABORTED
-        meta.abort_reason = READONLY_RESTART_REASON
-        meta.abort_time = self.sim.now
         self.counters["readonly_restarts"] += 1
-        self._retire(meta)
+        self.txn_tear_down(meta, READONLY_RESTART_REASON, "restart")
 
     def _commit_read_only(self, meta: TransactionMeta) -> bool:
         """Lines 2-8: read-only transactions return immediately, then Remove."""
@@ -446,8 +434,7 @@ class CoordinatorMixin:
         write_replicas = set(self.placement.replicas_of(list(meta.write_set)))
 
         # Prepare phase: one shared vote round (the runtime arms the fail-fast
-        # VoteCollector and the crash guard — fail-free a coarse deadline, in
-        # fault mode the re-drive).
+        # VoteCollector and re-drives prepares a crash may have lost).
         read_versions = tuple((key, record.version_vc) for key, record in meta.read_set.items())
         write_items = tuple(meta.write_set.items())
         outcome, collected = yield from self.vote_round(
@@ -517,36 +504,33 @@ class CoordinatorMixin:
         meta.phase = TransactionPhase.PRE_COMMIT
         tracer = self.sim.tracer
         trace_start = self.sim.now if tracer is not None else 0.0
-        if not self._fault_mode:
-            yield ack_event
-        else:
-            # Fault mode: a write replica that crashed mid-pre-commit lost
-            # both the wait process and the ack; ask the remaining replicas
-            # to replay from their durable logs — a restarted one at once,
-            # all of them between waves.
 
-            def unacked():
-                return sorted(self._ack_waits.get(txn_id, (None, ()))[1])
+        # A write replica that crashed mid-pre-commit lost both the wait
+        # process and the ack; when a message can be lost, redrive asks the
+        # remaining replicas to replay from their durable logs — a restarted
+        # one at once, all of them between waves.
+        def unacked():
+            return sorted(self._ack_waits.get(txn_id, (None, ()))[1])
 
-            def query(replicas):
-                self.counters["precommit_retries"] += 1
-                for replica in replicas:
-                    # The query doubles as a decision retransmission: a
-                    # replica whose Decide was lost (voted, then crashed, or
-                    # a drop-mode partition ate it) applies the decision from
-                    # its durable redo record.
-                    self.send(
-                        replica,
-                        PrecommitQuery(
-                            txn_id=txn_id,
-                            commit_vc=meta.commit_vc,
-                            propagated=self._propagated_for_decide(meta),
-                        ),
-                    )
+        def query(replicas):
+            self.counters["precommit_retries"] += 1
+            for replica in replicas:
+                # The query doubles as a decision retransmission: a replica
+                # whose Decide was lost (voted, then crashed, or a drop-mode
+                # partition ate it) applies the decision from its durable
+                # redo record.
+                self.send(
+                    replica,
+                    PrecommitQuery(
+                        txn_id=txn_id,
+                        commit_vc=meta.commit_vc,
+                        propagated=self._propagated_for_decide(meta),
+                    ),
+                )
 
-            yield from self.redrive(
-                ack_event, unacked, query, lambda: ack_event.triggered or not unacked()
-            )
+        yield from self.redrive(
+            ack_event, unacked, query, lambda: ack_event.triggered or not unacked()
+        )
         if tracer is not None:
             tracer.span(
                 "wait.precommit_ack",

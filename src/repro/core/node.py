@@ -356,7 +356,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             # the reader's bound.
             excluded_vcs = self._excluded_vcs(key, reader_vc, read, force_exclude=gated)
             max_vc = self.nlog.visible_max_vc(
-                reader_vc, has_read, excluded_vcs, strict=self.strict_visibility
+                reader_vc, read, excluded_vcs, strict=self.strict_visibility
             )
             # Clamp the served bound below the oldest install still queued:
             # the log's cumulative clock can already cover a queued install's
@@ -987,7 +987,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     def on_prepare(self, message: Prepare):
         """2PC prepare: lock, validate, vote (runs as a process)."""
         txn_id = message.txn_id
-        if self._fault_mode and not self.admit_prepare(message, self._recorded_vote):
+        if not self.admit_prepare(message, self._recorded_vote):
             return
         service = self.service
         local_read_versions = tuple(

@@ -147,7 +147,7 @@ class Session:
             # outcome instead of letting the next operation run against a
             # dead transaction — Walter's local-replica reads hit exactly
             # this window and used to double-commit (TransactionStateError).
-            self._finish(meta)
+            self._abandon(meta)
             raise NodeCrashedError(
                 f"node {self.node_id} crashed while {meta.txn_id} was in flight"
             )
@@ -161,12 +161,6 @@ class Session:
             self.completed = [meta]
 
     def _abandon(self, meta: TransactionMeta) -> None:
-        """Tear down a transaction interrupted by a node crash."""
-        if meta.phase not in (
-            TransactionPhase.ABORTED,
-            TransactionPhase.EXTERNALLY_COMMITTED,
-        ):
-            meta.phase = TransactionPhase.ABORTED
-            meta.abort_reason = "node-crash"
-            meta.abort_time = self.node.sim.now
+        """Let go of a transaction interrupted by a node crash."""
+        self.node.txn_abandon(meta)
         self._finish(meta)

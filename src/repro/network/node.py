@@ -15,11 +15,14 @@
 * request/response helpers that correlate replies to requests via
   ``reply_to`` and return awaitable events,
 * crash-aware dispatch for the fault plane: when fault mode is enabled
-  (:meth:`NetworkedNode.enable_fault_mode`, done once by the fault-plan
-  installer), handler processes carry the node's *epoch* and die at their
-  next scheduling point after a crash bumped it — modelling the loss of all
-  in-progress work of a crash-stopped process.  Fail-free runs never enable
-  fault mode and pay nothing beyond one attribute check per delivery.
+  (:meth:`NetworkedNode.enable_fault_mode` — by the fault-plan installer,
+  or by :meth:`Network.crash <repro.network.transport.Network.crash>` for a
+  crash injected without a plan), handler processes carry the node's
+  *epoch* and die at their next scheduling point after a crash bumped it —
+  modelling the loss of all in-progress work of a crash-stopped process.
+  Fault mode is what tells the protocol layer a message can be lost; a run
+  that never enables it pays nothing beyond one attribute check per
+  delivery.
 
 Protocol subclasses register their handlers in ``__init__`` and use
 ``self.send`` / ``self.request`` / ``self.respond``.
@@ -73,8 +76,9 @@ class NetworkedNode:
         self._pending_replies: Dict[int, Event] = {}
         self.messages_handled = 0
         # Fault plane: ``crashed`` gates delivery, ``_epoch`` invalidates
-        # handler processes spawned before a crash, ``_fault_mode`` keeps the
-        # guard machinery entirely off the fail-free hot path.
+        # handler processes spawned before a crash, ``_fault_mode`` says a
+        # message can be lost and keeps the guard machinery off the hot path
+        # of a run where none can.
         self.crashed = False
         self._epoch = 0
         self._fault_mode = False
@@ -208,8 +212,8 @@ class NetworkedNode:
                 # Replies to outstanding requests complete the request event
                 # directly and bypass handler dispatch.  A reply with no
                 # matching request is stale — its request state died with a
-                # crash — and is dropped (a fail-free run never produces one:
-                # every respond() matches exactly one outstanding request).
+                # crash, or its round ended without it (a fail-fast vote
+                # round retires its unanswered prepares) — and is dropped.
                 pending = self._pending_replies.pop(message.reply_to, None)
                 if pending is not None and not pending.triggered:
                     pending.succeed(message)
@@ -244,11 +248,14 @@ class NetworkedNode:
 
     # ------------------------------------------------------------ fault plane
     def enable_fault_mode(self) -> None:
-        """Arm the crash/epoch machinery (done once by the fault installer).
+        """Arm the crash/epoch machinery: from now on a message can be lost.
 
-        Fault mode costs one attribute check per delivery plus one wrapper
-        generator per handler process; it is never enabled for fail-free
-        runs, whose event sequence therefore stays byte-identical.
+        Done once by the fault installer, or by the first
+        ``Network.crash``.  Fault mode costs one wrapper generator per
+        handler process here, and what the protocol layer re-sends and
+        records because a message can be lost (ARCHITECTURE.md,
+        "Fault-only mechanisms"); a run that never enables it keeps its
+        event sequence byte-identical.
         """
         self._fault_mode = True
 

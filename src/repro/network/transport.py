@@ -219,8 +219,15 @@ class Network:
 
     # --------------------------------------------------------------- crashes
     def crash(self, node_id: NodeId) -> None:
-        """Mark ``node_id`` as crashed; its traffic is dropped from now on."""
+        """Mark ``node_id`` as crashed; its traffic is dropped from now on.
+
+        A message can now be lost, so every node of this network arms fault
+        mode (:meth:`NetworkedNode.enable_fault_mode`): a crash injected
+        without a fault plan is survived through the same re-drives.
+        """
         self._crashed.add(node_id)
+        for node in self._nodes.values():
+            node.enable_fault_mode()
 
     def recover(self, node_id: NodeId) -> None:
         """Clear the crashed flag (crash-recovery experiments only)."""

@@ -2,8 +2,8 @@
 
 Before this layer existed, the node-lifecycle plumbing — message
 registration/dispatch, the per-transaction state machine, replica fan-out
-with fastest-answer selection, 2PC-style vote collection, crash-guard
-timers, counters — was re-implemented four times across
+with fastest-answer selection, 2PC-style vote collection, re-sends of lost
+requests, counters — was re-implemented four times across
 :mod:`repro.core.node`, :mod:`repro.baselines.twopc`,
 :mod:`repro.baselines.walter` and :mod:`repro.baselines.rococo`.
 :class:`ProtocolRuntime` collapses that duplication into one base class that
@@ -20,24 +20,25 @@ every protocol node (SSS and the three competitors) extends:
   holds the metadata of the transactions in flight (and of those a crash
   tore down); a finished one leaves only its
   :class:`~repro.core.metadata.TransactionOutcome` in ``outcomes``.
-* **Replica fan-out** — :meth:`request_each` (one request per destination)
-  and :meth:`fastest_round` (fastest-answer selection over a reply wave),
-  the pattern behind every multi-replica read.
-* **Vote collection** — :meth:`vote_round`: one 2PC-style prepare round
-  with a :class:`VoteCollector` that fails fast on the first negative vote.
-  Like its sibling round helpers it is fault-aware on its own: fail-free a
-  single wave under a shared coarse crash-guard deadline, in fault mode
-  re-driving unanswered prepares and declaring a participant dead after a
-  bounded number of silent waves.  :meth:`admit_prepare` is
-  the participant half — the one guard that makes every protocol's prepare
-  handler idempotent under those re-sends.
+* **RPC rounds** — :meth:`fastest_round` (fastest-answer selection over
+  a reply wave, the pattern behind every multi-replica read),
+  :meth:`vote_round` (one 2PC-style prepare round with a
+  :class:`VoteCollector` that fails fast on the first negative vote),
+  :meth:`reliable_request` and :meth:`request_round`.  Each round is one
+  path: :class:`RoundRequests` plus :meth:`redrive`, its one wait, which
+  alone asks whether a message can be lost.  In a run that loses none a
+  round waits on its replies alone; otherwise unanswered requests are
+  re-sent, and a vote round declares a participant dead after a bounded
+  number of silent waves.  :meth:`admit_prepare` is the participant half —
+  the one guard that makes every protocol's prepare handler idempotent
+  under those re-sends.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, and what the protocol
   class declares in ``_WAITS`` / ``_VOLATILE``) and replays its durable
   state on restart via :meth:`on_restart`, handed the transactions the
-  crash tore down, then sends every peer a :class:`Rejoin`: each
-  fault-mode round waits through :meth:`redrive`, which re-sends to a peer
-  the instant it rejoins.  Fail-free runs never touch any of this.
+  crash tore down (retired once their client let go of them), then sends every peer a
+  :class:`Rejoin`: each round waiting through :meth:`redrive` re-sends to
+  a peer the instant it rejoins.
 
 Protocol subclasses implement ``txn_read`` / ``txn_commit`` / ``preload``
 and register their message handlers in ``__init__``.
@@ -93,8 +94,7 @@ class VoteCollector(Event):
         self._votes = []
         if not vote_events:
             # An empty round is trivially successful; without this the
-            # collector would never fire and the caller would idle until
-            # its crash-guard deadline.
+            # collector would never fire and the round would wait forever.
             self.succeed((True, self._votes))
             return
         for event in vote_events:
@@ -120,7 +120,7 @@ class VoteCollector(Event):
 
 
 class RoundRequests:
-    """The requests of one fault-mode round, one per item, re-sent per peer.
+    """The requests of one RPC round, one per item, re-sent per peer.
 
     The reply to a re-sent copy completes its item's original event.  The
     copy it replaces is retired — a late reply to it is dropped as stale —
@@ -201,14 +201,17 @@ class ProtocolRuntime(NetworkedNode):
         self.outcomes: Dict[TransactionId, TransactionOutcome] = {}
         self.counters = defaultdict(int)
         # Participant-side idempotence of re-sent prepares (see
-        # admit_prepare): prepares whose handler is still running (volatile,
-        # fault mode only) and rounds whose decision this node applied
+        # admit_prepare): prepares whose handler is still running (volatile)
+        # and rounds whose decision this node applied
         # (durable, kept with the protocol's logged state: a duplicate held
         # by a buffering partition can outlive a crash of this node; 2PC and
         # Walter record every decide, so a prepare a fail-fast abort
         # overtook takes no lock either).
         self._preparing: Set[TransactionId] = set()
         self._decided: Set[TransactionId] = set()
+        # Transactions a crash tore down whose client let go of them before
+        # the restart recovered them (see txn_abandon).
+        self._abandoned: Set[TransactionId] = set()
         # Fault mode only — peer -> the wake events of the rounds waiting on
         # it, in arrival order (see redrive); a round removes its own on wake.
         self._rejoin_waits: Dict[NodeId, Dict[Event, None]] = defaultdict(dict)
@@ -304,6 +307,38 @@ class ProtocolRuntime(NetworkedNode):
         self._retire(meta)
         return False
 
+    def txn_tear_down(self, meta: TransactionMeta, reason: str, trace_outcome="torn-down") -> None:
+        """End a transaction a crash or a snapshot restart interrupted.
+
+        It is marked ABORTED with ``reason`` but records no history abort
+        (its client never saw an answer, or retries it under a fresh id),
+        its trace closes as ``trace_outcome`` — a torn-down transaction
+        would otherwise look identical to a genuinely stuck one — and it is
+        retired like any finished transaction.
+        """
+        meta.phase = TransactionPhase.ABORTED
+        meta.abort_reason = reason
+        meta.abort_time = self.sim.now
+        if self.sim.tracer is not None:
+            self._trace_txn_end(meta, trace_outcome)
+        self._retire(meta)
+
+    def txn_abandon(self, meta: TransactionMeta) -> None:
+        """The client lets go of a transaction a crash of this node interrupted.
+
+        One begun while the node was down never met the crash and is torn
+        down here (``node-crash``).  One the crash tore down is retired once
+        the restart has recovered it: now, or by :meth:`restart`.
+        """
+        if meta.phase is TransactionPhase.EXTERNALLY_COMMITTED:
+            return
+        if meta.phase is not TransactionPhase.ABORTED:
+            self.txn_tear_down(meta, "node-crash")
+        elif meta.crash_phase is not None:
+            self._abandoned.add(meta.txn_id)
+        else:
+            self._retire(meta)
+
     def _retire(self, meta: TransactionMeta) -> None:
         """Swap a finished transaction's metadata for its outcome record.
 
@@ -353,18 +388,6 @@ class ProtocolRuntime(NetworkedNode):
     # ------------------------------------------------------------------
     # Replica fan-out and vote collection
     # ------------------------------------------------------------------
-    def request_each(self, destinations, make_message) -> List[Event]:
-        """Send ``make_message(destination)`` to each destination.
-
-        Returns the reply events in destination order.  ``make_message`` must
-        build a fresh message per call (the transport mutates the instance).
-        """
-        request = self.request
-        return [
-            request(destination, make_message(destination))
-            for destination in destinations
-        ]
-
     def _traced_round(self, round_fn, trace_txn, trace_name, *args):
         """Start an RPC-round generator, in an ``rpc.<trace_name>`` span if traced.
 
@@ -385,27 +408,30 @@ class ProtocolRuntime(NetworkedNode):
         return result
 
     def redrive(self, target, silent, resend, done=None, rejoined=None, limit=None):
-        """The one wait of every fault-mode round: re-drive it until ``done()``.
+        """The one wait of every round: re-drive it until ``done()``.
 
-        A wave waits for the first of ``target``, the fallback timer and a
-        :class:`Rejoin` from a peer in ``silent()`` (those still awaited),
-        which gets ``resend([peer])`` at once — no silent wave counted, the
-        peer appended to ``rejoined`` — before the wave goes on under a
-        fresh timer.  The ``crash_resubscribe_us`` timer covers what no
-        restart announces (drop-mode partitions, lost replies): unless
+        This is the one place that asks whether a message can be lost (fault
+        mode).  When none can, the wait is ``target`` alone — no timer, no
+        :class:`Rejoin` registration — and returns ``(0, [])`` once it fires.
+        Otherwise a wave waits for the first of ``target``, the fallback
+        timer and a :class:`Rejoin` from a peer in ``silent()`` (those still
+        awaited), which gets ``resend([peer])`` at once — no silent wave
+        counted, the peer appended to ``rejoined`` — before the wave goes on
+        under a fresh timer.  The ``crash_resubscribe_us`` timer covers what
+        no restart announces (drop-mode partitions, lost replies): unless
         ``done()``, a silent wave ``resend(silent())`` follows, at most
         ``limit`` of them; returns their count and the first one's peers.
-        ``done=None`` stops after one wave; ``target=None`` waits on the
-        timer alone; fail-free a wave is exactly ``any_of([target, timer])``.
+        ``done=None`` stops after one wave; ``target=None`` (a fault-mode
+        stream) waits on the timer alone.
         """
+        if not self._fault_mode:
+            yield target
+            return 0, []
         waits = self._rejoin_waits
         waves, first_silent = 0, []
         while True:
             timer = self.sim.timeout(self.config.timeouts.crash_resubscribe_us)
             wake = timer if target is None else self.sim.any_of([target, timer])
-            if not self._fault_mode:
-                yield wake
-                return waves, first_silent
             # The registry holds the wave's own wake event, and only while it
             # waits: a shared event would keep every round's callbacks alive.
             peers = silent()
@@ -437,18 +463,17 @@ class ProtocolRuntime(NetworkedNode):
                 wake.succeed(message)
 
     def fastest_round(self, destinations, make_message, trace_txn=None, trace_name="read"):
-        """RPC-round generator: fastest-answer fan-out with fault-mode retries.
+        """RPC-round generator: fastest-answer fan-out, re-driven when lost.
 
         Sends ``make_message(destination)`` to every destination and returns
         ``(reply, events)`` — the fastest answer plus the reply events of the
         wave that produced it (callers inspect the losing events for
-        cleanup).  Fail-free this is one wave of :meth:`request_each`, awaited
-        without an ``AnyOf`` when it has one event.  In fault mode a wave
-        nobody answers — every contacted replica crashed, the rf=1
-        read-wave stall — is re-driven (:meth:`redrive`) until some replica
-        answers after its restart; read handlers are naturally idempotent,
-        and a crash of *this* node fails the wave's events and propagates to
-        the waiting client like any in-flight RPC.
+        cleanup).  One event is awaited without an ``AnyOf``.  A wave nobody
+        answers — every contacted replica crashed, the rf=1 read-wave stall —
+        is re-driven (:meth:`redrive`) until some replica answers after its
+        restart; read handlers are naturally idempotent, and a crash of
+        *this* node fails the wave's events and propagates to the waiting
+        client like any in-flight RPC.
 
         ``trace_txn`` attributes the round to a transaction's trace as an
         ``rpc.<trace_name>`` span (no effect when tracing is off); the same
@@ -459,13 +484,6 @@ class ProtocolRuntime(NetworkedNode):
         )
 
     def _fastest_round(self, destinations, make_message, rejoined=None):
-        if not self._fault_mode:
-            events = self.request_each(destinations, make_message)
-            if len(events) == 1:  # a plain await: no AnyOf on the rf=1 path
-                reply = yield events[0]
-                return reply, events
-            yield self.sim.any_of(events)
-            return next(event.value for event in events if event.triggered), events
         requests = RoundRequests(self, destinations, None, make_message, "read_wave_retries")
         events = requests.events
         target = events[0] if len(events) == 1 else self.sim.any_of(events)
@@ -477,54 +495,20 @@ class ProtocolRuntime(NetworkedNode):
 
         Sends one request per participant and collects the votes with a
         :class:`VoteCollector`.  Returns ``(outcome, votes)``; ``outcome`` is
-        ``False`` when any participant voted no or the round gave up.
-        Fail-free this is a single wave under the shared coarse crash-guard
-        deadline (``prepare_timeout_us``; see :meth:`Simulation.deadline` — a
-        guard against crashed participants, not a precise timer).  In fault
-        mode a prepare sent into a participant's down window is lost by the
+        ``False`` when any participant voted no or the round gave up.  A
+        prepare sent into a participant's down window is lost by the
         crash-stop model and only its coordinator can re-send it, so the
-        round is re-driven, never waited out (:meth:`_vote_round_retry`).
+        round is re-driven, never waited out: a participant that restarts
+        gets its prepare again on its :class:`Rejoin`, its handler made
+        idempotent by :meth:`admit_prepare`; prepares the fallback timer
+        finds unanswered are re-sent in a silent wave, and a participant
+        still silent after ``prepare_retry_limit`` such waves is declared
+        dead — the round fails within ``(limit + 1) * crash_resubscribe_us``.
+        A round that needed a re-send carries ``rpc.prepare`` span args:
+        ``resends`` and ``silent`` for the silent waves, ``rejoined`` for
+        the Rejoin ones, ``outcome`` when it gave up.
         """
-        participants = list(participants)
-        tracer = self.sim.tracer if trace_txn is not None else None
         start = self.sim.now
-        args = None
-        if self._fault_mode:
-            votes, args = yield from self._vote_round_retry(participants, make_message)
-        else:
-            events = self.request_each(participants, make_message)
-            timeout = self.sim.deadline(self.config.timeouts.prepare_timeout_us)
-            votes = VoteCollector(self.sim, events)
-            yield self.sim.any_of([votes, timeout])
-            if tracer is not None and not votes.triggered:
-                # The round resolved by *waiting out the crash-guard
-                # deadline*, not by votes: with no fault plan that takes a
-                # participant whose queue delayed its vote past the guard.
-                silent = [str(p) for p, e in zip(participants, events) if not e.triggered]
-                tracer.span(
-                    "wait.ambiguous_guard",
-                    start,
-                    txn=trace_txn,
-                    node=self.node_id,
-                    args={"outcome": "guard-timeout", "round": "prepare", "silent": silent},
-                )
-        if tracer is not None:
-            tracer.span("rpc.prepare", start, txn=trace_txn, args=args)
-        return votes.value if votes.triggered else (False, [])
-
-    def _vote_round_retry(self, participants, make_message):
-        """The fault-mode vote round: unanswered prepares are re-driven.
-
-        A participant that restarts gets its prepare again on its
-        :class:`Rejoin`, its handler made idempotent by
-        :meth:`admit_prepare`; prepares the fallback timer finds unanswered
-        are re-sent in a silent wave, and a participant still silent after
-        ``prepare_retry_limit`` such waves is declared dead: the round fails
-        within ``(limit + 1) * crash_resubscribe_us`` instead of idling out
-        the coarse guard.  Returns the collector and, for a round that
-        needed a re-send, the ``rpc.prepare`` span args: ``resends`` and
-        ``silent`` for the silent waves, ``rejoined`` for the Rejoin ones.
-        """
         requests = RoundRequests(
             self, participants, None, make_message, "prepare_retries", keep_stale=True
         )
@@ -540,10 +524,13 @@ class ProtocolRuntime(NetworkedNode):
         if not votes.triggered:
             self.counters["prepare_retry_aborts"] += 1
             args["outcome"] = "retry-exhausted"
-        return votes, args or None
+        tracer = self.sim.tracer
+        if tracer is not None and trace_txn is not None:
+            tracer.span("rpc.prepare", start, txn=trace_txn, args=args or None)
+        return votes.value if votes.triggered else (False, [])
 
     def admit_prepare(self, message, recorded_vote) -> bool:
-        """Fault-mode guard making a prepare handler idempotent under re-sends.
+        """The guard making a prepare handler idempotent under re-sends.
 
         ``recorded_vote(txn_id)`` looks up the vote the protocol's durable
         prepared state holds for a transaction (``None`` for none).  A prepare
@@ -553,7 +540,8 @@ class ProtocolRuntime(NetworkedNode):
         original answers, and the coordinator counts either reply); one
         already *voted and undecided* gets the same vote again, with no
         second lock, clock tick or queue entry.  Returns ``True`` for a
-        first delivery, which the handler must end with :meth:`cast_vote`.
+        first delivery — every prepare of a run that loses no message —
+        which the handler must end with :meth:`cast_vote`.
         """
         txn_id = message.txn_id
         if txn_id in self._decided or txn_id in self._preparing:
@@ -568,25 +556,18 @@ class ProtocolRuntime(NetworkedNode):
         return True
 
     def cast_vote(self, prepare, vote) -> None:
-        """Answer ``prepare`` and close its in-flight window (any mode)."""
+        """Answer ``prepare`` and close its in-flight window."""
         self._preparing.discard(prepare.txn_id)
         self.respond(prepare, vote)
 
     def reliable_request(self, destination, make_message, trace_txn=None, trace_name="request"):
-        """RPC generator: one request, re-driven in fault mode until answered.
-
-        Fail-free this is exactly a plain ``yield self.request(...)``.  In
-        fault mode the request is re-sent (:meth:`redrive`) until a reply
-        arrives — the handler must be idempotent.  Returns the reply.
-        """
+        """RPC generator: one request, re-driven (:meth:`redrive`) until
+        answered — the handler must be idempotent.  Returns the reply."""
         return self._traced_round(
             self._reliable_request, trace_txn, trace_name, destination, make_message
         )
 
     def _reliable_request(self, destination, make_message, rejoined=None):
-        if not self._fault_mode:
-            reply = yield self.request(destination, make_message())
-            return reply
         requests = RoundRequests(
             self, (destination,), None, lambda _destination: make_message(), "round_retries"
         )
@@ -600,25 +581,16 @@ class ProtocolRuntime(NetworkedNode):
         """RPC-round generator: one request per item, all replies awaited.
 
         ``destination_of(item)`` routes each item (several items may share a
-        destination — ROCOCO's per-key pieces do).  Fail-free this is
-        exactly the historical ``all_of`` wave.  In fault mode unanswered
-        requests are re-driven (:meth:`redrive`) — a crashed destination
-        answers after its restart, so handlers of messages sent through
-        this helper must be idempotent.  Returns ``{item: reply}``.
+        destination — ROCOCO's per-key pieces do).  Unanswered requests are
+        re-driven (:meth:`redrive`) — a crashed destination answers after
+        its restart, so handlers of messages sent through this helper must
+        be idempotent.  Returns ``{item: reply}``.
         """
         return self._traced_round(
             self._request_round, trace_txn, trace_name, items, destination_of, make_message
         )
 
     def _request_round(self, items, destination_of, make_message, rejoined=None):
-        if not self._fault_mode:
-            items = list(items)
-            events = [
-                self.request(destination_of(item), make_message(item))
-                for item in items
-            ]
-            yield self.sim.all_of(events)
-            return {item: event.value for item, event in zip(items, events)}
         requests = RoundRequests(self, items, destination_of, make_message, "round_retries")
         events = requests.events
         yield from requests.redrive(
@@ -684,16 +656,9 @@ class ProtocolRuntime(NetworkedNode):
                 TransactionPhase.ABORTED,
             ):
                 continue
-            meta.crash_phase = meta.phase
-            meta.phase = TransactionPhase.ABORTED
-            meta.abort_reason = "coordinator-crash"
-            meta.abort_time = self.sim.now
+            meta.crash_phase = meta.phase  # kept until the restart recovered it
             self.counters["coordinator_crash_aborts"] += 1
-            if tracer is not None:
-                # These teardowns bypass _finish_abort, so close their
-                # traces here — a torn-down transaction would otherwise
-                # look identical to a genuinely stuck one.
-                self._trace_txn_end(meta, "torn-down")
+            self.txn_tear_down(meta, "coordinator-crash")
         for name in self._WAITS:
             waits = getattr(self, name)
             for txn_id in sorted(waits):
@@ -713,7 +678,8 @@ class ProtocolRuntime(NetworkedNode):
 
         Every transaction the crash tore down is handed to :meth:`on_restart`
         once, in transaction-id order, as ``(meta, crash_phase)`` with its
-        ``crash_phase`` cleared.
+        ``crash_phase`` cleared; one whose client already let go of it
+        (:meth:`txn_abandon`) is retired right after.
         """
         if not self.crashed:
             return
@@ -733,6 +699,11 @@ class ProtocolRuntime(NetworkedNode):
                 torn_down.append((meta, meta.crash_phase))
                 meta.crash_phase = None
         self.on_restart(torn_down)
+        abandoned = self._abandoned
+        for meta, _crash_phase in torn_down:
+            if meta.txn_id in abandoned:
+                abandoned.discard(meta.txn_id)
+                self._retire(meta)
         if tracer is not None:
             # Durable-state replay runs synchronously inside on_restart, so
             # this marks its completion point on the node track.

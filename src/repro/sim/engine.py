@@ -94,7 +94,6 @@ class Simulation:
         "rng",
         "_crashed",
         "_event_count",
-        "_deadline_buckets",
         "fault_log",
         "tracer",
     )
@@ -112,7 +111,6 @@ class Simulation:
         self.rng = RngRegistry(seed)
         self._crashed: List[Tuple[Process, BaseException]] = []
         self._event_count = 0
-        self._deadline_buckets: dict[Tuple[int, float], Event] = {}
         #: Scripted fault-plane events (time, label), in scheduling order.
         self.fault_log: List[Tuple[float, str]] = []
         #: Optional :class:`repro.trace.recorder.TraceRecorder`.  ``None``
@@ -170,38 +168,6 @@ class Simulation:
     def timeout(self, delay: float, value=None) -> Timeout:
         """Create an event firing ``delay`` microseconds from now."""
         return Timeout(self, delay, value=value)
-
-    def deadline(self, delay: float, granularity: float = 1_024.0) -> Event:
-        """Shared coarse-grained timeout for failure detection.
-
-        Returns an event firing at the first multiple of ``granularity`` at
-        or after ``now + delay`` — i.e. up to ``granularity`` *later* than a
-        :meth:`timeout` of the same delay, never earlier.  All deadlines of
-        one unit landing in the same bucket share one event and one heap
-        entry, so guard timers that exist only to catch crashes (2PC prepare
-        timeouts: one per update transaction, ~50 ms, virtually never
-        firing) do not each bloat the event heap for their whole lifetime.
-        Buckets are per-unit so a shard owning a subset of nodes creates
-        exactly the entries the serial engine creates for those nodes.  Use
-        :meth:`timeout` when the exact expiry instant matters.
-        """
-        fire_at = self._now + delay
-        bucket_time = fire_at - (fire_at % granularity)
-        if bucket_time < fire_at:
-            bucket_time += granularity
-        buckets = self._deadline_buckets
-        bucket_key = (self._unitp, bucket_time)
-        event = buckets.get(bucket_key)
-        if event is None:
-            event = Event(self, name="deadline")
-            buckets[bucket_key] = event
-            self._push(bucket_time, self._fire_deadline, bucket_key)
-        return event
-
-    def _fire_deadline(self, bucket_key: Tuple[int, float]) -> None:
-        event = self._deadline_buckets.pop(bucket_key, None)
-        if event is not None and not event.triggered:
-            event.succeed()
 
     def signal(self, name: str = "") -> Signal:
         """Create a broadcast :class:`Signal` for condition waiters."""

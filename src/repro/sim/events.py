@@ -162,7 +162,7 @@ class AnyOf(Event):
 
     The value is a dict mapping the already-triggered child events to their
     values at the time the composite fired.  Firing detaches the composite
-    from the children still pending: a long crash-guard timer would
+    from the children still pending: a round's long fallback timer would
     otherwise keep every decided round it ever guarded alive until it
     expires, and schedule a dispatch of callbacks with nothing left to do.
     """

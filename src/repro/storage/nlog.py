@@ -127,7 +127,7 @@ class NLog:
     def visible_max_vc(
         self,
         reader_vc: VectorClock,
-        has_read: Sequence[bool],
+        read: int,
         excluded: Iterable[VectorClock] = (),
         strict: bool = False,
     ) -> VectorClock:
@@ -137,9 +137,10 @@ class NLog:
         ----------
         reader_vc:
             The reader's current ``T.VC`` (its visibility upper bound).
-        has_read:
-            The reader's ``T.hasRead`` flags; visibility is constrained only
-            on indices already read from.
+        read:
+            The :meth:`VectorClock.selector` of the reader's ``T.hasRead``
+            flags; visibility is constrained only on indices already read
+            from.
         excluded:
             Commit vector clocks of update transactions the reader must not
             observe (Algorithm 6's ``ExcludedSet``: pre-committing writers of
@@ -149,7 +150,6 @@ class NLog:
             Use the literal whole-log scan instead of the summary
             computation.
         """
-        read = VectorClock.selector(has_read)
         if strict:
             return self._visible_max_strict(reader_vc, read, set(excluded))
         return self._visible_max_summary(reader_vc, read, list(excluded))

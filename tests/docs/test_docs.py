@@ -12,11 +12,13 @@ Three contracts over ``README.md`` and ``docs/``:
   ``traffic-dsl`` fences, one spec per line) parses through the real
   plan parsers, and the ``python`` fences there execute end to end;
 * ARCHITECTURE.md's durable-state table names exactly each protocol
-  node's declared ``_DURABLE`` attributes.
+  node's declared ``_DURABLE`` attributes, and its fault-only table names
+  exactly the ``src/`` functions that read ``self._fault_mode``.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -184,4 +186,40 @@ def test_durable_state_table_matches_the_declarations(protocol):
     assert documented == declared, (
         f"{protocol}: documented, not declared {sorted(documented - declared)}; "
         f"declared, not documented {sorted(declared - documented)}"
+    )
+
+
+def _fault_mode_readers():
+    """``(file, Class.function)`` of every ``src/`` method reading ``self._fault_mode``."""
+    readers = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for function in cls.body:
+                if isinstance(function, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "_fault_mode"
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    for node in ast.walk(function)
+                ):
+                    name = f"{cls.name}.{function.name}"
+                    readers.add((path.relative_to(REPO_ROOT).as_posix(), name))
+    return readers
+
+
+def test_fault_only_table_matches_the_code():
+    text = _prose(REPO_ROOT / "docs" / "ARCHITECTURE.md")
+    section = text.split("## Fault-only mechanisms", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `src/"):
+            cells = line.split("|")[1:-1]
+            documented.add((cells[0].strip().strip("`"), cells[1].strip().strip("`")))
+    readers = _fault_mode_readers()
+    assert readers, "no function reads self._fault_mode any more: drop the table"
+    assert documented == readers, (
+        f"documented, not in the code {sorted(documented - readers)}; "
+        f"in the code, not documented {sorted(readers - documented)}"
     )

@@ -28,10 +28,12 @@ import pytest
 
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.core.cluster import SSSCluster
+from repro.core.metadata import TransactionPhase
 from repro.harness.runner import run_experiment
 from repro.network.node import NetworkedNode
 from repro.search.genome import ScenarioGenome
 from repro.search.scoring import score_genome
+from repro.trace import TraceSpec
 
 from test_golden_histories import TIE_ORDER_ENGINES as SHARD_ENGINES  # serial and 2 inline shards
 from tests.unit.test_parallel_engine import _digest as run_digest
@@ -442,6 +444,38 @@ class TestCoordinatorCrashSessionTeardown:
             assert redriven > 0, "no crash point ever swallowed a prepare"
 
 
+class TestTornDownTransactionsRetire:
+    """Transactions a crash tore down, or that began at a down node, are
+    retired once they are recovered and close their trace.
+
+    Node 1's crash tears down the transactions it coordinates (recovered by
+    the restart) and fails those its clients begin while it is down (the
+    session abandons them).  Neither kind reached an outcome, so none is
+    recorded as a history abort; both used to stay ABORTED in
+    ``coordinated`` forever and export as unfinished in the trace.
+    """
+
+    @pytest.mark.parametrize("protocol", ["sss", "2pc", "walter", "rococo"])
+    def test_no_finished_metadata_and_no_unfinished_trace_after_drain(self, protocol):
+        config = _config(
+            ["crash node=1 at=5000 for=3000"], n_keys=30, clients_per_node=2, seed=1
+        )
+        result = _run(protocol, config, duration_us=20_000, trace=TraceSpec())
+        counters = result.node_counters
+        assert counters["coordinator_crash_aborts"] > 0
+        finished = [
+            (node.node_id, meta.txn_id, meta.abort_reason)
+            for node in result.cluster.nodes
+            for meta in node.coordinated.values()
+            if meta.phase in (TransactionPhase.ABORTED, TransactionPhase.EXTERNALLY_COMMITTED)
+        ]
+        assert finished == []
+        assert result.trace.unfinished == []
+        assert result.metrics.extra["stalled_clients"] == 0
+        for check in result.cluster.check_contract():
+            assert check.ok, check
+
+
 class TestRococoReplayOrdering:
     """ROCOCO's piece redo log and order fencing under crash/replay races.
 
@@ -572,24 +606,23 @@ class TestWalterBoundedPrepareAbort:
     """Regression pin: dead-participant slow aborts stay inside the retry
     envelope.
 
-    Before the fault-mode prepare retry cadence, an update whose slow-path
-    participant crash-stopped sat on the full ``prepare_timeout_us`` (50 ms
-    — the "~40 ms drain" the session-teardown test historically budgeted
-    for).  In fault mode ``vote_round`` re-sends every
-    ``crash_resubscribe_us`` (5 ms) and gives up after
+    Before the prepare retry cadence, an update whose slow-path participant
+    crash-stopped sat on a coarse 50 ms guard (the "~40 ms drain" the
+    session-teardown test historically budgeted for).  ``vote_round``
+    re-sends every ``crash_resubscribe_us`` (5 ms) and gives up after
     ``prepare_retry_limit`` (3) resends: the abort lands within ~20 ms, so
-    a 30 ms drain — well under the old timeout — must fully quiesce.
+    a 30 ms drain must fully quiesce.
     """
 
     def test_dead_participant_abort_bounded_by_retry_envelope(self):
         config = _config(CRASH_FOREVER, replication_degree=2)
         timeouts = config.timeouts
         envelope_us = (timeouts.prepare_retry_limit + 1) * timeouts.crash_resubscribe_us
-        assert envelope_us < timeouts.prepare_timeout_us, (
-            "retry envelope must undercut the prepare timeout for the bound "
-            "to mean anything"
+        drain_us = 30_000
+        assert envelope_us < drain_us, (
+            "retry envelope must undercut the drain for the bound to mean anything"
         )
-        result = _run("walter", config, duration_us=60_000, drain_us=30_000)
+        result = _run("walter", config, duration_us=60_000, drain_us=drain_us)
         counters = result.node_counters
         # The bound must have been exercised: some slow-path prepare gave up
         # through the retry cadence, and no survivor is left stalled on the

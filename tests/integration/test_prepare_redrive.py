@@ -260,10 +260,13 @@ class TestRedrive:
         round_ = _Round(protocol, faults=[f"crash node=1 at={DOWN_AT_US}"])
         timeouts = round_.cluster.config.timeouts
         envelope_us = (timeouts.prepare_retry_limit + 1) * timeouts.crash_resubscribe_us
-        assert envelope_us < timeouts.prepare_timeout_us
+        # The runner's default drain under a fault plan: a dead participant's
+        # abort must land inside it.
+        drain_us = 25_000.0
+        assert envelope_us < drain_us
         out = {}
         _commit_into_the_down_window(round_, out)
-        round_.cluster.run(until=out.get("commit_at", DOWN_AT_US + 500.0) + envelope_us + 100.0)
+        round_.cluster.run(until=out.get("commit_at", DOWN_AT_US + 500.0) + drain_us)
         counters = round_.cluster.total_counters()
         assert counters["prepare_retries"] == timeouts.prepare_retry_limit
         assert counters["prepare_retry_aborts"] == 1

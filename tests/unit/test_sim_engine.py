@@ -195,12 +195,12 @@ class TestEventsAndProcesses:
         assert results[0][2] == 5.0
 
     def test_fired_any_of_is_not_pinned_by_its_pending_children(self, sim):
-        # A vote round's shared crash-guard deadline outlives the round by
-        # far; once the round is decided the guard must not keep it alive.
+        # A round's fallback timer outlives the round by far; once the
+        # round is decided the timer must not keep it alive.
         class WeaklyReferable(AnyOf):
             __slots__ = ("__weakref__",)
 
-        guard = sim.deadline(50_000)
+        guard = sim.timeout(50_000)
         reply = sim.event()
         composite = WeaklyReferable(sim, [reply, guard])
         alive = weakref.ref(composite)

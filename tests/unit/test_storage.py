@@ -323,7 +323,7 @@ class TestNLog:
         nlog = NLog(node_index=0, n_nodes=2)
         nlog.append(self._entry(1, VectorClock([5, 7])))
         reader_vc = VectorClock([3, 2])
-        result = nlog.visible_max_vc(reader_vc, has_read=[False, True])
+        result = nlog.visible_max_vc(reader_vc, read=VectorClock.selector([False, True]))
         assert result[0] == 5  # unread coordinate: cumulative max
         assert result[1] == 2  # read coordinate: capped by the reader's bound
 
@@ -333,7 +333,8 @@ class TestNLog:
         nlog.append(self._entry(2, VectorClock([8, 1])))
         reader_vc = VectorClock([5, 0])
         excluded = [VectorClock([8, 1])]
-        result = nlog.visible_max_vc(reader_vc, has_read=[False, False], excluded=excluded)
+        read = VectorClock.selector([False, False])
+        result = nlog.visible_max_vc(reader_vc, read=read, excluded=excluded)
         assert result[0] == 7
 
     def test_visible_max_strict_scans_entries(self):
@@ -341,7 +342,8 @@ class TestNLog:
         nlog.append(self._entry(1, VectorClock([5, 1])))
         nlog.append(self._entry(2, VectorClock([8, 9])))
         reader_vc = VectorClock([10, 1])
-        result = nlog.visible_max_vc(reader_vc, has_read=[False, True], strict=True)
+        read = VectorClock.selector([False, True])
+        result = nlog.visible_max_vc(reader_vc, read=read, strict=True)
         # The second entry is invisible (vc[1]=9 > bound 1), so only the first counts.
         assert result == VectorClock([5, 1])
 
@@ -350,7 +352,10 @@ class TestNLog:
         nlog.append(self._entry(1, VectorClock([5])))
         nlog.append(self._entry(2, VectorClock([9])))
         result = nlog.visible_max_vc(
-            VectorClock([3]), has_read=[False], excluded=[VectorClock([9])], strict=True
+            VectorClock([3]),
+            read=VectorClock.selector([False]),
+            excluded=[VectorClock([9])],
+            strict=True,
         )
         assert result == VectorClock([5])
 

@@ -224,12 +224,11 @@ class TestDefaultRetention:
     def test_derived_from_timeouts(self):
         timeouts = TimeoutConfig()
         expected = (
-            timeouts.prepare_timeout_us
+            (timeouts.prepare_retry_limit + 1) * timeouts.crash_resubscribe_us
             + timeouts.readonly_restart_wait_us
             + 2.0 * timeouts.external_done_wait_us
         )
-        assert default_retention_us(timeouts) == expected
-        assert default_retention_us(timeouts) > 0
+        assert default_retention_us(timeouts) == expected == 28_800.0
 
 
 class TestWindowedHistoryRecorder:
