@@ -360,8 +360,9 @@ class TwoPCNode(ProtocolRuntime):
         if outcome:
             meta.internal_commit_time = self.sim.now
         ordered_participants = sorted(participants)
-        acks = yield from self.request_all(
+        acks = yield from self.request_round(
             ordered_participants,
+            None,
             lambda _participant: Decide2PC(txn_id=txn_id, outcome=outcome),
             trace_txn=txn_id,
             trace_name="decide",

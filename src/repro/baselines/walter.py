@@ -569,7 +569,7 @@ class WalterNode(ProtocolRuntime):
     def _decide_fanout(self, txn_id: TransactionId):
         """Reliably deliver one durable decision to its prepared sites.
 
-        ``request_all`` re-drives the fan-out in fault mode until every site
+        ``request_round`` re-drives the fan-out in fault mode until every site
         (this node included — its own prepared entry and locks need the
         decide too) acknowledged; the decide handler is idempotent, so
         re-sends and restart re-fans are harmless.  The record is dropped
@@ -578,8 +578,9 @@ class WalterNode(ProtocolRuntime):
         decision = self.decisions.get(txn_id)
         if decision is None:
             return
-        yield from self.request_all(
+        yield from self.request_round(
             list(decision.sites),
+            None,
             lambda _site: WalterDecide(
                 txn_id=txn_id,
                 outcome=decision.outcome,

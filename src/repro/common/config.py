@@ -127,19 +127,17 @@ class TimeoutConfig:
     message sent into a node's down window is lost and only its sender can
     re-drive it: at once when the node's ``Rejoin`` arrives, on this timer
     for what no restart announces (drop-mode partitions, lost replies).
-    Armed only when a message can be lost (a fault plan, or a crash
-    injected through ``Network.crash``); a run that loses none waits on
-    its replies alone."""
+    Armed only in fault mode: a run that loses no message waits on its
+    replies alone."""
 
     prepare_retry_limit: int = 3
     """How many silent waves (fallback timer expired, no ``Rejoin``) the
     prepare round of any protocol (``vote_round``) tolerates before
     declaring the silent participant dead and failing the round.  Bounds
-    the dead-participant abort at ``(limit + 1) * crash_resubscribe_us`` —
-    20 ms at the defaults, the retry envelope — while a participant that
-    restarts within the envelope still answers a re-send and the round
-    completes honestly.  A vote round has no other timeout: with no
-    message lost it waits for every vote."""
+    the dead-participant abort at the retry envelope ``(limit + 1) *
+    crash_resubscribe_us`` (20 ms at the defaults); a participant that
+    restarts within it still answers a re-send.  A vote round has no other
+    timeout: with no message lost it waits for every vote."""
 
     def validate(self) -> None:
         if self.lock_timeout_us <= 0:

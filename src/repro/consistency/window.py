@@ -12,11 +12,10 @@ participate in a new violation:
   record can ever land behind the frontier.
 * A new transaction's dependency and real-time edges only reach a bounded
   distance into the past: its begin time is at most the maximum transaction
-  lifetime ago (the vote round's retry envelope plus the read-only restart
-  wait), and
-  the versions it observed are at most the protocols' staleness bound old.
-  ``retention_us`` over-approximates that *ambiguous zone*; its default is
-  derived from the cluster's :class:`~repro.common.config.TimeoutConfig`.
+  lifetime ago, and the versions it observed are at most the protocols'
+  staleness bound old.  ``retention_us`` over-approximates that *ambiguous
+  zone*; its default is derived from the cluster's
+  :class:`~repro.common.config.TimeoutConfig` (:func:`default_retention_us`).
 * Time is cut into fixed ``epoch_us`` epochs.  Epoch *E* **closes** when
   the frontier passes ``end(E) + retention_us``: at that point every
   transaction that could share a violation with E's transactions has been
@@ -90,12 +89,14 @@ ALL_CHECKS: Tuple[str, ...] = (
 def default_retention_us(timeouts) -> float:
     """Ambiguous-zone bound derived from a :class:`TimeoutConfig`.
 
-    A transaction's edges reach back at most one full lifetime: the vote
-    round's retry envelope, ``(prepare_retry_limit + 1) *
-    crash_resubscribe_us``, bounds how long a prepare round waits on a
-    silent participant, the read-only restart wait bounds snapshot retries,
-    and one external-done wait covers the answer-to-record slack.  Doubling
-    the done-wait adds headroom for the staleness of served snapshots.
+    A transaction's edges reach back at most one full lifetime.  Where a
+    message can be lost, the retry envelope ``(prepare_retry_limit + 1) *
+    crash_resubscribe_us`` bounds a vote round; a fail-free one has no timer
+    (it ends once every participant voted, a vote waiting at most
+    ``lock_timeout_us`` per lock), so there the envelope is headroom: the
+    windowed recipes live at most 16.6 ms (SSS, 256 nodes).  The read-only
+    restart wait bounds snapshot retries; twice the external-done wait covers
+    the answer-to-record slack and the staleness of served snapshots.
     """
     return (
         (timeouts.prepare_retry_limit + 1) * timeouts.crash_resubscribe_us

@@ -15,14 +15,11 @@
 * request/response helpers that correlate replies to requests via
   ``reply_to`` and return awaitable events,
 * crash-aware dispatch for the fault plane: when fault mode is enabled
-  (:meth:`NetworkedNode.enable_fault_mode` — by the fault-plan installer,
-  or by :meth:`Network.crash <repro.network.transport.Network.crash>` for a
-  crash injected without a plan), handler processes carry the node's
-  *epoch* and die at their next scheduling point after a crash bumped it —
-  modelling the loss of all in-progress work of a crash-stopped process.
-  Fault mode is what tells the protocol layer a message can be lost; a run
-  that never enables it pays nothing beyond one attribute check per
-  delivery.
+  (:meth:`NetworkedNode.enable_fault_mode`: a message can be lost), handler
+  processes carry the node's *epoch* and die at their next scheduling point
+  after a crash bumped it — modelling the loss of all in-progress work of a
+  crash-stopped process.  A run that never enables it pays nothing beyond
+  one attribute check per delivery.
 
 Protocol subclasses register their handlers in ``__init__`` and use
 ``self.send`` / ``self.request`` / ``self.respond``.
@@ -250,12 +247,9 @@ class NetworkedNode:
     def enable_fault_mode(self) -> None:
         """Arm the crash/epoch machinery: from now on a message can be lost.
 
-        Done once by the fault installer, or by the first
-        ``Network.crash``.  Fault mode costs one wrapper generator per
-        handler process here, and what the protocol layer re-sends and
-        records because a message can be lost (ARCHITECTURE.md,
-        "Fault-only mechanisms"); a run that never enables it keeps its
-        event sequence byte-identical.
+        Done by the fault installer, or by ``Network.crash``.  It costs one
+        wrapper generator per handler process here, plus what the protocol
+        layer re-sends and records (ARCHITECTURE.md, "Fault-only mechanisms").
         """
         self._fault_mode = True
 

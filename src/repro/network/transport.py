@@ -221,9 +221,9 @@ class Network:
     def crash(self, node_id: NodeId) -> None:
         """Mark ``node_id`` as crashed; its traffic is dropped from now on.
 
-        A message can now be lost, so every node of this network arms fault
-        mode (:meth:`NetworkedNode.enable_fault_mode`): a crash injected
-        without a fault plan is survived through the same re-drives.
+        A message can now be lost, so every node arms fault mode: a crash
+        injected without a fault plan is survived through the same
+        re-drives, also by the rounds already waiting.
         """
         self._crashed.add(node_id)
         for node in self._nodes.values():

@@ -24,21 +24,16 @@ every protocol node (SSS and the three competitors) extends:
   a reply wave, the pattern behind every multi-replica read),
   :meth:`vote_round` (one 2PC-style prepare round with a
   :class:`VoteCollector` that fails fast on the first negative vote),
-  :meth:`reliable_request` and :meth:`request_round`.  Each round is one
-  path: :class:`RoundRequests` plus :meth:`redrive`, its one wait, which
-  alone asks whether a message can be lost.  In a run that loses none a
-  round waits on its replies alone; otherwise unanswered requests are
-  re-sent, and a vote round declares a participant dead after a bounded
-  number of silent waves.  :meth:`admit_prepare` is the participant half —
-  the one guard that makes every protocol's prepare handler idempotent
-  under those re-sends.
+  :meth:`reliable_request` and :meth:`request_round`, each
+  :class:`RoundRequests` plus :meth:`redrive`, the one wait that asks
+  whether a message can be lost and, if so, re-sends what is unanswered.
+  :meth:`admit_prepare` makes every prepare handler idempotent under it.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, and what the protocol
   class declares in ``_WAITS`` / ``_VOLATILE``) and replays its durable
   state on restart via :meth:`on_restart`, handed the transactions the
-  crash tore down (retired once their client let go of them), then sends every peer a
-  :class:`Rejoin`: each round waiting through :meth:`redrive` re-sends to
-  a peer the instant it rejoins.
+  crash tore down, then sends every peer a :class:`Rejoin`: each round
+  waiting through :meth:`redrive` re-sends to a peer the instant it rejoins.
 
 Protocol subclasses implement ``txn_read`` / ``txn_commit`` / ``preload``
 and register their message handlers in ``__init__``.
@@ -56,6 +51,7 @@ from repro.core.metadata import TransactionMeta, TransactionOutcome, Transaction
 from repro.network.message import Message, MessagePriority
 from repro.network.node import NetworkedNode
 from repro.sim.events import Event
+from repro.sim.process import Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consistency.history import HistoryRecorder
@@ -215,6 +211,8 @@ class ProtocolRuntime(NetworkedNode):
         # Fault mode only — peer -> the wake events of the rounds waiting on
         # it, in arrival order (see redrive); a round removes its own on wake.
         self._rejoin_waits: Dict[NodeId, Dict[Event, None]] = defaultdict(dict)
+        # Until fault mode — the processes of rounds waiting on their target.
+        self._unguarded: Dict[Process, None] = {}
         self._trace_down_since: Optional[float] = None
         self.register_handler(Rejoin, self._on_rejoin)
 
@@ -412,7 +410,8 @@ class ProtocolRuntime(NetworkedNode):
 
         This is the one place that asks whether a message can be lost (fault
         mode).  When none can, the wait is ``target`` alone — no timer, no
-        :class:`Rejoin` registration — and returns ``(0, [])`` once it fires.
+        :class:`Rejoin` registration — and returns ``(0, [])`` once it fires,
+        unless a crash arms fault mode first (:meth:`enable_fault_mode`).
         Otherwise a wave waits for the first of ``target``, the fallback
         timer and a :class:`Rejoin` from a peer in ``silent()`` (those still
         awaited), which gets ``resend([peer])`` at once — no silent wave
@@ -425,8 +424,15 @@ class ProtocolRuntime(NetworkedNode):
         stream) waits on the timer alone.
         """
         if not self._fault_mode:
-            yield target
-            return 0, []
+            process = self.sim.active_process
+            self._unguarded[process] = None
+            try:
+                yield target
+                return 0, []
+            except Interrupt:
+                pass  # a crash armed fault mode: go on in waves
+            finally:
+                del self._unguarded[process]
         waits = self._rejoin_waits
         waves, first_silent = 0, []
         while True:
@@ -455,6 +461,13 @@ class ProtocolRuntime(NetworkedNode):
             if waves == 1:
                 first_silent = peers
             resend(peers)
+
+    def enable_fault_mode(self) -> None:
+        """Arm fault mode, and move every round waiting on its target alone
+        into :meth:`redrive`'s waves: a message it awaits can now be lost."""
+        super().enable_fault_mode()
+        for process in self._unguarded:
+            process.interrupt()
 
     def _on_rejoin(self, message: Rejoin) -> None:
         """A peer restarted: wake every wave waiting on it (see :meth:`redrive`)."""
@@ -496,13 +509,9 @@ class ProtocolRuntime(NetworkedNode):
         Sends one request per participant and collects the votes with a
         :class:`VoteCollector`.  Returns ``(outcome, votes)``; ``outcome`` is
         ``False`` when any participant voted no or the round gave up.  A
-        prepare sent into a participant's down window is lost by the
-        crash-stop model and only its coordinator can re-send it, so the
-        round is re-driven, never waited out: a participant that restarts
-        gets its prepare again on its :class:`Rejoin`, its handler made
-        idempotent by :meth:`admit_prepare`; prepares the fallback timer
-        finds unanswered are re-sent in a silent wave, and a participant
-        still silent after ``prepare_retry_limit`` such waves is declared
+        prepare lost in a participant's down window is re-sent on its
+        :class:`Rejoin` or in a silent wave (:meth:`redrive`); a participant
+        still silent after ``prepare_retry_limit`` silent waves is declared
         dead — the round fails within ``(limit + 1) * crash_resubscribe_us``.
         A round that needed a re-send carries ``rpc.prepare`` span args:
         ``resends`` and ``silent`` for the silent waves, ``rejoined`` for
@@ -581,7 +590,8 @@ class ProtocolRuntime(NetworkedNode):
         """RPC-round generator: one request per item, all replies awaited.
 
         ``destination_of(item)`` routes each item (several items may share a
-        destination — ROCOCO's per-key pieces do).  Unanswered requests are
+        destination — ROCOCO's per-key pieces do); with ``None`` the items
+        are the destinations.  Unanswered requests are
         re-driven (:meth:`redrive`) — a crashed destination answers after
         its restart, so handlers of messages sent through this helper must
         be idempotent.  Returns ``{item: reply}``.
@@ -597,16 +607,6 @@ class ProtocolRuntime(NetworkedNode):
             self.sim.all_of(events), lambda: all(e.triggered for e in events), rejoined
         )
         return {item: event.value for item, event in zip(requests.items, events)}
-
-    def request_all(self, destinations, make_message, trace_txn=None, trace_name="round"):
-        """:meth:`request_round` specialized to one request per destination."""
-        return self.request_round(
-            destinations,
-            lambda destination: destination,
-            make_message,
-            trace_txn=trace_txn,
-            trace_name=trace_name,
-        )
 
     # ------------------------------------------------------------------
     # Fault plane: crash / restart

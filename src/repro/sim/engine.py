@@ -96,6 +96,7 @@ class Simulation:
         "_event_count",
         "fault_log",
         "tracer",
+        "active_process",
     )
 
     def __init__(self, seed: int = 1):
@@ -117,6 +118,9 @@ class Simulation:
         #: (the default) keeps tracing at a single identity check per
         #: instrumented site; the kernel itself never consults it.
         self.tracer = None
+        #: The :class:`~repro.sim.process.Process` whose generator is running
+        #: (between events, the last one that ran).
+        self.active_process: Optional[Process] = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -130,11 +134,6 @@ class Simulation:
         return self._event_count
 
     # ------------------------------------------------------------------ units
-    @property
-    def current_unit(self) -> int:
-        """The execution unit new events are currently charged to."""
-        return self._unitp - 1
-
     def _ensure_unit(self, unitp: int) -> None:
         useqs = self._useq
         if unitp >= len(useqs):
@@ -338,7 +337,3 @@ class Simulation:
         self.run(until=nextafter(until, -inf))
         self._now = until
         return self._now
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._heap[0][0] if self._heap else float("inf")

@@ -39,6 +39,10 @@ class ProcessKilled(Exception):
     """Thrown into a process generator when :meth:`Process.kill` is called."""
 
 
+class Interrupt(Exception):
+    """Thrown into a process generator by :meth:`Process.interrupt`."""
+
+
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -66,8 +70,11 @@ class Process(Event):
         # handler dispatch creates a process), and the deferred start cost
         # one heap entry plus one event-loop round-trip per spawn; the
         # inline start runs the same code at the same simulated time, only
-        # without the scheduler detour.
+        # without the scheduler detour.  The creator is the running process
+        # again once the new one yields.
+        caller = sim.active_process
         self._resume(None)
+        sim.active_process = caller
 
     # -- engine interface ---------------------------------------------------
     def _resume(self, event: Optional[Event]) -> None:
@@ -75,6 +82,8 @@ class Process(Event):
         if self._value is not _PENDING or self._exception is not None:
             return
         self._waiting_on = None
+        sim = self.sim
+        sim.active_process = self
         try:
             if event is None:
                 target = self.generator.send(None)
@@ -90,7 +99,7 @@ class Process(Event):
             return
         except BaseException as exc:  # noqa: BLE001 - must propagate any failure
             self.fail(exc)
-            self.sim._note_crashed_process(self, exc)
+            sim._note_crashed_process(self, exc)
             return
 
         cls = target.__class__
@@ -101,7 +110,6 @@ class Process(Event):
             # as it would from a value-less Timeout).  Count one extra
             # processed event so the events/sec metric stays comparable with
             # the reference two-pass timeout machinery.
-            sim = self.sim
             sim._event_count += 1
             sim._push(sim._now + target, self._resume, None)
             return
@@ -116,9 +124,20 @@ class Process(Event):
             target.callbacks.append(self._resume)
         else:
             self._waiting_on = target
-            self.sim._schedule_callback(target, self._resume)
+            sim._schedule_callback(target, self._resume)
 
     # -- public API -----------------------------------------------------------
+    def interrupt(self) -> None:
+        """Throw :class:`Interrupt` into the process at its pending yield, at
+        the current time (SimPy's ``Process.interrupt``); no-op once it fired."""
+        waiting = self._waiting_on
+        if self.triggered or waiting is None or waiting.triggered:
+            return
+        waiting.callbacks.remove(self._resume)
+        self._waiting_on = event = Event(self.sim, "interrupt")
+        event.callbacks.append(self._resume)
+        event.fail(Interrupt())
+
     def kill(self) -> None:
         """Terminate the process at the next opportunity.
 

@@ -266,7 +266,7 @@ class TestRedrive:
         assert envelope_us < drain_us
         out = {}
         _commit_into_the_down_window(round_, out)
-        round_.cluster.run(until=out.get("commit_at", DOWN_AT_US + 500.0) + drain_us)
+        round_.cluster.run(until=out.get("commit_at", DOWN_AT_US + 500.0) + envelope_us + 100.0)
         counters = round_.cluster.total_counters()
         assert counters["prepare_retries"] == timeouts.prepare_retry_limit
         assert counters["prepare_retry_aborts"] == 1

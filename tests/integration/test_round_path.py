@@ -8,7 +8,10 @@ waits on its replies alone:
   read path's external-status queries, which a fail-free long read-only
   workload sends;
 * a vote round has no timeout at all: votes that arrive after 50 ms (the
-  coarse guard the fail-free round used to wait out) still commit it.
+  coarse guard the fail-free round used to wait out) still commit it;
+* a crash injected without a fault plan while a round waits moves that
+  round into the re-drive's waves, so it still gives up within the retry
+  envelope instead of waiting forever.
 """
 
 from __future__ import annotations
@@ -96,3 +99,48 @@ def test_fail_free_vote_round_waits_for_late_votes(protocol):
     assert out["answered_at"] - out["commit_at"] > VOTE_DELAY_US
     assert not any(node._fault_mode for node in cluster.nodes)
     assert cluster.total_counters().get("prepare_retries", 0) == 0
+
+
+@pytest.mark.parametrize("protocol", sorted(VOTING))
+def test_crash_without_a_plan_mid_round_ends_the_waiting_round(protocol):
+    cluster = VOTING[protocol](
+        ClusterConfig(n_nodes=2, n_keys=8, replication_degree=1, clients_per_node=1, seed=5),
+        record_history=True,
+    )
+    coordinator = cluster.nodes[COORDINATOR]
+    participant = cluster.nodes[PARTICIPANT]
+    key = next(k for k in cluster.keys if cluster.placement.primary(k) == PARTICIPANT)
+    # The participant's vote crawls back, so the round is still waiting on
+    # its target alone when the participant crashes, with no plan, for good.
+    cluster.network.degrade_link(PARTICIPANT, COORDINATOR, extra_us=VOTE_DELAY_US)
+    session = cluster.session(COORDINATOR)
+    out = {}
+
+    def crash():
+        out["waiting"] = len(coordinator._unguarded)
+        out["crash_at"] = cluster.sim.now
+        participant.crash()
+
+    def client():
+        session.begin(read_only=False)
+        session.write(key, 1)
+        cluster.sim.call_after(1_000.0, crash)
+        out["ok"] = yield from session.commit()
+        out["answered_at"] = cluster.sim.now
+
+    cluster.spawn(client(), unit=COORDINATOR)
+    timeouts = cluster.config.timeouts
+    envelope_us = (timeouts.prepare_retry_limit + 1) * timeouts.crash_resubscribe_us
+    cluster.run(until=1_000.0 + envelope_us + 100.0)
+    assert out["waiting"] == 1
+    counters = cluster.total_counters()
+    assert counters["prepare_retries"] == timeouts.prepare_retry_limit
+    assert counters["prepare_retry_aborts"] == 1
+    assert coordinator._unguarded == {}
+    if protocol == "2pc":
+        # The 2PC-baseline answers only once every participant acknowledged
+        # the decision (its in-doubt window); the vote round gave up in time.
+        assert "ok" not in out
+    else:
+        assert out["ok"] is False
+        assert out["answered_at"] - out["crash_at"] <= envelope_us + 100.0

@@ -10,6 +10,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.sim.engine import Simulation
 from repro.sim.events import AnyOf
+from repro.sim.process import Interrupt
 from repro.sim.resources import SimLock
 
 
@@ -178,6 +179,62 @@ class TestEventsAndProcesses:
         sim.run()
         assert progress == [10.0, 20.0, 30.0, "cleaned-up"]
         assert not proc.is_alive
+
+    def test_process_interrupt_stops_the_wait(self, sim):
+        seen = []
+        gate = sim.event()
+
+        def waiter():
+            try:
+                yield gate
+                seen.append("gate")
+            except Interrupt:
+                seen.append(("interrupted", sim.now))
+            yield sim.timeout(100)
+            seen.append(("done", sim.now))
+
+        proc = sim.process(waiter())
+
+        def interrupter():
+            yield sim.timeout(5)
+            proc.interrupt()
+            proc.interrupt()  # already interrupted: no second throw
+            gate.succeed()  # fires unobserved
+
+        sim.process(interrupter())
+        sim.run()
+        assert seen == [("interrupted", 5.0), ("done", 105.0)]
+
+    def test_active_process_is_the_running_one_also_after_an_inline_start(self, sim):
+        seen = []
+
+        def child():
+            seen.append(("child", sim.active_process))
+            yield sim.timeout(1)
+
+        def parent():
+            yield sim.timeout(1)
+            spawned = sim.process(child())
+            seen.append(("parent", sim.active_process))
+            yield spawned
+            seen.append(("parent", sim.active_process))
+
+        proc = sim.process(parent())
+        sim.run()
+        assert [name for name, _ in seen] == ["child", "parent", "parent"]
+        assert seen[0][1] is not proc and seen[1][1] is proc and seen[2][1] is proc
+
+    def test_interrupt_after_the_event_fired_is_a_no_op(self, sim):
+        gate = sim.event()
+
+        def waiter():
+            return (yield gate)
+
+        proc = sim.process(waiter())
+        gate.succeed("value")
+        proc.interrupt()
+        sim.run()
+        assert proc.value == "value"
 
     def test_any_of_fires_on_first(self, sim):
         results = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import TimeoutConfig
+from repro.common.config import ClusterConfig, TimeoutConfig, WorkloadConfig
 from repro.common.ids import TransactionId
 from repro.consistency.checkers import run_all_checks
 from repro.consistency.history import CommittedTransaction, ReadObservation
@@ -23,6 +23,7 @@ from repro.consistency.window import (
     WindowedHistoryRecorder,
     default_retention_us,
 )
+from repro.harness.runner import run_experiment
 
 
 def committed(seq, node=0, reads=(), writes=(), begin=0.0, end=None, is_update=None, hints=()):
@@ -229,6 +230,28 @@ class TestDefaultRetention:
             + 2.0 * timeouts.external_done_wait_us
         )
         assert default_retention_us(timeouts) == expected == 28_800.0
+
+    def test_covers_the_longest_lifetime_of_a_fail_free_recipe(self):
+        """No timer bounds a fail-free vote round, so the default is checked
+        against the lifetimes a windowed recipe really has: the ledger's
+        ``history_windowed_ratio`` row (SSS, mixed-6n shape, 30 ms)."""
+        config = ClusterConfig(
+            n_nodes=6, n_keys=400, replication_degree=2, clients_per_node=3, seed=2024
+        )
+        workload = WorkloadConfig(read_only_fraction=0.5, read_only_txn_keys=2)
+        result = run_experiment(
+            "sss",
+            config,
+            workload,
+            duration_us=30_000.0,
+            warmup_us=6_000.0,
+            record_history=True,
+            keep_cluster=True,
+        )
+        committed = result.cluster.history.committed
+        assert committed
+        longest = max(txn.external_commit_time - txn.begin_time for txn in committed)
+        assert longest < default_retention_us(config.timeouts)
 
 
 class TestWindowedHistoryRecorder:
