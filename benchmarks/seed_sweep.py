@@ -13,10 +13,11 @@ seeds through that configuration and checks every run for
 * read-only aborts reaching the history (snapshot restarts must stay
   externally invisible).
 
-Each seed runs the configuration under three **fault variants** — fail-free
-(``none``), a mid-run crash/restart (``crash``), and the crash plus a later
-buffered partition (``crash+partition``), scheduled like the fault bench's
-intensities — because the crash-consistency machinery (redo logs, reliable
+Each seed runs the configuration under four **fault variants** — fail-free
+(``none``), a mid-run crash/restart (``crash``), the crash plus a later
+buffered partition (``crash+partition``), and the same plan with a
+partition that drops what crosses it (``crash+drop``), scheduled like the
+fault bench's intensities — because the crash-consistency machinery (redo logs, reliable
 re-sends, crash recovery) is exactly the code a single pathological seed is
 most likely to wedge.  Every variant runs the full check set — external
 consistency, stalled clients, quiescence leaks, read-only aborts — since
@@ -58,7 +59,7 @@ PATHOLOGICAL = dict(
 )
 WORKLOAD = dict(read_only_fraction=0.5, update_txn_keys=2)
 
-VARIANTS = ("none", "crash", "crash+partition")
+VARIANTS = ("none", "crash", "crash+partition", "crash+drop")
 
 
 def _fault_plan(variant: str, duration_us: float) -> FaultPlan:
@@ -68,12 +69,14 @@ def _fault_plan(variant: str, duration_us: float) -> FaultPlan:
     crash = f"crash node=1 at={0.25 * duration_us} for={0.15 * duration_us}"
     if variant == "crash":
         return FaultPlan.parse([crash])
-    if variant == "crash+partition":
+    if variant in ("crash+partition", "crash+drop"):
         rest = ",".join(str(node) for node in range(1, PATHOLOGICAL["n_nodes"]))
         partition = (
             f"partition groups=0|{rest} "
             f"at={0.60 * duration_us} for={0.15 * duration_us}"
         )
+        if variant == "crash+drop":
+            partition += " mode=drop"
         return FaultPlan.parse([crash, partition])
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -173,7 +176,7 @@ def main() -> int:
         nargs="+",
         choices=VARIANTS,
         default=list(VARIANTS),
-        help="Fault variants to run per seed (default: all three).",
+        help="Fault variants to run per seed (default: all four).",
     )
     parser.add_argument(
         "--out",

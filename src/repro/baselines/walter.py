@@ -24,17 +24,12 @@ properties; PSI's long-fork anomaly is observable in the recorded histories
 (the external-consistency checker is expected to fail on adversarial
 interleavings, which is demonstrated in the test suite).
 
-Under the fault plane (and only then) the node is crash-consistent: the
-slow-path prepare buffers are durable 2PC-style (locks of prepared
-transactions survive a crash, decides are delivered reliably from a durable
-:class:`DecisionRecord` per decision), and the propagation stream
-is genuinely durable — every outbound batch is force-written to a
-:class:`~repro.storage.durable_log.PropagationLog` (which also owns the
-site's commit sequence counter), receivers apply per-sender streams
-gap-checked and idempotent behind a durable watermark, and everything above
-the acked watermark is retransmitted on restart, on the destination's
-rejoin and on the fault-mode fallback timer until acknowledged.  Fail-free
-runs never touch any of it.
+The node is crash-consistent: the slow-path prepare buffers are durable
+2PC-style (locks of prepared transactions survive a crash), the site's
+commit sequence counter is durable (a restarted site never reuses a
+seqno), and decides and propagation batches go out through the runtime's
+:meth:`~repro.protocols.runtime.ProtocolRuntime.send_reliable`, so neither
+is lost to a crash or a partition.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
 from repro.protocols.runtime import ProtocolRuntime
-from repro.storage.durable_log import PropagationLog
 from repro.storage.locks import LockTable
 
 
@@ -154,15 +148,9 @@ class WalterDecide(Message):
 
 
 class WalterPropagate(Message):
-    """Asynchronous replication of committed versions to the other replicas.
+    """Asynchronous replication of committed versions to the other replicas."""
 
-    In fault mode each batch additionally carries ``stream_seq``, its
-    1-based position in the sender's per-destination durable propagation
-    stream, so the receiver can detect gaps and apply idempotently;
-    fail-free batches leave it 0 (and pay no wire cost for it).
-    """
-
-    __slots__ = ("txn_id", "site", "seqno", "write_items", "stream_seq")
+    __slots__ = ("txn_id", "site", "seqno", "write_items")
     priority = MessagePriority.BULK
     base_size = 48
 
@@ -172,44 +160,15 @@ class WalterPropagate(Message):
         site: int = 0,
         seqno: int = 0,
         write_items: Tuple[Tuple[object, object], ...] = (),
-        stream_seq: int = 0,
     ):
         Message.__init__(self)
         self.txn_id = txn_id
         self.site = site
         self.seqno = seqno
         self.write_items = write_items
-        self.stream_seq = stream_seq
 
     def size_estimate(self) -> int:
-        size = 48 + 32 * len(self.write_items)
-        if self.stream_seq:
-            size += 8
-        return size
-
-
-class WalterPropagateAck(Message):
-    """Fault mode: cumulative per-sender propagation watermark."""
-
-    __slots__ = ("watermark",)
-    priority = MessagePriority.CONTROL
-    base_size = 40
-
-    def __init__(self, watermark: int = 0):
-        Message.__init__(self)
-        self.watermark = watermark
-
-
-class WalterDecideAck(Message):
-    """Fault mode: acknowledges a reliably-delivered slow-path decide."""
-
-    __slots__ = ("txn_id",)
-    priority = MessagePriority.CONTROL
-    base_size = 40
-
-    def __init__(self, txn_id: TransactionId = None):
-        Message.__init__(self)
-        self.txn_id = txn_id
+        return 48 + 32 * len(self.write_items)
 
 
 @dataclass
@@ -220,37 +179,17 @@ class _WalterVersion:
     writer: Optional[TransactionId]
 
 
-@dataclass
-class DecisionRecord:
-    """One slow-path decision awaiting reliable delivery to its sites."""
-
-    outcome: bool
-    seqno: int
-    sites: Tuple[int, ...]
-
-
 class WalterNode(ProtocolRuntime):
     """One node of the Walter (PSI) store.
 
-    The version chains, the committed vector timestamp, the propagation log
-    (with the site sequence counter), the slow-path prepare buffers with
-    their recorded votes, the decisions and the propagation watermark are
+    The version chains, the committed vector timestamp, the site sequence
+    counter and the slow-path prepare buffers with their recorded votes are
     durable.  Prepared transactions keep their locks across a crash —
     2PC-style — so a decide arriving after the restart still finds the
-    write-set it covers; the other locks, the gap buffers and the
-    retransmit-loop flag (re-armed by the restart) are volatile.
+    write-set it covers; the other locks are volatile.
     """
 
-    _VOLATILE = ("_prop_buffer", "_retx_running")
-    _DURABLE = (
-        "_chains",
-        "committed_vts",
-        "plog",
-        "locks",
-        "_prepared",
-        "decisions",
-        "_prop_applied",
-    )
+    _DURABLE = ("_chains", "committed_vts", "_seqno", "locks", "_prepared")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -259,29 +198,16 @@ class WalterNode(ProtocolRuntime):
         self._chains: Dict[object, List[_WalterVersion]] = {}
         # Committed vector timestamp: highest sequence number applied per site.
         self.committed_vts = VectorClock.zeros(n_nodes)
-        # Durable outbound propagation streams; also owns the site commit
-        # sequence counter, so a restarted preferred site never reuses a
-        # seqno it already handed out.
-        self.plog = PropagationLog()
+        # The site's last commit sequence number: a restarted preferred
+        # site never reuses a seqno it already handed out.
+        self._seqno = 0
         self.locks = LockTable(self.sim, name=f"walter-locks@{self.node_id}", owner=self.node_id)
+        # The vote record (the runtime's ``_decided`` holds the decides).
         self._prepared: Dict[TransactionId, Tuple[Tuple[object, object], ...]] = {}
-        # Fault mode only — durable slow-path state: coordinator decisions
-        # awaiting reliable delivery, force-written before the decide
-        # fan-out and dropped once every site acked, and the per-sender
-        # propagation watermark (``_prepared`` is the vote record, the
-        # runtime's ``_decided`` the delivered decides); fail-free runs
-        # never write them.
-        self.decisions: Dict[TransactionId, DecisionRecord] = {}
-        self._prop_applied: Dict[int, int] = {}
-        # Fault mode only: out-of-order propagation batches awaiting their
-        # gap, and the retransmit-loop guard.
-        self._prop_buffer: Dict[int, Dict[int, tuple]] = {}
-        self._retx_running = False
         self.register_handler(WalterRead, self.on_read)
         self.register_handler(WalterPrepare, self.on_prepare)
         self.register_handler(WalterDecide, self.on_decide)
         self.register_handler(WalterPropagate, self.on_propagate)
-        self.register_handler(WalterPropagateAck, self.on_propagate_ack)
 
     # ------------------------------------------------------------------
     def preload(self, keys, initial_value=0) -> None:
@@ -295,30 +221,14 @@ class WalterNode(ProtocolRuntime):
         self.locks.reset_except(set(self._prepared))
 
     def on_restart(self, torn_down) -> None:
-        """Re-deliver decisions and retransmit unacked propagation.
-
-        Transactions this node was coordinating that died mid-vote-round
-        never decided — record a durable abort decision for them (their
-        prepared sites hold locks that would otherwise leak).  Then re-fan
-        every undelivered decision — including this node's own prepared
-        entry — and retransmit everything above the acked propagation
-        watermarks.
-        """
+        """Decide abort for the transactions this node was coordinating that
+        died mid-vote-round: their prepared sites hold locks that would
+        otherwise leak."""
         for meta, crash_phase in torn_down:
-            if crash_phase is not TransactionPhase.PREPARING:
-                continue
-            self.counters["crash_recoveries"] += 1
-            if meta.txn_id not in self.decisions:
-                sites = tuple(sorted({self.primary(key) for key in meta.write_set}))
-                self.decisions[meta.txn_id] = DecisionRecord(False, 0, sites)
-        for txn_id in sorted(self.decisions):
-            self.spawn_process(
-                self._decide_fanout(txn_id), name=f"walter-decide:{txn_id}"
-            )
-        # The pre-crash retransmit loop died with the node's epoch.
-        self._retx_running = False
-        self._retransmit_unacked(self.plog.destinations_with_unacked())
-        self._ensure_retransmit_loop()
+            if crash_phase is TransactionPhase.PREPARING:
+                self.counters["crash_recoveries"] += 1
+                sites = {self.primary(key) for key in meta.write_set}
+                self._send_decides(meta.txn_id, False, 0, sites)
 
     # ------------------------------------------------------------------
     # Storage helpers
@@ -413,10 +323,9 @@ class WalterNode(ProtocolRuntime):
         """Apply a decide exactly once; ``_decided`` records it, which also
         keeps a prepare this decide overtook from pinning locks.
 
-        The prepared entry stays until the installation lands.  In fault
-        mode decides arrive through the coordinator's re-sending fan-out (a
-        crash mid-apply redoes it from the re-send) and every copy is
-        acknowledged.
+        The prepared entry stays until the installation lands: decides
+        arrive through :meth:`send_reliable`, whose stream re-sends a decide
+        a crash interrupted mid-apply.
         """
         txn_id = message.txn_id
         if txn_id not in self._decided:
@@ -436,57 +345,12 @@ class WalterNode(ProtocolRuntime):
                 keys = [key for key, _value in items]
                 if keys:
                     self.locks.release(txn_id, keys)
-        if self._fault_mode:
-            self.respond(message, WalterDecideAck(txn_id=txn_id))
 
     def on_propagate(self, message: WalterPropagate) -> None:
-        if self._fault_mode and message.stream_seq:
-            sender = message.sender
-            applied = self._prop_applied.get(sender, 0)
-            if message.stream_seq <= applied:
-                # Retransmission of a batch we already applied.
-                self.counters["propagation_duplicates"] += 1
-            elif message.stream_seq > applied + 1:
-                # Gap: an earlier batch of this sender's stream is missing
-                # (lost while we were crashed or partitioned).  Buffer this
-                # one and keep acking the old watermark so the sender's
-                # retransmit loop re-sends the gap.
-                self._prop_buffer.setdefault(sender, {})[message.stream_seq] = (
-                    message.txn_id,
-                    message.site,
-                    message.seqno,
-                    message.write_items,
-                )
-                self.counters["propagation_gaps_buffered"] += 1
-            else:
-                self._apply_propagation(
-                    message.site, message.seqno, message.txn_id, message.write_items
-                )
-                applied += 1
-                buffered = self._prop_buffer.get(sender)
-                while buffered:
-                    successor = buffered.pop(applied + 1, None)
-                    if successor is None:
-                        break
-                    txn_id, site, seqno, write_items = successor
-                    self._apply_propagation(site, seqno, txn_id, write_items)
-                    applied += 1
-                # Same step as the installs: the watermark is force-written.
-                self._prop_applied[sender] = applied
-            self.send(sender, WalterPropagateAck(watermark=self._prop_applied.get(sender, 0)))
-            return
-        self._apply_propagation(
-            message.site, message.seqno, message.txn_id, message.write_items
-        )
-
-    def _apply_propagation(self, site, seqno, txn_id, write_items) -> None:
-        for key, value in write_items:
+        for key, value in message.write_items:
             if self.is_replica_of(key):
-                self._install(key, value, site, seqno, txn_id)
+                self._install(key, value, message.site, message.seqno, message.txn_id)
         self.counters["propagations_applied"] += 1
-
-    def on_propagate_ack(self, message: WalterPropagateAck) -> None:
-        self.plog.ack(message.sender, message.watermark)
 
     def _async_propagate(
         self,
@@ -506,91 +370,17 @@ class WalterNode(ProtocolRuntime):
                 if destination in self.replicas(key)
             )
             if payload:
-                if self._fault_mode:
-                    # Force-write the batch to the durable stream before the
-                    # send; the retransmit loop re-sends it until acknowledged.
-                    record = self.plog.append(destination, txn_id, site, seqno, payload)
-                    self.send(
-                        destination,
-                        WalterPropagate(
-                            txn_id=txn_id,
-                            site=site,
-                            seqno=seqno,
-                            write_items=payload,
-                            stream_seq=record.stream_seq,
-                        ),
-                    )
-                else:
-                    self.send(
-                        destination,
-                        WalterPropagate(txn_id=txn_id, site=site, seqno=seqno, write_items=payload),
-                    )
-        if self._fault_mode:
-            self._ensure_retransmit_loop()
-
-    # ------------------------------------------------------------------
-    # Fault mode: reliable propagation and decide delivery
-    # ------------------------------------------------------------------
-    def _ensure_retransmit_loop(self) -> None:
-        if self._retx_running or not self.plog.has_unacked():
-            return
-        self._retx_running = True
-        self.spawn_process(self._retransmit_loop(), name=f"walter-retx@{self.node_id}")
-
-    def _retransmit_loop(self):
-        """Re-send unacked propagation batches until every stream is acked:
-        to a destination the instant it rejoins, to all on the fallback timer."""
-        plog = self.plog
-        try:
-            yield from self.redrive(
-                None,
-                plog.destinations_with_unacked,
-                self._retransmit_unacked,
-                lambda: not plog.has_unacked(),
-            )
-        finally:
-            self._retx_running = False
-
-    def _retransmit_unacked(self, destinations) -> None:
-        for destination in destinations:
-            for record in self.plog.unacked(destination):
-                self.counters["propagation_retransmits"] += 1
-                self.send(
+                self.send_reliable(
                     destination,
-                    WalterPropagate(
-                        txn_id=record.txn_id,
-                        site=record.origin_site,
-                        seqno=record.seqno,
-                        write_items=record.write_items,
-                        stream_seq=record.stream_seq,
-                    ),
+                    WalterPropagate(txn_id=txn_id, site=site, seqno=seqno, write_items=payload),
                 )
 
-    def _decide_fanout(self, txn_id: TransactionId):
-        """Reliably deliver one durable decision to its prepared sites.
-
-        ``request_round`` re-drives the fan-out in fault mode until every site
-        (this node included — its own prepared entry and locks need the
-        decide too) acknowledged; the decide handler is idempotent, so
-        re-sends and restart re-fans are harmless.  The record is dropped
-        only once every site acked.
-        """
-        decision = self.decisions.get(txn_id)
-        if decision is None:
-            return
-        yield from self.request_round(
-            list(decision.sites),
-            None,
-            lambda _site: WalterDecide(
-                txn_id=txn_id,
-                outcome=decision.outcome,
-                site=self.node_id,
-                seqno=decision.seqno,
-            ),
-            trace_txn=txn_id,
-            trace_name="decide",
-        )
-        self.decisions.pop(txn_id, None)
+    def _send_decides(self, txn_id: TransactionId, outcome: bool, seqno: int, sites) -> None:
+        """Send the decision to every prepared site, this node included."""
+        for site in sorted(sites):
+            self.send_reliable(
+                site, WalterDecide(txn_id=txn_id, outcome=outcome, site=self.node_id, seqno=seqno)
+            )
 
     # ------------------------------------------------------------------
     # Coordinator side (Session interface)
@@ -670,7 +460,8 @@ class WalterNode(ProtocolRuntime):
             self.locks.release(txn_id, keys)
             return False
         yield self.cpu(self.service.commit_apply_us * max(1, len(keys)))
-        seqno = self.plog.next_seqno()
+        self._seqno += 1
+        seqno = self._seqno
         for key, value in write_items:
             self._install(key, value, self.node_id, seqno, txn_id)
         self.locks.release(txn_id, keys)
@@ -687,27 +478,9 @@ class WalterNode(ProtocolRuntime):
             return WalterPrepare(txn_id=txn_id, start_vts=meta.vc, write_items=write_items)
 
         outcome, _votes = yield from self.vote_round(sites, make_prepare, trace_txn=txn_id)
-        seqno = self.plog.next_seqno()
+        self._seqno += 1
         self.counters["slow_commits"] += 1
-        if self._fault_mode:
-            # The decision is force-written and delivered reliably by a
-            # background fan-out — the client is answered now, as on the
-            # fail-free path.
-            self.decisions[txn_id] = DecisionRecord(outcome, seqno, tuple(sites))
-            self.spawn_process(
-                self._decide_fanout(txn_id), name=f"walter-decide:{txn_id}"
-            )
-            return outcome
-        for site in sites:
-            self.send(
-                site,
-                WalterDecide(
-                    txn_id=txn_id,
-                    outcome=outcome,
-                    site=self.node_id,
-                    seqno=seqno,
-                ),
-            )
+        self._send_decides(txn_id, outcome, self._seqno, sites)
         return outcome
 
 

@@ -396,7 +396,7 @@ class CoordinatorMixin:
             # link, leaving propagated reader entries gating writers forever
             # on nodes this Remove would never reach.
             for node_id in range(self.config.n_nodes):
-                self.send(
+                self.send_reliable(
                     node_id,
                     Remove(
                         txn_id=meta.txn_id,
@@ -405,7 +405,9 @@ class CoordinatorMixin:
                 )
             return
         for replica in sorted(by_replica):
-            self.send(replica, Remove(txn_id=meta.txn_id, keys=tuple(by_replica[replica])))
+            self.send_reliable(
+                replica, Remove(txn_id=meta.txn_id, keys=tuple(by_replica[replica]))
+            )
 
     def _propagated_for_decide(self, meta: TransactionMeta):
         """Propagated entries eligible for (re-)insertion at write replicas.
@@ -476,7 +478,7 @@ class CoordinatorMixin:
 
         propagated = self._propagated_for_decide(meta)
         for participant in participants:
-            self.send(
+            self.send_reliable(
                 participant,
                 Decide(
                     txn_id=txn_id,

@@ -1363,7 +1363,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # shipped this reader's entry to must clean up as well.
         for destination in sorted(self._forward_map.pop(txn_id, set())):
             if destination != self.node_id:
-                self.send(destination, Remove(txn_id=txn_id, keys=()))
+                self.send_reliable(destination, Remove(txn_id=txn_id, keys=()))
 
     def note_propagation(self, reader: TransactionId, destination: NodeId) -> None:
         """Record that ``reader``'s queue entry was shipped to ``destination``."""
@@ -1448,7 +1448,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                 )
                 participants.discard(self.node_id)
                 for participant in sorted(participants):
-                    self.send(
+                    self.send_reliable(
                         participant,
                         Decide(
                             txn_id=txn_id,

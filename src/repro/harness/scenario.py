@@ -220,19 +220,28 @@ def run_scenario(
         for txn in history.committed
         if txn.external_commit_time is not None
     )
-    # Gaps are measured over the load window only: clients stop issuing at
-    # ``duration_us``, so silence during the drain tail is expected, not a
-    # stall.  Commits completing inside the drain still close their gap.
+    # Gaps are measured while load is offered: until the last traffic
+    # phase's ``until`` (capped at ``duration_us``; closed-loop clients stop
+    # issuing at ``duration_us``), so silence after it — the drain tail, or
+    # an open-loop plan that ended early — is expected, not a stall.  A
+    # commit completing later still closes the gap open at that instant.
+    phases = config.traffic.phases if config.traffic else ()
+    load_end = duration_us
+    if phases and phases[-1].until_us is not None:
+        load_end = min(phases[-1].until_us, duration_us)
     windows = _fault_windows(config, duration_us)
     max_gap = 0.0
     excess_gap = 0.0
     if commit_times:
-        edges = commit_times + [max(duration_us, commit_times[-1])]
+        edges = commit_times + [max(load_end, commit_times[-1])]
         for start, end in zip(edges, edges[1:]):
+            if start >= load_end:
+                break
+            end = min(end, load_end)
             max_gap = max(max_gap, end - start)
             excess_gap = max(excess_gap, _excess_gap(start, end, windows))
     else:
-        max_gap = excess_gap = duration_us
+        max_gap = excess_gap = load_end
     committed = len(commit_times)
     mean_gap = (
         (commit_times[-1] - commit_times[0]) / (committed - 1)
@@ -293,7 +302,11 @@ def run_scenario(
             for check in checks
             for violation in check.violations[:3]
         )
-    is_stalled = stalled > 0 or (committed == 0) or excess_gap >= stall_threshold
+    # Nothing committed is a stall unless nothing was offered either: an
+    # open-loop plan can draw no arrival at all (closed-loop clients always
+    # offer, and report no count).
+    starved = committed == 0 and metrics.extra.get("offered", 1) > 0
+    is_stalled = stalled > 0 or starved or excess_gap >= stall_threshold
     if is_stalled:
         failures.append("stall")
         detail.append(

@@ -194,9 +194,8 @@ class NetworkedNode:
         self.messages_handled += 1
         # Fault plane: a crashed node processes nothing.  The arrival already
         # drops traffic to crashed nodes; this guard covers messages that
-        # were queued or in their handling time when the crash hit (and is
-        # only ever reached in fault mode).
-        if not (self._fault_mode and self.crashed):
+        # were queued or in their handling time when the crash hit.
+        if not self.crashed:
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.message(
@@ -215,23 +214,28 @@ class NetworkedNode:
                 if pending is not None and not pending.triggered:
                     pending.succeed(message)
             else:
-                message_type = type(message)
-                entry = self._handlers.get(message_type)
-                if entry is None:
-                    entry = self._resolve_handler(message_type)
-                handler, name = entry
-                if name is None:
-                    handler(message)
-                else:
-                    generator = handler(message)
-                    if self._fault_mode:
-                        generator = self._epoch_guard(generator, self._epoch)
-                    Process(self.sim, generator, name)
+                self._dispatch(message)
         if self._inbound:
             self.sim._event_count += 1
             self._start(heappop(self._inbound)[2])
         else:
             self._serving = False
+
+    def _dispatch(self, message: Message) -> Optional[Process]:
+        """Run ``message``'s handler; a generator handler becomes a process,
+        which is returned (epoch-guarded in fault mode)."""
+        message_type = type(message)
+        entry = self._handlers.get(message_type)
+        if entry is None:
+            entry = self._resolve_handler(message_type)
+        handler, name = entry
+        if name is None:
+            handler(message)
+            return None
+        generator = handler(message)
+        if self._fault_mode:
+            generator = self._epoch_guard(generator, self._epoch)
+        return Process(self.sim, generator, name)
 
     def drop_inbound(self) -> int:
         """Discard every queued message (crash semantics); returns the count.

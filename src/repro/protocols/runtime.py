@@ -28,6 +28,10 @@ every protocol node (SSS and the three competitors) extends:
   :class:`RoundRequests` plus :meth:`redrive`, the one wait that asks
   whether a message can be lost and, if so, re-sends what is unanswered.
   :meth:`admit_prepare` makes every prepare handler idempotent under it.
+* **Reliable sends** — :meth:`send_reliable`, the one way to send a message
+  that must arrive: plain :meth:`send` when none can be lost, otherwise a
+  durable per-peer stream (:class:`ReliableStreams`) re-sent through
+  :meth:`redrive` until the peer acks it.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, and what the protocol
   class declares in ``_WAITS`` / ``_VOLATILE``) and replays its durable
@@ -41,7 +45,9 @@ and register their message handlers in ``__init__``.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import ClusterConfig
@@ -62,10 +68,127 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Rejoin(Message):
     """A restarted node's announcement to a peer, sent once its durable
-    state is replayed: re-send what I lost (:meth:`ProtocolRuntime.redrive`)."""
+    state is replayed: re-send what I lost (:meth:`ProtocolRuntime.redrive`).
+    It acks the peer's reliable stream up to ``handled``."""
 
-    __slots__ = ()
+    __slots__ = ("handled",)
     priority = MessagePriority.CONTROL
+
+    def __init__(self, handled: int = 0):
+        Message.__init__(self)
+        self.handled = handled
+
+
+class Envelope(Message):
+    """A :meth:`ProtocolRuntime.send_reliable` message on the wire when a
+    message can be lost: the message and its position ``seq`` in the
+    sender's stream to this peer.  It travels at the message's priority and
+    costs the message's size plus the number."""
+
+    __slots__ = ("seq", "message", "priority", "txn_id")
+
+    def __init__(self, seq: int, message: Message):
+        Message.__init__(self)
+        self.seq = seq
+        self.message = message
+        self.priority = message.priority
+        self.txn_id = getattr(message, "txn_id", None)
+
+    def size_estimate(self) -> int:
+        return self.message.size_estimate() + 8
+
+
+class StreamAck(Message):
+    """Cumulative ack of a reliable stream: the receiver has handled every
+    message up to ``watermark``.  Bulk priority: an ack unblocks no
+    transaction, it only has to beat the fallback timer."""
+
+    __slots__ = ("watermark",)
+    priority = MessagePriority.BULK
+    base_size = 40
+
+    def __init__(self, watermark: int = 0):
+        Message.__init__(self)
+        self.watermark = watermark
+
+
+class ReliableStreams:
+    """One node's ends of the streams of :meth:`ProtocolRuntime.send_reliable`.
+
+    Outbound, per peer: contiguous sequence numbers from 1 (``sent``, the
+    last one given out) and every message the peer has not acked, with the
+    time it was last sent (``unacked``, in sequence order); a cumulative ack
+    drops the records at or below it.  Inbound, per peer: the last sequence
+    number handled (``handled``), the arrivals above it (``held``) —
+    the successors of a gap, or the next message while a handler process
+    is still running (``busy``) — and the peers an ack is scheduled for
+    (``acks_due``).  ``held``, ``busy`` and ``acks_due`` are volatile, the
+    rest is durable.
+    """
+
+    __slots__ = ("sent", "unacked", "handled", "held", "busy", "acks_due")
+
+    def __init__(self) -> None:
+        self.sent: Dict[NodeId, int] = {}
+        self.unacked: Dict[NodeId, Dict[int, list]] = {}
+        self.handled: Dict[NodeId, int] = {}
+        self.held: Dict[NodeId, Dict[int, Message]] = {}
+        self.busy: Set[NodeId] = set()
+        self.acks_due: Set[NodeId] = set()
+
+    def append(self, peer: NodeId, message: Message, now: float) -> int:
+        """Force-write ``message`` as the next of ``peer``'s stream; its number."""
+        seq = self.sent[peer] = self.sent.get(peer, 0) + 1
+        self.unacked.setdefault(peer, {})[seq] = [message, now]
+        return seq
+
+    def ack(self, peer: NodeId, watermark: int) -> None:
+        """Drop every record to ``peer`` at or below ``watermark``."""
+        records = self.unacked.get(peer)
+        while records:
+            seq = next(iter(records))
+            if seq > watermark:
+                return
+            del records[seq]
+
+    def peers(self) -> List[NodeId]:
+        """The peers some message has not been acked by, in id order."""
+        return sorted(peer for peer, records in self.unacked.items() if records)
+
+    def expire(self) -> None:
+        """This node restarted: whether its unacked records arrived is
+        unknown, so every one is due."""
+        for records in self.unacked.values():
+            for record in records.values():
+                record[1] = -math.inf
+
+    def due(self, peer: NodeId, cutoff: float, now: float) -> List[Tuple[int, Message]]:
+        """The unacked records to ``peer`` last sent at or before ``cutoff``,
+        stamped as sent ``now``."""
+        out = []
+        for seq, record in self.unacked.get(peer, {}).items():
+            if record[1] <= cutoff:
+                record[1] = now
+                out.append((seq, record[0]))
+        return out
+
+    def receive(self, peer: NodeId, seq: int, message: Message) -> bool:
+        """Hold an arrival from ``peer`` for handling; ``False`` for a duplicate."""
+        held = self.held.setdefault(peer, {})
+        if seq <= self.handled.get(peer, 0) or seq in held:
+            return False
+        held[seq] = message
+        return True
+
+    def next(self, peer: NodeId) -> Optional[Message]:
+        """The held message next in ``peer``'s stream (``None`` at a gap)."""
+        held = self.held.get(peer)
+        return held.get(self.handled.get(peer, 0) + 1) if held else None
+
+    def advance(self, peer: NodeId) -> None:
+        """The next message of ``peer``'s stream has been handled."""
+        seq = self.handled[peer] = self.handled.get(peer, 0) + 1
+        del self.held[peer][seq]
 
 
 class VoteCollector(Event):
@@ -213,8 +336,14 @@ class ProtocolRuntime(NetworkedNode):
         self._rejoin_waits: Dict[NodeId, Dict[Event, None]] = defaultdict(dict)
         # Until fault mode — the processes of rounds waiting on their target.
         self._unguarded: Dict[Process, None] = {}
+        # Fault mode only — the streams of send_reliable, and whether the
+        # process re-sending their unacked messages runs.
+        self.streams = ReliableStreams()
+        self._resending = False
         self._trace_down_since: Optional[float] = None
         self.register_handler(Rejoin, self._on_rejoin)
+        self.register_handler(Envelope, self._on_envelope)
+        self.register_handler(StreamAck, self._on_stream_ack)
 
     # ------------------------------------------------------------------
     # Placement helpers
@@ -470,7 +599,13 @@ class ProtocolRuntime(NetworkedNode):
             process.interrupt()
 
     def _on_rejoin(self, message: Rejoin) -> None:
-        """A peer restarted: wake every wave waiting on it (see :meth:`redrive`)."""
+        """A peer restarted: re-send what it has not handled of this node's
+        stream to it, ack its stream (it re-sends what this node has not
+        handled), then wake every wave waiting on it (see :meth:`redrive`)."""
+        peer = message.sender
+        self.streams.ack(peer, message.handled)
+        self._resend([peer], math.inf)
+        self.send(peer, StreamAck(self.streams.handled.get(peer, 0)))
         for wake in self._rejoin_waits.get(message.sender, ()):
             if not wake.triggered:
                 wake.succeed(message)
@@ -609,6 +744,109 @@ class ProtocolRuntime(NetworkedNode):
         return {item: event.value for item, event in zip(requests.items, events)}
 
     # ------------------------------------------------------------------
+    # Reliable sends
+    # ------------------------------------------------------------------
+    def send_reliable(self, destination: NodeId, message: Message) -> None:
+        """Send ``message``, which must arrive: the one way to do so.
+
+        When no message can be lost this is :meth:`send`.  Otherwise the
+        message is force-written to this node's durable stream to
+        ``destination`` and sent in an :class:`Envelope`; the receiver
+        drops duplicates, holds what arrives above a gap, hands the stream
+        to its handlers in order — a generator handler's process must end
+        before the next message is handled, so a crash in the middle loses
+        it unhandled — and acks cumulatively (:class:`StreamAck`), at most
+        once per half fallback period.  Until
+        the ack, the message is re-sent: to the peer when it sends
+        :class:`Rejoin` (which acks its stream), to a peer answering this
+        node's own Rejoin with its ack after a restart, and on the
+        ``crash_resubscribe_us`` timer if it has stayed unacked for a whole
+        period (:meth:`redrive`).
+        """
+        if not self._fault_mode:
+            self.send(destination, message)
+            return
+        message.sender = self.node_id
+        seq = self.streams.append(destination, message, self.sim.now)
+        self.send(destination, Envelope(seq, message))
+        self._start_resending()
+
+    def _start_resending(self) -> None:
+        if not self._resending and self.streams.peers():
+            self._resending = True
+            self.spawn_process(self._resend_loop(), name=f"resend@{self.node_id}")
+
+    def _resend_loop(self):
+        period = self.config.timeouts.crash_resubscribe_us
+        streams = self.streams
+        yield from self.redrive(
+            None,
+            streams.peers,
+            lambda peers: self._resend(peers, self.sim.now - period),
+            lambda: not streams.peers(),
+        )
+        self._resending = False
+
+    def _resend(self, peers, cutoff: float) -> None:
+        """Re-send the unacked messages to ``peers`` last sent by ``cutoff``."""
+        now = self.sim.now
+        for peer in peers:
+            for seq, message in self.streams.due(peer, cutoff, now):
+                self.counters["stream_resends"] += 1
+                self.send(peer, Envelope(seq, message))
+
+    def _on_envelope(self, envelope: Envelope) -> None:
+        peer = envelope.sender
+        streams = self.streams
+        if streams.receive(peer, envelope.seq, envelope.message):
+            self._handle_stream(peer)
+        else:
+            self.counters["stream_duplicates"] += 1
+        self._ack_soon(peer)
+
+    def _handle_stream(self, peer: NodeId) -> None:
+        """Hand ``peer``'s held messages to their handlers in stream order."""
+        streams = self.streams
+        while peer not in streams.busy:
+            message = streams.next(peer)
+            if message is None:
+                return
+            process = self._dispatch(message)
+            if process is not None and not process.triggered:
+                streams.busy.add(peer)
+                process.add_callback(partial(self._stream_handler_done, peer, self._epoch))
+                return
+            streams.advance(peer)
+
+    def _stream_handler_done(self, peer: NodeId, epoch: int, _process) -> None:
+        if epoch != self._epoch:
+            return  # died with a crash: unhandled, so the sender re-sends it
+        streams = self.streams
+        streams.busy.discard(peer)
+        streams.advance(peer)
+        self._handle_stream(peer)
+        self._ack_soon(peer)
+
+    def _ack_soon(self, peer: NodeId) -> None:
+        """Ack ``peer``'s stream half a fallback period from now, in one ack
+        for everything it sends meanwhile: well before the sender's timer
+        would re-send it."""
+        acks_due = self.streams.acks_due
+        if peer not in acks_due:
+            acks_due.add(peer)
+            delay = self.config.timeouts.crash_resubscribe_us / 2
+            self.sim.call_after(delay, partial(self._send_ack, peer, self._epoch))
+
+    def _send_ack(self, peer: NodeId, epoch: int) -> None:
+        if epoch == self._epoch:  # else the crash dropped it
+            self.streams.acks_due.discard(peer)
+            self.send(peer, StreamAck(self.streams.handled.get(peer, 0)))
+
+    def _on_stream_ack(self, message: StreamAck) -> None:
+        self.streams.ack(message.sender, message.watermark)
+        self._resend([message.sender], -math.inf)  # what a restart left in doubt
+
+    # ------------------------------------------------------------------
     # Fault plane: crash / restart
     # ------------------------------------------------------------------
     def crash(self) -> None:
@@ -636,6 +874,10 @@ class ProtocolRuntime(NetworkedNode):
         self.network.crash(self.node_id)
         self.counters["crash_dropped_inbound"] += self.drop_inbound()
         self._preparing.clear()
+        self.streams.held.clear()
+        self.streams.busy.clear()
+        self.streams.acks_due.clear()
+        self._resending = False  # the re-send process dies with the epoch
         # Fail in-flight RPCs: waiting handler processes die through the
         # epoch guard, while co-located *client* processes receive
         # NodeCrashedError and reconnect with a back-off (see the closed-loop
@@ -692,6 +934,13 @@ class ProtocolRuntime(NetworkedNode):
                 tracer.span("node.down", self._trace_down_since, node=self.node_id)
                 self._trace_down_since = None
             tracer.instant("node.restart", node=self.node_id)
+        # Which unacked messages arrived is unknown: each peer's answer to
+        # the Rejoin acks what did, and the rest is re-sent.  This node
+        # answers for its stream to itself at once.
+        streams = self.streams
+        streams.expire()
+        streams.ack(self.node_id, streams.handled.get(self.node_id, 0))
+        self._resend([self.node_id], -math.inf)
         torn_down = []
         for txn_id in sorted(self.coordinated):
             meta = self.coordinated[txn_id]
@@ -710,7 +959,8 @@ class ProtocolRuntime(NetworkedNode):
             tracer.instant("node.recovered", node=self.node_id)
         for peer in range(self.config.n_nodes):
             if peer != self.node_id:
-                self.send(peer, Rejoin())
+                self.send(peer, Rejoin(self.streams.handled.get(peer, 0)))
+        self._start_resending()
 
     def on_crash(self) -> None:
         """Protocol hook: the crash resets that are not "empty a container"."""

@@ -19,8 +19,7 @@ Everything one node keeps on its data plane lives here:
   ``CommitQ`` ordering internally-committing transactions by their commit
   vector clock entry for this node, and the SSS write replica's durable
   :class:`~repro.storage.commit_queue.RedoLog` of votes it is rebuilt from.
-* :mod:`~repro.storage.durable_log` — the two crash-consistency logs that
-  hide an algorithm: ROCOCO's order-fenced
-  :class:`~repro.storage.durable_log.PieceRedoLog` and Walter's
-  ack-watermarked :class:`~repro.storage.durable_log.PropagationLog`.
+* :mod:`~repro.storage.durable_log` — the crash-consistency log that hides
+  an algorithm: ROCOCO's order-fenced
+  :class:`~repro.storage.durable_log.PieceRedoLog`.
 """

@@ -1,8 +1,9 @@
 """Durable per-node logs that hide an algorithm.
 
 A protocol's plain durable records are dicts it declares durable (see
-:class:`~repro.protocols.runtime.ProtocolRuntime`); the two logs here stay
-classes because each owns more than a map.  Both follow the same contract:
+:class:`~repro.protocols.runtime.ProtocolRuntime`); the log here stays a
+class because it owns more than a map, and follows the contract of every
+durable record:
 
 * **force-write before externalization** — a record is written *before* the
   reply/vote/propagation that makes the state externally observable, so a
@@ -16,7 +17,7 @@ Like the rest of the fault plane, these logs model durability inside the
 simulator: "force-written" means the record is mutated in the same simulation
 step as the action it covers (no yield point in between), and a crash keeps
 them because their node declares them durable.  Fail-free runs never write
-either log.
+the log.
 
 * :class:`PieceRedoLog` — ROCOCO's per-server piece log.  The piece payload
   is logged at dispatch, the assigned order before the execute-round reply,
@@ -24,15 +25,10 @@ either log.
   refuses to execute any piece ordered below the frontier (order fencing),
   so a late fault-mode re-send of an earlier-ordered piece can never replay
   behind already-executed successors.
-* :class:`PropagationLog` — Walter's per-site outbound propagation stream.
-  It owns the site's commit sequence counter (so a restarted site never
-  reuses a seqno) and keeps, per destination, the contiguous stream of
-  unacknowledged propagation records plus the acked watermark; restart and a
-  fault-mode cadence retransmit everything above the watermark.
 
 Executed piece records are retained for the rest of the run (they answer
 fault-mode duplicate commits faithfully), like the other fault-recovery
-indexes; acked propagation records are dropped at the watermark.
+indexes.
 """
 
 from __future__ import annotations
@@ -162,103 +158,3 @@ class PieceRedoLog:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<PieceRedoLog keys={len(self._by_key)} records={len(self)}>"
-
-
-# ----------------------------------------------------------------------
-# Walter: durable propagation streams with acked watermarks
-# ----------------------------------------------------------------------
-@dataclass
-class PropagationRecord:
-    """One sequenced propagation batch bound for one destination."""
-
-    stream_seq: int
-    """Per-destination contiguous stream index (1-based).  Receivers apply in
-    stream order and ack a cumulative watermark; site seqnos alone cannot
-    order a destination's stream because a destination only replicates a
-    subset of the site's keys."""
-
-    txn_id: TransactionId
-    origin_site: int
-    seqno: int
-    write_items: Tuple[Tuple[object, object], ...]
-
-
-class PropagationLog:
-    """Durable outbound propagation state of one Walter node.
-
-    Owns the site's commit sequence counter and, per destination, the
-    ordered unacknowledged records plus the acked watermark.  Acked records
-    are dropped; everything above the watermark is retransmitted on restart
-    and on the fault-mode cadence until acknowledged.
-    """
-
-    def __init__(self) -> None:
-        self._seqno = 0
-        self._streams: Dict[int, List[PropagationRecord]] = {}
-        self._next_stream_seq: Dict[int, int] = {}
-        self._acked: Dict[int, int] = {}
-
-    # -- the durable site sequence counter -----------------------------
-    @property
-    def seqno(self) -> int:
-        return self._seqno
-
-    def next_seqno(self) -> int:
-        """Hand out the next site commit sequence number (durable: a restarted
-        preferred site never reuses a seqno it already assigned)."""
-        self._seqno += 1
-        return self._seqno
-
-    # -- stream writes -------------------------------------------------
-    def append(
-        self,
-        destination: int,
-        txn_id: TransactionId,
-        origin_site: int,
-        seqno: int,
-        write_items: Tuple[Tuple[object, object], ...],
-    ) -> PropagationRecord:
-        """Force-write one propagation batch before it is sent."""
-        stream_seq = self._next_stream_seq.get(destination, 0) + 1
-        self._next_stream_seq[destination] = stream_seq
-        record = PropagationRecord(
-            stream_seq=stream_seq,
-            txn_id=txn_id,
-            origin_site=origin_site,
-            seqno=seqno,
-            write_items=write_items,
-        )
-        self._streams.setdefault(destination, []).append(record)
-        return record
-
-    def ack(self, destination: int, watermark: int) -> None:
-        """Drop every record at or below the destination's acked watermark."""
-        if watermark <= self._acked.get(destination, 0):
-            return
-        self._acked[destination] = watermark
-        stream = self._streams.get(destination)
-        if stream:
-            self._streams[destination] = [
-                record for record in stream if record.stream_seq > watermark
-            ]
-
-    # -- reads ---------------------------------------------------------
-    def unacked(self, destination: int) -> List[PropagationRecord]:
-        return list(self._streams.get(destination, ()))
-
-    def destinations_with_unacked(self) -> List[int]:
-        return sorted(
-            destination
-            for destination, stream in self._streams.items()
-            if stream
-        )
-
-    def has_unacked(self) -> bool:
-        return any(stream for stream in self._streams.values())
-
-    def acked_watermark(self, destination: int) -> int:
-        return self._acked.get(destination, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        pending = sum(len(stream) for stream in self._streams.values())
-        return f"<PropagationLog seqno={self._seqno} unacked={pending}>"

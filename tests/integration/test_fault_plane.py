@@ -352,6 +352,26 @@ class TestReaderEntriesSurviveACrash:
         assert outcome.signal["quiescence_leaked_writers"] == 0
 
 
+class TestReliableDecideAndRemove:
+    @pytest.mark.parametrize("name", ["sss-drop-partition-decide", "sss-restart-remove-drop"])
+    def test_a_dropped_decide_or_remove_strands_nobody(self, name):
+        """SSS's ``Decide`` and ``Remove`` go through ``send_reliable``.
+
+        Sent once, a drop-mode partition ate them: a live participant's
+        Decide (8 / 8 / 7 stalled clients at seeds 7 / 11 / 3 of the first
+        genome's recipe), and the Remove a restarted coordinator broadcast
+        for a reader its crash tore down (1 stalled client, 1 writer parked
+        in pre-commit).  The stream re-sends both on the fallback timer.
+        """
+        path = Path(__file__).resolve().parents[2] / "benchmarks/search_corpus"
+        genome = ScenarioGenome.from_json((path / f"{name}.genome.json").read_text())
+        outcome = score_genome(genome)
+        assert outcome.failures == (), outcome.failure_detail
+        assert outcome.signal["stalled_clients"] == 0
+        assert outcome.signal["quiescence_leaked_writers"] == 0
+        assert outcome.signal["quiescence_commit_queue"] == 0
+
+
 class TestCoordinatorCrashSessionTeardown:
     """Regression: the Walter small-offset double-commit.
 
@@ -535,14 +555,16 @@ class TestRococoReplayOrdering:
 
 
 class TestWalterPropagationDurability:
-    """Walter's durable propagation streams: no batch is ever lost.
+    """Walter's propagation through the runtime's reliable streams: no batch
+    is ever lost.
 
     The historical gap: ``_async_propagate`` was fire-and-forget, so a
     crash (sender or receiver) or a partition could permanently lose a
-    propagation batch and the replicas of a key silently diverged.  The
-    propagation log force-writes every batch, receivers apply in stream
-    order (buffering gaps) and ack a cumulative watermark, and restart plus
-    the fault-mode cadence retransmit everything above the watermark.
+    propagation batch and the replicas of a key silently diverged.  Each
+    batch now goes out through ``send_reliable``: force-written to the
+    sender's stream, handled in stream order (gaps held) and acked
+    cumulatively by the receiver, and re-sent on restart, on the peer's
+    Rejoin and on the fallback timer until acked.
     """
 
     def test_crash_retransmits_until_replicas_converge(self):
@@ -554,11 +576,11 @@ class TestWalterPropagationDurability:
         for check in result.cluster.check_contract():
             assert check.ok, f"walter broke {check.name} under crash: {check}"
         # The crash must have forced actual retransmission work...
-        assert result.node_counters.get("propagation_retransmits", 0) > 0
+        assert result.node_counters.get("stream_resends", 0) > 0
         # ...and at quiescence every durable stream has been fully acked.
         for node in result.cluster.nodes:
-            assert not node.plog.has_unacked(), (
-                f"node {node.node_id} still holds unacked propagation records"
+            assert not node.streams.peers(), (
+                f"node {node.node_id} still holds unacked stream records"
             )
 
     def test_partition_heals_with_watermark_catchup(self):
@@ -570,16 +592,15 @@ class TestWalterPropagationDurability:
         for check in result.cluster.check_contract():
             assert check.ok, f"walter broke {check.name} under partition: {check}"
         # After the heal the watermarks catch up: nothing left unacked and
-        # every receiver's applied watermark matches what was sent to it.
+        # every receiver's handled watermark matches what was sent to it.
         for node in result.cluster.nodes:
-            assert not node.plog.has_unacked()
+            assert not node.streams.peers()
         for sender in result.cluster.nodes:
-            sent_to = sender.plog._next_stream_seq
-            for destination, high in sent_to.items():
+            for destination, high in sender.streams.sent.items():
                 receiver = result.cluster.nodes[destination]
-                applied = receiver._prop_applied.get(sender.node_id, 0)
-                assert applied == high, (
-                    f"receiver {destination} applied watermark {applied} != "
+                handled = receiver.streams.handled.get(sender.node_id, 0)
+                assert handled == high, (
+                    f"receiver {destination} handled watermark {handled} != "
                     f"stream high {high} from sender {sender.node_id}"
                 )
 

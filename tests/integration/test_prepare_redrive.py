@@ -340,7 +340,11 @@ class TestOnOneAndTwoShards:
     @pytest.mark.parametrize("seed", [7, 11])
     def test_sss_prepare_that_outlives_a_crash_is_resolved_in_doubt(self, seed):
         result = _scenario("sss", "prepare-outlives-crash", seed)
-        assert result.node_counters.get("in_doubt_resolved", 0) > 0
+        counters = result.node_counters
+        # The Decide sent into the down window comes back through the
+        # coordinator's reliable stream (re-sent on the participant's
+        # Rejoin) or through the in-doubt query, whichever lands first.
+        assert counters.get("in_doubt_resolved", 0) + counters.get("stream_resends", 0) > 0
         assert result.metrics.extra["stalled_clients"] == 0
         assert result.metrics.extra["quiescence_commit_queue"] == 0
         assert result.cluster.check_consistency().ok
@@ -372,7 +376,8 @@ class TestRedriveTrace:
         assert exhausted
         for span in exhausted:
             assert span.args == {"resends": 3, "silent": ["1"], "outcome": "retry-exhausted"}
-            assert 20_000.0 <= span.dur < 20_100.0
+            # Four fallback periods, up to the rounding of ts + dur.
+            assert 20_000.0 - 1e-6 <= span.dur < 20_100.0
 
 
 #: Two crash/restart cycles of different nodes, then a crash that never ends.
@@ -395,7 +400,7 @@ class TestRejoin:
         assert result.node_counters["restarts"] == 2
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-    def test_a_round_waiting_on_a_down_peer_resolves_within_two_round_trips(self, protocol):
+    def test_a_round_waiting_on_a_down_peer_resolves_on_its_rejoin(self, protocol):
         results = {
             name: _scenario(protocol, "back-inside-envelope", 7, trace=TraceSpec(), **kw)
             for name, kw in SHARD_ENGINES.items()
@@ -413,9 +418,16 @@ class TestRejoin:
         round_trip = clean[len(clean) // 2]
         woken = [span for span in spans if span.args]
         assert woken, "no prepare round waited on the down participant"
+        # Within a few round trips of the restart, not the fallback timer's
+        # ~70: the Rejoin re-sends the prepare at once.  A few, not one: the
+        # peers' reliable streams re-send on the same Rejoin what the down
+        # window ate (SSS's Decides and Removes, Walter's decides), which
+        # the restarted node handles first and whose lock releases a
+        # re-sent prepare may wait for (at most 2.6 round trips for SSS and
+        # 3.0 for Walter on this run).
         for span in woken:
             assert span.args == {"rejoined": ["1"]}
-            assert span.ts < RESTART_US < span.ts + span.dur <= RESTART_US + 2 * round_trip
+            assert span.ts < RESTART_US < span.ts + span.dur <= RESTART_US + 4 * round_trip
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_drop_partition_sends_no_rejoin_and_recovers_on_the_timer(self, protocol):
@@ -424,10 +436,7 @@ class TestRejoin:
         counters = result.node_counters
         assert counters["prepare_retries"] > 0  # silent waves, on the fallback timer
         assert counters.get("prepare_retry_aborts", 0) == 0
-        if protocol != "sss":
-            # SSS's Decide is still fire-and-forget: one the partition eats
-            # strands its participant (ROADMAP, known defects), timer or not.
-            assert result.metrics.extra["stalled_clients"] == 0
+        assert result.metrics.extra["stalled_clients"] == 0
         for check in result.cluster.check_contract():
             assert check.ok, f"{protocol} broke {check.name} under a drop partition: {check}"
 

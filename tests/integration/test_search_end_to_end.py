@@ -136,6 +136,47 @@ class TestKnownStall:
         assert replay_bundle(genome_path, out=open(os.devnull, "w")) == 2
 
 
+class TestStallRule:
+    def test_silence_after_an_open_loop_plan_ends_is_no_stall(self):
+        """Commit gaps are measured while load is offered: up to the last
+        traffic phase's ``until``, so the 16 ms of silence after this plan
+        ends is no stall."""
+        genome = ScenarioGenome(
+            protocol="2pc",
+            n_nodes=3,
+            n_keys=120,
+            replication_degree=2,
+            clients_per_node=3,
+            seed=1,
+            duration_us=20_000.0,
+            drain_us=30_000.0,
+            traffic_specs=("poisson rate=3000 tps until=4000us",),
+        ).normalize()
+        outcome = score_genome(genome)
+        assert outcome.failures == (), outcome.failure_detail
+        assert outcome.signal["committed"] > 0
+        assert outcome.signal["max_commit_gap_us"] < 4_000.0
+
+    def test_a_plan_that_offers_nothing_is_no_stall(self):
+        """Nothing committed is a stall only if something was offered: this
+        plan draws no arrival."""
+        genome = ScenarioGenome(
+            protocol="2pc",
+            n_nodes=2,
+            n_keys=4,
+            replication_degree=2,
+            clients_per_node=1,
+            seed=363418,
+            duration_us=5_000.0,
+            update_txn_keys=3,
+            read_only_txn_keys=3,
+            traffic_specs=("poisson rate=500 until=4661.2",),
+        ).normalize()
+        outcome = score_genome(genome)
+        assert outcome.signal["offered"] == 0 and outcome.signal["committed"] == 0
+        assert outcome.failures == (), outcome.failure_detail
+
+
 def _walter_genome(crash_spec: str) -> ScenarioGenome:
     return ScenarioGenome(
         protocol="walter",
@@ -174,7 +215,7 @@ class TestCrashForeverExemption:
         genome = _walter_genome("crash node=1 at=3750 for=2250")
         assert score_genome(genome).failures == ()
         # Lose what propagation sent into the down window for good.
-        monkeypatch.setattr(WalterNode, "_retransmit_unacked", lambda self, destinations: None)
+        monkeypatch.setattr(WalterNode, "_resend", lambda self, peers, cutoff: None)
         outcome = score_genome(genome)
         assert "consistency" in outcome.failures
         assert all(
@@ -200,7 +241,9 @@ class TestPlantedRegression:
         settings = SearchSettings(
             protocols=("walter",),
             budget_runs=20,
-            search_seed=5,
+            # The campaign's path is chaotic in the runs' timing: a seed whose
+            # 20 runs reach a crash inside a local read.
+            search_seed=1,
             out_dir=out_dir,
             minimize_budget=20,
         )

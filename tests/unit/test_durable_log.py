@@ -1,9 +1,9 @@
-"""Unit tests of the baseline durable logs (storage/durable_log.py)."""
+"""Unit tests of ROCOCO's durable piece log (storage/durable_log.py)."""
 
 from __future__ import annotations
 
 from repro.common.ids import TransactionId
-from repro.storage.durable_log import PieceRedoLog, PropagationLog
+from repro.storage.durable_log import PieceRedoLog
 
 
 class TestPieceRedoLog:
@@ -74,51 +74,3 @@ class TestPieceRedoLog:
         log.discard("k", txn)
         assert log.find("k", txn) is None
         assert len(log) == 0
-
-
-class TestPropagationLog:
-    def test_seqno_is_durable_and_monotone(self):
-        log = PropagationLog()
-        assert log.seqno == 0
-        assert log.next_seqno() == 1
-        assert log.next_seqno() == 2
-        assert log.seqno == 2
-
-    def test_stream_seq_is_contiguous_per_destination(self):
-        log = PropagationLog()
-        txn = TransactionId(0, 1)
-        a1 = log.append(1, txn, 0, 1, (("k", 5),))
-        a2 = log.append(1, txn, 0, 2, (("k", 6),))
-        b1 = log.append(2, txn, 0, 1, (("k", 5),))
-        assert (a1.stream_seq, a2.stream_seq) == (1, 2)
-        assert b1.stream_seq == 1  # destination 2 has its own stream
-
-    def test_ack_drops_at_or_below_watermark(self):
-        log = PropagationLog()
-        txn = TransactionId(0, 1)
-        for seq in range(3):
-            log.append(1, txn, 0, seq + 1, ())
-        log.ack(1, 2)
-        assert [r.stream_seq for r in log.unacked(1)] == [3]
-        assert log.acked_watermark(1) == 2
-
-    def test_ack_watermark_is_monotone(self):
-        log = PropagationLog()
-        txn = TransactionId(0, 1)
-        for seq in range(3):
-            log.append(1, txn, 0, seq + 1, ())
-        log.ack(1, 3)
-        log.ack(1, 1)  # stale duplicate ack must not resurrect records
-        assert log.acked_watermark(1) == 3
-        assert not log.has_unacked()
-
-    def test_destinations_with_unacked_sorted(self):
-        log = PropagationLog()
-        txn = TransactionId(0, 1)
-        log.append(3, txn, 0, 1, ())
-        log.append(1, txn, 0, 1, ())
-        log.append(2, txn, 0, 1, ())
-        log.ack(2, 1)
-        assert log.destinations_with_unacked() == [1, 3]
-        assert log.has_unacked()
-
