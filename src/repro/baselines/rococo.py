@@ -305,7 +305,7 @@ class RococoNode(ProtocolRuntime):
             for key in sorted(set(meta.read_set) | set(meta.write_set), key=repr):
                 primary = self.primary(key)
                 if primary != self.node_id:
-                    self.send(primary, PieceAbort(txn_id=txn_id, key=key))
+                    self.send_reliable(primary, PieceAbort(txn_id=txn_id, key=key))
                 else:
                     # The withdraw a PieceAbort would have performed, applied
                     # locally — including to the piece just restored above.

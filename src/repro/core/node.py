@@ -73,8 +73,10 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     node never re-proposes a local clock value it already handed out), the
     redo log (force-written before every yes-vote), the snapshot queues'
     reader entries with their index (they hold back replayed writers as
-    before) and the record of removed readers (it keeps a replay from
-    re-inserting their propagated entries) are durable.  Locks follow the
+    before), the record of removed readers (it keeps a replay from
+    re-inserting their propagated entries) and the Decides that overtook
+    their prepare (the reliable stream acks a Decide once stashed, so a
+    crash must not lose it) are durable.  Locks follow the
     textbook participant model: only the redo-logged transactions' locks
     survive — they must keep blocking until the decision is re-learned,
     2PC's in-doubt window.  The rest is volatile, the writers'
@@ -88,7 +90,6 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     _WAITS = ("_ack_waits", "_ext_done_events", "_answer_gate_events")
     _VOLATILE = _WAITS + (
         "_read_prepared",
-        "_decided_early",
         "_forward_map",
         "_backoff_level",
         "_externally_done",
@@ -107,6 +108,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         "redo_log",
         "_reader_keys",
         "_removed_readers",
+        "_decided_early",
         "locks",
         "_up_since",
         "strict_visibility",
@@ -145,7 +147,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # participant keeps only its read keys.
         self.redo_log = RedoLog()
         self._read_prepared: Dict[TransactionId, Tuple[object, ...]] = {}
-        # Decisions that arrived before (or without) a matching Prepare.
+        # Decisions that arrived before (or without) a matching Prepare
+        # (durable).
         self._decided_early: Dict[TransactionId, Decide] = {}
         # When this incarnation of the node came up.  A Prepare sent before
         # that outlived a crash of this node (a buffering partition held

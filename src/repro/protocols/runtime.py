@@ -30,8 +30,9 @@ every protocol node (SSS and the three competitors) extends:
   :meth:`admit_prepare` makes every prepare handler idempotent under it.
 * **Reliable sends** — :meth:`send_reliable`, the one way to send a message
   that must arrive: plain :meth:`send` when none can be lost, otherwise a
-  durable per-peer stream (:class:`ReliableStreams`) re-sent through
-  :meth:`redrive` until the peer acks it.
+  durable per-peer stream (:class:`ReliableStreams`) re-sent until the
+  peer acks it: on its Rejoin, after this node's restart and on the
+  fallback timer.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, and what the protocol
   class declares in ``_WAITS`` / ``_VOLATILE``) and replays its durable
@@ -69,14 +70,18 @@ if TYPE_CHECKING:  # pragma: no cover
 class Rejoin(Message):
     """A restarted node's announcement to a peer, sent once its durable
     state is replayed: re-send what I lost (:meth:`ProtocolRuntime.redrive`).
-    It acks the peer's reliable stream up to ``handled``."""
+    It acks the peer's reliable stream up to ``handled`` and says how many
+    of its own messages to the peer are ``unacked``: the peer answers those
+    with its ack, and the restarted node re-sends what the peer had not
+    handled."""
 
-    __slots__ = ("handled",)
+    __slots__ = ("handled", "unacked")
     priority = MessagePriority.CONTROL
 
-    def __init__(self, handled: int = 0):
+    def __init__(self, handled: int = 0, unacked: int = 0):
         Message.__init__(self)
         self.handled = handled
+        self.unacked = unacked
 
 
 class Envelope(Message):
@@ -549,8 +554,7 @@ class ProtocolRuntime(NetworkedNode):
         no restart announces (drop-mode partitions, lost replies): unless
         ``done()``, a silent wave ``resend(silent())`` follows, at most
         ``limit`` of them; returns their count and the first one's peers.
-        ``done=None`` stops after one wave; ``target=None`` (a fault-mode
-        stream) waits on the timer alone.
+        ``done=None`` stops after one wave.
         """
         if not self._fault_mode:
             process = self.sim.active_process
@@ -566,7 +570,7 @@ class ProtocolRuntime(NetworkedNode):
         waves, first_silent = 0, []
         while True:
             timer = self.sim.timeout(self.config.timeouts.crash_resubscribe_us)
-            wake = timer if target is None else self.sim.any_of([target, timer])
+            wake = self.sim.any_of([target, timer])
             # The registry holds the wave's own wake event, and only while it
             # waits: a shared event would keep every round's callbacks alive.
             peers = silent()
@@ -577,7 +581,7 @@ class ProtocolRuntime(NetworkedNode):
             finally:
                 for peer in peers:
                     waits[peer].pop(wake, None)
-            fired = target is not None and target.triggered
+            fired = target.triggered
             if isinstance(woken, Rejoin) and not fired:
                 resend([woken.sender])
                 if rejoined is not None:
@@ -599,16 +603,25 @@ class ProtocolRuntime(NetworkedNode):
             process.interrupt()
 
     def _on_rejoin(self, message: Rejoin) -> None:
-        """A peer restarted: re-send what it has not handled of this node's
-        stream to it, ack its stream (it re-sends what this node has not
-        handled), then wake every wave waiting on it (see :meth:`redrive`)."""
+        """A peer restarted: wake every wave waiting on it (see
+        :meth:`redrive`), then answer for the streams between the two —
+        once the woken rounds have re-sent, so their requests do not queue
+        behind the streams' backlog on the link."""
         peer = message.sender
         self.streams.ack(peer, message.handled)
-        self._resend([peer], math.inf)
-        self.send(peer, StreamAck(self.streams.handled.get(peer, 0)))
-        for wake in self._rejoin_waits.get(message.sender, ()):
+        for wake in self._rejoin_waits.get(peer, ()):
             if not wake.triggered:
                 wake.succeed(message)
+        if message.unacked or self.streams.unacked.get(peer):
+            self.sim.call_after(0.0, partial(self._answer_rejoin, peer, message.unacked))
+
+    def _answer_rejoin(self, peer: NodeId, unacked: int) -> None:
+        """Re-send what ``peer`` has not handled of this node's stream to
+        it, and ack its stream if it holds ``unacked`` messages: it re-sends
+        what this node has not handled."""
+        self._resend([peer], math.inf)
+        if unacked:
+            self.send(peer, StreamAck(self.streams.handled.get(peer, 0)))
 
     def fastest_round(self, destinations, make_message, trace_txn=None, trace_name="read"):
         """RPC-round generator: fastest-answer fan-out, re-driven when lost.
@@ -761,7 +774,10 @@ class ProtocolRuntime(NetworkedNode):
         :class:`Rejoin` (which acks its stream), to a peer answering this
         node's own Rejoin with its ack after a restart, and on the
         ``crash_resubscribe_us`` timer if it has stayed unacked for a whole
-        period (:meth:`redrive`).
+        period (:meth:`_resend_loop`).  A message is handled once its
+        handler returns: what the handler keeps of it for later (SSS's
+        Decide that overtook its prepare) must be durable state, or a crash
+        loses it after the ack.
         """
         if not self._fault_mode:
             self.send(destination, message)
@@ -777,14 +793,13 @@ class ProtocolRuntime(NetworkedNode):
             self.spawn_process(self._resend_loop(), name=f"resend@{self.node_id}")
 
     def _resend_loop(self):
+        """Every fallback period, re-send what has stayed unacked a whole
+        period: what no Rejoin announces (a drop-mode partition, a lost ack)."""
         period = self.config.timeouts.crash_resubscribe_us
         streams = self.streams
-        yield from self.redrive(
-            None,
-            streams.peers,
-            lambda peers: self._resend(peers, self.sim.now - period),
-            lambda: not streams.peers(),
-        )
+        while streams.peers():
+            yield self.sim.timeout(period)
+            self._resend(streams.peers(), self.sim.now - period)
         self._resending = False
 
     def _resend(self, peers, cutoff: float) -> None:
@@ -959,7 +974,8 @@ class ProtocolRuntime(NetworkedNode):
             tracer.instant("node.recovered", node=self.node_id)
         for peer in range(self.config.n_nodes):
             if peer != self.node_id:
-                self.send(peer, Rejoin(self.streams.handled.get(peer, 0)))
+                unacked = len(streams.unacked.get(peer, ()))
+                self.send(peer, Rejoin(streams.handled.get(peer, 0), unacked))
         self._start_resending()
 
     def on_crash(self) -> None:

@@ -20,6 +20,7 @@ The contract this suite pins:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 from pathlib import Path
@@ -370,6 +371,20 @@ class TestReliableDecideAndRemove:
         assert outcome.signal["stalled_clients"] == 0
         assert outcome.signal["quiescence_leaked_writers"] == 0
         assert outcome.signal["quiescence_commit_queue"] == 0
+
+    def test_a_dropped_rococo_piece_abort_strands_nobody(self):
+        """ROCOCO's restart withdraws the pieces of the transactions its
+        crash tore down before they had an order (``PieceAbort``) through
+        ``send_reliable``: the restart-Remove recipe run on ROCOCO, whose
+        drop partition ate the withdrawal sent once, left the unordered
+        piece blocking its key (1 stalled client)."""
+        path = Path(__file__).resolve().parents[2] / "benchmarks/search_corpus"
+        genome = ScenarioGenome.from_json(
+            (path / "sss-restart-remove-drop.genome.json").read_text()
+        )
+        outcome = score_genome(dataclasses.replace(genome, protocol="rococo"))
+        assert outcome.failures == (), outcome.failure_detail
+        assert outcome.signal["stalled_clients"] == 0
 
 
 class TestCoordinatorCrashSessionTeardown:

@@ -231,7 +231,7 @@ class TestPlantedRegression:
     def test_searcher_rediscovers_reverted_crash_guard(self, planted, tmp_path, monkeypatch):
         """Fixed-seed campaign finds the historical Walter crash and minimizes it.
 
-        The budget here is a couple dozen runs (well under the 5-minute CI
+        The budget here is a few dozen runs (well under the 5-minute CI
         box); the campaign must produce the ``walter:exception:
         TransactionStateError`` fingerprint, write a bundle, the bundle must
         replay while the regression is planted — and stop reproducing the
@@ -240,10 +240,11 @@ class TestPlantedRegression:
         out_dir = tmp_path / "out"
         settings = SearchSettings(
             protocols=("walter",),
-            budget_runs=20,
-            # The campaign's path is chaotic in the runs' timing: a seed whose
-            # 20 runs reach a crash inside a local read.
-            search_seed=1,
+            # Whether a crash lands inside a local read hangs on the runs'
+            # exact timing, which any change to fault-mode traffic moves;
+            # this seed's campaign first reaches one on its 28th mutant.
+            budget_runs=30,
+            search_seed=5,
             out_dir=out_dir,
             minimize_budget=20,
         )
