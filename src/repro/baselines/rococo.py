@@ -27,15 +27,15 @@ trend.
 The paper disables replication when comparing against ROCOCO; this
 implementation accordingly routes every piece to the key's primary replica.
 
-Under the fault plane (and only then) the node is crash-consistent: a
-durable per-server piece redo log (:class:`repro.storage.durable_log.
-PieceRedoLog`) persists the piece payload at dispatch and the assigned order
-before the execute-round reply, a restart restores and replays
-logged-but-unexecuted pieces in order, and an **order fence** refuses any
-piece ordered below the key's durably-recorded execution frontier.  A
-coordinator that crashed after assigning an order re-runs the commit round
-on restart so the decided writes are all-or-nothing.  Fail-free runs never
-touch any of it.
+Every run is crash-consistent: a durable per-server piece table
+(:class:`repro.storage.durable_log.PieceRedoLog`) holds the dispatched,
+unexecuted pieces — the buffer the execution waits read — with the order
+force-written before the execute-round reply, and keeps the reply of every
+executed piece, which answers a duplicate commit.  A restart replays the
+ordered, unexecuted pieces in order, and an **order fence** refuses any
+piece ordered below the key's executed frontier.  A coordinator that
+crashed after assigning an order re-runs the commit round on restart so the
+decided writes are all-or-nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.consistency.checkers import check_committed_reads, check_serializabil
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.runtime import ProtocolRuntime
+from repro.protocols.runtime import ProtocolRuntime, RoundRequests
 from repro.storage.durable_log import PieceRecord, PieceRedoLog
 
 
@@ -100,10 +100,9 @@ class PieceDispatchReply(Message):
 class PieceCommit(Message):
     """Round 2: execute the buffered piece in dependency order.
 
-    The piece payload (``is_write`` / ``write_value``) rides along so a
-    primary that crashed between the rounds — losing its piece buffer — can
-    faithfully recreate the piece from a fault-mode re-send instead of
-    degrading the write to a read.
+    The piece payload (``is_write`` / ``write_value``) rides along, so a
+    server whose table does not hold the piece logs it from the commit
+    instead of degrading the write to a read.
     """
 
     __slots__ = ("txn_id", "key", "order", "is_write", "write_value")
@@ -218,34 +217,26 @@ class _RococoKey:
 class RococoNode(ProtocolRuntime):
     """One node of the ROCOCO store.
 
-    The executed key states (value/version/writer) are the node's durable
-    data, and so are the piece redo log and the coordinator's
-    crash-completion entries; the in-memory piece buffers are volatile —
-    the restart rebuilds them from the log and replays ordered-but-unexecuted
-    pieces.
+    Everything it keeps is durable: the executed key states
+    (value/version/writer), the piece table and the coordinator's
+    crash-completion entries.
     """
 
-    _VOLATILE = ("_pending",)
     _DURABLE = ("_data", "redo", "_crash_completions", "_progress")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._data: Dict[object, _RococoKey] = {}
-        # Per-key pending pieces of dispatched-but-not-executed transactions;
-        # in fault mode each is the record the redo log holds.
-        self._pending: Dict[object, Dict[TransactionId, PieceRecord]] = {}
-        # Fault mode only: the durable piece redo log.  The piece payload is
-        # force-written at dispatch, the assigned order before the execute
-        # reply, and execution advances the per-key order frontier — the
-        # order fence a restarted server enforces.  Executed records double
-        # as faithful answers for re-sent commits whose original raced them.
-        # Grows with the committed transactions of a run, like the other
-        # fault-recovery indexes; fail-free runs never write it.
+        # The piece table: per key the dispatched, unexecuted pieces, and
+        # the reply of every executed one.  The payload is force-written at
+        # dispatch, the assigned order before the execute reply, and the
+        # execution advances the per-key order frontier — the order fence.
+        # The replies grow with the committed transactions of a run, like
+        # the other recovery indexes.
         self.redo = PieceRedoLog()
-        # Fault mode only, durable: order assignments (with the metadata) of
-        # transactions this node coordinated whose commit round a crash cut
-        # short.  The restart re-runs the round so the decided writes land on
-        # every key.
+        # Order assignments (with the metadata) of transactions this node
+        # coordinated whose commit round a crash cut short.  The restart
+        # re-runs the round so the decided writes land on every key.
         self._crash_completions: Dict[TransactionId, Tuple[float, TransactionMeta]] = {}
         self.register_handler(PieceDispatch, self.on_dispatch)
         self.register_handler(PieceCommit, self.on_commit)
@@ -264,32 +255,26 @@ class RococoNode(ProtocolRuntime):
     # Fault plane
     # ------------------------------------------------------------------
     def on_restart(self, torn_down) -> None:
-        """Replay the piece redo log, then recover coordinated transactions.
+        """Replay the piece table, then recover coordinated transactions.
 
-        Server side first: every logged-but-unexecuted piece is restored to
-        its key's pending list (so the ``ready()`` waits and the order fence
-        see it) and, if it already holds an order, replayed in order by a
-        background process.  Coordinator side: an update transaction that
-        crashed *after* its order was assigned (``meta.version_hints`` is
-        force-written with the order) had its outcome decided — the restart
-        re-runs its commit round so no key keeps a partial write; one that
-        crashed *before* is withdrawn with ``PieceAbort`` (an unordered piece
-        buffered at an alive server would otherwise block every later piece
-        on its key, waiting for an order that will never come).
+        Server side first: every ordered, unexecuted piece is replayed in
+        order by a background process (the table kept every piece the crash
+        cut short, so the ``ready()`` waits and the order fence see them).
+        Coordinator side: an update transaction that crashed *after* its
+        order was assigned (``meta.version_hints`` is force-written with the
+        order) had its outcome decided — the restart re-runs its commit
+        round so no key keeps a partial write; one that crashed *before* is
+        withdrawn with ``PieceAbort`` (an unordered piece buffered at an
+        alive server would otherwise block every later piece on its key,
+        waiting for an order that will never come).
         """
-        restored = self.redo.unexecuted_records()
-        for record in restored:
-            self._pending.setdefault(record.key, {})[record.txn_id] = record
-            if record.order is not None:
-                # Nobody waits for the reply: the coordinator's re-sent
-                # commit collects it from the redo log.
-                self.counters["pieces_replayed"] += 1
-                self.spawn_process(
-                    self._run_piece(record.key, record, record.order),
-                    name=f"rococo-replay:{record.txn_id}",
-                )
-        if restored:
-            self._progress.notify()
+        for record in self.redo.replay_order():
+            # Nobody waits for the reply: the coordinator's re-sent commit
+            # collects it from the table.
+            self.counters["pieces_replayed"] += 1
+            self.spawn_process(
+                self._run_piece(record), name=f"rococo-replay:{record.txn_id}"
+            )
         for meta, crash_phase in torn_down:
             txn_id = meta.txn_id
             if crash_phase is not TransactionPhase.PREPARING or meta.is_read_only:
@@ -307,17 +292,7 @@ class RococoNode(ProtocolRuntime):
                 if primary != self.node_id:
                     self.send_reliable(primary, PieceAbort(txn_id=txn_id, key=key))
                 else:
-                    # The withdraw a PieceAbort would have performed, applied
-                    # locally — including to the piece just restored above.
-                    record = self.redo.find(key, txn_id)
-                    if record is not None and record.order is None:
-                        self.redo.discard(key, txn_id)
-                    pending = self._pending.get(key)
-                    piece = pending.get(txn_id) if pending is not None else None
-                    if piece is not None and piece.order is None:
-                        del pending[txn_id]
-                        self.counters["pieces_aborted"] += 1
-                        self._progress.notify()
+                    self._withdraw(key, txn_id)
         for txn_id in sorted(self._crash_completions):
             self.spawn_process(
                 self._complete_crashed_commit(txn_id),
@@ -329,114 +304,57 @@ class RococoNode(ProtocolRuntime):
     # ------------------------------------------------------------------
     def on_dispatch(self, message: PieceDispatch):
         yield self.cpu(self.service.queue_op_us)
-        pending = self._pending.setdefault(message.key, {})
-        existing = pending.get(message.txn_id)
-        if existing is not None:
-            # Fault-mode re-send: the piece is already buffered (and may
-            # even be ordered) — answer with the dependencies it would have
-            # observed, without resetting its state.
-            deps = tuple(t for t in pending if t != message.txn_id)
-        else:
-            deps = tuple(pending.keys())
-            pending[message.txn_id] = self._piece(message)
+        txn_id = message.txn_id
+        # A re-sent dispatch finds its piece (or its reply) and answers with
+        # the dependencies it would have observed, without resetting it.
+        deps = tuple(t for t in self.redo.pending(message.key) if t != txn_id)
+        # Force-written before the reply: once the coordinator has seen it,
+        # it may assign an order, and a crash must not lose the piece.
+        self.redo.log_dispatch(message.key, txn_id, message.is_write, message.write_value)
         self._progress.notify()
         self.counters["pieces_dispatched"] += 1
-        self.respond(
-            message,
-            PieceDispatchReply(txn_id=message.txn_id, key=message.key, deps=deps),
-        )
+        self.respond(message, PieceDispatchReply(txn_id=txn_id, key=message.key, deps=deps))
 
     def on_commit(self, message: PieceCommit):
-        key = message.key
-        pending = self._pending.setdefault(key, {})
-        piece = pending.get(message.txn_id)
-        if piece is None:
-            if self._fault_mode:
-                record = self.redo.find(key, message.txn_id)
-                if record is not None and record.executed:
-                    # Fault-mode re-send racing its own original (or arriving
-                    # after a restart replayed the piece): answer with the
-                    # durably-logged execution observation, exactly what the
-                    # lost original reply carried.
-                    read_value, read_version, read_writer = record.reply
-                    self.respond(
-                        message,
-                        PieceExecuted(
-                            txn_id=message.txn_id,
-                            key=key,
-                            value=read_value,
-                            version=read_version,
-                            writer=read_writer,
-                        ),
-                    )
-                    return
-            # The buffered piece is gone — a crash wiped the pending map (or
-            # the dispatch itself was lost).  Recreate it from the commit
-            # message's payload; fail-free runs never take this branch.
-            piece = pending[message.txn_id] = self._piece(message)
-        piece.order = message.order
-        if self._fault_mode:
-            if not piece.executed and message.order < self.redo.frontier(key):
-                # Order fence: this key has durably executed a piece ordered
-                # *after* this one, so executing it now would interleave the
-                # two transactions differently than every other key did.
+        key, txn_id, order = message.key, message.txn_id, message.order
+        redo = self.redo
+        reply = redo.reply(key, txn_id)
+        if reply is None:
+            if order < redo.frontier(key):
+                # Order fence: this key has executed a piece ordered *after*
+                # this one, so executing it now would interleave the two
+                # transactions differently than every other key did.
                 # Withdraw the piece instead of wedging the key; the
                 # coordinator's re-send keeps asking, making this an
-                # availability cost, never a consistency one.  With the redo
-                # log in place the fence is a backstop — restored pieces
-                # replay before the frontier can pass them.
+                # availability cost, never a consistency one.  The table
+                # keeps every unexecuted piece across a crash, so the fence
+                # is a backstop.
                 self.counters["order_fence_refusals"] += 1
-                pending.pop(message.txn_id, None)
-                self.redo.discard(key, message.txn_id)
-                self._progress.notify()
+                self._withdraw(key, txn_id)
                 return
             # Force-write the assigned order before the execute reply so a
             # crash after the reply can never forget the piece was ordered.
-            self.redo.log_order(
-                key,
-                message.txn_id,
-                message.order,
-                is_write=piece.is_write,
-                write_value=piece.write_value,
-            )
-        self._progress.notify()
-        read_value, read_version, read_writer = yield from self._run_piece(
-            key, piece, message.order
-        )
+            piece = redo.log_order(key, txn_id, order, message.is_write, message.write_value)
+            self._progress.notify()
+            reply = yield from self._run_piece(piece)
+        # A duplicate of an executed piece's commit gets the reply the
+        # execution observed, exactly what the original answer carried.
+        value, version, writer = reply
         self.respond(
             message,
-            PieceExecuted(
-                txn_id=message.txn_id,
-                key=key,
-                value=read_value,
-                version=read_version,
-                writer=read_writer,
-            ),
+            PieceExecuted(txn_id=txn_id, key=key, value=value, version=version, writer=writer),
         )
 
-    def _piece(self, message):
-        """The pending piece of a dispatch or commit message.
-
-        In fault mode it is the redo log's record, force-written here —
-        before the dispatch reply: once the coordinator has seen the reply
-        it may assign an order, and a crash on this server must not lose
-        the piece it covers.
-        """
-        if self._fault_mode:
-            return self.redo.log_dispatch(
-                message.key, message.txn_id, message.is_write, message.write_value
-            )
-        return PieceRecord(message.txn_id, message.key, message.is_write, message.write_value)
-
-    def _run_piece(self, key, piece: PieceRecord, order: float):
+    def _run_piece(self, piece: PieceRecord):
         """Execute one ordered piece once its turn on the key comes.
 
         The shared execution core of the commit handler and the restart
         replay.  Returns the ``(value, version, writer)`` the piece observed
-        — the pre-state for a fresh execution, the durably-logged
-        observation for a piece that already executed.
+        — the pre-state for a fresh execution, the logged reply for a piece
+        another run of it executed first.
         """
-        pending = self._pending.setdefault(key, {})
+        key, txn_id, order = piece.key, piece.txn_id, piece.order
+        pending = self.redo.pending(key)
 
         # Deferrable execution: wait until no pending piece on this key is
         # ordered before us.  Pieces that are still in their dispatch round
@@ -446,7 +364,7 @@ class RococoNode(ProtocolRuntime):
         # exactly what ROCOCO's dependency tracking prevents.
         def ready() -> bool:
             for other in pending.values():
-                if other.txn_id == piece.txn_id or other.executed:
+                if other.txn_id == txn_id:
                     continue
                 if other.order is None or other.order < order:
                     return False
@@ -454,64 +372,39 @@ class RococoNode(ProtocolRuntime):
 
         if not ready():
             self.counters["piece_waits"] += 1
-            yield self.sim.condition(ready, self._progress, name=f"piece:{piece.txn_id}")
+            yield self.sim.condition(ready, self._progress, name=f"piece:{txn_id}")
 
         yield self.cpu(self.service.commit_apply_us)
+        reply = self.redo.reply(key, txn_id)
+        if reply is not None:
+            return reply  # a re-sent commit raced the execution (or the replay)
         state = self._data.setdefault(key, _RococoKey())
-        if piece.executed:
-            # Fault-mode re-sent commit raced the original execution (or the
-            # restart replay): answer what the execution observed when the
-            # redo log has it, the current state otherwise.
-            if self._fault_mode:
-                record = self.redo.find(key, piece.txn_id)
-                if record is not None and record.reply is not None:
-                    return record.reply
-            return (state.value, state.version, state.writer)
-        read_value = state.value
-        read_version = state.version
-        read_writer = state.writer
+        reply = (state.value, state.version, state.writer)
         if piece.is_write:
             state.value = piece.write_value
             state.version += 1
-            state.writer = piece.txn_id
-        piece.executed = True
-        if self._fault_mode:
-            # Same simulation step as the state mutation: the execution (and
-            # the frontier advance behind the order fence) is force-written.
-            self.redo.log_execution(
-                key, piece.txn_id, order, (read_value, read_version, read_writer)
-            )
-        # pop, not del: a fault-plane PieceAbort (or a crash clearing the
-        # pending map) may already have withdrawn the entry.
-        pending.pop(piece.txn_id, None)
+            state.writer = txn_id
+        # Same simulation step as the state mutation: the execution (and the
+        # frontier advance behind the order fence) is force-written.
+        self.redo.log_execution(piece, reply)
         self._progress.notify()
         self.counters["pieces_executed"] += 1
-        return (read_value, read_version, read_writer)
+        return reply
 
     def on_piece_abort(self, message: PieceAbort) -> None:
-        """Withdraw a dispatched piece that never received an order."""
-        if self._fault_mode:
-            # Drop the durable record too, or a later restart would restore
-            # (and re-wedge) the withdrawn piece.  Ordered records stay: the
-            # transaction's outcome is decided and the piece must execute.
-            record = self.redo.find(message.key, message.txn_id)
-            if record is not None and record.order is None:
-                self.redo.discard(message.key, message.txn_id)
-        pending = self._pending.get(message.key)
-        if pending is None:
-            return
-        piece = pending.get(message.txn_id)
-        if piece is None or piece.order is not None:
-            # Ordered pieces execute and clean themselves up.
-            return
-        del pending[message.txn_id]
-        self.counters["pieces_aborted"] += 1
-        self._progress.notify()
+        self._withdraw(message.key, message.txn_id)
+
+    def _withdraw(self, key, txn_id: TransactionId) -> None:
+        """Withdraw a dispatched piece that never received an order (ordered
+        pieces execute and clean themselves up)."""
+        if self.redo.withdraw(key, txn_id):
+            self.counters["pieces_aborted"] += 1
+            self._progress.notify()
 
     def on_snapshot_read(self, message: SnapshotRead):
         key = message.key
         if message.wait_for_pending:
-            pending = self._pending.setdefault(key, {})
+            pending = self.redo.pending(key)
 
             def no_pending_writers() -> bool:
                 return not any(piece.is_write for piece in pending.values())
@@ -581,49 +474,27 @@ class RococoNode(ProtocolRuntime):
     def _commit_read_only(self, meta: TransactionMeta):
         """Second-round validation of the snapshot read."""
         meta.phase = TransactionPhase.PREPARING
-        if self._fault_mode:
-            replies = yield from self._piece_round(
-                list(meta.read_set),
-                lambda key: SnapshotRead(txn_id=meta.txn_id, key=key, wait_for_pending=True),
-                trace_txn=meta.txn_id,
-                trace_name="validate",
-            )
-            for key in meta.read_set:
-                first_version = getattr(meta.read_set[key], "version_number", 0)
-                if replies[key].version != first_version:
-                    self.counters["read_only_validation_failures"] += 1
-                    return self._finish_abort(meta, reason="read-only-validation")
-            return self._finish_commit(meta, "read_only_commits")
-        events = {}
-        for key, record in meta.read_set.items():
-            events[key] = self.request(
-                self.primary(key),
-                SnapshotRead(txn_id=meta.txn_id, key=key, wait_for_pending=True),
-            )
-        for key, event in events.items():
-            reply: SnapshotReadReturn = yield event
-            first_version = getattr(meta.read_set[key], "version_number", 0)
-            if reply.version != first_version:
-                self.counters["read_only_validation_failures"] += 1
-                return self._finish_abort(meta, reason="read-only-validation")
+        valid = yield from self._traced_round(self._validate, meta.txn_id, "validate", meta)
+        if not valid:
+            self.counters["read_only_validation_failures"] += 1
+            return self._finish_abort(meta, reason="read-only-validation")
         return self._finish_commit(meta, "read_only_commits")
 
-    def _piece_round(self, keys, make_message, trace_txn=None, trace_name="round"):
-        """One per-key piece round routed to each key's primary.
-
-        The shared :meth:`ProtocolRuntime.request_round` provides the wave
-        (and, in fault mode, the idempotent re-send) semantics; the dispatch
-        and commit handlers are idempotent so a primary that crashed and
-        restarted simply answers the re-send.  Returns ``{key: reply}``.
-        """
-        replies = yield from self.request_round(
-            list(keys),
+    def _validate(self, meta: TransactionMeta, rejoined=None):
+        """Re-read every key of the read set in one round, awaited key by
+        key (each wait re-driven); ``False`` at the first changed version."""
+        requests = RoundRequests(
+            self,
+            meta.read_set,
             self.primary,
-            make_message,
-            trace_txn=trace_txn,
-            trace_name=trace_name,
+            lambda key: SnapshotRead(txn_id=meta.txn_id, key=key, wait_for_pending=True),
+            "round_retries",
         )
-        return replies
+        for key, event in zip(requests.items, requests.events):
+            yield from requests.redrive(event, lambda: event.triggered, rejoined)
+            if event.value.version != getattr(meta.read_set[key], "version_number", 0):
+                return False
+        return True
 
     def _commit_update(self, meta: TransactionMeta):
         meta.phase = TransactionPhase.PREPARING
@@ -632,8 +503,9 @@ class RococoNode(ProtocolRuntime):
         pieces = self._pieces(meta)
 
         # Round 1: dispatch.
-        yield from self._piece_round(
+        yield from self.request_round(
             pieces,
+            self.primary,
             lambda key: PieceDispatch(
                 txn_id=txn_id,
                 key=key,
@@ -671,8 +543,9 @@ class RococoNode(ProtocolRuntime):
         observed *at the assigned order*; keeping the EXECUTING-phase
         snapshot instead would fabricate anti-dependencies against writers
         ordered before us."""
-        executed_replies = yield from self._piece_round(
+        executed_replies = yield from self.request_round(
             pieces,
+            self.primary,
             lambda key: PieceCommit(
                 txn_id=meta.txn_id,
                 key=key,

@@ -20,7 +20,8 @@ participate in a new violation:
   the frontier passes ``end(E) + retention_us``: at that point every
   transaction that could share a violation with E's transactions has been
   observed.  Closing runs the ordinary post-hoc checkers over the retained
-  window and then prunes transactions older than ``end(E)``, remembering
+  window and then prunes transactions older than ``end(E)`` (but see the
+  version-order assumption below), remembering
   per key only the *identities* of pruned writers that an in-sync retained
   reader could still observe: every id newer than ``end(E) - retention_us``
   plus the single youngest id at or below that cutoff (the latest version
@@ -54,10 +55,21 @@ crashed coordinator's zombie read stays a violation because its writer was
 never recorded, hence never pruned).
 
 Reads of a pruned writer are rewritten to the *initial-version* observation
-(``writer=None``) before checking: every pruned writer of a key precedes
-every retained writer in the key's version order (pruning is by commit
-time), so the rewrite preserves the anti-dependency edge target and the
-consistent-cut verdict while letting the full transaction record go.
+(``writer=None``) before checking.  That assumes every pruned writer of a
+key precedes every retained writer in the key's version order, so the
+rewrite preserves the anti-dependency edge target and the consistent-cut
+verdict while letting the full transaction record go.  Commit order does
+not guarantee it: a ROCOCO writer answers once all its pieces executed, so
+one ordered earlier can answer later (a coordinator's restart completes
+it).  A close therefore prunes a writer only when no transaction that stays
+retained writes one of its keys at a smaller version hint; the others stay
+until a later close.
+
+Commit order does not bound reads either: a ROCOCO reader executes at its
+order and can answer before the writer it read.  A close leaves out a
+retained transaction that read a writer the window has never seen (not
+retained, pruned or expired) and stays retained past the close; a later
+close, or :meth:`WindowedConsistencyChecker.results`, checks it.
 """
 
 from __future__ import annotations
@@ -218,11 +230,19 @@ class WindowedConsistencyChecker:
 
     def _close_epoch(self) -> None:
         """Check the retained window, then discard the closing epoch."""
-        self._run_checks()
         threshold = self._epoch_end
         retained = self._retained
+        older: List[CommittedTransaction] = []
         while retained and retained[0].external_commit_time < threshold:
-            txn = retained.popleft()
+            older.append(retained.popleft())
+        kept = self._unprunable(older)
+        staying = {txn.txn_id for txn in kept}
+        staying.update(txn.txn_id for txn in retained)
+        self._run_checks(older + list(retained), staying)
+        retained.extendleft(reversed(kept))
+        for txn in older:
+            if txn.txn_id in staying:
+                continue
             self.pruned += 1
             commit = txn.external_commit_time
             for key in txn.writes:
@@ -246,20 +266,54 @@ class WindowedConsistencyChecker:
         self._epoch_end += self.epoch_us
         self.epochs_closed += 1
 
-    # ------------------------------------------------------------------
-    def _window_transactions(self) -> List[CommittedTransaction]:
-        """Retained window with pruned-writer reads rewritten (see module doc)."""
-        window: List[CommittedTransaction] = []
+    def _unprunable(self, older: List[CommittedTransaction]) -> List[CommittedTransaction]:
+        """The transactions of ``older`` that must stay retained: a writer
+        is pruned only when no transaction that stays writes one of its keys
+        at a smaller version hint (see module doc)."""
+        floor: Dict[object, float] = {}  # lowest hint a staying writer holds per key
+
+        def stay(txn: CommittedTransaction) -> None:
+            for key, hint in txn.write_version_hints:
+                current = floor.get(key)
+                if current is None or hint < current:
+                    floor[key] = hint
+
         for txn in self._retained:
-            stale = [
-                read
-                for read in txn.reads
-                if read.writer is not None
-                and (
-                    read.writer in self._pruned_writers.get(read.key, ())
-                    or read.writer in self._expired_ids
-                )
-            ]
+            stay(txn)
+        kept = set()
+        changed = bool(floor)
+        while changed:
+            changed = False
+            for txn in older:
+                if txn.txn_id in kept:
+                    continue
+                if any(key in floor and hint > floor[key] for key, hint in txn.write_version_hints):
+                    kept.add(txn.txn_id)
+                    stay(txn)
+                    changed = True
+        return [txn for txn in older if txn.txn_id in kept]
+
+    # ------------------------------------------------------------------
+    def _window_transactions(self, transactions, staying) -> List[CommittedTransaction]:
+        """The window to check, with pruned-writer reads rewritten (see module
+        doc).  A transaction in ``staying`` (retained past this close) that
+        read a writer the window has never seen is left out: its writer can
+        still arrive, and a later close checks it."""
+        seen = {txn.txn_id for txn in transactions} if staying else ()
+        window: List[CommittedTransaction] = []
+        for txn in transactions:
+            stale = []
+            unseen = False
+            for read in txn.reads:
+                writer = read.writer
+                if writer is None:
+                    continue
+                if writer in self._pruned_writers.get(read.key, ()) or writer in self._expired_ids:
+                    stale.append(read)
+                elif staying and writer not in seen:
+                    unseen = True
+            if unseen and txn.txn_id in staying:
+                continue
             if not stale:
                 window.append(txn)
                 continue
@@ -276,8 +330,8 @@ class WindowedConsistencyChecker:
             )
         return window
 
-    def _run_checks(self) -> Dict[str, CheckResult]:
-        window = self._window_transactions()
+    def _run_checks(self, transactions, staying=()) -> Dict[str, CheckResult]:
+        window = self._window_transactions(transactions, staying)
         results: Dict[str, CheckResult] = {}
         for name in self.checks:
             result = self._check_fns[name](window)
@@ -301,7 +355,7 @@ class WindowedConsistencyChecker:
         retention bound are never pruned, so the verdicts are *identical*
         to the post-hoc oracle by construction.
         """
-        self._run_checks()
+        self._run_checks(list(self._retained))
         return {
             name: CheckResult(
                 ok=not self._violations[name],

@@ -16,19 +16,18 @@ durable record:
 Like the rest of the fault plane, these logs model durability inside the
 simulator: "force-written" means the record is mutated in the same simulation
 step as the action it covers (no yield point in between), and a crash keeps
-them because their node declares them durable.  Fail-free runs never write
-the log.
+them because their node declares them durable.
 
-* :class:`PieceRedoLog` — ROCOCO's per-server piece log.  The piece payload
-  is logged at dispatch, the assigned order before the execute-round reply,
-  and execution advances a per-key **order frontier**: a recovered server
-  refuses to execute any piece ordered below the frontier (order fencing),
-  so a late fault-mode re-send of an earlier-ordered piece can never replay
-  behind already-executed successors.
+* :class:`PieceRedoLog` — ROCOCO's per-server piece table, written on every
+  run.  A piece is logged at dispatch and its assigned order before the
+  execute-round reply; executing it replaces the record by the reply it
+  observed and advances a per-key **order frontier**: a server refuses to
+  execute any piece ordered below the frontier (order fencing), so a late
+  re-send of an earlier-ordered piece can never replay behind
+  already-executed successors.
 
-Executed piece records are retained for the rest of the run (they answer
-fault-mode duplicate commits faithfully), like the other fault-recovery
-indexes.
+The executed replies are retained for the rest of the run (they answer
+duplicate commits faithfully), like the other fault-recovery indexes.
 """
 
 from __future__ import annotations
@@ -40,36 +39,39 @@ from repro.common.ids import TransactionId
 
 NEG_INF = float("-inf")
 
+#: What an executed piece observed: ``(value, version, writer)``.
+PieceReply = Tuple[object, int, Optional[TransactionId]]
+
 
 # ----------------------------------------------------------------------
-# ROCOCO: piece redo log with order fencing
+# ROCOCO: piece table with order fencing
 # ----------------------------------------------------------------------
 @dataclass
 class PieceRecord:
-    """One durable piece of one transaction on one key."""
+    """One durable, not yet executed piece of one transaction on one key."""
 
     txn_id: TransactionId
     key: object
     is_write: bool
     write_value: object
     order: Optional[float] = None
-    executed: bool = False
-    reply: Optional[Tuple[object, int, Optional[TransactionId]]] = None
-    """The (value, version, writer) the piece observed when it executed —
-    the faithful answer for any later duplicate of its commit message."""
 
 
 class PieceRedoLog:
-    """Durable per-server log of dispatched ROCOCO pieces.
+    """Durable per-server table of ROCOCO pieces.
 
-    ``log_dispatch`` is force-written before the dispatch reply,
-    ``log_order`` before the execute-round reply, and ``log_execution``
-    in the same step as the state mutation it records.  ``frontier(key)``
-    is the highest executed order on the key — the order fence.
+    Per key it holds the unexecuted pieces (:meth:`pending`, which the
+    execution and read-only waits iterate) and the reply of every executed
+    one (:meth:`reply`).  ``log_dispatch`` is force-written before the
+    dispatch reply, ``log_order`` before the execute-round reply, and
+    ``log_execution`` in the same step as the state mutation it records.
+    ``frontier(key)`` is the highest executed order on the key — the order
+    fence.
     """
 
     def __init__(self) -> None:
-        self._by_key: Dict[object, Dict[TransactionId, PieceRecord]] = {}
+        self._pending: Dict[object, Dict[TransactionId, PieceRecord]] = {}
+        self._replies: Dict[object, Dict[TransactionId, PieceReply]] = {}
         self._frontier: Dict[object, float] = {}
 
     # -- writes --------------------------------------------------------
@@ -79,15 +81,16 @@ class PieceRedoLog:
         txn_id: TransactionId,
         is_write: bool,
         write_value: object,
-    ) -> PieceRecord:
-        """Persist the piece payload; idempotent for fault-mode re-sends."""
-        records = self._by_key.setdefault(key, {})
-        record = records.get(txn_id)
+    ) -> Optional[PieceRecord]:
+        """Persist the piece payload, unless the piece is known: a re-sent
+        dispatch keeps the record (or the reply) it finds.  Returns the
+        unexecuted record, ``None`` once the piece executed."""
+        if txn_id in self._replies.get(key, ()):
+            return None
+        pending = self.pending(key)
+        record = pending.get(txn_id)
         if record is None:
-            record = PieceRecord(
-                txn_id=txn_id, key=key, is_write=is_write, write_value=write_value
-            )
-            records[txn_id] = record
+            record = pending[txn_id] = PieceRecord(txn_id, key, is_write, write_value)
         return record
 
     def log_order(
@@ -98,63 +101,62 @@ class PieceRedoLog:
         is_write: bool = False,
         write_value: object = None,
     ) -> PieceRecord:
-        """Persist the assigned execution order (creating the record when the
-        dispatch itself was lost and the commit payload recreated the piece)."""
+        """Persist the assigned execution order of an unexecuted piece
+        (creating the record from the commit's payload if it is missing)."""
         record = self.log_dispatch(key, txn_id, is_write, write_value)
         record.order = order
         return record
 
-    def log_execution(
-        self,
-        key: object,
-        txn_id: TransactionId,
-        order: float,
-        reply: Tuple[object, int, Optional[TransactionId]],
-    ) -> None:
-        """Mark the piece executed and advance the key's order frontier."""
-        record = self.log_order(key, txn_id, order)
-        record.executed = True
-        record.reply = reply
-        if order > self._frontier.get(key, NEG_INF):
-            self._frontier[key] = order
+    def log_execution(self, record: PieceRecord, reply: PieceReply) -> None:
+        """Replace the executed piece by its reply and advance the key's
+        order frontier."""
+        key = record.key
+        self._pending[key].pop(record.txn_id, None)
+        self._replies.setdefault(key, {})[record.txn_id] = reply
+        if record.order > self._frontier.get(key, NEG_INF):
+            self._frontier[key] = record.order
 
-    def discard(self, key: object, txn_id: TransactionId) -> None:
-        """Drop a withdrawn (aborted-before-order) piece; idempotent."""
-        records = self._by_key.get(key)
-        if records is not None:
-            records.pop(txn_id, None)
+    def withdraw(self, key: object, txn_id: TransactionId) -> bool:
+        """Drop a piece that never received an order; idempotent.  An
+        ordered piece stays: its transaction's outcome is decided and it
+        must execute.  Returns whether a piece was dropped."""
+        pending = self._pending.get(key)
+        record = pending.get(txn_id) if pending is not None else None
+        if record is None or record.order is not None:
+            return False
+        del pending[txn_id]
+        return True
 
     # -- reads ---------------------------------------------------------
-    def find(self, key: object, txn_id: TransactionId) -> Optional[PieceRecord]:
-        records = self._by_key.get(key)
-        if records is None:
-            return None
-        return records.get(txn_id)
+    def pending(self, key: object) -> Dict[TransactionId, PieceRecord]:
+        """The unexecuted pieces on ``key`` in arrival order (a live view)."""
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = {}
+        return pending
+
+    def reply(self, key: object, txn_id: TransactionId) -> Optional[PieceReply]:
+        """What the piece observed when it executed, ``None`` before."""
+        replies = self._replies.get(key)
+        return replies.get(txn_id) if replies is not None else None
 
     def frontier(self, key: object) -> float:
         """Highest executed order on ``key`` (``-inf`` before any execution)."""
         return self._frontier.get(key, NEG_INF)
 
-    def unexecuted_records(self) -> List[PieceRecord]:
-        """Logged-but-unexecuted pieces in deterministic replay order:
-        keys sorted by repr, then ordered pieces by (order, txn_id), then
-        unordered pieces by txn_id."""
+    def replay_order(self) -> List[PieceRecord]:
+        """The ordered, unexecuted pieces in deterministic replay order:
+        keys sorted by repr, then pieces by (order, txn_id)."""
         out: List[PieceRecord] = []
-        for key in sorted(self._by_key, key=repr):
-            records = [r for r in self._by_key[key].values() if not r.executed]
-            ordered = sorted(
-                (r for r in records if r.order is not None),
-                key=lambda r: (r.order, r.txn_id),
+        for key in sorted(self._pending, key=repr):
+            out.extend(
+                sorted(
+                    (r for r in self._pending[key].values() if r.order is not None),
+                    key=lambda r: (r.order, r.txn_id),
+                )
             )
-            unordered = sorted(
-                (r for r in records if r.order is None), key=lambda r: r.txn_id
-            )
-            out.extend(ordered)
-            out.extend(unordered)
         return out
 
-    def __len__(self) -> int:
-        return sum(len(records) for records in self._by_key.values())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<PieceRedoLog keys={len(self._by_key)} records={len(self)}>"
+        pending = sum(len(records) for records in self._pending.values())
+        return f"<PieceRedoLog keys={len(self._pending)} pending={pending}>"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.rococo import RococoCluster
+from repro.baselines.rococo import PieceCommit, RococoCluster
 from repro.baselines.twopc import TwoPCCluster
 from repro.baselines.walter import WalterCluster
 from repro.common.config import ClusterConfig, WorkloadConfig
@@ -267,6 +267,37 @@ class TestRococoSemantics:
         from repro.consistency.checkers import check_serializability
 
         assert check_serializability(result.cluster.history).ok
+
+    def test_duplicate_commit_is_answered_from_the_piece_table(self):
+        """With no fault plan, a second ``PieceCommit`` of an executed piece
+        gets the reply the execution observed and does not execute it again."""
+        cluster = make_cluster(RococoCluster)
+        key = "key-3"
+        ok, meta, _ = run_client_txn(cluster, cluster.session(0), reads=[key], writes={key: 77})
+        assert ok is True
+        primary = cluster.nodes[cluster.placement.primary(key)]
+        assert not primary._fault_mode
+        assert primary._data[key].version == 1
+        out = {}
+
+        def duplicate():
+            out["reply"] = yield cluster.nodes[0].request(
+                primary.node_id,
+                PieceCommit(
+                    txn_id=meta.txn_id,
+                    key=key,
+                    order=meta.version_hints[key],
+                    is_write=True,
+                    write_value=77,
+                ),
+            )
+
+        cluster.spawn(duplicate())
+        cluster.run()
+        reply = out["reply"]
+        assert (reply.value, reply.version, reply.writer) == (0, 0, None)
+        state = primary._data[key]
+        assert (state.value, state.version, state.writer) == (77, 1, meta.txn_id)
 
 
 class TestDecideOvertakingPrepare:

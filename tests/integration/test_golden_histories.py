@@ -34,7 +34,7 @@ The eight runs are 3-node micro-configurations, so the ``"counts"`` block
 also holds three SSS runs at the shapes of the performance ledger's
 workloads (:data:`LEDGER_SHAPES`): a cost that only shows at clock width,
 with long zipfian readers or in fault mode under a crash is pinned by name
-too.
+too, and ROCOCO's recovery under the same crash.
 
 ``"tie_order"`` pins what orders messages that reach one node in the same
 instant.  With the default jitter no two arrivals ever coincide, so the
@@ -77,8 +77,9 @@ GOLDEN_POINTS = [
     ("rococo", 13, 1),
 ]
 
-#: name -> (config, workload, duration_us): SSS at the shapes of the ledger's
-#: workloads, each well under a second of host time.
+#: ``protocol/shape`` -> (config, workload, duration_us): SSS at the shapes
+#: of the ledger's workloads, each well under a second of host time, and
+#: ROCOCO at the crash shape, which pins the cost of its recovery.
 LEDGER_SHAPES = {
     "sss/wide-32n": (
         ClusterConfig(n_nodes=32, n_keys=704, replication_degree=2, clients_per_node=1, seed=7),
@@ -108,6 +109,7 @@ LEDGER_SHAPES = {
         15_000,
     ),
 }
+LEDGER_SHAPES["rococo/crash-3n"] = LEDGER_SHAPES["sss/crash-3n"]
 
 #: Every cross-node message takes exactly 20 us and occupies its link for no
 #: time, so fan-outs and their replies reach a node in the same instant.
@@ -183,7 +185,7 @@ def run_golden_point(
 
 @functools.cache
 def run_ledger_shape(name: str) -> Tuple[str, Dict[str, int]]:
-    return _run("sss", *LEDGER_SHAPES[name])
+    return _run(name.split("/")[0], *LEDGER_SHAPES[name])
 
 
 @functools.cache
