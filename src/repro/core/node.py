@@ -324,40 +324,38 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                     args={"key": str(key)},
                 )
 
-        if not has_read[i]:
-            yield self.cpu(service.read_local_us)
+        yield self.cpu(service.read_local_us)
 
-            # A writer above the reader's bound that is not yet known to be
-            # externally committed either gets excluded from the snapshot
-            # (the reader is serialized before it, and the reader's queue
-            # entry delays the writer's client response), or — when the
-            # writer's local pre-commit wait has already passed, so an entry
-            # could no longer delay it — is briefly waited for until its
-            # ExternalDone notification arrives (ambiguous zone).  Without
-            # the wait, two readers bridging two independent such writers
-            # can each observe one and exclude the other, producing the
-            # contradictory serialization orders of the paper's Figure 2;
-            # writers still in flight on expiry get their client answer
-            # gated behind this reader before they may be excluded.
-            gated, refused = yield from self._resolve_ambiguous_writers(
-                message, key, reader_vc, read
-            )
-            if refused:
-                self.counters["reads_gate_refused"] += 1
-                self.respond(
-                    message,
-                    ReadReturn(
-                        txn_id=message.txn_id,
-                        key=key,
-                        stale=True,
-                        gated=tuple(sorted(gated)),
-                    ),
-                )
-                return
+        # A writer above the reader's bound that is not yet known to be
+        # externally committed either gets excluded from the snapshot (the
+        # reader is serialized before it, and the reader's queue entry delays
+        # the writer's client response), or — when the writer's local
+        # pre-commit wait has already passed, so an entry could no longer
+        # delay it — is briefly waited for until its ExternalDone
+        # notification arrives (ambiguous zone).  Without the wait, two
+        # readers bridging two independent such writers can each observe one
+        # and exclude the other, producing the contradictory serialization
+        # orders of the paper's Figure 2; writers still in flight on expiry
+        # get their client answer gated behind this reader before they may
+        # be excluded.  A later read at this node serves a fixed bound that
+        # cannot observe anything newly installed, so a writer that
+        # installed *and passed its pre-commit wait* since the first read
+        # would be missed with no entry gating its answer: it gates every
+        # writer confirmed in flight (``gate_all``).
+        gated, refused, excluded_vcs = yield from self._resolve_ambiguous_writers(
+            message, key, reader_vc, read, gate_all=has_read[i]
+        )
+        if refused:
+            self._refuse_read(message, gated, "reads_gate_refused")
+            return
 
+        if has_read[i]:
+            # Lines 15-21: this node already served this transaction; the
+            # visibility bound is the transaction's own vector clock.
+            max_vc = reader_vc
+        else:
             # Lines 6-9: visible snapshot minus pre-committing writers above
             # the reader's bound.
-            excluded_vcs = self._excluded_vcs(key, reader_vc, read, force_exclude=gated)
             max_vc = self.nlog.visible_max_vc(
                 reader_vc, read, excluded_vcs, strict=self.strict_visibility
             )
@@ -371,37 +369,6 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             floor = self.commit_queue.min_pending_local()
             if floor is not None and max_vc[i] >= floor:
                 max_vc = max_vc.with_entry(i, floor - 1)
-            insertion_snapshot = max_vc[i]
-        else:
-            # Lines 15-21: this node already served this transaction before;
-            # the visibility bound is the transaction's own vector clock.
-            yield self.cpu(service.read_local_us)
-            # The fixed bound cannot observe anything newly installed, so a
-            # writer that installed *and passed its pre-commit wait* between
-            # this transaction's reads at this node would be missed with no
-            # entry gating its answer — resolve the ambiguous zone here too,
-            # and gate every writer confirmed in flight (``gate_all``:
-            # observation is not an option under a fixed bound, so the
-            # below-watermark preference of the first-read path does not
-            # apply).
-            gated, refused = yield from self._resolve_ambiguous_writers(
-                message, key, reader_vc, read, gate_all=True
-            )
-            if refused:
-                self.counters["reads_gate_refused"] += 1
-                self.respond(
-                    message,
-                    ReadReturn(
-                        txn_id=message.txn_id,
-                        key=key,
-                        stale=True,
-                        gated=tuple(sorted(gated)),
-                    ),
-                )
-                return
-            max_vc = reader_vc
-            insertion_snapshot = max_vc[i]
-            excluded_vcs = set()
 
         # Lines 11-14 / 18-21: walk the version chain newest-to-oldest until a
         # version within the visibility bound (and not excluded) is found —
@@ -414,16 +381,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         )
         if rt_stale:
             yield self.cpu(service.version_walk_us * max(1, len(self.store.chain(key))))
-            self.counters["reads_rt_stale"] += 1
-            self.respond(
-                message,
-                ReadReturn(
-                    txn_id=message.txn_id,
-                    key=key,
-                    stale=True,
-                    gated=tuple(sorted(gated)),
-                ),
-            )
+            self._refuse_read(message, gated, "reads_rt_stale")
             return
 
         # Line 10 / 17: leave a trace of the read in the snapshot queue —
@@ -432,7 +390,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # version installed during a yield taken after the bound was fixed
         # but before the entry existed could otherwise answer its client
         # unordered against this read.
-        self._insert_reader(key, message.txn_id, insertion_snapshot)
+        self._insert_reader(key, message.txn_id, max_vc[i])
         yield self.cpu(service.version_walk_us * max(1, len(self.store.chain(key))))
 
         self.counters["reads_read_only"] += 1
@@ -447,6 +405,21 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                 writer=version.writer,
                 propagated=(),
                 writer_pending=self._flag_pending_writer(version.writer, message.sender),
+                gated=tuple(sorted(gated)),
+            ),
+        )
+
+    def _refuse_read(self, message: ReadRequest, gated, counter: str) -> None:
+        """Answer a read-only read as *stale*: its coordinator withdraws the
+        transaction, releases ``gated``, and restarts it under a fresh
+        snapshot."""
+        self.counters[counter] += 1
+        self.respond(
+            message,
+            ReadReturn(
+                txn_id=message.txn_id,
+                key=message.key,
+                stale=True,
                 gated=tuple(sorted(gated)),
             ),
         )
@@ -492,58 +465,43 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         """
         return bool(read) and vc.le_on(reader_vc, read)
 
-    def _excluded_vcs(
-        self, key: object, reader_vc: VectorClock, read: int, force_exclude=frozenset()
-    ) -> Set[VectorClock]:
-        """Commit clocks of writers the reader must not observe (ExcludedSet).
+    def _classify_writers(
+        self, key: object, reader_vc: VectorClock, read: int, gated=frozenset()
+    ) -> Tuple[List[Tuple[TransactionId, int]], Set[VectorClock]]:
+        """One walk over ``key``'s versions above the reader's local bound.
 
-        A version above the reader's bound whose writer has neither
-        externally committed (as far as this node knows) nor is covered by
-        the reader's bound is excluded: the reader is serialized before that
-        writer, and its snapshot-queue entry (inserted below the writer's
-        snapshot) delays the writer's client response while the reader is
-        outstanding.  Writers in ``force_exclude`` — ambiguous-zone writers
-        whose client answer was just gated behind this reader — are excluded
-        unconditionally: observing a gated writer would deadlock the
-        observation's dependency wait against the gate.
-        """
-        i = self.node_id
-        bound = reader_vc[i]
-        excluded: Set[VectorClock] = set()
-        done = self._externally_done
-        watermark = self._done_local_watermark
-        for version in self.store.chain(key).newest_to_oldest():
-            vc = version.vc
-            if vc[i] <= bound:
-                break
-            writer = version.writer
-            if writer is None or writer in done:
-                continue
-            if writer in force_exclude:
-                excluded.add(vc)
-                continue
-            if vc[i] <= watermark:
-                # Excluding this writer would cap the reader's bound below an
-                # already-done writer's local value; the ambiguous-zone wait
-                # handles it instead (see _ambiguous_writers).
-                continue
-            if not self._covered(vc, reader_vc, read):
-                excluded.add(vc)
-        return excluded
+        Each writer there that this node does not know to be externally
+        committed is excluded from the reader's snapshot (Algorithm 6's
+        ExcludedSet), waited for (the ambiguous zone), both, or neither:
 
-    def _ambiguous_writers(
-        self, key: object, reader_vc: VectorClock, read: int
-    ) -> List[Tuple[TransactionId, int]]:
-        """Writers above the reader's bound in the "ambiguous zone".
+        ====================================  ========  =========
+        writer                                excluded  ambiguous
+        ====================================  ========  =========
+        preloaded (``None``) or known done    no        no
+        in ``gated``                          yes       no
+        covered by the reader's bound         no        no
+        above the done-watermark, W queued    yes       no
+        above the done-watermark, W gone      yes       yes
+        at or below the done-watermark        no        yes
+        ====================================  ========  =========
 
-        Such a writer is internally committed here, has already passed its
-        local pre-commit wait for ``key`` (its snapshot-queue entry is gone,
-        so a reader entry could no longer delay its client response), but is
-        not yet known to be externally committed.  Excluding it outright
-        would serialize the reader before a writer that may answer its
-        client first.  Returns ``(writer, local clock value)`` pairs (the
-        local value is the writer's ``xactVN`` here, used to decide whether
-        exclusion or observation handles it).
+        An excluded writer is serialized after the reader, and the reader's
+        snapshot-queue entry (inserted below the writer's snapshot) delays
+        the writer's client response while the reader is outstanding.
+        Writers in ``gated`` — ambiguous writers whose client answer was
+        already gated behind this reader — are excluded unconditionally:
+        observing a gated writer would deadlock the observation's
+        dependency wait against the gate.  A writer whose W entry is gone
+        has passed its local pre-commit wait, so a reader entry could no
+        longer delay its client response, and a writer at or below the
+        done-watermark cannot be excluded without capping the reader's
+        bound below an already-done writer's local value: both are
+        ambiguous until the bounded wait or the status query of
+        :meth:`_resolve_ambiguous_writers` settles them.
+
+        Returns ``(ambiguous, excluded)``: ``(writer, local clock value)``
+        pairs (the local value is the writer's ``xactVN`` here) and the
+        commit clocks of the excluded writers.
         """
         i = self.node_id
         bound = reader_vc[i]
@@ -551,22 +509,26 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         watermark = self._done_local_watermark
         squeue = self.store.squeue(key)
         ambiguous: List[Tuple[TransactionId, int]] = []
+        excluded: Set[VectorClock] = set()
         for version in self.store.chain(key).newest_to_oldest():
             vc = version.vc
-            if vc[i] <= bound:
+            local = vc[i]
+            if local <= bound:
                 break
             writer = version.writer
             if writer is None or writer in done:
                 continue
-            if self._covered(vc, reader_vc, read):
+            if writer in gated:
+                excluded.add(vc)
+            elif self._covered(vc, reader_vc, read):
                 continue
-            if vc[i] > watermark and squeue.has_writer(writer):
-                # Still locally gated and above every done writer's local
-                # value: plain exclusion is coherent (and the reader's queue
-                # entry will delay the writer's client response).
-                continue
-            ambiguous.append((writer, vc[i]))
-        return ambiguous
+            elif local <= watermark:
+                ambiguous.append((writer, local))
+            else:
+                excluded.add(vc)
+                if not squeue.has_writer(writer):
+                    ambiguous.append((writer, local))
+        return ambiguous, excluded
 
     def _resolve_ambiguous_writers(
         self,
@@ -600,10 +562,13 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         (fault mode) keeps the reader waiting — trading liveness (visible
         in the availability metrics), never safety.
 
-        Returns ``(gated, stale)``: the writers gated on the reader's
-        behalf (the coordinator must release them when the reader
-        finishes), and whether the read must be refused because a gate was
-        refused (the reader was already withdrawn elsewhere).
+        Returns ``(gated, refused, excluded)``: the writers gated on the
+        reader's behalf (the coordinator must release them when the reader
+        finishes), whether the read must be refused because a gate was
+        refused (the reader was already withdrawn elsewhere), and the
+        ExcludedSet of the last :meth:`_classify_writers` pass — taken with
+        no yield between it and the caller's use of it, so no unresolved
+        writer can slip in between.
         """
         reader = message.txn_id
         gated_total: Set[TransactionId] = set()
@@ -614,19 +579,17 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         resolved: Set[TransactionId] = set()
         deadline = None
         while True:
-            ambiguous = self._ambiguous_writers(key, reader_vc, read)
+            ambiguous, excluded = self._classify_writers(key, reader_vc, read, gated_total)
             pending = [
                 (writer, local)
                 for writer, local in ambiguous
                 if writer not in resolved
             ]
             if not pending:
-                # Every ambiguous writer is done, gated, or observed — and
-                # this evaluation is synchronous with the caller's exclusion
-                # computation, so no unresolved writer can slip in between.
+                # Every ambiguous writer is done, gated, or observed.
                 if resolved:
                     self.counters["ambiguous_wait_timeouts"] += 1
-                return gated_total, False
+                return gated_total, False, excluded
             if deadline is None:
                 deadline = self.sim.now + self.config.timeouts.external_done_wait_us
             remaining = deadline - self.sim.now
@@ -649,10 +612,10 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                     # A coordinator declined to gate: this reader's Remove
                     # already passed through it (the transaction was
                     # withdrawn elsewhere) — refuse the read.
-                    return gated_total, True
+                    return gated_total, True, frozenset()
                 # Loop: writers that became ambiguous during the query
                 # round-trip must be resolved too before the exclusion set
-                # is computed, or they would be excluded without a gate.
+                # is taken, or they would be excluded without a gate.
                 deadline = None
                 continue
             self.counters["ambiguous_waits"] += 1

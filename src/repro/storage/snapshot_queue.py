@@ -231,10 +231,10 @@ class SnapshotQueue:
     def writers_above(self, snapshot: int) -> List[SQueueEntry]:
         """Update entries with insertion-snapshot > ``snapshot``.
 
-        Introspection/test helper.  (The reader-side ExcludedSet is no
-        longer derived from the queue alone: see
-        ``SSSNode._excluded_vcs``, which walks the version chain and applies
-        the externally-done set, coverage, and the done-watermark rule.)
+        Introspection/test helper.  (The reader-side ExcludedSet is not
+        derived from the queue alone: see ``SSSNode._classify_writers``,
+        which walks the version chain and applies the externally-done set,
+        coverage, and the done-watermark rule.)
         """
         writers = self._writers
         return writers.entries[bisect_right(writers.snaps, snapshot):]
