@@ -238,26 +238,31 @@ class CoordinatorMixin:
         ExternalDone notification at read time, so by now the notification
         has usually arrived and the wait is free.  When it is not:
 
-        * an *update* transaction waits on the plain notification events —
+        * an *update* transaction waits on the notification events alone —
           writer-only dependency chains are acyclic (a writer can only
           observe versions installed before its own reads), so the wait
-          always resolves and the fail-free hot path stays timer-free;
-        * a *read-only* transaction waits in bounded waves.  After each wave
-          the leftovers are resolved definitively at their coordinators
-          (:class:`ExternalStatusQuery` — a delayed or swallowed ExternalDone
-          stops gating on the spot), and once writers *confirmed in flight*
-          have held the wait past ``readonly_restart_wait_us`` the generator
-          returns ``False``: two read-only transactions bridging two
-          independent pre-committing writers can adopt contradictory
-          serialization orders (the paper's Figure 2 ambiguity turned into a
-          4-party wait cycle), the writers' versions are already installed,
-          so the reader is the only party that can move — it restarts with a
-          fresh snapshot instead of stalling the cluster.
+          always resolves.  The wait is re-driven (:meth:`redrive`): its
+          silent waves and a coordinator's Rejoin re-subscribe, since a
+          crash or a drop-mode partition can swallow both the subscription
+          and the notification, and a coordinator answers a fresh
+          SubscribeExternal for a finished (or torn-down) writer at once;
+        * a *read-only* transaction waits in bounded waves
+          (``external_done_wait_us``).  After each wave the leftovers are
+          resolved definitively at their coordinators
+          (:class:`ExternalStatusQuery`, itself re-driven — a delayed or
+          swallowed ExternalDone stops gating on the spot, and a coordinator
+          that is down answers after its restart, trading liveness, never
+          safety), and once writers *confirmed in flight* have held the wait
+          past ``readonly_restart_wait_us`` the generator returns ``False``:
+          two read-only transactions bridging two independent
+          pre-committing writers can adopt contradictory serialization
+          orders (the paper's Figure 2 ambiguity turned into a 4-party wait
+          cycle), the writers' versions are already installed, so the
+          reader is the only party that can move — it restarts with a fresh
+          snapshot instead of stalling the cluster.
 
         Returns ``True`` when every observed writer is externally done.
         """
-        if not meta.pending_writers:
-            return True
         still_pending = [
             writer
             for writer in sorted(meta.pending_writers)
@@ -270,88 +275,54 @@ class CoordinatorMixin:
         trace_start = self.sim.now if tracer is not None else 0.0
         trace_links = tuple(still_pending) if tracer is not None else ()
         timeouts = self.config.timeouts
-        # Waves re-driven by redrive: with a message possibly lost it
-        # re-subscribes — on the coordinator's Rejoin, and to everyone
-        # between waves: a crash can swallow both the subscription and the
-        # notification, and a restarted coordinator answers a fresh
-        # SubscribeExternal at once (its crash tore the writer down).  A
-        # fail-free update waits on the notifications alone; fail-free
-        # read-only waves are bounded and resolve leftovers definitively.
 
-        def pending_nodes():
-            return [w.node for w in still_pending if w not in self._externally_done]
+        def all_done(writers):
+            events = [self.external_done_event(writer) for writer in writers]
+            return events[0] if len(events) == 1 else self.sim.all_of(events)
 
-        def resubscribe(nodes):
-            self.counters["crash_resubscribes"] += 1
-            for writer in still_pending:
-                if writer in self._externally_done or writer.node not in nodes:
-                    continue
-                if writer.node == self.node_id:
-                    self._register_external_watcher(writer, self.node_id)
-                else:
-                    self.send(writer.node, SubscribeExternal(txn_id=writer, target=self.node_id))
+        if meta.is_update:
 
-        restart_deadline = (
-            self.sim.now + timeouts.readonly_restart_wait_us
-            if meta.is_read_only
-            else None
-        )
-        while True:
-            still_pending = [
-                writer
-                for writer in still_pending
-                if writer not in self._externally_done
-            ]
-            if not still_pending:
-                if tracer is not None:
-                    tracer.span(
-                        "wait.pending_writers", trace_start, txn=meta.txn_id, link=trace_links
-                    )
-                return True
-            events = [self.external_done_event(writer) for writer in still_pending]
-            done = events[0] if len(events) == 1 else self.sim.all_of(events)
-            if meta.is_read_only and not self._fault_mode:
-                yield self.sim.any_of([done, self.sim.timeout(timeouts.external_done_wait_us)])
-            else:
-                yield from self.redrive(done, pending_nodes, resubscribe)
-            if done.triggered:
-                if tracer is not None:
-                    tracer.span(
-                        "wait.pending_writers", trace_start, txn=meta.txn_id, link=trace_links
-                    )
-                return True
-            if self._fault_mode:
-                resubscribe(pending_nodes())
-            leftovers = [
-                writer
-                for writer in still_pending
-                if writer not in self._externally_done
-            ]
-            confirmed_pending = set()
-            if leftovers:
-                # Definitive resolution in every mode.  With an unreachable
-                # coordinator (fault mode) this blocks until it answers
-                # after its restart — the documented trade of liveness,
-                # never safety — so the restart below only ever fires on
-                # writers *confirmed* still in flight, not on writers whose
-                # coordinator is merely down.
-                confirmed_pending, _gated, _refused = (
-                    yield from self._query_external_status(leftovers)
+            def pending_nodes():
+                return [w.node for w in still_pending if w not in self._externally_done]
+
+            def resubscribe(nodes):
+                self.counters["crash_resubscribes"] += 1
+                for writer in still_pending:
+                    if writer in self._externally_done or writer.node not in nodes:
+                        continue
+                    if writer.node == self.node_id:
+                        self._register_external_watcher(writer, self.node_id)
+                    else:
+                        self.send(
+                            writer.node, SubscribeExternal(txn_id=writer, target=self.node_id)
+                        )
+
+            done = all_done(still_pending)
+            yield from self.redrive(done, pending_nodes, resubscribe, lambda: done.triggered)
+        else:
+            restart_deadline = self.sim.now + timeouts.readonly_restart_wait_us
+            while still_pending:
+                yield self.sim.any_of(
+                    [all_done(still_pending), self.sim.timeout(timeouts.external_done_wait_us)]
                 )
-            if (
-                restart_deadline is not None
-                and self.sim.now >= restart_deadline
-                and confirmed_pending
-            ):
-                if tracer is not None:
-                    tracer.span(
-                        "wait.pending_writers",
-                        trace_start,
-                        txn=meta.txn_id,
-                        link=trace_links,
-                        args={"outcome": "restart"},
-                    )
-                return False
+                leftovers = [w for w in still_pending if w not in self._externally_done]
+                confirmed_pending, _gated, _refused = yield from self._query_external_status(
+                    leftovers
+                )
+                if self.sim.now >= restart_deadline and confirmed_pending:
+                    if tracer is not None:
+                        tracer.span(
+                            "wait.pending_writers",
+                            trace_start,
+                            txn=meta.txn_id,
+                            link=trace_links,
+                            args={"outcome": "restart"},
+                        )
+                    return False
+                still_pending = [w for w in leftovers if w not in self._externally_done]
+        if tracer is not None:
+            tracer.span("wait.pending_writers", trace_start, txn=meta.txn_id, link=trace_links)
+        return True
 
     def _restart_read_only(self, meta: TransactionMeta) -> None:
         """Withdraw a read-only transaction for an externally invisible retry.

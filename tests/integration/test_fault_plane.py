@@ -387,6 +387,80 @@ class TestReliableDecideAndRemove:
         assert outcome.signal["stalled_clients"] == 0
 
 
+class TestLostExternalDone:
+    def test_a_lost_external_done_costs_one_bounded_wave(self):
+        """A read-only transaction's dependency wait is bounded waves plus a
+        status query in fault mode too.
+
+        The reader (coordinated at node 1) observes a writer (coordinated at
+        node 0) that a blocking reader holds in its pre-commit wait.  A
+        drop-mode partition between the two nodes eats the writer's
+        ExternalDone and nothing else, and heals at once.  The reader
+        commits within one ``external_done_wait_us`` wave plus one status
+        round trip of the writer's external commit.  When the fault-mode
+        wait was a re-driven wave, it waited out the ``crash_resubscribe_us``
+        fallback timer instead (3.95 ms here).
+        """
+        config = ClusterConfig(
+            n_nodes=2, n_keys=4, replication_degree=1, clients_per_node=1, seed=9
+        )
+        cluster = SSSCluster(config, record_history=True)
+        for node in cluster.nodes:
+            node.enable_fault_mode()
+        key = next(k for k in cluster.keys if cluster.placement.primary(k) == 1)
+        writer_node = cluster.nodes[0]
+        network = cluster.network
+        marks = {}
+
+        def blocker(session):
+            session.begin(read_only=True)
+            yield from session.read(key)
+            yield session.node.sim.timeout(2_000)
+            yield from session.commit()
+
+        def writer(session):
+            yield session.node.sim.timeout(200)
+            session.begin(read_only=False)
+            value = yield from session.read(key)
+            session.write(key, value + 1)
+            yield from session.commit()
+            marks["writer"] = session.last
+
+        def reader(session):
+            yield session.node.sim.timeout(1_000)
+            session.begin(read_only=True)
+            marks["read"] = yield from session.read(key)
+            marks["reader_ok"] = yield from session.commit()
+            marks["reader_done"] = cluster.now
+
+        announce = writer_node._external_commit_completed
+
+        def announce_into_a_partition(txn_id, write_replicas):
+            network.partition([[0], [1]], mode="drop")
+            announce(txn_id, write_replicas)
+            network.heal_partition()
+
+        writer_node._external_commit_completed = announce_into_a_partition
+        cluster.spawn(blocker(cluster.session(0)))
+        cluster.spawn(writer(cluster.session(0)))
+        cluster.spawn(reader(cluster.session(1)))
+        cluster.run()
+
+        assert marks["read"] == 1, "the reader did not observe the pending writer"
+        assert marks["reader_ok"] is True
+        assert dict(network.stats.dropped) == {"ExternalDone": 1}
+        one_way = (
+            config.network.base_latency_us
+            + config.network.jitter_us
+            + 1 / config.network.bandwidth_msgs_per_us
+            + config.service.message_handling_us
+        )
+        bound = config.timeouts.external_done_wait_us + 2 * one_way
+        writer_answered = marks["writer"].external_commit_time
+        assert writer_answered < marks["reader_done"] <= writer_answered + bound
+        assert cluster.check_consistency().ok
+
+
 class TestCoordinatorCrashSessionTeardown:
     """Regression: the Walter small-offset double-commit.
 
