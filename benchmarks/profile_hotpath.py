@@ -2,7 +2,12 @@
 
 Runs a single SSS experiment (the fig3 shape: 50 % read-only, rf = 2) under
 ``cProfile`` and prints the top functions by cumulative and by self time.
-Keep the machine otherwise idle; background load skews everything.
+``--workload NAME`` profiles one of the ledger's workloads instead
+(``benchmarks.ledger.spec.WORKLOADS``: its nodes, keys, replication,
+clients, transaction mix, key distribution, crash and open-loop arrivals,
+built as the ledger builds them, at its nominal length unless
+``--duration-us`` scales it).  Keep the machine otherwise idle; background
+load skews everything.
 
 Before the rankings comes the *entry census*: what the event loop called,
 by callee, per committed transaction — message arrivals
@@ -18,6 +23,8 @@ Usage::
         [--nodes 6] [--duration-us 60000] [--top 30]
         [--sort cumulative|tottime] [--out PROFILE.pstats]
         [--engine serial|parallel] [--shards N] [--sample]
+    PYTHONPATH=src python benchmarks/profile_hotpath.py --workload longro-6n
+        [--duration-us 30000] [--sample]
 
 ``--out`` additionally dumps the raw stats for ``snakeviz``/``pstats``
 post-processing.
@@ -44,6 +51,7 @@ import cProfile
 import os
 import pstats
 import signal
+import sys
 import time
 from collections import Counter
 from typing import Optional
@@ -143,7 +151,19 @@ def main() -> int:
     parser.add_argument("--nodes", type=int, default=6)
     parser.add_argument("--keys", type=int, default=400)
     parser.add_argument("--clients", type=int, default=3)
-    parser.add_argument("--duration-us", type=float, default=60_000.0)
+    parser.add_argument(
+        "--workload",
+        default=None,
+        help="Profile this ledger workload (e.g. longro-6n) instead of the fig3 "
+        "shape; --nodes, --keys, --clients and --read-only are then ignored.",
+    )
+    parser.add_argument(
+        "--duration-us",
+        type=float,
+        default=None,
+        help="Simulated length (default 60000, or the workload's nominal length; "
+        "with --workload the warm-up scales with it).",
+    )
     parser.add_argument("--warmup-us", type=float, default=15_000.0)
     parser.add_argument("--read-only", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=2024)
@@ -179,22 +199,35 @@ def main() -> int:
     from repro.common.config import ClusterConfig, WorkloadConfig
     from repro.harness.runner import run_experiment
 
-    config = ClusterConfig(
-        n_nodes=args.nodes,
-        n_keys=args.keys,
-        replication_degree=2,
-        clients_per_node=args.clients,
-        seed=args.seed,
-    )
-    workload = WorkloadConfig(read_only_fraction=args.read_only, read_only_txn_keys=2)
+    duration_us, warmup_us = args.duration_us or 60_000.0, args.warmup_us
+    if args.workload:
+        # The ledger package lives at the repository root, beside src/.
+        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        from benchmarks.ledger.child import build_inputs
+        from benchmarks.ledger.spec import WORKLOADS
+
+        if args.workload not in WORKLOADS:
+            parser.error(f"--workload must be one of {sorted(WORKLOADS)}")
+        shape = WORKLOADS[args.workload]
+        scale = args.duration_us / shape.duration_us if args.duration_us else 1.0
+        config, workload, duration_us, warmup_us = build_inputs(shape, args.seed, scale)
+    else:
+        config = ClusterConfig(
+            n_nodes=args.nodes,
+            n_keys=args.keys,
+            replication_degree=2,
+            clients_per_node=args.clients,
+            seed=args.seed,
+        )
+        workload = WorkloadConfig(read_only_fraction=args.read_only, read_only_txn_keys=2)
 
     def run():
         return run_experiment(
             args.protocol,
             config,
             workload,
-            duration_us=args.duration_us,
-            warmup_us=args.warmup_us,
+            duration_us=duration_us,
+            warmup_us=warmup_us,
             engine=args.engine,
             shards=args.shards if args.engine == "parallel" else None,
         )
@@ -209,8 +242,8 @@ def main() -> int:
     metrics = result.metrics
     events = metrics.extra.get("sim_events", 0.0)
     print(
-        f"{args.protocol} n={args.nodes} engine={args.engine} "
-        f"duration={args.duration_us:.0f}us: "
+        f"{args.protocol} {args.workload or 'fig3'} n={config.n_nodes} engine={args.engine} "
+        f"duration={duration_us:.0f}us: "
         f"wall={wall:.2f}s (under cProfile, ~2-3x slower than bare), "
         f"events={events:.0f}, committed={metrics.committed}, "
         f"ktps={metrics.throughput_ktps:.2f}"

@@ -4,7 +4,11 @@ The 4-node / 4-key / rf=1 / high-contention configuration is where the
 ambiguous-zone and 4-party wait-cycle defects historically lived (ROADMAP;
 seeds 3, 17 and 29 are pinned as strict regressions in
 ``tests/integration/test_fault_plane.py``).  This driver runs a *range* of
-seeds through that configuration and checks every run for
+seeds through a configuration — that one by default, or ``--shape
+longro``: the fail-free long-reader recipe of ROADMAP direction 1 (6 nodes,
+rf 2, 3 clients per node, 80 % read-only 8-key transactions on zipfian
+keys with theta 0.9, 18 ms, fail-free only by default; it exits non-zero
+until that defect is fixed) — and checks every run for
 
 * external-consistency violations (the DSG + real-time cycle check),
 * stalled clients at the post-run drain,
@@ -31,6 +35,7 @@ the exit status is non-zero when any seed fails.
 Usage::
 
     python benchmarks/seed_sweep.py --seeds 0 63 --out sweep-results
+    python benchmarks/seed_sweep.py --shape longro --seeds 0 255 --parallel 1
     python benchmarks/seed_sweep.py --seeds 17 17 --duration-us 60000
     python benchmarks/seed_sweep.py --variants crash --seeds 29 29
 
@@ -51,18 +56,34 @@ from concurrent.futures import ProcessPoolExecutor
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.harness.runner import run_experiment
 
-PATHOLOGICAL = dict(
-    n_nodes=4,
-    n_keys=4,
-    replication_degree=1,
-    clients_per_node=3,
-)
-WORKLOAD = dict(read_only_fraction=0.5, update_txn_keys=2)
+#: shape -> (cluster, workload, duration_us, drain_us, default variants).
+SHAPES = {
+    "pathological": (
+        dict(n_nodes=4, n_keys=4, replication_degree=1, clients_per_node=3),
+        dict(read_only_fraction=0.5, update_txn_keys=2),
+        60_000.0,
+        40_000.0,
+        ("none", "crash", "crash+partition", "crash+drop"),
+    ),
+    "longro": (
+        dict(n_nodes=6, n_keys=400, replication_degree=2, clients_per_node=3),
+        dict(
+            read_only_fraction=0.8,
+            update_txn_keys=2,
+            read_only_txn_keys=8,
+            key_distribution="zipfian",
+            zipf_theta=0.9,
+        ),
+        18_000.0,
+        25_000.0,
+        ("none",),
+    ),
+}
 
 VARIANTS = ("none", "crash", "crash+partition", "crash+drop")
 
 
-def _fault_plan(variant: str, duration_us: float) -> FaultPlan:
+def _fault_plan(variant: str, duration_us: float, n_nodes: int) -> FaultPlan:
     """Fault schedule of one variant, scaled like the fault bench's."""
     if variant == "none":
         return FaultPlan()
@@ -70,7 +91,7 @@ def _fault_plan(variant: str, duration_us: float) -> FaultPlan:
     if variant == "crash":
         return FaultPlan.parse([crash])
     if variant in ("crash+partition", "crash+drop"):
-        rest = ",".join(str(node) for node in range(1, PATHOLOGICAL["n_nodes"]))
+        rest = ",".join(str(node) for node in range(1, n_nodes))
         partition = (
             f"partition groups=0|{rest} "
             f"at={0.60 * duration_us} for={0.15 * duration_us}"
@@ -82,17 +103,18 @@ def _fault_plan(variant: str, duration_us: float) -> FaultPlan:
 
 
 def probe_seed(args):
-    """Run one (seed, variant); returns a picklable result record."""
-    seed, variant, duration_us, drain_us = args
+    """Run one (shape, seed, variant); returns a picklable result record."""
+    shape, seed, variant, duration_us, drain_us = args
+    cluster_shape, workload = SHAPES[shape][:2]
     config = ClusterConfig(
         seed=seed,
-        faults=_fault_plan(variant, duration_us),
-        **PATHOLOGICAL,
+        faults=_fault_plan(variant, duration_us, cluster_shape["n_nodes"]),
+        **cluster_shape,
     )
     result = run_experiment(
         "sss",
         config,
-        WorkloadConfig(**WORKLOAD),
+        WorkloadConfig(**workload),
         duration_us=duration_us,
         warmup_us=0.0,
         record_history=True,
@@ -121,6 +143,7 @@ def probe_seed(args):
     if read_only_aborts:
         failures.append(f"read-only aborts in history: {read_only_aborts}")
     return {
+        "shape": shape,
         "seed": seed,
         "variant": variant,
         "failures": failures,
@@ -130,8 +153,8 @@ def probe_seed(args):
         "reads_rt_stale": result.node_counters.get("reads_rt_stale", 0),
         "answer_gates": result.node_counters.get("answer_gates_registered", 0),
         "crash_recoveries": result.node_counters.get("crash_recoveries", 0),
-        "config": {**PATHOLOGICAL, "seed": seed},
-        "workload": WORKLOAD,
+        "config": {**cluster_shape, "seed": seed},
+        "workload": workload,
         "faults": config.faults.specs(),
         "duration_us": duration_us,
         "drain_us": drain_us,
@@ -144,12 +167,11 @@ def _write_corpus_genome(record, corpus_dir: str) -> str:
 
     genome = ScenarioGenome(
         protocol="sss",
-        seed=record["seed"],
         duration_us=record["duration_us"],
         drain_us=record["drain_us"],
         fault_specs=tuple(record["faults"]),
-        **{key: value for key, value in PATHOLOGICAL.items()},
-        **{key: value for key, value in WORKLOAD.items()},
+        **record["config"],
+        **record["workload"],
     ).normalize()
     path = os.path.join(
         corpus_dir, f"sweep-seed{record['seed']}-{record['variant']}.genome.json"
@@ -169,14 +191,23 @@ def main() -> int:
         metavar=("FIRST", "LAST"),
         help="Inclusive seed range to sweep (default 0 63).",
     )
-    parser.add_argument("--duration-us", type=float, default=60_000.0)
-    parser.add_argument("--drain-us", type=float, default=40_000.0)
+    parser.add_argument(
+        "--shape",
+        choices=sorted(SHAPES),
+        default="pathological",
+        help="Configuration to sweep (default pathological).",
+    )
+    parser.add_argument(
+        "--duration-us", type=float, default=None, help="Default: the shape's."
+    )
+    parser.add_argument("--drain-us", type=float, default=None, help="Default: the shape's.")
     parser.add_argument(
         "--variants",
         nargs="+",
         choices=VARIANTS,
-        default=list(VARIANTS),
-        help="Fault variants to run per seed (default: all four).",
+        default=None,
+        help="Fault variants to run per seed (default: all four for the "
+        "pathological shape, none for longro).",
     )
     parser.add_argument(
         "--out",
@@ -198,10 +229,14 @@ def main() -> int:
 
     first, last = args.seeds
     seeds = list(range(first, last + 1))
+    _cluster, _workload, duration_us, drain_us, variants = SHAPES[args.shape]
+    duration_us = duration_us if args.duration_us is None else args.duration_us
+    drain_us = drain_us if args.drain_us is None else args.drain_us
+    variants = list(variants if args.variants is None else args.variants)
     jobs = [
-        (seed, variant, args.duration_us, args.drain_us)
+        (args.shape, seed, variant, duration_us, drain_us)
         for seed in seeds
-        for variant in args.variants
+        for variant in variants
     ]
     if args.parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
@@ -224,12 +259,13 @@ def main() -> int:
             json.dump(record, handle, indent=2)
             handle.write("\n")
         print(
-            f"FAIL seed={record['seed']} variant={record['variant']}: "
+            f"FAIL shape={args.shape} seed={record['seed']} variant={record['variant']}: "
             f"{record['failures']} -> {path}"
         )
     summary = {
+        "shape": args.shape,
         "seeds": [first, last],
-        "variants": list(args.variants),
+        "variants": variants,
         "clean": len(results) - len(failing),
         "failing": [
             {"seed": record["seed"], "variant": record["variant"]}
@@ -242,7 +278,7 @@ def main() -> int:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
     print(
-        f"seed sweep [{first}, {last}]: {summary['clean']}/{len(results)} clean, "
+        f"seed sweep {args.shape} [{first}, {last}]: {summary['clean']}/{len(results)} clean, "
         f"{summary['total_committed']} committed, "
         f"{summary['total_restarts']} snapshot restarts"
     )

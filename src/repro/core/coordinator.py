@@ -263,6 +263,8 @@ class CoordinatorMixin:
 
         Returns ``True`` when every observed writer is externally done.
         """
+        if not meta.pending_writers:
+            return True
         still_pending = [
             writer
             for writer in sorted(meta.pending_writers)
@@ -309,6 +311,8 @@ class CoordinatorMixin:
                 confirmed_pending, _gated, _refused = yield from self._query_external_status(
                     leftovers
                 )
+                # Only writers *confirmed* in flight restart the reader: the
+                # query waits out a coordinator that is merely down.
                 if self.sim.now >= restart_deadline and confirmed_pending:
                     if tracer is not None:
                         tracer.span(

@@ -397,9 +397,8 @@ class TestLostExternalDone:
         drop-mode partition between the two nodes eats the writer's
         ExternalDone and nothing else, and heals at once.  The reader
         commits within one ``external_done_wait_us`` wave plus one status
-        round trip of the writer's external commit.  When the fault-mode
-        wait was a re-driven wave, it waited out the ``crash_resubscribe_us``
-        fallback timer instead (3.95 ms here).
+        round trip of the writer's external commit, not after the 5 ms
+        ``crash_resubscribe_us`` fallback timer.
         """
         config = ClusterConfig(
             n_nodes=2, n_keys=4, replication_degree=1, clients_per_node=1, seed=9

@@ -1,14 +1,18 @@
 """Integration tests of SSS node internals: garbage collection of snapshot
-queues, starvation back-off, strict-vs-summary visibility, and Remove
-forwarding along anti-dependency chains."""
+queues, starvation back-off, strict-vs-summary visibility, Remove
+forwarding along anti-dependency chains, and the classification of the
+writers above a reader's bound."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.clocks.vector_clock import VectorClock
 from repro.common.config import ClusterConfig, TimeoutConfig, WorkloadConfig
+from repro.common.ids import TransactionId
 from repro.core.cluster import SSSCluster
 from repro.harness.runner import run_experiment
+from repro.storage.snapshot_queue import WRITE_KIND, SQueueEntry
 
 
 class TestSnapshotQueueGarbageCollection:
@@ -215,3 +219,108 @@ class TestVisibilityModes:
         # reads hit the Algorithm 6 line-5 wait.
         assert waits >= 0  # the wait path must at minimum not crash
         assert result.metrics.committed > 50
+
+
+# The classification table of ``SSSNode._classify_writers``, state built by
+# hand on node 4 of a six-node cluster.  The reader's bound is 10 at node 4
+# and 10 on its one read coordinate (node 0); node 4's done-watermark is 20.
+# A row is a list of versions installed after version zero, oldest first, as
+# ``(local value, value on the read coordinate, writer state)``: ``done``,
+# ``gated``, ``queued`` (W entry in the key's queue) or ``passed`` (its
+# pre-commit wait is over); writer ``None`` is a version with no writer.
+# Expected: the row's excluded and ambiguous writers, by version index.
+NODE = 4
+BOUND = 10
+WATERMARK = 20
+CLASSIFICATION_ROWS = {
+    "no-writer": ([(BOUND + 11, 11, None)], set(), set()),
+    "done": ([(BOUND + 11, 11, "done")], set(), set()),
+    "gated": ([(BOUND + 11, 5, "gated")], {0}, set()),
+    "covered": ([(BOUND + 11, 5, "queued")], set(), set()),
+    "above-watermark-queued": ([(BOUND + 11, 11, "queued")], {0}, set()),
+    "above-watermark-passed": ([(BOUND + 11, 11, "passed")], {0}, {0}),
+    "at-watermark": ([(WATERMARK, 11, "passed")], set(), {0}),
+    "below-watermark-queued": ([(BOUND + 1, 11, "queued")], set(), {0}),
+    "walk-stops-at-bound": (
+        [(BOUND + 12, 11, "queued"), (BOUND, 11, "queued"), (BOUND + 11, 11, "queued")],
+        {2},
+        set(),
+    ),
+}
+
+
+def _classification_node():
+    cluster = SSSCluster(
+        ClusterConfig(n_nodes=6, n_keys=12, replication_degree=2, clients_per_node=1, seed=3)
+    )
+    node = cluster.nodes[NODE]
+    node._done_local_watermark = WATERMARK
+    return node
+
+
+def _install_row(node, key, versions):
+    """Install ``versions`` of ``key``; return their writers and the gated."""
+    node.store.preload([key], n_nodes=6)
+    writers, gated = [], set()
+    for seq, (local, on_read, state) in enumerate(versions):
+        writer = None if state is None else TransactionId(1, seq)
+        clock = [0] * 6
+        clock[NODE], clock[0] = local, on_read
+        node.store.install(key, seq, VectorClock(clock), writer=writer)
+        if state == "done":
+            node._externally_done[writer] = 1.0
+        elif state == "gated":
+            gated.add(writer)
+        elif state == "queued":
+            node.store.squeue(key).insert(SQueueEntry(writer, local, WRITE_KIND))
+        writers.append(writer)
+    return writers, gated
+
+
+class TestChainWalkClassification:
+    @pytest.mark.parametrize("row", sorted(CLASSIFICATION_ROWS))
+    def test_each_writer_above_the_bound_is_classified_once(self, row):
+        versions, excluded_rows, ambiguous_rows = CLASSIFICATION_ROWS[row]
+        node = _classification_node()
+        writers, gated = _install_row(node, row, versions)
+        reader_vc = VectorClock([BOUND, 0, 0, 0, BOUND, 0])
+        read = VectorClock.selector((1, 0, 0, 0, 0, 0))
+        ambiguous, excluded = node._classify_writers(row, reader_vc, read, gated)
+        chain = list(node.store.chain(row).newest_to_oldest())
+        excluded_writers = {v.writer for v in chain if v.vc in excluded}
+        assert excluded_writers == {writers[index] for index in excluded_rows}
+        assert ambiguous == [
+            (writers[index], versions[index][0]) for index in sorted(ambiguous_rows, reverse=True)
+        ]
+
+    def test_the_same_writer_turns_ambiguous_when_its_precommit_wait_ends(self):
+        node = _classification_node()
+        (writer,), _gated = _install_row(node, "k", [(BOUND + 11, 11, "queued")])
+        reader_vc = VectorClock([BOUND, 0, 0, 0, BOUND, 0])
+        read = VectorClock.selector((1, 0, 0, 0, 0, 0))
+        assert node._classify_writers("k", reader_vc, read)[0] == []
+        node.store.squeue("k").remove(writer)
+        ambiguous, excluded = node._classify_writers("k", reader_vc, read)
+        assert ambiguous == [(writer, BOUND + 11)]
+        assert excluded == {node.store.latest("k").vc}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP direction 1: the walk stops on the scalar vc[i] <= bound, "
+        "so a writer that ties the reader's local bound and is hidden through "
+        "another read coordinate is neither excluded nor ambiguous",
+    )
+    def test_a_writer_tying_the_local_bound_is_still_classified(self):
+        """The longro recipe's ``T3.29`` at node 4, served on the first-read
+        branch of ``T0.34``: hidden through coordinate 3 (30 < 32), tying
+        the reader's local bound 32, parked in its pre-commit wait."""
+        node = _classification_node()
+        writer = TransactionId(3, 29)
+        node.store.preload(["key-1"], n_nodes=6)
+        vc = VectorClock([29, 30, 30, 32, 32, 32])
+        node.store.install("key-1", 1, vc, writer=writer)
+        node.store.squeue("key-1").insert(SQueueEntry(writer, 32, WRITE_KIND))
+        reader_vc = VectorClock([29, 31, 32, 30, 32, 29])
+        read = VectorClock.selector((1, 0, 1, 1, 0, 0))
+        ambiguous, excluded = node._classify_writers("key-1", reader_vc, read)
+        assert vc in excluded or writer in {w for w, _local in ambiguous}
