@@ -30,7 +30,9 @@ the fault-plane integration tests assert the same).
 
 Failures write a repro bundle (config + metrics + the failure reason) as
 JSON into ``--out`` so the nightly workflow can upload them as artifacts;
-the exit status is non-zero when any seed fails.
+the exit status is non-zero when any seed fails.  The sweep prints, and
+writes to ``--out``/``sweep-summary.json``, the clean and committed counts
+of each fault variant as well as the totals.
 
 Usage::
 
@@ -273,10 +275,23 @@ def main() -> int:
         ],
         "total_committed": sum(record["committed"] for record in results),
         "total_restarts": sum(record["readonly_restarts"] for record in results),
+        "per_variant": {},
     }
+    for variant in variants:
+        rows = [record for record in results if record["variant"] == variant]
+        summary["per_variant"][variant] = {
+            "runs": len(rows),
+            "clean": sum(not record["failures"] for record in rows),
+            "committed": sum(record["committed"] for record in rows),
+        }
     with open(os.path.join(args.out, "sweep-summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
+    for variant, row in summary["per_variant"].items():
+        print(
+            f"  {variant:<16} {row['clean']}/{row['runs']} clean, "
+            f"{row['committed']} committed"
+        )
     print(
         f"seed sweep {args.shape} [{first}, {last}]: {summary['clean']}/{len(results)} clean, "
         f"{summary['total_committed']} committed, "

@@ -72,6 +72,7 @@ class CoordinatorMixin:
         # replica resumes after the restart instead of stalling until drain.
         replicas = self.replicas(key)
         has_read = tuple(meta.has_read)
+        meta.reading_key = key
         reply, request_events = yield from self.fastest_round(
             replicas,
             lambda _replica: ReadRequest(
@@ -83,6 +84,7 @@ class CoordinatorMixin:
             ),
             trace_txn=meta.txn_id,
         )
+        meta.reading_key = None
         if len(request_events) > 1 and not meta.is_update:
             # Replicas that lose the fastest-answer race still inserted a
             # snapshot-queue entry under *their* serialization decision,
@@ -123,12 +125,9 @@ class CoordinatorMixin:
             # response must wait for the observed writer's client response.
             meta.pending_writers.add(reply.writer)
         if reply.propagated:
+            # The server noted shipping these entries here, and the Decide
+            # fan-out notes where they go next: a reader's Remove follows.
             meta.add_propagated(reply.propagated)
-            # Remember (on the serving node) where those reader entries have
-            # been shipped so Remove messages can be forwarded later.  The
-            # serving node is remote; it records the propagation when sending
-            # the reply — see ReadReturn handling below in the node — but the
-            # coordinator also records it for the Decide fan-out it will do.
         self.counters["client_reads"] += 1
         return reply.value
 
@@ -356,29 +355,18 @@ class CoordinatorMixin:
         """Fan out the Remove cleanup of a finished read-only transaction.
 
         One Remove per replica, carrying every read key it holds; grouped in
-        a single pass over the read-set.
+        a single pass over the read-set and the key of a read still in
+        flight (a reader torn down mid-read).  Each replica forwards it down
+        the anti-dependency chain it shipped the reader's entry along
+        (:meth:`on_remove`), which a crash keeps.
         """
+        keys = dict.fromkeys(meta.read_set)
+        if meta.reading_key is not None:
+            keys[meta.reading_key] = None
         by_replica: Dict[int, list] = {}
-        for key in meta.read_set:
+        for key in keys:
             for replica in self.replicas(key):
-                bucket = by_replica.get(replica)
-                if bucket is None:
-                    bucket = by_replica[replica] = []
-                bucket.append(key)
-        if self._fault_mode:
-            # Fault mode: broadcast to every node instead of relying on the
-            # anti-dependency forward chains — a crash can sever a chain
-            # link, leaving propagated reader entries gating writers forever
-            # on nodes this Remove would never reach.
-            for node_id in range(self.config.n_nodes):
-                self.send_reliable(
-                    node_id,
-                    Remove(
-                        txn_id=meta.txn_id,
-                        keys=tuple(by_replica.get(node_id, ())),
-                    ),
-                )
-            return
+                by_replica.setdefault(replica, []).append(key)
         for replica in sorted(by_replica):
             self.send_reliable(
                 replica, Remove(txn_id=meta.txn_id, keys=tuple(by_replica[replica]))

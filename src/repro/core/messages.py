@@ -422,9 +422,8 @@ class ReleaseGate(Message):
 
     Sent by the reader's coordinator to each gated writer's coordinator when
     the reader commits or restarts (and by the losing-reply cleanup for
-    gates registered by replicas that lost the fastest-answer race).  A
-    reader's ``Remove`` releases its gates as well, which covers crashed
-    readers through the fault-mode broadcast.
+    gates registered by replicas that lost the fastest-answer race).  Sent
+    once: the gated writer's wait re-validates its readers when it stalls.
     """
 
     __slots__ = ("txn_id", "writers")

@@ -86,6 +86,9 @@ class TransactionMeta:
     """Writers whose client answer was gated behind this (read-only)
     transaction during ambiguous-zone resolution; the gates are released
     when the transaction finishes or restarts."""
+    reading_key: object = None
+    """The key of the read in flight, if any: a reader torn down mid-read
+    left snapshot-queue entries at its replicas the read-set cannot name."""
     phase: TransactionPhase = TransactionPhase.EXECUTING
     first_read_done: bool = False
     commit_vc: Optional[VectorClock] = None

@@ -73,7 +73,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     node never re-proposes a local clock value it already handed out), the
     redo log (force-written before every yes-vote), the snapshot queues'
     reader entries with their index (they hold back replayed writers as
-    before), the record of removed readers (it keeps a replay from
+    before) and the nodes each was forwarded to (a Remove follows that
+    chain), the record of removed readers (it keeps a replay from
     re-inserting their propagated entries) and the Decides that overtook
     their prepare (the reliable stream acks a Decide once stashed, so a
     crash must not lose it) are durable.  Locks follow the
@@ -90,7 +91,6 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     _WAITS = ("_ack_waits", "_ext_done_events", "_answer_gate_events")
     _VOLATILE = _WAITS + (
         "_read_prepared",
-        "_forward_map",
         "_backoff_level",
         "_externally_done",
         "_done_local_watermark",
@@ -107,6 +107,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         "node_vc",
         "redo_log",
         "_reader_keys",
+        "_forward_map",
         "_removed_readers",
         "_decided_early",
         "locks",
@@ -781,17 +782,12 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         through this node — the reader was withdrawn elsewhere and could
         never release the gate.
 
-        Release coverage: fail-free, replies are never dropped, so the
-        reader's coordinator always learns the gate (``ReadReturn.gated``)
-        and releases it on finish/restart (ReleaseGate), with
-        ``_cleanup_losing_replies`` covering replicas that lost the
-        fastest-answer race.  In fault mode a gate can be orphaned from the
-        coordinator's view (a retried read wave drops the late reply that
-        carried it), but fault-mode Removes are *broadcast to every node*,
-        and ``on_remove`` releases all of a reader's gates — so every
-        reader that finishes, restarts, or is torn down by crash recovery
-        still releases, and only a coordinator that never restarts can pin
-        a gate (the documented crash-forever liveness trade).
+        Release coverage: the reader's coordinator learns the gate from the
+        reply (``ReadReturn.gated``, losing replicas' included) and releases
+        it on finish or restart (ReleaseGate).  A gate whose reply was lost
+        is released by the writer's own wait (:meth:`_wait_answer_gates`),
+        so only a reader coordinator that never restarts can pin a gate
+        (the documented crash-forever liveness trade).
         """
         if reader is None or reader in self._removed_readers:
             return False
@@ -828,14 +824,29 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         """Hold a writer's client answer until its answer gates clear.
 
         Every gating reader finishes or restarts in bounded time (the
-        dependency-wait breaker guarantees it), so the wait always
-        resolves; registrations can race in while waiting, hence the loop.
+        dependency-wait breaker guarantees it) and releases the gates it
+        learned of.  A reader whose reply was lost does not know its gate,
+        so the wait is re-driven (:meth:`redrive`) over the readers'
+        coordinators, re-validating each there (:meth:`_revalidate_reader`).
+        Registrations can race in while waiting, hence the loop.
         """
+
+        def gating_nodes():
+            return sorted({reader.node for reader in self._answer_gates.get(txn_id, ())})
+
+        def revalidate(nodes):
+            for reader in sorted(self._answer_gates.get(txn_id, ())):
+                if reader.node in nodes:
+                    self.spawn_process(
+                        self._revalidate_reader(reader),
+                        name=f"revalidate:{reader}@{self.node_id}",
+                    )
+
         while self._answer_gates.get(txn_id):
             self.counters["answer_gate_waits"] += 1
             event = self.sim.event(name=f"answer-gates:{txn_id}")
             self._answer_gate_events[txn_id] = event
-            yield event
+            yield from self.redrive(event, gating_nodes, revalidate, lambda: event.triggered)
 
     def _resolve_in_doubt(self, txn_id: TransactionId):
         """Crash recovery: learn the fate of a voted-but-undecided transaction.
@@ -1424,11 +1435,10 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                         ),
                     )
             elif meta.is_read_only:
-                # The fault-mode Remove is a broadcast, which must not depend
-                # on the recorded read-set: a read whose reply died with the
-                # crash left entries at the serving replicas while the
-                # read-set stayed empty; each node's own reader-key index
-                # resolves the empty key list.
+                # The Remove of a normal completion, to the replicas of the
+                # read-set and of the read in flight at the crash (its reply
+                # died, but the serving replica inserted an entry), each
+                # forwarding it down its durable propagation chain.
                 self._send_removes(meta)
         for reader in sorted(reader for reader, keys in self._reader_keys.items() if keys):
             self.spawn_process(

@@ -29,7 +29,8 @@ import pytest
 
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.core.cluster import SSSCluster
-from repro.core.metadata import TransactionPhase
+from repro.core.metadata import TransactionMeta, TransactionPhase
+from repro.core.node import SSSNode
 from repro.harness.runner import run_experiment
 from repro.network.node import NetworkedNode
 from repro.search.genome import ScenarioGenome
@@ -385,6 +386,89 @@ class TestReliableDecideAndRemove:
         outcome = score_genome(dataclasses.replace(genome, protocol="rococo"))
         assert outcome.failures == (), outcome.failure_detail
         assert outcome.signal["stalled_clients"] == 0
+
+
+def _wait_on_release_only(self, txn_id):
+    """``SSSNode._wait_answer_gates`` without its re-drive: only a
+    ReleaseGate or a Remove of the gating reader ends the wait."""
+    while self._answer_gates.get(txn_id):
+        event = self.sim.event(name=f"answer-gates:{txn_id}")
+        self._answer_gate_events[txn_id] = event
+        yield event
+
+
+class TestRemoveFollowsTheChain:
+    """A finished reader's Remove goes to the replicas it read, and each
+    forwards it down the anti-dependency chain it shipped the reader's
+    entry along — on every run, faults or not.  A crash cut that chain
+    three ways, each closed by one mechanism.  Each seed below is a fault
+    seed sweep run (pathological shape, ``crash`` variant), shrunk to a
+    15 ms corpus genome, that stalls clients with its mechanism removed.
+
+    * ``durable-forward-map``: the record of where each entry was shipped
+      survives a crash (seed 6).
+    * ``in-flight-key``: a reader torn down mid-read also removes at the
+      replicas of the key it was reading.  At seed 62 ``T1.70``'s read was
+      served at node 0 just after node 1 crashed; the reply was lost, and
+      its entry held writers ``T0.65`` and ``T3.53`` forever.
+    * ``gate-redrive``: a writer's answer-gate wait re-validates its gating
+      readers at their coordinators, releasing a gate whose reply was lost
+      (seed 62 again: node 2 gated ``T2.52`` behind ``T1.70``).
+    """
+
+    @staticmethod
+    def _remove(mechanism, monkeypatch):
+        if mechanism == "durable-forward-map":
+            durable = tuple(name for name in SSSNode._DURABLE if name != "_forward_map")
+            monkeypatch.setattr(SSSNode, "_DURABLE", durable)
+            monkeypatch.setattr(SSSNode, "_VOLATILE", SSSNode._VOLATILE + ("_forward_map",))
+        elif mechanism == "in-flight-key":
+            ignored = property(lambda meta: None, lambda meta, value: None)
+            monkeypatch.setattr(TransactionMeta, "reading_key", ignored)
+        else:
+            monkeypatch.setattr(SSSNode, "_wait_answer_gates", _wait_on_release_only)
+
+    @staticmethod
+    def _strands(seed):
+        path = Path(__file__).resolve().parents[2] / "benchmarks/search_corpus"
+        genome = (path / f"sss-remove-chain-seed{seed}.genome.json").read_text()
+        outcome = score_genome(ScenarioGenome.from_json(genome))
+        assert outcome.signal["consistency_violations"] == 0
+        return outcome.signal["stalled_clients"]
+
+    @pytest.mark.parametrize(
+        "mechanism,seed",
+        [("durable-forward-map", 6), ("in-flight-key", 62), ("gate-redrive", 62)],
+    )
+    def test_the_seed_strands_nobody_only_with_the_mechanism(self, mechanism, seed, monkeypatch):
+        assert self._strands(seed) == 0
+        self._remove(mechanism, monkeypatch)
+        assert self._strands(seed) > 0, f"seed {seed} is clean without {mechanism}"
+
+    def test_a_reader_torn_down_mid_read_removes_at_the_in_flight_keys_replicas(self):
+        cluster = SSSCluster(
+            ClusterConfig(n_nodes=3, n_keys=9, replication_degree=1, clients_per_node=1, seed=5)
+        )
+        for node in cluster.nodes:
+            node.enable_fault_mode()
+        coordinator, replica = cluster.nodes[0], cluster.nodes[2]
+        key = next(k for k in cluster.keys if cluster.placement.primary(k) == 2)
+        session = cluster.session(0)
+
+        def reader():
+            session.begin(read_only=True)
+            yield from session.read(key)
+
+        cluster.spawn(reader(), unit=0)
+        while not replica.store.squeue(key).readers():
+            cluster.run(until=cluster.sim.now + 1.0)
+        reader_id = replica.store.squeue(key).readers()[0].txn_id
+        coordinator.crash()  # the reply is in flight: the read-set stays empty
+        sent = []
+        coordinator.send_reliable = lambda node, message: sent.append((node, message))
+        coordinator.restart()
+        removes = [(node, m.keys) for node, m in sent if m.txn_id == reader_id]
+        assert removes == [(2, (key,))]
 
 
 class TestLostExternalDone:

@@ -343,7 +343,10 @@ class TestOnOneAndTwoShards:
             assert node.locks.locked_keys() == [], f"node {node.node_id} leaked locks"
             assert not _prepared(node)
 
-    @pytest.mark.parametrize("seed", [7, 11])
+    # Seeds whose history reaches the in-doubt query at all: over seeds
+    # 1-20, 2, 5, 7, 8, 18 and 20 do with and without the fault-mode
+    # Remove broadcast (seed 11 did only with it).
+    @pytest.mark.parametrize("seed", [2, 7])
     def test_sss_prepare_that_outlives_a_crash_is_resolved_in_doubt(self, seed, monkeypatch):
         # Without the reliable stream a Decide sent into the down window is
         # lost for good (as when a crash arms fault mode after it was sent):
@@ -402,7 +405,9 @@ class TestRedriveTrace:
         assert exhausted
         for span in exhausted:
             assert span.args == {"resends": 3, "silent": ["1"], "outcome": "retry-exhausted"}
-            assert 20_000.0 <= span.dur < 20_100.0
+            # Four 5 ms periods; the duration is a difference of timestamps,
+            # so it may fall short of 20 000 us by float rounding.
+            assert 20_000.0 - 1e-6 <= span.dur < 20_100.0
 
 
 #: Two crash/restart cycles of different nodes, then a crash that never ends.

@@ -48,6 +48,7 @@ STALL_GENOME_PATHS = sorted(
     (REPO_ROOT / "benchmarks" / "search_corpus").glob("sss-restart-stall-seed*.genome.json")
 )
 COMMITTED_TRACE = REPO_ROOT / "docs" / "traces" / "sss-restart-stall-seed1.trace.json"
+REMOVE_CHAIN_TRACE = REPO_ROOT / "docs" / "traces" / "sss-remove-chain-seed62.trace.json"
 
 
 class TestPassivity:
@@ -231,3 +232,37 @@ class TestStallDiagnosis:
             # the round and the whole transaction end a few hops after t=6000us.
             assert root["args"]["dominant_us"] < window_us + hops_us
             assert root["ts"] + root["dur"] < up["ts"] + hops_us
+
+    def test_remove_chain_artifact_matches_the_readme(self):
+        """The seed-62 trace: a reader torn down mid-read is removed at the
+        replica of its in-flight key, and the gate its lost reply carried is
+        released by the writer's re-driven wait at the reader's restart."""
+        document = json.loads(REMOVE_CHAIN_TRACE.read_text())
+        assert validate_trace(document) == []
+        events = document["traceEvents"]
+        roots = {
+            event["name"]: event["args"]
+            for event in events
+            if event["ph"] == "X" and "dominant" in event.get("args", {})
+        }
+        assert sorted(roots) == ["T0.65", "T1.70", "T2.52", "T3.53"]
+        assert roots["T1.70"]["outcome"] == "torn-down"
+        assert all(roots[txn]["outcome"] == "commit" for txn in ("T0.65", "T2.52", "T3.53"))
+        down = next(e for e in events if e.get("name") == "node.down" and e["ph"] == "b")
+        up = next(e for e in events if e.get("name") == "node.down" and e["ph"] == "e")
+
+        def of_reader(name, msg):
+            wanted = {"txn": "T1.70", "msg": msg}
+            return [
+                event
+                for event in events
+                if event.get("name") == name and wanted.items() <= event["args"].items()
+            ]
+
+        (lost_reply,) = of_reader("msg.dropped", "ReadReturn")
+        assert down["ts"] < lost_reply["ts"] < up["ts"]
+        (remove,) = [event for event in of_reader("msg.send", "Envelope") if event["ts"] >= up["ts"]]
+        assert remove["ts"] == up["ts"] and remove["args"]["peer"] == 0  # key-1's replica
+        gate = [event for event in events if event.get("name") == "wait.answer_gate"]
+        begin, end = sorted(event["ts"] for event in gate)
+        assert begin < down["ts"] + 5_000.0 < up["ts"] < end < up["ts"] + 200.0
