@@ -91,6 +91,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
     _WAITS = ("_ack_waits", "_ext_done_events", "_answer_gate_events")
     _VOLATILE = _WAITS + (
         "_read_prepared",
+        "_revalidating",
         "_backoff_level",
         "_externally_done",
         "_done_local_watermark",
@@ -163,6 +164,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         self._removed_readers: Set[TransactionId] = set()
         # Local index: reader transaction -> keys whose squeue holds it.
         self._reader_keys: Dict[TransactionId, Set[object]] = defaultdict(set)
+        # Readers whose coordinator is being asked whether they finished.
+        self._revalidating: Set[TransactionId] = set()
         # Starvation back-off: per-key consecutive back-off count.
         self._backoff_level: Dict[object, int] = defaultdict(int)
         # Writers whose external commit this node has been notified of,
@@ -827,7 +830,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         dependency-wait breaker guarantees it) and releases the gates it
         learned of.  A reader whose reply was lost does not know its gate,
         so the wait is re-driven (:meth:`redrive`) over the readers'
-        coordinators, re-validating each there (:meth:`_revalidate_reader`).
+        coordinators, re-validating each there (:meth:`_revalidate`).
         Registrations can race in while waiting, hence the loop.
         """
 
@@ -835,12 +838,8 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
             return sorted({reader.node for reader in self._answer_gates.get(txn_id, ())})
 
         def revalidate(nodes):
-            for reader in sorted(self._answer_gates.get(txn_id, ())):
-                if reader.node in nodes:
-                    self.spawn_process(
-                        self._revalidate_reader(reader),
-                        name=f"revalidate:{reader}@{self.node_id}",
-                    )
+            gating = self._answer_gates.get(txn_id, ())
+            self._revalidate(sorted(reader for reader in gating if reader.node in nodes))
 
         while self._answer_gates.get(txn_id):
             self.counters["answer_gate_waits"] += 1
@@ -1218,6 +1217,17 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         entry = self.nlog.find(txn_id)
         if entry is not None:
             self.counters["precommit_replays"] += 1
+            # The wait may be held by entries no Remove will reach (a reader
+            # restarted on a refused read, a re-sent read copy served after
+            # its reader finished); this query recurs every silent wave, so
+            # ask the holding readers' coordinators whether they finished.
+            snapshot = entry.vc[self.node_id]
+            blocking = {
+                reader.txn_id
+                for key in entry.write_keys
+                for reader in self.store.squeue(key).readers_below(snapshot, for_txn=txn_id)
+            }
+            self._revalidate(sorted(blocking))
             self.spawn_process(
                 self._pre_commit(entry.txn_id, entry.vc, entry.write_keys, ()),
                 name=f"precommit-replay:{entry.txn_id}@{self.node_id}",
@@ -1440,16 +1450,24 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                 # died, but the serving replica inserted an entry), each
                 # forwarding it down its durable propagation chain.
                 self._send_removes(meta)
-        for reader in sorted(reader for reader, keys in self._reader_keys.items() if keys):
-            self.spawn_process(
-                self._revalidate_reader(reader), name=f"revalidate:{reader}@{self.node_id}"
-            )
+        self._revalidate(sorted(reader for reader, keys in self._reader_keys.items() if keys))
+
+    def _revalidate(self, readers) -> None:
+        """Ask each reader's coordinator whether it finished, one query in
+        flight per reader (:meth:`_revalidate_reader`)."""
+        for reader in readers:
+            if reader not in self._revalidating:
+                self._revalidating.add(reader)
+                self.spawn_process(
+                    self._revalidate_reader(reader), name=f"revalidate:{reader}@{self.node_id}"
+                )
 
     def _revalidate_reader(self, reader: TransactionId):
         """Drop a surviving reader's entries if its coordinator says it is done."""
         reply = yield from self.reliable_request(
             reader.node, lambda: ExternalStatusQuery(txn_id=reader)
         )
+        self._revalidating.discard(reader)
         if reply.done:
             self.on_remove(Remove(txn_id=reader))
 

@@ -432,13 +432,3 @@ class Network:
                 stats.released += 1
             arrive = self._nodes[destination].enqueue
             sim.schedule_delivery(deliver_at, destination, skey, arrive, message)
-
-    def broadcast(self, sender: NodeId, destinations: Iterable[NodeId], message_factory) -> None:
-        """Send one message per destination, created by ``message_factory()``.
-
-        A factory is required (rather than one shared message instance)
-        because the transport mutates sender/destination/timestamps on the
-        message object.
-        """
-        for destination in destinations:
-            self.send(sender, destination, message_factory())

@@ -35,15 +35,5 @@ class RngRegistry:
             self._streams[name] = random.Random(seed)
         return self._streams[name]
 
-    def derive(self, name: str) -> "RngRegistry":
-        """Return a child registry whose root seed depends on ``name``.
-
-        Useful for running several trials of one experiment: each trial gets
-        ``registry.derive(f"trial-{i}")`` and therefore fully independent but
-        reproducible randomness.
-        """
-        digest = hashlib.sha256(f"{self.root_seed}/{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RngRegistry seed={self.root_seed} streams={len(self._streams)}>"

@@ -124,15 +124,6 @@ class LockTable:
                 self._grant_waiters(key, state)
                 self._drop_if_idle(key, state)
 
-    def reset(self) -> None:
-        """Forget every holder and waiter (crash semantics).
-
-        Waiters are not granted or woken: their ``acquire_all`` generators
-        self-terminate through their acquisition timeout (or die with the
-        crashed node's epoch), so simply dropping the table is safe.
-        """
-        self._keys.clear()
-
     def reset_except(self, keep) -> None:
         """Crash semantics with durable prepared state.
 

@@ -205,6 +205,11 @@ class SnapshotQueue:
                 return True
         return False
 
+    def readers_below(self, snapshot: int, for_txn=None) -> List[SQueueEntry]:
+        """The read-only entries :meth:`has_reader_below` looks for."""
+        end = bisect_left(self._readers.snaps, snapshot)
+        return [entry for entry in self._readers.entries[:end] if entry.gates(for_txn)]
+
     def has_entry_below(self, snapshot: int, exclude_txn=None) -> bool:
         """True if *any* entry (reader or writer) has a smaller snapshot.
 

@@ -27,7 +27,9 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.seed_sweep import probe_seed
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
+from repro.common.ids import TransactionId
 from repro.core.cluster import SSSCluster
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.core.node import SSSNode
@@ -35,6 +37,7 @@ from repro.harness.runner import run_experiment
 from repro.network.node import NetworkedNode
 from repro.search.genome import ScenarioGenome
 from repro.search.scoring import score_genome
+from repro.storage.snapshot_queue import SnapshotQueue
 from repro.trace import TraceSpec
 
 from test_golden_histories import TIE_ORDER_ENGINES as SHARD_ENGINES  # serial and 2 inline shards
@@ -388,6 +391,12 @@ class TestReliableDecideAndRemove:
         assert outcome.signal["stalled_clients"] == 0
 
 
+def _no_readers_to_ask(self, snapshot, for_txn=None):
+    """``SnapshotQueue.readers_below`` as a PrecommitQuery's replica sees it
+    with the re-validation of the readers holding a pre-commit off."""
+    return []
+
+
 def _wait_on_release_only(self, txn_id):
     """``SSSNode._wait_answer_gates`` without its re-drive: only a
     ReleaseGate or a Remove of the gating reader ends the wait."""
@@ -403,7 +412,9 @@ class TestRemoveFollowsTheChain:
     entry along — on every run, faults or not.  A crash cut that chain
     three ways, each closed by one mechanism.  Each seed below is a fault
     seed sweep run (pathological shape, ``crash`` variant), shrunk to a
-    15 ms corpus genome, that stalls clients with its mechanism removed.
+    15 ms corpus genome, that stalls clients with its mechanism removed and
+    the pre-commit queries' re-validation off (:func:`_no_readers_to_ask`),
+    which otherwise catches, a wave late, an entry the chain left behind.
 
     * ``durable-forward-map``: the record of where each entry was shipped
       survives a crash (seed 6).
@@ -441,9 +452,81 @@ class TestRemoveFollowsTheChain:
         [("durable-forward-map", 6), ("in-flight-key", 62), ("gate-redrive", 62)],
     )
     def test_the_seed_strands_nobody_only_with_the_mechanism(self, mechanism, seed, monkeypatch):
+        monkeypatch.setattr(SnapshotQueue, "readers_below", _no_readers_to_ask)
         assert self._strands(seed) == 0
         self._remove(mechanism, monkeypatch)
         assert self._strands(seed) > 0, f"seed {seed} is clean without {mechanism}"
+
+    @pytest.mark.parametrize(
+        "mechanism,seed",
+        [("durable-forward-map", 6), ("in-flight-key", 62), ("gate-redrive", 62)],
+    )
+    def test_the_precommit_queries_catch_what_the_chain_misses(self, mechanism, seed, monkeypatch):
+        self._remove(mechanism, monkeypatch)
+        assert self._strands(seed) == 0
+
+    @pytest.mark.parametrize("seed", [180, 370, 1515])
+    def test_sweep_runs_the_broadcast_kept_clean_stay_clean(self, seed):
+        """Fault seed sweep runs (``crash+drop``) that stalled 3, 7 and 12
+        clients once the broadcast was gone and before the pre-commit
+        queries re-validated readers: a restarted reader's read copy served
+        after its Remove passed (seed 370), or a breaker restart stream
+        between two pending writers (seeds 180 and 1515)."""
+        record = probe_seed(("pathological", seed, "crash+drop", 60_000.0, 40_000.0))
+        assert record["failures"] == []
+
+    def test_a_writer_held_by_a_finished_readers_entry_commits(self):
+        """An entry whose Remove never comes — here one of a reader its
+        coordinator never knew — holds the writer's pre-commit until the
+        coordinator's PrecommitQuery makes the replica ask the reader's
+        coordinator, which answers it done."""
+        cluster = SSSCluster(
+            ClusterConfig(n_nodes=2, n_keys=8, replication_degree=1, clients_per_node=1, seed=5)
+        )
+        for node in cluster.nodes:
+            node.enable_fault_mode()
+        holder = cluster.nodes[1]
+        key = next(k for k in cluster.keys if cluster.placement.primary(k) == 1)
+        ghost = TransactionId(0, 10_000)
+        holder._insert_reader(key, ghost, 0)
+        session = cluster.session(0)
+
+        def writer():
+            session.begin()
+            session.write(key, 1)
+            yield from session.commit()
+
+        cluster.spawn(writer(), unit=0)
+        cluster.run(until=20_000.0)
+        assert session.last.phase is TransactionPhase.EXTERNALLY_COMMITTED
+        assert not holder.store.squeue(key).readers()
+        assert ghost in holder._removed_readers
+
+    def test_a_gate_wait_asks_once_per_reader_while_its_coordinator_is_down(self, monkeypatch):
+        """Each silent wave of the answer-gate wait re-validates its gating
+        readers, but a query still in flight (re-driven by itself) is not
+        asked again: a coordinator down for 60 ms costs one query process."""
+        cluster = SSSCluster(
+            ClusterConfig(n_nodes=2, n_keys=8, replication_degree=1, clients_per_node=1, seed=5)
+        )
+        for node in cluster.nodes:
+            node.enable_fault_mode()
+        asks = []
+        revalidate = SSSNode._revalidate_reader
+
+        def counted(self, reader):
+            asks.append(reader)
+            return revalidate(self, reader)
+
+        monkeypatch.setattr(SSSNode, "_revalidate_reader", counted)
+        node = cluster.nodes[0]
+        writer, reader = TransactionId(0, 10_000), TransactionId(1, 10_000)
+        node._register_answer_gate(writer, reader)
+        cluster.nodes[1].crash()
+        node.spawn_process(node._wait_answer_gates(writer), name="gate-wait")
+        cluster.run(until=60_000.0)
+        assert node._answer_gates.get(writer) == {reader}
+        assert asks == [reader]
 
     def test_a_reader_torn_down_mid_read_removes_at_the_in_flight_keys_replicas(self):
         cluster = SSSCluster(

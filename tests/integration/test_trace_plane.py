@@ -236,7 +236,8 @@ class TestStallDiagnosis:
     def test_remove_chain_artifact_matches_the_readme(self):
         """The seed-62 trace: a reader torn down mid-read is removed at the
         replica of its in-flight key, and the gate its lost reply carried is
-        released by the writer's re-driven wait at the reader's restart."""
+        released by the writer's re-driven wait at the reader's restart.
+        The trace is of the chain alone (docs/traces/README.md)."""
         document = json.loads(REMOVE_CHAIN_TRACE.read_text())
         assert validate_trace(document) == []
         events = document["traceEvents"]
@@ -266,3 +267,8 @@ class TestStallDiagnosis:
         gate = [event for event in events if event.get("name") == "wait.answer_gate"]
         begin, end = sorted(event["ts"] for event in gate)
         assert begin < down["ts"] + 5_000.0 < up["ts"] < end < up["ts"] + 200.0
+        # One query re-validates T1.70: dropped while node 1 is down, re-sent
+        # once at its Rejoin by its own re-drive, not again by the woken wave.
+        (lost_query,) = of_reader("msg.dropped", "ExternalStatusQuery")
+        (resent_query,) = of_reader("msg.send", "ExternalStatusQuery")
+        assert down["ts"] < lost_query["ts"] < up["ts"] < resent_query["ts"] < end
