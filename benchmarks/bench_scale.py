@@ -12,9 +12,10 @@ high-water mark with :mod:`tracemalloc` at two run lengths, ``D`` and
 Doubling the run length doubles the transaction count but must *not*
 double the memory.  What a run holds follows its in-flight work: a
 finished transaction leaves a small outcome record instead of its
-metadata, a decided vote round is released by its crash-guard timer, lock
-and snapshot-queue state exists only while a key has a holder, waiter or
-entry, and a clock is one packed integer held only by its users.  So the
+metadata, a vote round is released the moment it is decided (with the
+reply correlation of any prepare left unanswered), lock and snapshot-queue
+state exists only while a key has a holder, waiter or entry, and a clock
+is one packed integer held only by its users.  So the
 high-water mark is the key store (constant in transaction count), the
 bounded retained window and sketches, and a few hundred bytes per
 transaction in outcome records and per-node bookkeeping.  The

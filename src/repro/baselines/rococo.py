@@ -290,7 +290,7 @@ class RococoNode(ProtocolRuntime):
             for key in sorted(set(meta.read_set) | set(meta.write_set), key=repr):
                 primary = self.primary(key)
                 if primary != self.node_id:
-                    self.send_reliable(primary, PieceAbort(txn_id=txn_id, key=key))
+                    self.channel.send(primary, PieceAbort(txn_id=txn_id, key=key))
                 else:
                     self._withdraw(key, txn_id)
         for txn_id in sorted(self._crash_completions):

@@ -27,9 +27,9 @@ interleavings, which is demonstrated in the test suite).
 The node is crash-consistent: the slow-path prepare buffers are durable
 2PC-style (locks of prepared transactions survive a crash), the site's
 commit sequence counter is durable (a restarted site never reuses a
-seqno), and decides and propagation batches go out through the runtime's
-:meth:`~repro.protocols.runtime.ProtocolRuntime.send_reliable`, so neither
-is lost to a crash or a partition.
+seqno), and decides and propagation batches go out through the node's
+reliable channel (:meth:`~repro.protocols.stream.ReliableChannel.send`), so
+neither is lost to a crash or a partition.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ class WalterNode(ProtocolRuntime):
         keeps a prepare this decide overtook from pinning locks.
 
         The prepared entry stays until the installation lands: decides
-        arrive through :meth:`send_reliable`, whose stream re-sends a decide
+        arrive through the reliable channel, whose stream re-sends a decide
         a crash interrupted mid-apply.
         """
         txn_id = message.txn_id
@@ -370,7 +370,7 @@ class WalterNode(ProtocolRuntime):
                 if destination in self.replicas(key)
             )
             if payload:
-                self.send_reliable(
+                self.channel.send(
                     destination,
                     WalterPropagate(txn_id=txn_id, site=site, seqno=seqno, write_items=payload),
                 )
@@ -378,7 +378,7 @@ class WalterNode(ProtocolRuntime):
     def _send_decides(self, txn_id: TransactionId, outcome: bool, seqno: int, sites) -> None:
         """Send the decision to every prepared site, this node included."""
         for site in sorted(sites):
-            self.send_reliable(
+            self.channel.send(
                 site, WalterDecide(txn_id=txn_id, outcome=outcome, site=self.node_id, seqno=seqno)
             )
 

@@ -368,9 +368,7 @@ class CoordinatorMixin:
             for replica in self.replicas(key):
                 by_replica.setdefault(replica, []).append(key)
         for replica in sorted(by_replica):
-            self.send_reliable(
-                replica, Remove(txn_id=meta.txn_id, keys=tuple(by_replica[replica]))
-            )
+            self.channel.send(replica, Remove(txn_id=meta.txn_id, keys=tuple(by_replica[replica])))
 
     def _propagated_for_decide(self, meta: TransactionMeta):
         """Propagated entries eligible for (re-)insertion at write replicas.
@@ -441,7 +439,7 @@ class CoordinatorMixin:
 
         propagated = self._propagated_for_decide(meta)
         for participant in participants:
-            self.send_reliable(
+            self.channel.send(
                 participant,
                 Decide(
                     txn_id=txn_id,

@@ -1070,8 +1070,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         read_keys = record.read_keys if record is not None else self._read_prepared.get(txn_id)
         if read_keys is None:  # pragma: no cover - defensive
             return
-        if self._fault_mode:
-            self._decided.add(txn_id)
+        self._decided.add(txn_id)
         if message.outcome:
             self.node_vc = self.node_vc.merge(message.commit_vc)
             if record is not None:
@@ -1350,7 +1349,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
         # shipped this reader's entry to must clean up as well.
         for destination in sorted(self._forward_map.pop(txn_id, set())):
             if destination != self.node_id:
-                self.send_reliable(destination, Remove(txn_id=txn_id, keys=()))
+                self.channel.send(destination, Remove(txn_id=txn_id, keys=()))
 
     def note_propagation(self, reader: TransactionId, destination: NodeId) -> None:
         """Record that ``reader``'s queue entry was shipped to ``destination``."""
@@ -1435,7 +1434,7 @@ class SSSNode(CoordinatorMixin, ProtocolRuntime):
                 )
                 participants.discard(self.node_id)
                 for participant in sorted(participants):
-                    self.send_reliable(
+                    self.channel.send(
                         participant,
                         Decide(
                             txn_id=txn_id,

@@ -14,12 +14,11 @@
   processes so they can block on further events,
 * request/response helpers that correlate replies to requests via
   ``reply_to`` and return awaitable events,
-* crash-aware dispatch for the fault plane: when fault mode is enabled
-  (:meth:`NetworkedNode.enable_fault_mode`: a message can be lost), handler
-  processes carry the node's *epoch* and die at their next scheduling point
-  after a crash bumped it — modelling the loss of all in-progress work of a
-  crash-stopped process.  A run that never enables it pays nothing beyond
-  one attribute check per delivery.
+* crash-aware processes for the fault plane: every handler process and
+  every :meth:`NetworkedNode.spawn_process` carries the node's *epoch* and
+  dies at its next resumption after a crash moved it
+  (:class:`~repro.sim.process.Process` checks) — modelling the loss of all
+  in-progress work of a crash-stopped process.
 
 Protocol subclasses register their handlers in ``__init__`` and use
 ``self.send`` / ``self.request`` / ``self.respond``.
@@ -72,13 +71,10 @@ class NetworkedNode:
         self._handlers: Dict[Type[Message], Tuple[Callable, Optional[str]]] = {}
         self._pending_replies: Dict[int, Event] = {}
         self.messages_handled = 0
-        # Fault plane: ``crashed`` gates delivery, ``_epoch`` invalidates
-        # handler processes spawned before a crash, ``_fault_mode`` says a
-        # message can be lost and keeps the guard machinery off the hot path
-        # of a run where none can.
+        # Fault plane: ``crashed`` gates delivery, ``_epoch`` ends the
+        # processes spawned before a crash.
         self.crashed = False
         self._epoch = 0
-        self._fault_mode = False
         network.register(self)
 
     # ------------------------------------------------------------- handlers
@@ -222,8 +218,8 @@ class NetworkedNode:
             self._serving = False
 
     def _dispatch(self, message: Message) -> Optional[Process]:
-        """Run ``message``'s handler; a generator handler becomes a process,
-        which is returned (epoch-guarded in fault mode)."""
+        """Run ``message``'s handler; a generator handler becomes a process
+        of this node, which is returned."""
         message_type = type(message)
         entry = self._handlers.get(message_type)
         if entry is None:
@@ -232,10 +228,7 @@ class NetworkedNode:
         if name is None:
             handler(message)
             return None
-        generator = handler(message)
-        if self._fault_mode:
-            generator = self._epoch_guard(generator, self._epoch)
-        return Process(self.sim, generator, name)
+        return Process(self.sim, handler(message), name, self)
 
     def drop_inbound(self) -> int:
         """Discard every queued message (crash semantics); returns the count.
@@ -249,62 +242,17 @@ class NetworkedNode:
 
     # ------------------------------------------------------------ fault plane
     def enable_fault_mode(self) -> None:
-        """Arm the crash/epoch machinery: from now on a message can be lost.
-
-        Done by the fault installer, or by ``Network.crash``.  It costs one
-        wrapper generator per handler process here, plus what the protocol
-        layer re-sends and records (ARCHITECTURE.md, "Fault-only mechanisms").
-        """
-        self._fault_mode = True
+        """A message can now be lost (the fault installer, ``Network.crash``).
+        Nothing changes at this layer: the protocol runtime arms its
+        re-drives and its reliable channel."""
 
     def spawn_process(self, generator, name: str = ""):
-        """Spawn a node-owned simulation process.
-
-        In fault mode the process is epoch-guarded: it dies at its next
-        scheduling point once the node crashes, like the handler processes.
-        Protocol code must use this (not ``sim.process``) for any background
-        work that conceptually lives inside the node.
+        """Spawn a process of this node: like a handler process, it dies at
+        its next resumption once the node crashes.  Protocol code must use
+        this (not ``sim.process``) for any background work that conceptually
+        lives inside the node.
         """
-        if self._fault_mode:
-            generator = self._epoch_guard(generator, self._epoch)
-        return Process(self.sim, generator, name)
-
-    def _epoch_guard(self, generator, epoch: int):
-        """Forward ``generator`` transparently until the node's epoch moves.
-
-        The wrapper adds no simulation events of its own: every value the
-        inner generator yields is yielded through unchanged, and every value
-        or exception the engine sends back is forwarded.  When a crash bumps
-        the node epoch, the inner generator is closed at its next resumption
-        (running its ``finally`` blocks) and the process ends quietly —
-        in-progress handler work dies with the node.
-        """
-        try:
-            value = next(generator)
-        except StopIteration as stop:
-            return stop.value
-        while True:
-            if self._epoch != epoch:
-                generator.close()
-                return None
-            try:
-                received = yield value
-            except BaseException as thrown:  # noqa: BLE001 - forward everything
-                if self._epoch != epoch:
-                    generator.close()
-                    return None
-                try:
-                    value = generator.throw(thrown)
-                except StopIteration as stop:
-                    return stop.value
-                continue
-            if self._epoch != epoch:
-                generator.close()
-                return None
-            try:
-                value = generator.send(received)
-            except StopIteration as stop:
-                return stop.value
+        return Process(self.sim, generator, name, self)
 
     # ------------------------------------------------------------ conveniences
     def cpu(self, micros: float) -> float:

@@ -12,8 +12,9 @@ scripted engine events at cluster-construction time:
 * a :class:`~repro.common.config.SlowLinkFault` becomes
   ``network.degrade_link(...)`` / ``network.restore_link(...)`` calls.
 
-Installing a non-empty plan also arms *fault mode* on every node, which
-activates the crash-epoch guard on handler processes.  An empty plan
+Installing a non-empty plan also arms *fault mode* on every node: a message
+can be lost, so rounds re-drive and the reliable channel sends in
+envelopes.  An empty plan
 installs nothing at all — fail-free runs take none of these code paths and
 their histories stay byte-identical.
 """

@@ -28,11 +28,9 @@ every protocol node (SSS and the three competitors) extends:
   :class:`RoundRequests` plus :meth:`redrive`, the one wait that asks
   whether a message can be lost and, if so, re-sends what is unanswered.
   :meth:`admit_prepare` makes every prepare handler idempotent under it.
-* **Reliable sends** — :meth:`send_reliable`, the one way to send a message
-  that must arrive: plain :meth:`send` when none can be lost, otherwise a
-  durable per-peer stream (:class:`ReliableStreams`) re-sent until the
-  peer acks it: on its Rejoin, after this node's restart and on the
-  fallback timer.
+* **Reliable sends** — ``channel``, a composed
+  :class:`~repro.protocols.stream.ReliableChannel`: ``channel.send`` is the
+  one way to send a message that must arrive.
 * **Fault plane** — :meth:`crash` / :meth:`restart`: a crashed node drops
   its volatile state (inbound queue, in-flight RPCs, and what the protocol
   class declares in ``_WAITS`` / ``_VOLATILE``) and replays its durable
@@ -46,17 +44,15 @@ and register their message handlers in ``__init__``.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import NodeCrashedError, TransactionStateError
 from repro.common.ids import NodeId, TransactionId, TxnIdGenerator
 from repro.core.metadata import TransactionMeta, TransactionOutcome, TransactionPhase
-from repro.network.message import Message, MessagePriority
 from repro.network.node import NetworkedNode
+from repro.protocols.stream import Envelope, Rejoin, ReliableChannel, StreamAck
 from repro.sim.events import Event
 from repro.sim.process import Interrupt, Process
 
@@ -65,135 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.transport import Network
     from repro.replication.placement import KeyPlacement
     from repro.sim.engine import Simulation
-
-
-class Rejoin(Message):
-    """A restarted node's announcement to a peer, sent once its durable
-    state is replayed: re-send what I lost (:meth:`ProtocolRuntime.redrive`).
-    It acks the peer's reliable stream up to ``handled`` and says how many
-    of its own messages to the peer are ``unacked``: the peer answers those
-    with its ack, and the restarted node re-sends what the peer had not
-    handled."""
-
-    __slots__ = ("handled", "unacked")
-    priority = MessagePriority.CONTROL
-
-    def __init__(self, handled: int = 0, unacked: int = 0):
-        Message.__init__(self)
-        self.handled = handled
-        self.unacked = unacked
-
-
-class Envelope(Message):
-    """A :meth:`ProtocolRuntime.send_reliable` message on the wire when a
-    message can be lost: the message and its position ``seq`` in the
-    sender's stream to this peer.  It travels at the message's priority and
-    costs the message's size plus the number."""
-
-    __slots__ = ("seq", "message", "priority", "txn_id")
-
-    def __init__(self, seq: int, message: Message):
-        Message.__init__(self)
-        self.seq = seq
-        self.message = message
-        self.priority = message.priority
-        self.txn_id = getattr(message, "txn_id", None)
-
-    def size_estimate(self) -> int:
-        return self.message.size_estimate() + 8
-
-
-class StreamAck(Message):
-    """Cumulative ack of a reliable stream: the receiver has handled every
-    message up to ``watermark``.  Bulk priority: an ack unblocks no
-    transaction, it only has to beat the fallback timer."""
-
-    __slots__ = ("watermark",)
-    priority = MessagePriority.BULK
-    base_size = 40
-
-    def __init__(self, watermark: int = 0):
-        Message.__init__(self)
-        self.watermark = watermark
-
-
-class ReliableStreams:
-    """One node's ends of the streams of :meth:`ProtocolRuntime.send_reliable`.
-
-    Outbound, per peer: contiguous sequence numbers from 1 (``sent``, the
-    last one given out) and every message the peer has not acked, with the
-    time it was last sent (``unacked``, in sequence order); a cumulative ack
-    drops the records at or below it.  Inbound, per peer: the last sequence
-    number handled (``handled``), the arrivals above it (``held``) —
-    the successors of a gap, or the next message while a handler process
-    is still running (``busy``) — and the peers an ack is scheduled for
-    (``acks_due``).  ``held``, ``busy`` and ``acks_due`` are volatile, the
-    rest is durable.
-    """
-
-    __slots__ = ("sent", "unacked", "handled", "held", "busy", "acks_due")
-
-    def __init__(self) -> None:
-        self.sent: Dict[NodeId, int] = {}
-        self.unacked: Dict[NodeId, Dict[int, list]] = {}
-        self.handled: Dict[NodeId, int] = {}
-        self.held: Dict[NodeId, Dict[int, Message]] = {}
-        self.busy: Set[NodeId] = set()
-        self.acks_due: Set[NodeId] = set()
-
-    def append(self, peer: NodeId, message: Message, now: float) -> int:
-        """Force-write ``message`` as the next of ``peer``'s stream; its number."""
-        seq = self.sent[peer] = self.sent.get(peer, 0) + 1
-        self.unacked.setdefault(peer, {})[seq] = [message, now]
-        return seq
-
-    def ack(self, peer: NodeId, watermark: int) -> None:
-        """Drop every record to ``peer`` at or below ``watermark``."""
-        records = self.unacked.get(peer)
-        while records:
-            seq = next(iter(records))
-            if seq > watermark:
-                return
-            del records[seq]
-
-    def peers(self) -> List[NodeId]:
-        """The peers some message has not been acked by, in id order."""
-        return sorted(peer for peer, records in self.unacked.items() if records)
-
-    def expire(self) -> None:
-        """This node restarted: whether its unacked records arrived is
-        unknown, so every one is due."""
-        for records in self.unacked.values():
-            for record in records.values():
-                record[1] = -math.inf
-
-    def due(self, peer: NodeId, cutoff: float, now: float) -> List[Tuple[int, Message]]:
-        """The unacked records to ``peer`` last sent at or before ``cutoff``,
-        stamped as sent ``now``."""
-        out = []
-        for seq, record in self.unacked.get(peer, {}).items():
-            if record[1] <= cutoff:
-                record[1] = now
-                out.append((seq, record[0]))
-        return out
-
-    def receive(self, peer: NodeId, seq: int, message: Message) -> bool:
-        """Hold an arrival from ``peer`` for handling; ``False`` for a duplicate."""
-        held = self.held.setdefault(peer, {})
-        if seq <= self.handled.get(peer, 0) or seq in held:
-            return False
-        held[seq] = message
-        return True
-
-    def next(self, peer: NodeId) -> Optional[Message]:
-        """The held message next in ``peer``'s stream (``None`` at a gap)."""
-        held = self.held.get(peer)
-        return held.get(self.handled.get(peer, 0) + 1) if held else None
-
-    def advance(self, peer: NodeId) -> None:
-        """The next message of ``peer``'s stream has been handled."""
-        seq = self.handled[peer] = self.handled.get(peer, 0) + 1
-        del self.held[peer][seq]
 
 
 class VoteCollector(Event):
@@ -299,8 +166,9 @@ class ProtocolRuntime(NetworkedNode):
     ``_VOLATILE`` — what a crash loses, the wait maps first: :meth:`crash`
     empties every plain container there (dict, set, list), and the class
     resets the rest in :meth:`on_crash` (or, for a flag, on restart);
-    ``_DURABLE`` — everything a crash keeps.  The runtime's and the network layer's own attributes are not
-    declared: :meth:`crash` handles them itself.
+    ``_DURABLE`` — everything a crash keeps.  The runtime's, its channel's
+    and the network layer's own attributes are not declared: :meth:`crash`
+    handles them itself.
     """
 
     _WAITS: Tuple[str, ...] = ()
@@ -341,14 +209,16 @@ class ProtocolRuntime(NetworkedNode):
         self._rejoin_waits: Dict[NodeId, Dict[Event, None]] = defaultdict(dict)
         # Until fault mode — the processes of rounds waiting on their target.
         self._unguarded: Dict[Process, None] = {}
-        # Fault mode only — the streams of send_reliable, and whether the
-        # process re-sending their unacked messages runs.
-        self.streams = ReliableStreams()
-        self._resending = False
+        # A message can be lost (enable_fault_mode): rounds wait in waves.
+        self._fault_mode = False
+        period = config.timeouts.crash_resubscribe_us
+        self.channel = ReliableChannel(
+            sim, node_id, self.send, self._dispatch, period, self.counters
+        )
         self._trace_down_since: Optional[float] = None
         self.register_handler(Rejoin, self._on_rejoin)
-        self.register_handler(Envelope, self._on_envelope)
-        self.register_handler(StreamAck, self._on_stream_ack)
+        self.register_handler(Envelope, self.channel.on_envelope)
+        self.register_handler(StreamAck, self.channel.on_ack)
 
     # ------------------------------------------------------------------
     # Placement helpers
@@ -596,32 +466,21 @@ class ProtocolRuntime(NetworkedNode):
             resend(peers)
 
     def enable_fault_mode(self) -> None:
-        """Arm fault mode, and move every round waiting on its target alone
-        into :meth:`redrive`'s waves: a message it awaits can now be lost."""
-        super().enable_fault_mode()
+        """Arm fault mode on the rounds and the channel, and move every round
+        waiting on its target alone into :meth:`redrive`'s waves: a message
+        it awaits can now be lost."""
+        self._fault_mode = True
+        self.channel.enable_fault_mode()
         for process in self._unguarded:
             process.interrupt()
 
     def _on_rejoin(self, message: Rejoin) -> None:
         """A peer restarted: wake every wave waiting on it (see
-        :meth:`redrive`), then answer for the streams between the two —
-        once the woken rounds have re-sent, so their requests do not queue
-        behind the streams' backlog on the link."""
-        peer = message.sender
-        self.streams.ack(peer, message.handled)
-        for wake in self._rejoin_waits.get(peer, ()):
+        :meth:`redrive`), then hand the Rejoin to the channel."""
+        for wake in self._rejoin_waits.get(message.sender, ()):
             if not wake.triggered:
                 wake.succeed(message)
-        if message.unacked or self.streams.unacked.get(peer):
-            self.sim.call_after(0.0, partial(self._answer_rejoin, peer, message.unacked))
-
-    def _answer_rejoin(self, peer: NodeId, unacked: int) -> None:
-        """Re-send what ``peer`` has not handled of this node's stream to
-        it, and ack its stream if it holds ``unacked`` messages: it re-sends
-        what this node has not handled."""
-        self._resend([peer], math.inf)
-        if unacked:
-            self.send(peer, StreamAck(self.streams.handled.get(peer, 0)))
+        self.channel.on_rejoin(message)
 
     def fastest_round(self, destinations, make_message, trace_txn=None, trace_name="read"):
         """RPC-round generator: fastest-answer fan-out, re-driven when lost.
@@ -757,120 +616,16 @@ class ProtocolRuntime(NetworkedNode):
         return {item: event.value for item, event in zip(requests.items, events)}
 
     # ------------------------------------------------------------------
-    # Reliable sends
-    # ------------------------------------------------------------------
-    def send_reliable(self, destination: NodeId, message: Message) -> None:
-        """Send ``message``, which must arrive: the one way to do so.
-
-        When no message can be lost this is :meth:`send`.  Otherwise the
-        message is force-written to this node's durable stream to
-        ``destination`` and sent in an :class:`Envelope`; the receiver
-        drops duplicates, holds what arrives above a gap, hands the stream
-        to its handlers in order — a generator handler's process must end
-        before the next message is handled, so a crash in the middle loses
-        it unhandled — and acks cumulatively (:class:`StreamAck`), at most
-        once per half fallback period.  Until
-        the ack, the message is re-sent: to the peer when it sends
-        :class:`Rejoin` (which acks its stream), to a peer answering this
-        node's own Rejoin with its ack after a restart, and on the
-        ``crash_resubscribe_us`` timer if it has stayed unacked for a whole
-        period (:meth:`_resend_loop`).  A message is handled once its
-        handler returns: what the handler keeps of it for later (SSS's
-        Decide that overtook its prepare) must be durable state, or a crash
-        loses it after the ack.
-        """
-        if not self._fault_mode:
-            self.send(destination, message)
-            return
-        message.sender = self.node_id
-        seq = self.streams.append(destination, message, self.sim.now)
-        self.send(destination, Envelope(seq, message))
-        self._start_resending()
-
-    def _start_resending(self) -> None:
-        if not self._resending and self.streams.peers():
-            self._resending = True
-            self.spawn_process(self._resend_loop(), name=f"resend@{self.node_id}")
-
-    def _resend_loop(self):
-        """Every fallback period, re-send what has stayed unacked a whole
-        period: what no Rejoin announces (a drop-mode partition, a lost ack)."""
-        period = self.config.timeouts.crash_resubscribe_us
-        streams = self.streams
-        while streams.peers():
-            yield self.sim.timeout(period)
-            self._resend(streams.peers(), self.sim.now - period)
-        self._resending = False
-
-    def _resend(self, peers, cutoff: float) -> None:
-        """Re-send the unacked messages to ``peers`` last sent by ``cutoff``."""
-        now = self.sim.now
-        for peer in peers:
-            for seq, message in self.streams.due(peer, cutoff, now):
-                self.counters["stream_resends"] += 1
-                self.send(peer, Envelope(seq, message))
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        peer = envelope.sender
-        streams = self.streams
-        if streams.receive(peer, envelope.seq, envelope.message):
-            self._handle_stream(peer)
-        else:
-            self.counters["stream_duplicates"] += 1
-        self._ack_soon(peer)
-
-    def _handle_stream(self, peer: NodeId) -> None:
-        """Hand ``peer``'s held messages to their handlers in stream order."""
-        streams = self.streams
-        while peer not in streams.busy:
-            message = streams.next(peer)
-            if message is None:
-                return
-            process = self._dispatch(message)
-            if process is not None and not process.triggered:
-                streams.busy.add(peer)
-                process.add_callback(partial(self._stream_handler_done, peer, self._epoch))
-                return
-            streams.advance(peer)
-
-    def _stream_handler_done(self, peer: NodeId, epoch: int, _process) -> None:
-        if epoch != self._epoch:
-            return  # died with a crash: unhandled, so the sender re-sends it
-        streams = self.streams
-        streams.busy.discard(peer)
-        streams.advance(peer)
-        self._handle_stream(peer)
-        self._ack_soon(peer)
-
-    def _ack_soon(self, peer: NodeId) -> None:
-        """Ack ``peer``'s stream half a fallback period from now, in one ack
-        for everything it sends meanwhile: well before the sender's timer
-        would re-send it."""
-        acks_due = self.streams.acks_due
-        if peer not in acks_due:
-            acks_due.add(peer)
-            delay = self.config.timeouts.crash_resubscribe_us / 2
-            self.sim.call_after(delay, partial(self._send_ack, peer, self._epoch))
-
-    def _send_ack(self, peer: NodeId, epoch: int) -> None:
-        if epoch == self._epoch:  # else the crash dropped it
-            self.streams.acks_due.discard(peer)
-            self.send(peer, StreamAck(self.streams.handled.get(peer, 0)))
-
-    def _on_stream_ack(self, message: StreamAck) -> None:
-        self.streams.ack(message.sender, message.watermark)
-        self._resend([message.sender], -math.inf)  # what a restart left in doubt
-
-    # ------------------------------------------------------------------
     # Fault plane: crash / restart
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Crash-stop this node.
 
         The network drops all traffic to and from the node, the inbound
-        queue and in-flight RPC correlation state are discarded, handler
-        processes die at their next scheduling point (the epoch guard
-        installed by fault mode), and the protocol's declared volatile state
+        queue and in-flight RPC correlation state are discarded, the node's
+        processes die at their next resumption (each checks the node's
+        epoch, which the crash moves), the channel loses its volatile state
+        (:meth:`ReliableChannel.crash`), and the protocol's declared volatile state
         is dropped: the events waiting in its ``_WAITS`` maps fail (map by
         map, by transaction id), so co-located clients are interrupted
         instead of parking on dead events, every ``_VOLATILE`` container is
@@ -889,12 +644,9 @@ class ProtocolRuntime(NetworkedNode):
         self.network.crash(self.node_id)
         self.counters["crash_dropped_inbound"] += self.drop_inbound()
         self._preparing.clear()
-        self.streams.held.clear()
-        self.streams.busy.clear()
-        self.streams.acks_due.clear()
-        self._resending = False  # the re-send process dies with the epoch
-        # Fail in-flight RPCs: waiting handler processes die through the
-        # epoch guard, while co-located *client* processes receive
+        self.channel.crash()
+        # Fail in-flight RPCs: waiting handler processes die with the epoch,
+        # while co-located *client* processes receive
         # NodeCrashedError and reconnect with a back-off (see the closed-loop
         # client), which is what lets availability recover after a restart.
         pending = self._pending_replies
@@ -949,13 +701,7 @@ class ProtocolRuntime(NetworkedNode):
                 tracer.span("node.down", self._trace_down_since, node=self.node_id)
                 self._trace_down_since = None
             tracer.instant("node.restart", node=self.node_id)
-        # Which unacked messages arrived is unknown: each peer's answer to
-        # the Rejoin acks what did, and the rest is re-sent.  This node
-        # answers for its stream to itself at once.
-        streams = self.streams
-        streams.expire()
-        streams.ack(self.node_id, streams.handled.get(self.node_id, 0))
-        self._resend([self.node_id], -math.inf)
+        self.channel.restart()
         torn_down = []
         for txn_id in sorted(self.coordinated):
             meta = self.coordinated[txn_id]
@@ -972,11 +718,7 @@ class ProtocolRuntime(NetworkedNode):
             # Durable-state replay runs synchronously inside on_restart, so
             # this marks its completion point on the node track.
             tracer.instant("node.recovered", node=self.node_id)
-        for peer in range(self.config.n_nodes):
-            if peer != self.node_id:
-                unacked = len(streams.unacked.get(peer, ()))
-                self.send(peer, Rejoin(streams.handled.get(peer, 0), unacked))
-        self._start_resending()
+        self.channel.announce(peer for peer in range(self.config.n_nodes) if peer != self.node_id)
 
     def on_crash(self) -> None:
         """Protocol hook: the crash resets that are not "empty a container"."""

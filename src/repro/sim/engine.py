@@ -99,6 +99,10 @@ class Simulation:
         "active_process",
     )
 
+    #: Events processed by every :meth:`run` call in this interpreter, summed
+    #: once per call: a machine-independent cost of a test session.
+    session_events = 0
+
     def __init__(self, seed: int = 1):
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, Callable, object]] = []
@@ -288,6 +292,7 @@ class Simulation:
         crashed = self._crashed
         sentinel = _CALL0
         count = 0
+        before = self._event_count
         try:
             # A process may have crashed before its first yield (processes
             # start inline at creation), with nothing scheduled to surface it.
@@ -318,6 +323,7 @@ class Simulation:
                     ) from exc
         finally:
             self._event_count += count
+            Simulation.session_events += self._event_count - before
         if until is not None and self._now < until:
             self._now = until
         return self._now

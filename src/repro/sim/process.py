@@ -51,11 +51,16 @@ class Process(Event):
     uncaught exception makes the process fail, which propagates to any
     process waiting on it and, if nothing waits, surfaces from
     :meth:`Simulation.run` to avoid silently swallowed errors.
+
+    A process spawned by an ``owner`` (a node, or anything else whose
+    ``_epoch`` a crash moves) dies when it is next resumed after the
+    owner's epoch moved: the generator is closed, running its ``finally``
+    blocks, and the process ends quietly with ``None``.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_killed")
+    __slots__ = ("generator", "_waiting_on", "_killed", "_owner", "_epoch")
 
-    def __init__(self, sim: "Simulation", generator: Generator, name: str = ""):
+    def __init__(self, sim: "Simulation", generator: Generator, name: str = "", owner=None):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         if not hasattr(generator, "send"):
             raise SimulationError(
@@ -65,6 +70,8 @@ class Process(Event):
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         self._killed = False
+        self._owner = owner
+        self._epoch = owner._epoch if owner is not None else 0
         # Start the process synchronously, advancing the generator to its
         # first yield.  Spawning is a per-message operation (every generator
         # handler dispatch creates a process), and the deferred start cost
@@ -84,6 +91,11 @@ class Process(Event):
         self._waiting_on = None
         sim = self.sim
         sim.active_process = self
+        owner = self._owner
+        if owner is not None and owner._epoch != self._epoch:
+            self.generator.close()  # the owner crashed: the work dies with it
+            self.succeed(None)
+            return
         try:
             if event is None:
                 target = self.generator.send(None)

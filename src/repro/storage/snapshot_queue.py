@@ -165,7 +165,7 @@ class SnapshotQueue:
         """Drop every entry (crash semantics); returns the count.
 
         No signal notification: pre-crash waiters belong to processes that
-        die with the node (see the runtime's epoch guard), and post-restart
+        die with the node (a process checks its node's epoch), and post-restart
         insertions notify as usual.
         """
         dropped = len(self)

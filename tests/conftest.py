@@ -28,6 +28,12 @@ hypothesis_settings.register_profile("stress", derandomize=False, max_examples=4
 hypothesis_settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "deterministic"))
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Print the events every in-process simulation ran this session: the
+    suite's cost in a number that does not depend on the machine."""
+    terminalreporter.write_line(f"simulated events: {Simulation.session_events:,}")
+
+
 @pytest.fixture
 def sim() -> Simulation:
     """A fresh deterministic simulation."""

@@ -12,9 +12,10 @@ timeout-then-exclude heuristic:
 * a participant that voted and crashed recovers through its durable redo
   log plus the in-doubt resolution at its coordinator — SSS's last 2PC
   in-doubt stall;
-* ``fastest_of`` read fan-outs retry in fault mode, so an rf=1 read against
-  a crashed replica resumes after the restart instead of stalling (the
-  ROADMAP's read-wave stall).
+* ``fastest_round`` read rounds are re-driven in fault mode
+  (``ProtocolRuntime.redrive``), so an rf=1 read against a crashed replica
+  resumes after the restart instead of stalling (the ROADMAP's read-wave
+  stall).
 """
 
 from __future__ import annotations

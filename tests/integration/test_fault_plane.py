@@ -34,6 +34,7 @@ from repro.core.cluster import SSSCluster
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.core.node import SSSNode
 from repro.harness.runner import run_experiment
+from repro.network.message import Message
 from repro.network.node import NetworkedNode
 from repro.search.genome import ScenarioGenome
 from repro.search.scoring import score_genome
@@ -357,10 +358,47 @@ class TestReaderEntriesSurviveACrash:
         assert outcome.signal["quiescence_leaked_writers"] == 0
 
 
+class _Slow(Message):
+    __slots__ = ()
+
+
+class TestProcessesDieWithTheirNode:
+    """A node's processes die at their next resumption after it crashes, in
+    every run: a handler spawned before a crash injected without a plan
+    (which arms fault mode only at the crash) dies like one a plan armed."""
+
+    @pytest.mark.parametrize("plan", [[], ["crash node=0 at=1s"]], ids=["planless", "plan-armed"])
+    def test_a_handler_spawned_before_the_crash_dies_at_its_next_resumption(self, plan):
+        cluster = SSSCluster(
+            _config(plan, n_nodes=2, replication_degree=1, clients_per_node=1, seed=5)
+        )
+        node = cluster.nodes[1]
+        progress = []
+
+        def slow(message):
+            try:
+                progress.append("started")
+                yield 500.0
+                progress.append("finished")
+            finally:
+                progress.append("closed")
+
+        node.register_handler(_Slow, slow)
+        cluster.nodes[0].send(1, _Slow())
+        cluster.run(until=200.0)
+        assert progress == ["started"]
+        assert node._fault_mode is bool(plan)
+        node.crash()
+        cluster.run(until=300.0)
+        assert progress == ["started"]  # suspended until its next resumption
+        cluster.run(until=2_000.0)
+        assert progress == ["started", "closed"]
+
+
 class TestReliableDecideAndRemove:
     @pytest.mark.parametrize("name", ["sss-drop-partition-decide", "sss-restart-remove-drop"])
     def test_a_dropped_decide_or_remove_strands_nobody(self, name):
-        """SSS's ``Decide`` and ``Remove`` go through ``send_reliable``.
+        """SSS's ``Decide`` and ``Remove`` go through the reliable channel.
 
         Sent once, a drop-mode partition ate them: a live participant's
         Decide (8 / 8 / 7 stalled clients at seeds 7 / 11 / 3 of the first
@@ -379,7 +417,7 @@ class TestReliableDecideAndRemove:
     def test_a_dropped_rococo_piece_abort_strands_nobody(self):
         """ROCOCO's restart withdraws the pieces of the transactions its
         crash tore down before they had an order (``PieceAbort``) through
-        ``send_reliable``: the restart-Remove recipe run on ROCOCO, whose
+        the reliable channel: the restart-Remove recipe run on ROCOCO, whose
         drop partition ate the withdrawal sent once, left the unordered
         piece blocking its key (1 stalled client)."""
         path = Path(__file__).resolve().parents[2] / "benchmarks/search_corpus"
@@ -548,7 +586,7 @@ class TestRemoveFollowsTheChain:
         reader_id = replica.store.squeue(key).readers()[0].txn_id
         coordinator.crash()  # the reply is in flight: the read-set stays empty
         sent = []
-        coordinator.send_reliable = lambda node, message: sent.append((node, message))
+        coordinator.channel.send = lambda node, message: sent.append((node, message))
         coordinator.restart()
         removes = [(node, m.keys) for node, m in sent if m.txn_id == reader_id]
         assert removes == [(2, (key,))]
@@ -810,13 +848,13 @@ class TestRococoReplayOrdering:
 
 
 class TestWalterPropagationDurability:
-    """Walter's propagation through the runtime's reliable streams: no batch
+    """Walter's propagation through the reliable channel's streams: no batch
     is ever lost.
 
     The historical gap: ``_async_propagate`` was fire-and-forget, so a
     crash (sender or receiver) or a partition could permanently lose a
     propagation batch and the replicas of a key silently diverged.  Each
-    batch now goes out through ``send_reliable``: force-written to the
+    batch now goes out through ``ReliableChannel.send``: force-written to the
     sender's stream, handled in stream order (gaps held) and acked
     cumulatively by the receiver, and re-sent on restart, on the peer's
     Rejoin and on the fallback timer until acked.
@@ -834,7 +872,7 @@ class TestWalterPropagationDurability:
         assert result.node_counters.get("stream_resends", 0) > 0
         # ...and at quiescence every durable stream has been fully acked.
         for node in result.cluster.nodes:
-            assert not node.streams.peers(), (
+            assert not node.channel.peers(), (
                 f"node {node.node_id} still holds unacked stream records"
             )
 
@@ -849,11 +887,11 @@ class TestWalterPropagationDurability:
         # After the heal the watermarks catch up: nothing left unacked and
         # every receiver's handled watermark matches what was sent to it.
         for node in result.cluster.nodes:
-            assert not node.streams.peers()
+            assert not node.channel.peers()
         for sender in result.cluster.nodes:
-            for destination, high in sender.streams.sent.items():
+            for destination, high in sender.channel.sent.items():
                 receiver = result.cluster.nodes[destination]
-                handled = receiver.streams.handled.get(sender.node_id, 0)
+                handled = receiver.channel.handled.get(sender.node_id, 0)
                 assert handled == high, (
                     f"receiver {destination} handled watermark {handled} != "
                     f"stream high {high} from sender {sender.node_id}"

@@ -39,6 +39,8 @@ participants, which is one runtime-level guard
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.baselines.twopc import Decide2PC, Prepare2PC, TwoPCCluster
@@ -50,7 +52,8 @@ from repro.core.messages import Decide, Prepare
 from repro.core.node import SSSNode
 from repro.harness.runner import run_experiment
 from repro.network.node import NetworkedNode
-from repro.protocols.runtime import Envelope, ProtocolRuntime, ReliableStreams, StreamAck
+from repro.protocols.runtime import ProtocolRuntime
+from repro.protocols.stream import Envelope, ReliableChannel, StreamAck
 from repro.storage.locks import LockMode
 from repro.trace import TraceSpec
 
@@ -320,11 +323,29 @@ def _scenario(protocol, plan, seed, **kwargs):
     )
 
 
+@functools.cache
+def _shared_scenario(protocol, plan, seed, **kwargs):
+    """:func:`_scenario` for the plain runs several tests repeat with the same
+    arguments and only read; never for a run under ``monkeypatch``."""
+    return _scenario(protocol, plan, seed, **kwargs)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_shared_scenarios():
+    yield
+    _shared_scenario.cache_clear()
+
+
 class TestOnOneAndTwoShards:
     @pytest.mark.parametrize("plan", sorted(PLANS))
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_redriven_rounds_equal_digests_and_contract(self, protocol, plan):
-        results = {name: _scenario(protocol, plan, 7, **kw) for name, kw in SHARD_ENGINES.items()}
+        # TestRejoin reads the serial back-inside-envelope run too.
+        run_serial = _shared_scenario if plan == "back-inside-envelope" else _scenario
+        results = {
+            name: (run_serial if name == "serial" else _scenario)(protocol, plan, 7, **kw)
+            for name, kw in SHARD_ENGINES.items()
+        }
         assert len({run_digest(result) for result in results.values()}) == 1
         serial = results["serial"]
         counters = serial.node_counters
@@ -351,7 +372,7 @@ class TestOnOneAndTwoShards:
         # Without the reliable stream a Decide sent into the down window is
         # lost for good (as when a crash arms fault mode after it was sent):
         # the in-doubt query is the participant's only way to learn it.
-        monkeypatch.setattr(SSSNode, "send_reliable", SSSNode.send)
+        monkeypatch.setattr(ReliableChannel, "send", lambda channel, d, m: channel._send(d, m))
         result = _scenario("sss", "prepare-outlives-crash", seed)
         assert result.node_counters.get("in_doubt_resolved", 0) > 0
         assert result.metrics.extra["stalled_clients"] == 0
@@ -363,15 +384,15 @@ class TestOnOneAndTwoShards:
         self, seed, monkeypatch
     ):
         resent = []
-        due = ReliableStreams.due
+        due = ReliableChannel.due
 
-        def recording_due(streams, peer, cutoff, now):
-            records = due(streams, peer, cutoff, now)
+        def recording_due(channel, peer, cutoff, now):
+            records = due(channel, peer, cutoff, now)
             if peer == PARTICIPANT:
                 resent.extend(type(message) for _seq, message in records)
             return records
 
-        monkeypatch.setattr(ReliableStreams, "due", recording_due)
+        monkeypatch.setattr(ReliableChannel, "due", recording_due)
         result = _scenario("sss", "prepare-outlives-crash", seed)
         assert Decide in resent, "no Decide was re-sent to the restarted participant"
         assert result.metrics.extra["stalled_clients"] == 0
@@ -514,7 +535,7 @@ class TestRejoin:
 
     @pytest.mark.parametrize("protocol", ["sss", "2pc", "walter", "rococo"])
     def test_rejoin_registry_is_empty_at_drain(self, protocol):
-        result = _scenario(protocol, "back-inside-envelope", 7)
+        result = _shared_scenario(protocol, "back-inside-envelope", 7)
         assert result.cluster.network.stats.delivered["Rejoin"] == 2
         for node in result.cluster.nodes:
             assert not any(node._rejoin_waits.values()), f"node {node.node_id} kept a wait"

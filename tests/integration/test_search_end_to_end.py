@@ -32,9 +32,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.walter import WalterNode
 from repro.core.session import PLANTED_REGRESSION_ENV
 from repro.harness.runner import run_experiment
+from repro.protocols.stream import ReliableChannel
 from repro.search.corpus import Corpus
 from repro.search.driver import SearchSettings, run_search
 from repro.search.genome import ScenarioGenome
@@ -215,7 +215,7 @@ class TestCrashForeverExemption:
         genome = _walter_genome("crash node=1 at=3750 for=2250")
         assert score_genome(genome).failures == ()
         # Lose what propagation sent into the down window for good.
-        monkeypatch.setattr(WalterNode, "_resend", lambda self, peers, cutoff: None)
+        monkeypatch.setattr(ReliableChannel, "_resend", lambda self, peers, cutoff: None)
         outcome = score_genome(genome)
         assert "consistency" in outcome.failures
         assert all(
