@@ -34,7 +34,15 @@ The eight runs are 3-node micro-configurations, so the ``"counts"`` block
 also holds three SSS runs at the shapes of the performance ledger's
 workloads (:data:`LEDGER_SHAPES`): a cost that only shows at clock width,
 with long zipfian readers or in fault mode under a crash is pinned by name
-too, and ROCOCO's recovery under the same crash.
+too, and ROCOCO's recovery under the same crash.  ``sss/openloop-crash-3n``
+is the ledger's crash workload as it really runs: open-loop arrivals and a
+warm-up window.
+
+``"metrics"`` pins what the harness *reports* of every one of those runs: a
+sha256 of the exact :class:`~repro.harness.metrics.ExperimentMetrics` dump
+(``as_dict()`` without the host-timed ``wall_seconds``, the five latency
+summaries, the phase table and the time series).  The open-loop run covers
+time windows, per-phase offered load and the warm-up rule.
 
 ``"tie_order"`` pins what orders messages that reach one node in the same
 instant.  With the default jitter no two arrivals ever coincide, so the
@@ -51,6 +59,7 @@ Regenerate (deliberately!) with::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -60,7 +69,13 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.common.config import ClusterConfig, FaultPlan, NetworkConfig, WorkloadConfig
+from repro.common.config import (
+    ClusterConfig,
+    FaultPlan,
+    NetworkConfig,
+    TrafficPlan,
+    WorkloadConfig,
+)
 from repro.harness.runner import run_experiment
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "history_hashes.json"
@@ -77,9 +92,9 @@ GOLDEN_POINTS = [
     ("rococo", 13, 1),
 ]
 
-#: ``protocol/shape`` -> (config, workload, duration_us): SSS at the shapes
-#: of the ledger's workloads, each well under a second of host time, and
-#: ROCOCO at the crash shape, which pins the cost of its recovery.
+#: ``protocol/shape`` -> (config, workload, duration_us[, warmup_us]): SSS at
+#: the shapes of the ledger's workloads, each well under a second of host
+#: time, and ROCOCO at the crash shape, which pins the cost of its recovery.
 LEDGER_SHAPES = {
     "sss/wide-32n": (
         ClusterConfig(n_nodes=32, n_keys=704, replication_degree=2, clients_per_node=1, seed=7),
@@ -110,6 +125,20 @@ LEDGER_SHAPES = {
     ),
 }
 LEDGER_SHAPES["rococo/crash-3n"] = LEDGER_SHAPES["sss/crash-3n"]
+LEDGER_SHAPES["sss/openloop-crash-3n"] = (
+    ClusterConfig(
+        n_nodes=3,
+        n_keys=24,
+        replication_degree=2,
+        clients_per_node=1,
+        seed=13,
+        faults=FaultPlan.parse(["crash node=1 at=4500 for=3000"]),
+        traffic=TrafficPlan.parse(["poisson rate=15000tps"]),
+    ),
+    WorkloadConfig(read_only_fraction=0.2, read_only_txn_keys=2),
+    15_000,
+    1_500,
+)
 
 #: Every cross-node message takes exactly 20 us and occupies its link for no
 #: time, so fan-outs and their replies reach a node in the same instant.
@@ -145,14 +174,34 @@ def history_fingerprint(history) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _run(protocol: str, config, workload, duration_us, **engine) -> Tuple[str, Dict[str, int]]:
-    """One recorded experiment: its history fingerprint and its cost counts."""
+#: The latency summaries of :class:`~repro.harness.metrics.ExperimentMetrics`.
+LATENCY_SUMMARIES = (
+    "latency",
+    "update_latency",
+    "read_only_latency",
+    "internal_latency",
+    "precommit_wait",
+)
+
+
+def metrics_fingerprint(metrics) -> str:
+    """sha256 of everything a run reports except its host time."""
+    flat = {key: value for key, value in metrics.as_dict().items() if key != "wall_seconds"}
+    summaries = [dataclasses.asdict(getattr(metrics, name)) for name in LATENCY_SUMMARIES]
+    dump = json.dumps([flat, summaries, metrics.phases, metrics.timeseries])
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+def _run(
+    protocol: str, config, workload, duration_us, warmup_us=0, **engine
+) -> Tuple[str, Dict[str, int], str]:
+    """One recorded experiment: its history fingerprint, cost counts and metrics digest."""
     result = run_experiment(
         protocol,
         config,
         workload,
         duration_us=duration_us,
-        warmup_us=0,
+        warmup_us=warmup_us,
         record_history=True,
         keep_cluster=True,
         **engine,
@@ -165,13 +214,13 @@ def _run(protocol: str, config, workload, duration_us, **engine) -> Tuple[str, D
         "bytes_sent": stats.bytes_sent,
         "messages_handled": int(result.node_counters["messages_handled"]),
     }
-    return history_fingerprint(result.cluster.history), counts
+    return history_fingerprint(result.cluster.history), counts, metrics_fingerprint(result.metrics)
 
 
 @functools.cache
 def run_golden_point(
     protocol: str, seed: int, replication_degree: int
-) -> Tuple[str, Dict[str, int]]:
+) -> Tuple[str, Dict[str, int], str]:
     """One fail-free experiment at a fixed micro-configuration, run once."""
     config = ClusterConfig(
         n_nodes=3,
@@ -184,14 +233,14 @@ def run_golden_point(
 
 
 @functools.cache
-def run_ledger_shape(name: str) -> Tuple[str, Dict[str, int]]:
+def run_ledger_shape(name: str) -> Tuple[str, Dict[str, int], str]:
     return _run(name.split("/")[0], *LEDGER_SHAPES[name])
 
 
 @functools.cache
 def run_tie_order_point(
     protocol: str, replication_degree: int, engine: str
-) -> Tuple[str, Dict[str, int]]:
+) -> Tuple[str, Dict[str, int], str]:
     """A zero-jitter run: 4 nodes so that two shards own two nodes each."""
     config = ClusterConfig(
         n_nodes=4,
@@ -225,7 +274,7 @@ def test_fail_free_history_matches_pre_refactor_golden(protocol, seed, replicati
     assert key in golden["fingerprints"], (
         f"no golden fingerprint for {key}; regenerate with --write"
     )
-    fingerprint, _ = run_golden_point(protocol, seed, replication_degree)
+    fingerprint, _, _ = run_golden_point(protocol, seed, replication_degree)
     assert fingerprint == golden["fingerprints"][key], (
         f"fail-free history for {key} diverged from the pre-refactor golden "
         "capture — the runtime port must preserve byte-identical histories"
@@ -252,21 +301,41 @@ def _assert_counts(key: str, counts: Dict[str, int]) -> None:
     ids=[_point_key(*point) for point in GOLDEN_POINTS],
 )
 def test_fail_free_cost_counts_match_golden(protocol, seed, replication_degree):
-    _, counts = run_golden_point(protocol, seed, replication_degree)
+    _, counts, _ = run_golden_point(protocol, seed, replication_degree)
     _assert_counts(_point_key(protocol, seed, replication_degree), counts)
 
 
 @pytest.mark.parametrize("name", LEDGER_SHAPES)
 def test_ledger_shape_cost_counts_match_golden(name):
-    _, counts = run_ledger_shape(name)
+    _, counts, _ = run_ledger_shape(name)
     _assert_counts(name, counts)
+
+
+def _metrics_runs():
+    """``name -> the run's metrics digest`` over every golden point and ledger shape."""
+    runs = {
+        _point_key(*point): functools.partial(run_golden_point, *point)
+        for point in GOLDEN_POINTS
+    }
+    runs.update({name: functools.partial(run_ledger_shape, name) for name in LEDGER_SHAPES})
+    return runs
+
+
+@pytest.mark.parametrize("name", list(_metrics_runs()))
+def test_exact_metrics_match_golden(name):
+    golden = load_golden()["metrics"]
+    assert name in golden, f"no golden metrics digest for {name}; regenerate with --write"
+    assert _metrics_runs()[name]()[2] == golden[name], (
+        f"the exact metrics of {name} moved: the aggregation of a run's outcomes must not "
+        "change what it reports"
+    )
 
 
 @pytest.mark.parametrize("engine", TIE_ORDER_ENGINES)
 @pytest.mark.parametrize("protocol,replication_degree", TIE_ORDER_POINTS)
 def test_simultaneous_arrivals_keep_their_order(protocol, replication_degree, engine):
     golden = load_golden()["tie_order"]
-    fingerprint, counts = run_tie_order_point(protocol, replication_degree, engine)
+    fingerprint, counts, _ = run_tie_order_point(protocol, replication_degree, engine)
     assert fingerprint == golden["fingerprints"][protocol], (
         f"the zero-jitter {protocol} history on {engine} diverged: arrivals at one node in "
         "one instant must be served by (sender, per-sender sequence), before the node's "
@@ -276,17 +345,19 @@ def test_simultaneous_arrivals_keep_their_order(protocol, replication_degree, en
 
 
 def write_golden() -> None:
-    fingerprints, counts = {}, {}
+    fingerprints, counts, metrics = {}, {}, {}
     for protocol, seed, replication_degree in GOLDEN_POINTS:
         key = _point_key(protocol, seed, replication_degree)
-        fingerprints[key], counts[key] = run_golden_point(protocol, seed, replication_degree)
+        fingerprints[key], counts[key], metrics[key] = run_golden_point(
+            protocol, seed, replication_degree
+        )
         print(f"{key}: {fingerprints[key]} {counts[key]}")
     for name in LEDGER_SHAPES:
-        _, counts[name] = run_ledger_shape(name)
+        _, counts[name], metrics[name] = run_ledger_shape(name)
         print(f"{name}: {counts[name]}")
     tie_order = {"fingerprints": {}, "sim_events": {}}
     for protocol, replication_degree in TIE_ORDER_POINTS:
-        fingerprint, tie_counts = run_tie_order_point(protocol, replication_degree, "serial")
+        fingerprint, tie_counts, _ = run_tie_order_point(protocol, replication_degree, "serial")
         tie_order["fingerprints"][protocol] = fingerprint
         tie_order["sim_events"][protocol] = tie_counts["sim_events"]
         print(f"tie order {protocol}: {fingerprint} {tie_counts}")
@@ -307,6 +378,7 @@ def write_golden() -> None:
         "fingerprints": fingerprints,
         "counts": counts,
         "tie_order": tie_order,
+        "metrics": metrics,
     }
     with GOLDEN_PATH.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
