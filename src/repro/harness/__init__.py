@@ -8,10 +8,11 @@ rates, latency percentiles and the internal/external commit breakdown.
   names.
 * :mod:`repro.harness.runner` — run one experiment (closed-loop clients,
   warm-up, measurement window) and the saturation search used by Figure 4(a).
-* :mod:`repro.harness.metrics` — aggregation of client statistics.
-* :mod:`repro.harness.sketch` — deterministic mergeable quantile sketches.
-* :mod:`repro.harness.streaming` — online aggregation for open-loop runs
-  (bounded memory at heavy traffic).
+* :mod:`repro.harness.metrics` — what a run reports (``ExperimentMetrics``).
+* :mod:`repro.harness.streaming` — the one aggregator of every run, over
+  exact or sketched sample stores.
+* :mod:`repro.harness.sketch` — deterministic mergeable quantile sketches,
+  the sample store of ``streaming_metrics=True`` runs.
 * :mod:`repro.harness.reporting` — plain-text tables mirroring the paper's
   figures, used by the benchmarks and EXPERIMENTS.md.
 * :mod:`repro.harness.scenario` — one-shot scenario probe returning the

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.harness.cluster import PROTOCOLS, build_cluster
-from repro.harness.metrics import ExperimentMetrics, compute_timeseries
+from repro.harness.metrics import ExperimentMetrics
+from repro.harness.streaming import StreamingAccumulator
 from repro.network.transport import NetworkStats
 from repro.protocols.cluster import MergedClusterView
 from repro.sim.shard import safe_lookahead, shard_node_ids
@@ -47,7 +47,6 @@ from repro.workload.ycsb import ClientStats, closed_loop_client
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consistency.history import HistoryRecorder
-    from repro.harness.streaming import StreamingAccumulator
     from repro.workload.openloop import OpenLoopStats
 
 
@@ -99,6 +98,11 @@ class ExperimentSpec:
     def horizon_us(self) -> float:
         return self.duration_us + self.drain_us
 
+    @property
+    def window_us(self) -> float:
+        """Time-series bin width: open-loop runs only (0 for closed loop)."""
+        return self.config.traffic.window_us if self.config.traffic else 0.0
+
 
 @dataclass
 class ShardReport:
@@ -139,16 +143,10 @@ class Shard:
         self.tracer = cluster.attach_tracer(spec.trace)
         self.sink: Optional[StreamingAccumulator] = None
         if spec.streaming_metrics:
-            from repro.harness.streaming import StreamingAccumulator
+            from repro.harness.sketch import QuantileSketch
 
-            # Open loop keeps its windowed time series; closed loop streams
-            # the run-wide sketches and online phase counters only
-            # (window_us=0), matching the exact closed-loop path, which
-            # never produced a time series.
             self.sink = StreamingAccumulator(
-                window_us=config.traffic.window_us if config.traffic else 0.0,
-                horizon_us=spec.duration_us,
-                phase_windows=spec.phase_windows,
+                spec.window_us, spec.duration_us, spec.phase_windows, store=QuantileSketch
             )
         self.clients: List[ClientStats] = []
         self.sessions = []
@@ -205,7 +203,7 @@ class Shard:
         cluster = self.cluster
         # The accumulator is reported once per shard, not through every
         # client that fed it.
-        for stats in self.clients:
+        for stats in self.clients + [source.stats.client for source in self.sources]:
             stats.sink = None
         sessions = self.sessions + [s for source in self.sources for s in source.sessions]
         # Fault-plane accounting: clients whose in-flight transaction never
@@ -290,14 +288,15 @@ def run_experiment(
         Defaults to 0 for fail-free runs (byte-identical to the historical
         behaviour) and to 25 ms when the config carries a fault plan.
     streaming_metrics:
-        Aggregate measurements online through a
-        :class:`~repro.harness.streaming.StreamingAccumulator` instead of
-        retaining per-transaction records: memory stays O(windows + sketch
-        buckets) regardless of transaction count, at the cost of
-        sketch-accurate (±1%) latency percentiles.  Open-loop runs keep
-        their windowed time series; closed-loop runs stream the run-wide
-        sketches and phase counters (no time series, matching the exact
-        path).
+        Where the run's latency samples live.  Every run is aggregated by
+        one :class:`~repro.harness.streaming.StreamingAccumulator`; by
+        default the clients keep per-transaction lists and
+        :meth:`ExperimentMetrics.from_clients` feeds them into exact
+        sample stores after the run.  ``True`` feeds the accumulator
+        online over quantile sketches instead: no per-transaction record,
+        memory O(windows + phases + sketch buckets), the same counts,
+        phases and time-series shape, and percentiles within the sketch's
+        ±1 %.
     engine:
         ``"serial"`` (default) runs one shard that owns every node: a
         single event loop.  ``"parallel"`` splits the cluster's nodes over
@@ -448,32 +447,12 @@ def _merge_reports(
 
     measured = max(duration_us - spec.warmup_us, 1.0)
     extra: Dict[str, float] = {}
-    timeseries: List[Dict[str, float]] = []
-    sorted_arrivals: List[float] = []
-    sorted_shed: List[float] = []
     sources = [stats for report in reports for stats in report.open_loop]
     if sources:
         from repro.workload.openloop import aggregate_open_loop
 
         open_loop_extra, all_stats = aggregate_open_loop(sources, measured)
         extra.update(open_loop_extra)
-        if sink is None:
-            sorted_arrivals = sorted(t for source in sources for t in source.arrival_times_us)
-            drop_times = [t for source in sources for t in source.drop_times_us]
-            timeout_times = [t for source in sources for t in source.timeout_times_us]
-            sorted_shed = sorted(drop_times + timeout_times)
-            timeseries = compute_timeseries(
-                window_us=config.traffic.window_us,
-                horizon_us=duration_us,
-                arrivals=sorted_arrivals,
-                completion_times=[t for source in sources for t in source.completion_times_us],
-                completion_latencies=[
-                    latency for source in sources for latency in source.completion_latencies_us
-                ],
-                drops=drop_times,
-                timeouts=timeout_times,
-                abort_times=[t for source in sources for t in source.client.abort_times_us],
-            )
     if "starvation_backoffs" in counters:
         extra["starvation_backoffs"] = counters["starvation_backoffs"]
     if drain_us > 0:
@@ -507,8 +486,6 @@ def _merge_reports(
         if spec.trace.path:
             write_chrome_trace(spec.trace.path, trace_result, paths)
     if sink is not None:
-        # Streaming path: sketches and online bins instead of raw samples
-        # (the per-phase offered/shed accounting was binned online too).
         metrics = ExperimentMetrics.from_streaming(
             protocol=protocol,
             n_nodes=config.n_nodes,
@@ -524,17 +501,10 @@ def _merge_reports(
             measured_duration_us=measured,
             extra=extra,
             phase_windows=spec.phase_windows,
-            timeseries=timeseries,
+            open_loop=sources,
+            window_us=spec.window_us,
+            horizon_us=duration_us,
         )
-        if sources and metrics.phases:
-            # Per-scenario-phase offered-load accounting: goodput per phase
-            # is only meaningful next to what was asked of the system then.
-            for phase in metrics.phases:
-                start, end = phase["start_us"], phase["end_us"]
-                offered = bisect_left(sorted_arrivals, end) - bisect_left(sorted_arrivals, start)
-                phase["offered"] = offered
-                phase["offered_tps"] = round(offered / max((end - start) / 1_000_000.0, 1e-9), 1)
-                phase["shed"] = bisect_left(sorted_shed, end) - bisect_left(sorted_shed, start)
     return ExperimentResult(
         protocol=protocol,
         config=config,
@@ -686,28 +656,6 @@ def run_points(
 
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(_run_point_worker, points))
-
-
-def run_trials(
-    protocol: str,
-    config: ClusterConfig,
-    workload: WorkloadConfig,
-    trials: int = 1,
-    **kwargs,
-) -> List[ExperimentResult]:
-    """Run ``trials`` independent repetitions with derived seeds."""
-    results = []
-    for trial in range(trials):
-        trial_config = replace(config, seed=config.seed + 1_000 * trial)
-        results.append(run_experiment(protocol, trial_config, workload, **kwargs))
-    return results
-
-
-def average_throughput_ktps(results: Sequence[ExperimentResult]) -> float:
-    """Mean throughput over a list of trial results."""
-    if not results:
-        return 0.0
-    return sum(result.throughput_ktps for result in results) / len(results)
 
 
 def find_saturation_throughput(

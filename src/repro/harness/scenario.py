@@ -351,11 +351,3 @@ def run_scenario(
         trace=result.trace,
     )
 
-
-def stall_gap_threshold_us(duration_us: float, mean_gap_us: float) -> float:
-    """The stall decision rule, exposed for tests and docs."""
-    return max(
-        STALL_GAP_FLOOR_US,
-        STALL_GAP_RUN_FRACTION * duration_us,
-        STALL_GAP_MEAN_MULTIPLE * mean_gap_us,
-    )

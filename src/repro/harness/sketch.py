@@ -139,17 +139,6 @@ class QuantileSketch:
             "buckets": [[index, self.buckets[index]] for index in sorted(self.buckets)],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "QuantileSketch":
-        sketch = cls(relative_error=data["relative_error"])
-        sketch.count = data["count"]
-        sketch.total = data["total"]
-        if sketch.count:
-            sketch.min = data["min"]
-            sketch.max = data["max"]
-        sketch.buckets = {int(index): int(count) for index, count in data["buckets"]}
-        return sketch
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<QuantileSketch n={self.count} buckets={len(self.buckets)} "
@@ -157,17 +146,4 @@ class QuantileSketch:
         )
 
 
-def merge_sketches(
-    sketches: Iterable[QuantileSketch], relative_error: float = 0.01
-) -> QuantileSketch:
-    """Merge ``sketches`` into a fresh sketch (empty input gives an empty sketch)."""
-    sketches = list(sketches)
-    merged = QuantileSketch(
-        relative_error=sketches[0].relative_error if sketches else relative_error
-    )
-    for sketch in sketches:
-        merged.merge(sketch)
-    return merged
-
-
-__all__: List[str] = ["QuantileSketch", "merge_sketches"]
+__all__: List[str] = ["QuantileSketch"]

@@ -98,6 +98,7 @@ class OpenLoopSource:
         growing the raw ``*_times_us`` lists (O(1) memory per event).  The
         scalar counters are maintained either way."""
         self.stats = OpenLoopStats(node_id=node_id)
+        self.stats.client.sink = sink
         self.sessions: List = []
         """Every session this source ever opened (for stall accounting)."""
         self._free: List = []
@@ -188,58 +189,30 @@ class OpenLoopSource:
         self._release(session)
 
     def _record(self, spec, arrival_us: float, committed: bool, meta) -> None:
+        """Record an outcome; its latency is arrival-to-answer, queue wait included."""
         now = self.sim.now
-        stats = self.stats
-        client = stats.client
-        sink = self.sink
+        client = self.stats.client
         if not committed:
             if now >= self.warmup_us:
-                client.aborted += 1
-                abort_time = (
-                    meta.abort_time
-                    if meta is not None and meta.abort_time is not None
-                    else now
-                )
-                if sink is None:
-                    client.abort_times_us.append(abort_time)
-                else:
-                    sink.on_abort(abort_time)
+                abort_time = meta.abort_time if meta is not None else None
+                client.record_abort(abort_time if abort_time is not None else now)
             return
         latency = now - arrival_us
-        if sink is None:
-            stats.completion_times_us.append(now)
-            stats.completion_latencies_us.append(latency)
+        if self.sink is None:
+            self.stats.completion_times_us.append(now)
+            self.stats.completion_latencies_us.append(latency)
         else:
-            sink.on_completion(now, latency)
+            self.sink.on_completion(now, latency)
         if now < self.warmup_us:
             return
-        client.committed += 1
-        commit_time = now
-        if meta is not None and meta.external_commit_time is not None:
-            commit_time = meta.external_commit_time
+        commit_time = meta.external_commit_time if meta is not None else None
         internal = wait = None
         if not spec.read_only and meta is not None:
             internal = meta.internal_latency()
             wait = meta.precommit_wait()
-        if sink is not None:
-            if spec.read_only:
-                client.committed_read_only += 1
-            else:
-                client.committed_update += 1
-            sink.on_commit(latency, commit_time, spec.read_only, internal, wait)
-            return
-        client.latencies_us.append(latency)
-        client.commit_times_us.append(commit_time)
-        if spec.read_only:
-            client.committed_read_only += 1
-            client.read_only_latencies_us.append(latency)
-        else:
-            client.committed_update += 1
-            client.update_latencies_us.append(latency)
-            if internal is not None:
-                client.internal_latencies_us.append(internal)
-            if wait is not None:
-                client.precommit_waits_us.append(wait)
+        client.record_commit(
+            latency, commit_time if commit_time is not None else now, spec.read_only, internal, wait
+        )
 
     def _release(self, session) -> None:
         """Return a slot: serve the admission queue or park the session."""

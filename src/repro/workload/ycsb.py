@@ -43,67 +43,59 @@ class ClientStats:
     commit_times_us: List[float] = field(default_factory=list)
     abort_times_us: List[float] = field(default_factory=list)
     #: Optional :class:`~repro.harness.streaming.StreamingAccumulator`.
-    #: When set, per-outcome samples stream into it instead of the lists
-    #: above (O(1) memory per client); the scalar counters are kept either
-    #: way.  Missing timestamps stream as ``-1.0``, which falls outside
-    #: every time bin — mirroring the exact path, which skipped them.
+    #: When set, outcomes stream into it instead of the lists above (O(1)
+    #: memory per client); the scalar counters are kept either way.
     sink: Optional[object] = None
 
     def record(self, meta: TransactionMeta, committed: bool) -> None:
-        sink = self.sink
-        if sink is not None:
-            self._record_streaming(sink, meta, committed)
-            return
+        """Record a closed-loop transaction's outcome from its metadata."""
         if not committed:
-            self.aborted += 1
-            if meta.abort_time is not None:
-                self.abort_times_us.append(meta.abort_time)
+            self.record_abort(meta.abort_time)
             return
+        internal = wait = None
+        if meta.is_update:
+            internal = meta.internal_latency()
+            wait = meta.precommit_wait()
+        self.record_commit(
+            meta.latency(), meta.external_commit_time, not meta.is_update, internal, wait
+        )
+
+    def record_commit(
+        self,
+        latency: Optional[float],
+        commit_time: Optional[float],
+        read_only: bool,
+        internal: Optional[float] = None,
+        wait: Optional[float] = None,
+    ) -> None:
+        """Count a measured commit and keep its samples (a missing one is skipped)."""
         self.committed += 1
-        if meta.external_commit_time is not None:
-            self.commit_times_us.append(meta.external_commit_time)
-        latency = meta.latency()
+        if read_only:
+            self.committed_read_only += 1
+        else:
+            self.committed_update += 1
+        if self.sink is not None:
+            self.sink.on_commit(latency, commit_time, read_only, internal, wait)
+            return
+        if commit_time is not None:
+            self.commit_times_us.append(commit_time)
         if latency is not None:
             self.latencies_us.append(latency)
-        if meta.is_update:
-            self.committed_update += 1
-            if latency is not None:
-                self.update_latencies_us.append(latency)
-            internal = meta.internal_latency()
-            if internal is not None:
-                self.internal_latencies_us.append(internal)
-            wait = meta.precommit_wait()
-            if wait is not None:
-                self.precommit_waits_us.append(wait)
-        else:
-            self.committed_read_only += 1
-            if latency is not None:
-                self.read_only_latencies_us.append(latency)
+            (self.read_only_latencies_us if read_only else self.update_latencies_us).append(
+                latency
+            )
+        if internal is not None:
+            self.internal_latencies_us.append(internal)
+        if wait is not None:
+            self.precommit_waits_us.append(wait)
 
-    def _record_streaming(self, sink, meta: TransactionMeta, committed: bool) -> None:
-        if not committed:
-            self.aborted += 1
-            sink.on_abort(meta.abort_time if meta.abort_time is not None else -1.0)
-            return
-        self.committed += 1
-        latency = meta.latency()
-        commit_time = meta.external_commit_time
-        if meta.is_update:
-            self.committed_update += 1
-            internal = meta.internal_latency()
-            wait = meta.precommit_wait()
-        else:
-            self.committed_read_only += 1
-            internal = wait = None
-        sink.on_commit(
-            latency if latency is not None else 0.0,
-            commit_time if commit_time is not None else -1.0,
-            not meta.is_update,
-            internal,
-            wait,
-        )
-        if commit_time is not None and latency is not None:
-            sink.on_completion(commit_time, latency)
+    def record_abort(self, abort_time: Optional[float]) -> None:
+        """Count a measured abort and keep its time, if it has one."""
+        self.aborted += 1
+        if self.sink is not None:
+            self.sink.on_abort(abort_time)
+        elif abort_time is not None:
+            self.abort_times_us.append(abort_time)
 
 
 def execute_spec(session: Session, spec: TransactionSpec):

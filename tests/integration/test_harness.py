@@ -11,12 +11,7 @@ from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.core.cluster import SSSCluster
 from repro.harness.cluster import PROTOCOLS, build_cluster
-from repro.harness.runner import (
-    average_throughput_ktps,
-    find_saturation_throughput,
-    run_experiment,
-    run_trials,
-)
+from repro.harness.runner import find_saturation_throughput, run_experiment
 
 
 def small_config(**overrides):
@@ -48,20 +43,6 @@ class TestRunner:
         with_warmup = run_experiment("sss", config, workload, duration_us=30_000, warmup_us=15_000)
         without_warmup = run_experiment("sss", config, workload, duration_us=30_000, warmup_us=0)
         assert with_warmup.metrics.committed < without_warmup.metrics.committed
-
-    def test_run_trials_uses_distinct_seeds(self):
-        config = small_config()
-        results = run_trials(
-            "sss",
-            config,
-            WorkloadConfig(read_only_fraction=0.5),
-            trials=2,
-            duration_us=15_000,
-            warmup_us=0,
-        )
-        assert len(results) == 2
-        assert results[0].config.seed != results[1].config.seed
-        assert average_throughput_ktps(results) > 0
 
     def test_find_saturation_picks_best_client_count(self):
         config = small_config()
