@@ -41,10 +41,11 @@ Environment knobs:
 * ``REPRO_BENCH_SCALE_KEYS`` — key-space size (default 1_000_000);
 * ``REPRO_BENCH_SCALE_RATE_TPS`` — offered Poisson load (default 120_000);
 * ``REPRO_BENCH_SCALE_DURATION_US`` — the short run length ``D``; the
-  second run is ``2*D`` (default 1_000_000, i.e. one simulated second);
-* ``REPRO_BENCH_SCALE_EPOCH_US`` / ``REPRO_BENCH_SCALE_RETENTION_US`` —
-  windowed-checker epoch and retention (defaults 5_000 / 15_000, small
-  enough that epochs close and prune even in short CI runs).
+  second run is ``2*D`` (default 1_000_000, i.e. one simulated second).
+
+The windowed checker runs with a 5 ms epoch and 15 ms retention
+(``EPOCH_US`` / ``RETENTION_US``), small enough that epochs close and prune
+even in short CI runs.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from repro.harness.runner import run_experiment
 N_KEYS = int(os.environ.get("REPRO_BENCH_SCALE_KEYS", 1_000_000))
 RATE_TPS = int(os.environ.get("REPRO_BENCH_SCALE_RATE_TPS", 120_000))
 DURATION_US = float(os.environ.get("REPRO_BENCH_SCALE_DURATION_US", 1_000_000))
-EPOCH_US = float(os.environ.get("REPRO_BENCH_SCALE_EPOCH_US", 5_000))
-RETENTION_US = float(os.environ.get("REPRO_BENCH_SCALE_RETENTION_US", 15_000))
+EPOCH_US = 5_000.0
+RETENTION_US = 15_000.0
 
 N_NODES = 3
 SEED = 2024

@@ -27,9 +27,7 @@ Usage::
 
 (``--figure X`` remains as an alias for ``--figures X``.)
 
-Environment overrides: ``REPRO_BENCH_OUT`` (current dir),
-``REPRO_BENCH_MEMORY_PCT`` (memory threshold),
-``REPRO_BENCH_AVAILABILITY_PCT`` (availability threshold).
+Environment override: ``REPRO_BENCH_OUT`` (current dir).
 
 Each baseline says how it was captured in its ``provenance`` field; refresh
 one deliberately with ``--write-baseline`` when what it pins is meant to
@@ -185,12 +183,12 @@ def main() -> int:
     parser.add_argument(
         "--memory-threshold-pct",
         type=float,
-        default=float(os.environ.get("REPRO_BENCH_MEMORY_PCT", 50.0)),
+        default=50.0,
     )
     parser.add_argument(
         "--availability-threshold-pct",
         type=float,
-        default=float(os.environ.get("REPRO_BENCH_AVAILABILITY_PCT", 40.0)),
+        default=40.0,
     )
     parser.add_argument(
         "--write-baseline",
