@@ -14,11 +14,11 @@ leaks arrive through ``extra`` from the runner.
 
 Every one of those numbers comes out of one aggregator,
 :class:`~repro.harness.streaming.StreamingAccumulator`.  The two
-constructors differ only in its sample store: :meth:`ExperimentMetrics.
-from_clients` feeds an exact run's recorded lists into exact
-:class:`~repro.harness.streaming.SortedSamples`; :meth:`ExperimentMetrics.
-from_streaming` reads an accumulator a ``streaming_metrics=True`` run fed
-online over quantile sketches.
+constructors differ only in its sample store:
+:meth:`ExperimentMetrics.from_clients` feeds an exact run's recorded lists
+into exact :class:`~repro.harness.streaming.SortedSamples`;
+:meth:`ExperimentMetrics.from_streaming` reads an accumulator a
+``streaming_metrics=True`` run fed online over quantile sketches.
 """
 
 from __future__ import annotations

@@ -239,8 +239,7 @@ class StreamingAccumulator:
         finalisation only.
         """
         if (
-            len(other._window_latency) != len(self._window_latency)
-            or other._phase_windows != self._phase_windows
+            other._phase_windows != self._phase_windows
             or other.window_us != self.window_us
             or other.horizon_us != self.horizon_us
         ):
