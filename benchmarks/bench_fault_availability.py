@@ -21,6 +21,9 @@ Intensities:
   single node vs. splitting the cluster in half, mid-run (the two coincide
   in shape at 3 nodes; the contrast appears from 4 nodes up).
 
+The schedule is :func:`benchmarks.common.fault_specs`, which the seed
+sweep (``benchmarks/seed_sweep.py``) runs too.
+
 What to expect (and what the assertions pin, loosely, because this is a
 scaled-down simulator sweep): availability collapses during the fault
 windows and recovers after crash-recovery/heal — and **every** protocol
@@ -55,6 +58,7 @@ import pytest
 from benchmarks.common import (
     RECORDER,
     SETTINGS,
+    fault_specs,
     flush_bench_json,
     run_once,
     shape_checks_enabled,
@@ -80,54 +84,6 @@ def _traffic_plan() -> TrafficPlan:
     return TrafficPlan.parse([TRAFFIC_SPEC])
 
 
-def _fault_plan(intensity: str, duration_us: float, n_nodes: int) -> FaultPlan:
-    """The fault schedule for one intensity level, scaled to the duration."""
-    crash_at = 0.25 * duration_us
-    crash_for = 0.15 * duration_us
-    partition_at = 0.60 * duration_us
-    partition_for = 0.15 * duration_us
-    victim = 1 % n_nodes
-    if intensity == "none":
-        return FaultPlan()
-    if intensity == "crash":
-        return FaultPlan.parse([f"crash node={victim} at={crash_at} for={crash_for}"])
-    if intensity == "crash+partition":
-        rest = ",".join(str(node) for node in range(1, n_nodes))
-        return FaultPlan.parse(
-            [
-                f"crash node={victim} at={crash_at} for={crash_for}",
-                f"partition groups=0|{rest} at={partition_at} for={partition_for}",
-            ]
-        )
-    if intensity == "churn":
-        # Rolling restart: crash node i at staggered offsets, one node down
-        # at a time, windows covering the middle ~60 % of the run.
-        stagger = 0.6 * duration_us / n_nodes
-        down_for = 0.6 * stagger
-        return FaultPlan.parse(
-            [
-                f"crash node={node} at={0.2 * duration_us + node * stagger} "
-                f"for={down_for}"
-                for node in range(n_nodes)
-            ]
-        )
-    if intensity == "minority-part":
-        rest = ",".join(str(node) for node in range(1, n_nodes))
-        return FaultPlan.parse([f"partition groups=0|{rest} at={partition_at} for={partition_for}"])
-    if intensity == "split-part":
-        # Even split: half the cluster on each side.  At the default 3
-        # nodes a two-group partition is always 1-vs-rest so this coincides
-        # with minority-part in shape (only the cut membership differs);
-        # the contrast appears from 4 nodes up (REPRO_BENCH_NODES).
-        half = max(1, n_nodes // 2)
-        left = ",".join(str(node) for node in range(half))
-        right = ",".join(str(node) for node in range(half, n_nodes))
-        return FaultPlan.parse(
-            [f"partition groups={left}|{right} at={partition_at} for={partition_for}"]
-        )
-    raise ValueError(f"unknown intensity {intensity!r}")
-
-
 INTENSITIES = (
     "none",
     "crash",
@@ -150,7 +106,7 @@ def _sweep():
                 replication_degree=min(replication_degree, n_nodes),
                 clients_per_node=SETTINGS.clients_per_node,
                 seed=SETTINGS.seed,
-                faults=_fault_plan(intensity, DURATION_US, n_nodes),
+                faults=FaultPlan.parse(fault_specs(intensity, DURATION_US, n_nodes)),
                 traffic=_traffic_plan(),
             ),
             workload=workload,

@@ -85,6 +85,54 @@ def shape_checks_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
+# The fault schedule shared by the fault bench and the seed sweep
+# ----------------------------------------------------------------------
+def fault_specs(variant: str, duration_us: float, n_nodes: int) -> List[str]:
+    """Fault-spec strings of one fault variant, scaled to the run's length.
+
+    A crash stops node 1 a quarter into the run for 15 % of it; a
+    partition cuts node 0 off from the rest (``split-part``: one half of
+    the cluster from the other) at 60 % of the run for 15 % of it,
+    buffering what crosses it (``crash+drop`` loses it instead).
+    The fault bench runs ``none``, ``crash``, ``crash+partition``,
+    ``churn``, ``minority-part`` and ``split-part``; the seed sweep runs
+    ``none``, ``crash``, ``crash+partition`` and ``crash+drop``.
+    """
+    crash = f"crash node={1 % n_nodes} at={0.25 * duration_us} for={0.15 * duration_us}"
+    window = f"at={0.60 * duration_us} for={0.15 * duration_us}"
+    rest = ",".join(str(node) for node in range(1, n_nodes))
+    partition = f"partition groups=0|{rest} {window}"
+    if variant == "none":
+        return []
+    if variant == "crash":
+        return [crash]
+    if variant == "crash+partition":
+        return [crash, partition]
+    if variant == "crash+drop":
+        return [crash, partition + " mode=drop"]
+    if variant == "churn":
+        # Rolling restart: crash node i at staggered offsets, one node down
+        # at a time, windows covering the middle ~60 % of the run.
+        stagger = 0.6 * duration_us / n_nodes
+        return [
+            f"crash node={node} at={0.2 * duration_us + node * stagger} for={0.6 * stagger}"
+            for node in range(n_nodes)
+        ]
+    if variant == "minority-part":
+        return [partition]
+    if variant == "split-part":
+        # Even split: half the cluster on each side.  At 3 nodes a two-group
+        # partition is always 1-vs-rest, so this coincides with
+        # minority-part in shape (only the cut membership differs); the
+        # contrast appears from 4 nodes up (REPRO_BENCH_NODES).
+        half = max(1, n_nodes // 2)
+        left = ",".join(str(node) for node in range(half))
+        right = ",".join(str(node) for node in range(half, n_nodes))
+        return [f"partition groups={left}|{right} {window}"]
+    raise ValueError(f"unknown fault variant {variant!r}")
+
+
+# ----------------------------------------------------------------------
 # Machine-readable benchmark output (BENCH_<figure>.json)
 # ----------------------------------------------------------------------
 #: ``metrics.extra`` fields copied into a datapoint whenever the run set them.

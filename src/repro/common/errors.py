@@ -1,11 +1,11 @@
 """Exception hierarchy for the SSS reproduction.
 
 All exceptions raised by the library derive from :class:`ReproError` so that
-callers can catch library failures with a single ``except`` clause.  Aborts of
-transactions are modelled with :class:`AbortError` and its subclasses; they
-are part of normal protocol operation (an aborted transaction is a valid
-outcome, not a bug) and carry enough information for the harness to classify
-abort causes.
+callers can catch library failures with a single ``except`` clause.  An
+aborted transaction is not an exception: it is a valid outcome of normal
+protocol operation, recorded on the transaction's metadata
+(``TransactionMeta.abort_reason``), from which the harness classifies abort
+causes.
 """
 
 from __future__ import annotations
@@ -62,37 +62,3 @@ class SnapshotRestartError(ReproError):
         super().__init__(f"read-only transaction {txn_id} restarts with a fresh snapshot")
         self.txn_id = txn_id
 
-
-class AbortError(ReproError):
-    """A transaction aborted.
-
-    Attributes
-    ----------
-    txn_id:
-        Identifier of the aborted transaction (may be ``None`` when raised
-        before an identifier was assigned).
-    reason:
-        Short machine-readable cause, e.g. ``"validation"``, ``"lock-timeout"``
-        or ``"deadlock-avoidance"``.  The harness aggregates abort reasons.
-    """
-
-    def __init__(self, reason: str = "abort", txn_id: object | None = None):
-        super().__init__(f"transaction aborted: {reason}")
-        self.reason = reason
-        self.txn_id = txn_id
-
-
-class ValidationFailure(AbortError):
-    """Commit-time validation found an overwritten read key."""
-
-    def __init__(self, txn_id: object | None = None, key: object | None = None):
-        super().__init__(reason="validation", txn_id=txn_id)
-        self.key = key
-
-
-class LockTimeoutError(AbortError):
-    """Lock acquisition did not succeed within the configured timeout."""
-
-    def __init__(self, txn_id: object | None = None, key: object | None = None):
-        super().__init__(reason="lock-timeout", txn_id=txn_id)
-        self.key = key

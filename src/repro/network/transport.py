@@ -301,9 +301,13 @@ class Network:
     def send(self, sender: NodeId, destination: NodeId, message: Message) -> None:
         """Send ``message`` from ``sender`` to ``destination``.
 
-        Local sends (``sender == destination``) skip the propagation latency
-        but still pay the dispatcher's handling cost, mirroring a loopback
-        fast path.
+        Every send, a local one (``sender == destination``) included, takes a
+        ``1/bandwidth_msgs_per_us`` slot on the sender's outgoing link and
+        queues FIFO behind that link's busy-until horizon, remote sends and
+        local sends alike.  A local send is delivered at ``max(now,
+        busy_until) + 1/bandwidth``: it skips only the propagation latency
+        and partitions, and its destination still pays the dispatcher's
+        handling cost.
         """
         message.sender = sender
         message.destination = destination

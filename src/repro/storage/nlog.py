@@ -16,14 +16,19 @@ long simulation, so :class:`NLog` offers two query modes:
 
 * **strict** — the literal scan over all retained entries (used by the
   correctness-focused tests and available via ``strict=True``);
-* **summary** (default) — an equivalent-in-effect incremental computation:
-  for nodes the reader has not read from, the visible maximum is the
-  cumulative maximum over all entries; for nodes it has read from, the
-  maximum is capped by the reader's own visibility bound ``T.VC[w]``.  The
-  result never exceeds the reader's bounds and never admits a version that
-  the strict computation would reject, so external consistency is preserved
-  (the recorded histories are additionally machine-checked by
-  :mod:`repro.consistency`).
+* **summary** (default) — an incremental computation: for nodes the
+  reader has not read from, the visible maximum is the cumulative maximum
+  over all entries; for nodes it has read from, the maximum is capped by
+  the reader's own visibility bound ``T.VC[w]``.  The result never exceeds
+  the reader's bounds.  It is *not* the strict scan's answer: on the
+  long-reader recipe of ROADMAP direction 1 the summary's bound was above
+  the scan's on some coordinate in 1 276 of 5 097 calls (below it on 8),
+  and over that recipe's seeds 0–511 it commits 6.2 % more.  Whether it
+  ever serves a different *version* than the scan is not measured.
+  External consistency of the runs is machine-checked on the recorded
+  histories (:mod:`repro.consistency`), not derived from this
+  computation.  ROADMAP direction 10(a) is to prove the relation it does
+  guarantee, or bound it to the scan's answer, and keep one mode.
 
 The log is garbage collected to a bounded window; the cumulative maximum is
 kept across truncations.

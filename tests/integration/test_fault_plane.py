@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.seed_sweep import probe_seed
+from benchmarks.seed_sweep import sweep_genome
 from repro.common.config import ClusterConfig, FaultPlan, WorkloadConfig
 from repro.common.ids import TransactionId
 from repro.core.cluster import SSSCluster
@@ -510,8 +510,8 @@ class TestRemoveFollowsTheChain:
         queries re-validated readers: a restarted reader's read copy served
         after its Remove passed (seed 370), or a breaker restart stream
         between two pending writers (seeds 180 and 1515)."""
-        record = probe_seed(("pathological", seed, "crash+drop", 60_000.0, 40_000.0))
-        assert record["failures"] == []
+        genome = sweep_genome("pathological", seed, "crash+drop", 60_000.0, 40_000.0)
+        assert score_genome(genome).failures == ()
 
     def test_a_writer_held_by_a_finished_readers_entry_commits(self):
         """An entry whose Remove never comes — here one of a reader its

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from benchmarks.common import fault_specs
 from repro.common.config import (
     ClusterConfig,
     CrashFault,
@@ -331,3 +332,32 @@ class TestNodeCrashPrimitives:
         locks.reset_except({prepared})
         assert locks.holds(prepared, "a")
         assert not locks.holds(volatile, "b")
+
+
+#: Every seed-sweep variant and fault-bench intensity at 60 ms on 4 nodes.
+#: The committed ``BENCH_faults.json`` baseline and the sweep's committed
+#: counts were measured on exactly these plans, so moving one must be
+#: deliberate.
+CRASH = "crash node=1 at=15000 for=9000"
+MINORITY = "partition groups=0|1,2,3 at=36000 for=9000"
+SCHEDULE = {
+    "none": [],
+    "crash": [CRASH],
+    "crash+partition": [CRASH, MINORITY],
+    "crash+drop": [CRASH, MINORITY + " mode=drop"],
+    "churn": [
+        "crash node=0 at=12000 for=5400",
+        "crash node=1 at=21000 for=5400",
+        "crash node=2 at=30000 for=5400",
+        "crash node=3 at=39000 for=5400",
+    ],
+    "minority-part": [MINORITY],
+    "split-part": ["partition groups=0,1|2,3 at=36000 for=9000"],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SCHEDULE))
+def test_the_shared_fault_schedule_is_pinned(variant):
+    plan = FaultPlan.parse(fault_specs(variant, 60_000.0, 4))
+    assert plan.specs() == SCHEDULE[variant]
+    assert plan == FaultPlan.parse(SCHEDULE[variant])

@@ -117,6 +117,28 @@ class TestTransport:
         sim.run()
         assert results[0] < 20.0
 
+    def test_local_send_takes_a_link_slot_ahead_of_later_remote_sends(self):
+        sim = Simulation(seed=4)
+        network = Network(
+            sim,
+            config=NetworkConfig(bandwidth_msgs_per_us=0.01),
+            latency_model=ConstantLatency(20.0),
+        )
+        arrivals = []
+        for node_id in (0, 1):
+            node = NetworkedNode(
+                sim, network, node_id, service=ServiceTimeConfig(message_handling_us=0.0)
+            )
+            node.register_handler(Ping, lambda m: arrivals.append((m.payload, sim.now)))
+        # One slot is 1/0.01 = 100 us.  The local send occupies [0, 100) and
+        # is delivered at its end; the remote send queues behind it, then
+        # pays the 20 us propagation.  At t=500 the link is idle again.
+        network.send(0, 0, Ping(1))
+        network.send(0, 1, Ping(2))
+        sim.call_at(500.0, lambda: network.send(0, 0, Ping(3)))
+        sim.run()
+        assert sorted(arrivals) == [(1, 100.0), (2, 220.0), (3, 600.0)]
+
     def test_messages_to_crashed_node_are_dropped(self):
         sim, network, nodes = self._cluster()
         network.crash(0)

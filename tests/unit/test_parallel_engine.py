@@ -292,27 +292,6 @@ class TestShardCountInvariance:
         assert digests[2] == _digest(_run("serial", faults))
 
 
-class TestProcessMode:
-    def test_streaming_metrics_merge_across_shards(self):
-        exact = _run("serial")
-        streaming = run_experiment(
-            "sss",
-            _config(),
-            WORKLOAD,
-            duration_us=DURATION_US,
-            warmup_us=0.0,
-            streaming_metrics=True,
-            engine="parallel",
-            shards=2,
-        )
-        assert streaming.metrics.committed == exact.metrics.committed
-        assert streaming.metrics.aborted == exact.metrics.aborted
-        assert streaming.metrics.latency.count == exact.metrics.latency.count
-        assert streaming.metrics.latency.mean_us == pytest.approx(
-            exact.metrics.latency.mean_us
-        )
-
-
 class TestHashSeedIndependence:
     def test_parallel_engine_survives_hash_randomization(self):
         first = _fingerprint_in_subprocess("1", "sss", 5)
