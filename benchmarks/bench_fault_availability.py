@@ -65,7 +65,7 @@ from benchmarks.common import (
 )
 from repro.common.config import ClusterConfig, FaultPlan, TrafficPlan, WorkloadConfig
 from repro.harness.reporting import format_table
-from repro.harness.runner import ExperimentPoint, run_points
+from repro.harness.sweep import ExperimentPoint, run_points
 
 #: (protocol, replication degree) — ROCOCO is compared without replication,
 #: as in the paper's Figure 6 configuration.

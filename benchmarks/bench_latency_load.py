@@ -47,7 +47,7 @@ from benchmarks.common import (
 )
 from repro.common.config import ClusterConfig, TrafficPlan, WorkloadConfig
 from repro.harness.reporting import format_table
-from repro.harness.runner import ExperimentPoint, run_points
+from repro.harness.sweep import ExperimentPoint, run_points
 
 #: (protocol, replication degree) — ROCOCO runs without replication, as in
 #: the paper's Figure 6 configuration.

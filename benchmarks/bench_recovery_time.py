@@ -42,7 +42,7 @@ from benchmarks.common import (
 )
 from repro.common.config import ClusterConfig, FaultPlan, TimeoutConfig, WorkloadConfig
 from repro.harness.reporting import format_table
-from repro.harness.runner import ExperimentPoint, run_points
+from repro.harness.sweep import ExperimentPoint, run_points
 
 PROTOCOLS = ("sss", "2pc")
 

@@ -40,7 +40,7 @@ import pytest
 from benchmarks.common import RECORDER, SETTINGS, flush_bench_json, run_once
 from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.harness.reporting import format_table
-from repro.harness.runner import ExperimentPoint, run_points
+from repro.harness.sweep import ExperimentPoint, run_points
 
 
 def _scaling_nodes() -> tuple:

@@ -18,7 +18,7 @@ plane sweeps, one module each — follows the same pattern:
    substrate is tracked PR-over-PR.
 
 Sweeps fan their independent datapoints across CPU cores with
-:func:`repro.harness.runner.run_points` (each datapoint is an
+:func:`repro.harness.sweep.run_points` (each datapoint is an
 isolated simulation with a fixed seed, so results are byte-identical to a
 serial run).
 

@@ -35,13 +35,8 @@ from repro.clocks.compression import VCCodec
 from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.harness.metrics import ExperimentMetrics
 from repro.harness.reporting import format_table, speedup_rows
-from repro.harness.runner import (
-    ExperimentPoint,
-    ExperimentResult,
-    find_saturation_throughput,
-    run_experiment,
-    run_points,
-)
+from repro.harness.runner import ExperimentResult, run_experiment
+from repro.harness.sweep import ExperimentPoint, find_saturation_throughput, run_points
 from repro.network.message import MessagePriority
 
 PointResults = List[Tuple[object, ExperimentResult]]

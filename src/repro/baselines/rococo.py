@@ -49,7 +49,8 @@ from repro.consistency.checkers import check_committed_reads, check_serializabil
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
-from repro.protocols.runtime import ProtocolRuntime, RoundRequests
+from repro.protocols.rounds import RoundRequests
+from repro.protocols.runtime import ProtocolRuntime
 from repro.storage.durable_log import PieceRecord, PieceRedoLog
 
 

@@ -5,7 +5,9 @@ competitors it is evaluated against) share:
 
 * :mod:`repro.protocols.runtime` — :class:`ProtocolRuntime`, the node base
   class owning message dispatch, the per-transaction state machine, replica
-  fan-out, vote collection and the crash/restart fault hooks, plus
+  fan-out, vote collection and the crash/restart fault hooks.
+* :mod:`repro.protocols.rounds` — the RPC rounds :class:`ProtocolRuntime`
+  inherits: :class:`RoundRequests` plus ``redrive``, and
   :class:`VoteCollector`.
 * :mod:`repro.protocols.cluster` — :class:`ProtocolCluster`, the shared
   cluster facade (sessions, client processes, history, consistency checks,

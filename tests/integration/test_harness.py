@@ -11,7 +11,8 @@ from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.core.cluster import SSSCluster
 from repro.harness.cluster import PROTOCOLS, build_cluster
-from repro.harness.runner import find_saturation_throughput, run_experiment
+from repro.harness.runner import run_experiment
+from repro.harness.sweep import find_saturation_throughput
 
 
 def small_config(**overrides):

@@ -49,9 +49,13 @@ NEVER_CALLED = [
 
 #: What ``build_cluster`` must not import for a protocol other than its own.
 PROTOCOL_MODULES = [
+    "repro.core.ambiguous",
     "repro.core.cluster",
+    "repro.core.commit_path",
     "repro.core.coordinator",
     "repro.core.node",
+    "repro.core.read_path",
+    "repro.core.recovery",
     "repro.baselines.rococo",
     "repro.baselines.twopc",
 ]
