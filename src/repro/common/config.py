@@ -42,22 +42,17 @@ class NetworkConfig:
     bandwidth_msgs_per_us:
         Per-node outgoing message service rate used to model network
         congestion; ``0`` disables the congestion model.
-    priority_levels:
-        Number of distinct priority levels for per-message-type queues.
     """
 
     base_latency_us: float = 20.0
     jitter_us: float = 4.0
     bandwidth_msgs_per_us: float = 0.35
-    priority_levels: int = 4
 
     def validate(self) -> None:
         if self.base_latency_us < 0:
             raise ConfigurationError("base_latency_us must be >= 0")
         if self.jitter_us < 0:
             raise ConfigurationError("jitter_us must be >= 0")
-        if self.priority_levels < 1:
-            raise ConfigurationError("priority_levels must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -88,14 +88,3 @@ class TxnIdGenerator:
         txn_id = TransactionId(self.node, self._next_seq)
         self._next_seq += 1
         return txn_id
-
-
-@dataclass(frozen=True, order=True)
-class ClientId:
-    """Identifier of a closed-loop client, co-located with a node."""
-
-    node: NodeId
-    index: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"C{self.node}.{self.index}"

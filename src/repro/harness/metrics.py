@@ -286,7 +286,7 @@ class ExperimentMetrics:
         return self.precommit_wait.mean_us / self.update_latency.mean_us
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary used by the reports and EXPERIMENTS.md generation."""
+        """Flat dictionary of every number the run reports."""
         return {
             "protocol": self.protocol,
             "n_nodes": self.n_nodes,

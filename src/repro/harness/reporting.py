@@ -2,8 +2,7 @@
 
 The benchmarks print, for every reproduced figure, a table whose rows mirror
 the series the paper plots (protocol per line, one column per x-axis value).
-The same formatting helpers are used by the examples and by the script that
-refreshes ``EXPERIMENTS.md``.
+The same formatting helpers are used by the examples.
 """
 
 from __future__ import annotations
@@ -56,12 +55,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
-    """One-line series rendering used in log output."""
-    points = ", ".join(f"{x}:{y:.1f}" for x, y in zip(xs, ys))
-    return f"{name}: {points}"
-
-
 def speedup_rows(
     baseline: Mapping[object, float], others: Mapping[str, Mapping[object, float]]
 ) -> Dict[str, List[Optional[float]]]:
@@ -80,27 +73,3 @@ def speedup_rows(
         rows[name] = row
     return rows
 
-
-def dump_results_markdown(
-    title: str,
-    columns: Sequence[object],
-    rows: Mapping[str, Sequence[object]],
-    value_format: str = "{:.1f}",
-) -> str:
-    """Markdown rendering of the same table (used for EXPERIMENTS.md)."""
-    lines = [f"### {title}", ""]
-    header = "| series | " + " | ".join(str(column) for column in columns) + " |"
-    divider = "|" + "---|" * (len(columns) + 1)
-    lines.extend([header, divider])
-    for name, values in rows.items():
-        cells = []
-        for value in values:
-            if value is None:
-                cells.append("-")
-            elif isinstance(value, str):
-                cells.append(value)
-            else:
-                cells.append(value_format.format(value))
-        lines.append(f"| {name} | " + " | ".join(cells) + " |")
-    lines.append("")
-    return "\n".join(lines)

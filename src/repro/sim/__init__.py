@@ -12,7 +12,6 @@ provides a small but complete discrete-event simulation (DES) kernel:
 * :class:`~repro.sim.events.Condition` — a re-evaluated predicate bound to a
   :class:`~repro.sim.events.Signal`, used to express the paper's
   ``wait until <predicate>`` steps.
-* :class:`~repro.sim.resources.SimLock` — a simulated mutual-exclusion lock.
 * :class:`~repro.sim.rng.RngRegistry` — named deterministic random streams.
 
 The engine is deterministic: given the same seed and the same sequence of

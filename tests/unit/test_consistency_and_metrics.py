@@ -24,7 +24,7 @@ from repro.consistency.history import (
     ReadObservation,
 )
 from repro.harness.metrics import ExperimentMetrics, LatencySummary
-from repro.harness.reporting import dump_results_markdown, format_series, format_table, speedup_rows
+from repro.harness.reporting import format_table, speedup_rows
 from repro.workload.ycsb import ClientStats
 
 
@@ -339,17 +339,7 @@ class TestReporting:
         assert "sss" in table and "2pc" in table
         assert "2.0" in table and "-" in table
 
-    def test_format_series(self):
-        line = format_series("sss", [5, 10], [1.5, 3.0])
-        assert line.startswith("sss:")
-        assert "10:3.0" in line
-
     def test_speedup_rows(self):
         rows = speedup_rows({5: 10.0, 10: 20.0}, {"2pc": {5: 5.0, 10: 0.0}})
         assert rows["2pc"][0] == pytest.approx(2.0)
         assert rows["2pc"][1] is None
-
-    def test_markdown_dump(self):
-        text = dump_results_markdown("Figure X", [1, 2], {"sss": [1.0, 2.0]})
-        assert text.startswith("### Figure X")
-        assert "| sss |" in text

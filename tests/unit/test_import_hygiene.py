@@ -37,7 +37,6 @@ NEVER_CALLED = [
     # repro.harness.streaming aggregates every run, so it is not listed.
     "repro.harness.sketch",
     "repro.protocols.faults",
-    "repro.sim.resources",
     "repro.storage.durable_log",
     "repro.trace.analysis",
     "repro.trace.export",

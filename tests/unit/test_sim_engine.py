@@ -11,7 +11,6 @@ from repro.common.errors import SimulationError
 from repro.sim.engine import Simulation
 from repro.sim.events import AnyOf
 from repro.sim.process import Interrupt
-from repro.sim.resources import SimLock
 
 
 class TestClockAndTimeouts:
@@ -334,24 +333,3 @@ class TestEventsAndProcesses:
 
         assert run_once() == run_once()
 
-
-class TestResources:
-    def test_simlock_mutual_exclusion(self, sim):
-        lock = SimLock(sim)
-        order = []
-
-        def worker(tag, hold):
-            yield lock.acquire()
-            order.append(("acquired", tag, sim.now))
-            yield sim.timeout(hold)
-            lock.release()
-
-        sim.process(worker("a", 10))
-        sim.process(worker("b", 10))
-        sim.run()
-        assert order == [("acquired", "a", 0.0), ("acquired", "b", 10.0)]
-
-    def test_simlock_release_without_acquire_rejected(self, sim):
-        lock = SimLock(sim)
-        with pytest.raises(RuntimeError):
-            lock.release()

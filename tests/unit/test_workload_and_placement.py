@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.config import ClusterConfig, NetworkConfig, TimeoutConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
-from repro.common.ids import ClientId, TransactionId, TxnIdGenerator
+from repro.common.ids import TransactionId, TxnIdGenerator
 from repro.replication.placement import KeyPlacement, hash_placement
 from repro.workload.distributions import (
     LocalityKeySelector,
@@ -31,9 +31,6 @@ class TestIdentifiers:
 
     def test_transaction_id_hashable(self):
         assert len({TransactionId(0, 1), TransactionId(0, 1), TransactionId(1, 1)}) == 2
-
-    def test_client_id_ordering(self):
-        assert ClientId(0, 1) < ClientId(1, 0)
 
 
 class TestConfigValidation:
