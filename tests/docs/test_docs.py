@@ -13,7 +13,10 @@ Three contracts over ``README.md`` and ``docs/``:
   plan parsers, and the ``python`` fences there execute end to end;
 * ARCHITECTURE.md's durable-state table names exactly each protocol
   node's declared ``_DURABLE`` attributes, and its fault-only table names
-  exactly the ``src/`` functions that read ``self._fault_mode``.
+  exactly the ``src/`` functions that read ``self._fault_mode``;
+* every module holding ``SSSNode`` code cites only the paper's Algorithms
+  1-6, its docstring cites at least one, and ARCHITECTURE.md's SSS module
+  map lists exactly the algorithms each docstring cites.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import FaultPlan
+from repro.core.node import SSSNode
 from repro.protocols.registry import REGISTRY
 from repro.traffic.plan import TrafficPlan
 
@@ -223,3 +227,57 @@ def test_fault_only_table_matches_the_code():
         f"documented, not in the code {sorted(documented - readers)}; "
         f"in the code, not documented {sorted(readers - documented)}"
     )
+
+
+#: ``Algorithm 6``, ``Algorithms 3 and 4``, ``Algorithms 2-4``: the numbers
+#: a citation names (a trailing ``lines 29-36`` is not part of it).
+_ALGORITHM_RE = re.compile(r"\bAlgorithms?\s+(\d+(?:\s*(?:,|and|-|–)\s*\d+)*)")
+
+
+def _cited_algorithms(text: str) -> set[int]:
+    cited = set()
+    for match in _ALGORITHM_RE.finditer(text):
+        for part in re.split(r"\s*(?:,|and)\s*", match.group(1)):
+            low, _, high = re.sub(r"\s*[-–]\s*", "-", part).partition("-")
+            cited.update(range(int(low), int(high or low) + 1))
+    return cited
+
+
+#: The modules of ``SSSNode`` and its mixins, as repository paths.
+SSS_MODULES = sorted(
+    "src/" + cls.__module__.replace(".", "/") + ".py"
+    for cls in SSSNode.__mro__
+    if cls.__module__.startswith("repro.core.")
+)
+
+
+def test_the_citation_parser_reads_lists_and_ranges():
+    text = "Algorithm 6, line 5; Algorithms 3 and 4; Algorithms 1-2; Algorithm 2 lines 29-36"
+    assert _cited_algorithms(text) == {1, 2, 3, 4, 6}
+
+
+@pytest.mark.parametrize("module", SSS_MODULES)
+def test_sss_code_cites_only_algorithms_1_to_6(module):
+    cited = _cited_algorithms((REPO_ROOT / module).read_text())
+    stray = sorted(cited - set(range(1, 7)))
+    assert not stray, f"{module} cites Algorithm(s) {stray}"
+
+
+@pytest.mark.parametrize("module", SSS_MODULES)
+def test_each_sss_module_docstring_cites_an_algorithm(module):
+    docstring = ast.get_docstring(ast.parse((REPO_ROOT / module).read_text())) or ""
+    assert _cited_algorithms(docstring), f"{module}'s docstring cites no algorithm"
+
+
+def test_the_sss_module_map_lists_the_algorithms_each_docstring_cites():
+    text = _prose(REPO_ROOT / "docs" / "ARCHITECTURE.md")
+    section = text.split("#### SSS module map", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `src/"):
+            cells = line.split("|")[1:-1]
+            rows[cells[0].strip().strip("`")] = {int(n) for n in re.findall(r"\d+", cells[2])}
+    assert sorted(rows) == SSS_MODULES
+    for module, listed in rows.items():
+        docstring = ast.get_docstring(ast.parse((REPO_ROOT / module).read_text()))
+        assert listed == _cited_algorithms(docstring), f"{module}: the map lists {sorted(listed)}"
