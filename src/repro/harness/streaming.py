@@ -97,7 +97,9 @@ class StreamingAccumulator:
     ``window_us > 0`` marks an open-loop run: it bins a time series over
     ``[0, horizon_us)`` and its phases carry offered and shed load.
     ``phase_windows`` are ``(label, start_us, end_us)`` tuples, contiguous
-    and in time order.  ``store`` makes an empty sample store.
+    and in time order.  ``store`` makes an empty sample store.  Every
+    window and phase bound it reports is a float, whatever number type
+    the caller's duration was given in.
     """
 
     def __init__(
@@ -107,8 +109,8 @@ class StreamingAccumulator:
         phase_windows: Optional[Sequence[Tuple[str, float, float]]] = None,
         store: Callable[[], object] = SortedSamples,
     ):
-        self.window_us = window_us
-        self.horizon_us = horizon_us
+        self.window_us = window_us = float(window_us)
+        self.horizon_us = horizon_us = float(horizon_us)
         # Run-wide latency families (measured outcomes only).
         self.latency = store()
         self.update_latency = store()
@@ -124,7 +126,9 @@ class StreamingAccumulator:
             n_windows = max(1, math.ceil(horizon_us / window_us))
         self._window_latency = [store() for _ in range(n_windows)]
         self._window_counts = {name: [0] * n_windows for name in WINDOW_COUNTERS}
-        self._phase_windows = list(phase_windows or [])
+        self._phase_windows = [
+            (label, float(start), float(end)) for label, start, end in phase_windows or ()
+        ]
         self._phase_starts = [start for _label, start, _end in self._phase_windows]
         self._phase_counts = {name: [0] * len(self._phase_windows) for name in PHASE_COUNTERS}
 

@@ -316,6 +316,20 @@ class TestMetrics:
         assert metrics.precommit_fraction == pytest.approx(0.3)
         assert metrics.as_dict()["protocol"] == "sss"
 
+    def test_window_and_phase_bounds_are_floats_for_an_int_duration(self):
+        metrics = ExperimentMetrics.from_clients(
+            "sss",
+            1,
+            [],
+            measured_duration_us=15_000.0,
+            phase_windows=[("p0:fail-free", 0, 4_500), ("p1:crash", 4_500, 15_000)],
+            window_us=5_000,
+            horizon_us=15_000,
+        )
+        rows = metrics.phases + metrics.timeseries
+        assert len(rows) == 5
+        assert all(type(row[bound]) is float for row in rows for bound in ("start_us", "end_us"))
+
     def test_client_stats_record(self):
         from repro.core.metadata import TransactionMeta
 
