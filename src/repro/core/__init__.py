@@ -7,20 +7,14 @@ substrate:
   ``T.hasRead``, read/write sets, ``PropagatedSet``, phase timestamps).
 * :mod:`repro.core.messages` — the protocol's wire messages (ReadRequest /
   ReadReturn, Prepare / Vote / Decide, Ack, Remove).
-* :mod:`repro.core.node` — :class:`SSSNode`, one protocol node: its crash
-  model and state, its behaviour assembled from one mixin per part of the
-  algorithms:
-
-  * :mod:`repro.core.coordinator` — client-side transaction execution at
-    the coordinator (Algorithm 5 reads, Algorithm 1 commit);
-  * :mod:`repro.core.read_path` — version selection at a replica
-    (Algorithm 6);
-  * :mod:`repro.core.ambiguous` — the ambiguous zone of a read-only read
-    and its repairs (status queries, answer gates);
-  * :mod:`repro.core.commit_path` — 2PC participant logic (Algorithm 2),
-    pre-commit / external-commit handling (Algorithms 3-4) and Remove
-    propagation;
-  * :mod:`repro.core.recovery` — crash and restart.
+* :mod:`repro.core.node` — :class:`SSSNode`, one protocol node, assembled
+  from :mod:`~repro.core.read_path` (version selection, Algorithm 6),
+  :mod:`~repro.core.ambiguous` (the ambiguous zone),
+  :mod:`~repro.core.commit_path` (2PC participant logic and
+  pre-commit / external-commit handling, Algorithms 2-4, and Remove
+  propagation) and :mod:`~repro.core.recovery`.
+* :mod:`repro.core.coordinator` — client-side transaction execution at the
+  coordinator (Algorithm 5 reads, Algorithm 1 commit).
 * :mod:`repro.core.session` — the user-facing transaction handle.
 * :mod:`repro.core.cluster` — :class:`SSSCluster`, the public facade that
   assembles a simulated cluster and runs transactions against it.

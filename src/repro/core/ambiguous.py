@@ -1,26 +1,12 @@
 """The ambiguous zone of an SSS read, and its repairs.
 
-Algorithm 6 excludes from a read-only snapshot the writers above the
-reader's bound that are still pre-committing (its ExcludedSet): the
-reader's snapshot-queue entry then holds each excluded writer's client
-answer until the reader is done (the wait of Algorithm 4).  A writer that
-has already passed that wait on this node can no longer be held so, and
-a writer at or below the done-watermark cannot be excluded at all: such a
-writer is *ambiguous*.  Without a repair, two readers bridging two such
-writers can each observe one and exclude the other, the contradictory
-serialization orders of the paper's Figure 2.
-:class:`AmbiguousZoneMixin` settles them for
-:class:`repro.core.node.SSSNode`:
-
-* :meth:`_classify_writers` — one walk over the versions above the
-  reader's bound: each writer is excluded, ambiguous, both or neither;
-* :meth:`_resolve_ambiguous_writers` — a bounded wait for the ambiguous
-  writers' ExternalDone notifications, then a definitive status query at
-  their coordinators (:meth:`_query_external_status`, answered by
-  :meth:`on_external_status_query`);
-* answer gates — a writer confirmed in flight is excluded only once its
-  coordinator has gated its client answer behind the reader
-  (:meth:`_register_answer_gate` to :meth:`_wait_answer_gates`).
+Algorithm 6 excludes the writers above a reader's bound that still
+pre-commit; the reader's snapshot-queue entry then holds each one's client
+answer (the wait of Algorithm 4).  A writer past that wait, or at or below
+the done-watermark, is *ambiguous*.  :class:`AmbiguousZoneMixin` waits for
+it, asks its coordinator, and excludes one still in flight only once its
+client answer is gated behind the reader; otherwise two readers could fork
+as in the paper's Figure 2.
 """
 
 from __future__ import annotations
@@ -122,14 +108,13 @@ class AmbiguousZoneMixin:
         common case the writer's ExternalDone notification arrives within a
         round-trip or two and the wait ends early.
 
-        On expiry the reader no longer excludes blindly.  A notification
-        delayed past the bound (fail-free) or swallowed by a crash (fault
-        mode) used to make the fallback exclusion serialize the reader
-        *before* a writer whose client was already answered — a genuine
-        external-consistency violation (the seed-17 regression).  Instead
-        the reader asks each ambiguous writer's coordinator for a definitive
-        status (:class:`ExternalStatusQuery`): *done* writers stop gating,
-        and a writer confirmed still in flight is excluded only after its
+        On expiry the reader does not exclude blindly: a notification
+        delayed past the bound or swallowed by a crash would then serialize
+        the reader *before* a writer whose client was already answered (the
+        seed-17 regression).  Instead the reader asks each ambiguous
+        writer's coordinator for a definitive status
+        (:class:`ExternalStatusQuery`): *done* writers stop gating, and a
+        writer confirmed still in flight is excluded only after its
         coordinator *gated its client answer* behind this reader — the
         excluded writer then answers after the reader finishes (or
         restarts), exactly the ordering its snapshot-queue entry would have
@@ -348,9 +333,6 @@ class AmbiguousZoneMixin:
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Answer gates (ordered external-commit resolution)
-    # ------------------------------------------------------------------
     def _register_answer_gate(self, writer: TransactionId, reader: Optional[TransactionId]) -> bool:
         """Gate ``writer``'s client answer behind ``reader``.
 

@@ -1,23 +1,10 @@
 """The participant side of an SSS update commit: Algorithms 2-4.
 
-:class:`CommitPathMixin` gives :class:`repro.core.node.SSSNode` what a
-write or read replica does once a coordinator runs the Algorithm 1
-commit:
-
-* ``Prepare`` / ``Decide`` — Algorithm 2's 2PC participant: lock
-  acquisition, read-set validation, the proposed vector clock and the
-  commit-queue insertion, then the decision (lines 16-28);
-* the commit queue — the ordered apply of ready transactions at its head
-  (Algorithm 2, lines 29-36), each then entering its pre-commit:
-  snapshot-queue insertion (Algorithm 3), the wait for every older entry
-  and the ``ExternalAck`` (Algorithm 4); a ``PrecommitQuery`` replays a
-  pre-commit whose ack a crash lost;
-* ``ExternalDone`` — the record of the writers whose client was
-  answered, which the read path consults, and its fan-out from a
-  writer's coordinator to the replicas and subscribers;
-* ``Remove`` — a returned read-only transaction's snapshot-queue
-  cleanup, forwarded down the anti-dependency chain its entries were
-  shipped along.
+:class:`CommitPathMixin` handles ``Prepare`` / ``Decide`` (Algorithm 2),
+applies the ready transactions at the commit-queue head (Algorithm 2,
+lines 29-36), runs each one's pre-commit (Algorithm 3) with its wait and
+``ExternalAck`` (Algorithm 4), records ``ExternalDone`` notifications, and
+forwards a returned reader's ``Remove`` down its anti-dependency chain.
 """
 
 from __future__ import annotations
@@ -45,9 +32,6 @@ from repro.storage.snapshot_queue import READ_KIND, SQueueEntry, WRITE_KIND
 class CommitPathMixin:
     """Participant commit-path methods mixed into :class:`repro.core.node.SSSNode`."""
 
-    # ------------------------------------------------------------------
-    # Prepare / Decide — Algorithm 2
-    # ------------------------------------------------------------------
     def on_prepare(self, message: Prepare):
         """2PC prepare: lock, validate, vote (runs as a process)."""
         txn_id = message.txn_id
@@ -179,10 +163,6 @@ class CommitPathMixin:
             self.counters["participant_aborts"] += 1
         self._drain_commit_queue()
 
-    # ------------------------------------------------------------------
-    # Commit-queue head processing + pre-commit (Algorithm 2 lines 29-36,
-    # Algorithms 3-4)
-    # ------------------------------------------------------------------
     def _drain_commit_queue(self) -> None:
         """Apply every ready transaction standing at the commit-queue head."""
         while self.commit_queue.head_is_ready():
@@ -334,9 +314,6 @@ class CommitPathMixin:
             return
         self.counters["precommit_query_misses"] += 1
 
-    # ------------------------------------------------------------------
-    # External-commit dependency tracking
-    # ------------------------------------------------------------------
     def on_external_done(self, message: ExternalDone) -> None:
         """Record that a writer's client has been answered (external commit)."""
         self._mark_externally_done(message.txn_id, message.done_time)
@@ -404,9 +381,6 @@ class CommitPathMixin:
         for target in sorted(targets):
             self.send(target, ExternalDone(txn_id=txn_id, done_time=done_time))
 
-    # ------------------------------------------------------------------
-    # Remove handling and forwarding
-    # ------------------------------------------------------------------
     def on_remove(self, message: Remove) -> None:
         """Delete a returned read-only transaction from local snapshot queues."""
         txn_id = message.txn_id

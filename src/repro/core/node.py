@@ -1,24 +1,14 @@
 """One SSS protocol node.
 
-:class:`SSSNode` is both sides of the protocol on one node: it stores a
-shard of the multi-version key space, answers the messages defined in
-:mod:`repro.core.messages`, and coordinates the transactions of the
-clients co-located with it.  This module declares the node's crash model
-and every piece of its state in one place; the behaviour comes from one
-mixin per part of the paper's algorithms:
-
-* :class:`~repro.core.coordinator.CoordinatorMixin` — the client side:
-  Algorithm 5 reads and the Algorithm 1 commit (in SSS the coordinator of
-  a transaction is simply the node its client is co-located with);
-* :class:`~repro.core.read_path.ReadPathMixin` — the replica side of a
-  read, Algorithm 6;
-* :class:`~repro.core.ambiguous.AmbiguousZoneMixin` — the writers a
-  read-only read can neither safely exclude nor observe at once, and the
-  status queries and answer gates that settle them;
-* :class:`~repro.core.commit_path.CommitPathMixin` — the 2PC participant,
-  the commit queue and the pre-commit (Algorithms 2-4), ExternalDone and
-  Remove;
-* :class:`~repro.core.recovery.RecoveryMixin` — crash and restart.
+:class:`SSSNode` stores a shard of the multi-version key space, answers the
+messages of :mod:`repro.core.messages` and coordinates the transactions of
+its co-located clients.  This module declares its crash model and all its
+state.  Its behaviour is one mixin per part of the algorithms:
+:mod:`~repro.core.coordinator` (Algorithm 5 reads, the Algorithm 1
+commit), :mod:`~repro.core.read_path` (Algorithm 6),
+:mod:`~repro.core.ambiguous` (the ambiguous zone and its repairs),
+:mod:`~repro.core.commit_path` (Algorithms 2-4, ExternalDone and Remove)
+and :mod:`~repro.core.recovery` (crash and restart).
 """
 
 from __future__ import annotations

@@ -1,23 +1,12 @@
 """The replica side of an SSS read: Algorithm 6.
 
-:class:`ReadPathMixin` gives :class:`repro.core.node.SSSNode` its answer
-to the ``ReadRequest`` a coordinator sends to every replica of a key
-(Algorithm 5, line 9):
-
-* an update transaction reads the latest version and collects the key's
-  queued read-only entries for propagation (Algorithm 6, lines 23-27);
-* a read-only transaction first waits until every install inside its
-  visibility bound has been applied (line 5), takes the visible bound
-  (lines 6-9), walks the version chain down to the newest version within
-  it (lines 11-14 and 18-21) and leaves its entry in the key's snapshot
-  queue (lines 10 and 17);
-* around that: the starvation back-off on keys whose writers wait too
-  long, the *stale* refusal of a read whose bound hides a writer that
-  already answered its client, and the subscription to a served
-  writer's ExternalDone notification while it may still be pending.
-
-The writers above a read-only reader's bound are classified, waited for
-and gated by :class:`repro.core.ambiguous.AmbiguousZoneMixin`.
+:class:`ReadPathMixin` answers the ``ReadRequest`` of Algorithm 5, line 9.
+An update transaction gets the latest version and the key's queued reader
+entries to propagate (lines 23-27).  A read-only one waits for the
+installs inside its bound (line 5), gets the newest version within the
+visible bound (lines 6-21) and leaves its entry in the key's snapshot
+queue.  The writers above its bound are settled by
+:mod:`repro.core.ambiguous`.
 """
 
 from __future__ import annotations

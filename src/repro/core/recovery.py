@@ -1,18 +1,10 @@
-"""Crash recovery of an SSS node.
+"""Crash and restart of an SSS node.
 
-The crash model — what a crash keeps and what it loses — is declared on
-:class:`repro.core.node.SSSNode` (``_WAITS``, ``_VOLATILE``,
-``_DURABLE``), and :class:`~repro.protocols.runtime.ProtocolRuntime`
-applies it.  :class:`RecoveryMixin` holds the SSS hooks around it:
-
-* :meth:`on_crash` keeps only the redo-logged locks and drops the
-  Algorithm 2 commit queue and the writers' snapshot-queue entries;
-* :meth:`on_restart` rebuilds the commit queue from the redo log and
-  drains it, so decided transactions resume their Algorithm 3 pre-commit;
-  asks the coordinators of undecided votes for their decision
-  (:meth:`_resolve_in_doubt`); releases what the transactions the crash
-  tore down pinned at other nodes; and re-validates the surviving reader
-  entries at their coordinators (:meth:`_revalidate`).
+:class:`RecoveryMixin` holds the hooks around the crash model that
+:class:`repro.core.node.SSSNode` declares.  A restart rebuilds the
+Algorithm 2 commit queue from the redo log, so decided transactions resume
+their Algorithm 3 pre-commit; it resolves in-doubt votes, recovers what
+the crash tore down, and re-validates the surviving reader entries.
 """
 
 from __future__ import annotations

@@ -97,9 +97,8 @@ class StreamingAccumulator:
     ``window_us > 0`` marks an open-loop run: it bins a time series over
     ``[0, horizon_us)`` and its phases carry offered and shed load.
     ``phase_windows`` are ``(label, start_us, end_us)`` tuples, contiguous
-    and in time order.  ``store`` makes an empty sample store.  Every
-    window and phase bound it reports is a float, whatever number type
-    the caller's duration was given in.
+    and in time order.  ``store`` makes an empty sample store.  Window and
+    phase bounds are reported as floats.
     """
 
     def __init__(

@@ -1,13 +1,5 @@
-"""Sweeps: independent experiment datapoints fanned out across CPU cores.
-
-A sweep is a list of :class:`ExperimentPoint` values run by
-:func:`run_points`, each point one :func:`~repro.harness.runner.run_experiment`
-call with its own seed, so the results are byte-identical to a serial
-loop whatever the scheduling.
-
-:func:`find_saturation_throughput` is the Figure 4(a) procedure: it sweeps
-the number of clients per node and reports the best throughput achieved —
-"the number of clients per node differs per reported datapoint".
+"""Sweeps: independent experiment datapoints fanned out across CPU cores
+(:func:`run_points`), and the Figure 4(a) saturation search.
 """
 
 from __future__ import annotations

@@ -1,24 +1,9 @@
-"""RPC rounds of the protocol runtime: one request path, re-driven when lost.
+"""RPC rounds: one request path, re-driven when a message can be lost.
 
-Every multi-node exchange of every protocol is a round of requests
-(:class:`RoundRequests`) waited for through :meth:`RoundsMixin.redrive`,
-the one wait that asks whether a message can be lost and, if so, re-sends
-what is unanswered:
-
-* :meth:`~RoundsMixin.fastest_round` — fastest-answer selection over a
-  reply wave, the pattern behind every multi-replica read;
-* :meth:`~RoundsMixin.vote_round` — one 2PC-style prepare round, its votes
-  collected by a :class:`VoteCollector` that fails fast on the first
-  negative vote; :meth:`~RoundsMixin.admit_prepare` makes every prepare
-  handler idempotent under its re-sends;
-* :meth:`~RoundsMixin.reliable_request` and
-  :meth:`~RoundsMixin.request_round` — one request, or one per item, all
-  replies awaited.
-
-:class:`RoundsMixin` is inherited by
+Every round is a :class:`RoundRequests` waited for through
+:meth:`RoundsMixin.redrive`.  :class:`RoundsMixin` is inherited by
 :class:`~repro.protocols.runtime.ProtocolRuntime`, which declares the
-state it uses (``_fault_mode``, ``_rejoin_waits``, ``_unguarded``,
-``_preparing``, ``_decided``, ``channel``).
+state it uses.
 """
 
 from __future__ import annotations
@@ -34,13 +19,10 @@ from repro.sim.process import Interrupt
 class VoteCollector(Event):
     """Event firing once a 2PC-style vote round is decided.
 
-    Replaces the wave-by-wave ``any_of(pending + [timeout])`` pattern, which
-    rebuilt an :class:`AnyOf` over every still-pending vote each wave — at
-    large participant counts (the cluster-size sweep) that is quadratic in
-    callbacks and list scans.  The collector registers one callback per vote
-    reply, fails fast on the first unsuccessful vote (any reply with a falsy
-    ``success`` attribute) and fires with ``(outcome, votes)`` once the round
-    is decided.  Shared by SSS and the 2PC-style baselines; SSS hands the
+    It registers one callback per vote, once, however many waves the round
+    takes; it fails fast on the first unsuccessful vote (any reply with a
+    falsy ``success`` attribute) and fires with ``(outcome, votes)`` once the
+    round is decided.  Shared by SSS and the 2PC-style baselines; SSS hands the
     collected votes' proposed commit clocks to one batched
     ``VectorClock.merge_many``.
     """

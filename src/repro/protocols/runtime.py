@@ -1,13 +1,7 @@
 """The shared protocol-node runtime.
 
-Before this layer existed, the node-lifecycle plumbing — message
-registration/dispatch, the per-transaction state machine, replica fan-out
-with fastest-answer selection, 2PC-style vote collection, re-sends of lost
-requests, counters — was re-implemented four times across
-:mod:`repro.core.node`, :mod:`repro.baselines.twopc`,
-:mod:`repro.baselines.walter` and :mod:`repro.baselines.rococo`.
-:class:`ProtocolRuntime` collapses that duplication into one base class that
-every protocol node (SSS and the three competitors) extends:
+:class:`ProtocolRuntime` is the one base class every protocol node (SSS and
+the three competitors) extends:
 
 * **Dispatch** — inherited from :class:`~repro.network.node.NetworkedNode`:
   the prioritized inbound queue, the dispatcher process, handler
@@ -21,12 +15,9 @@ every protocol node (SSS and the three competitors) extends:
   tore down); a finished one leaves only its
   :class:`~repro.core.metadata.TransactionOutcome` in ``outcomes``.
 * **RPC rounds** — inherited from
-  :class:`~repro.protocols.rounds.RoundsMixin`: fastest-answer, vote,
-  single-request and per-item rounds, each
-  :class:`~repro.protocols.rounds.RoundRequests` plus ``redrive``, the one
-  wait that asks whether a message can be lost and, if so, re-sends what
-  is unanswered; ``admit_prepare`` makes every prepare handler idempotent
-  under it.
+  :class:`~repro.protocols.rounds.RoundsMixin`: each round is a
+  ``RoundRequests`` plus ``redrive``, the one wait that asks whether a
+  message can be lost and, if so, re-sends what is unanswered.
 * **Reliable sends** — ``channel``, a composed
   :class:`~repro.protocols.stream.ReliableChannel`: ``channel.send`` is the
   one way to send a message that must arrive.
