@@ -251,6 +251,10 @@ SSS_MODULES = sorted(
 )
 
 
+def _module_docstring(module: str) -> str:
+    return ast.get_docstring(ast.parse((REPO_ROOT / module).read_text())) or ""
+
+
 def test_the_citation_parser_reads_lists_and_ranges():
     text = "Algorithm 6, line 5; Algorithms 3 and 4; Algorithms 1-2; Algorithm 2 lines 29-36"
     assert _cited_algorithms(text) == {1, 2, 3, 4, 6}
@@ -265,8 +269,7 @@ def test_sss_code_cites_only_algorithms_1_to_6(module):
 
 @pytest.mark.parametrize("module", SSS_MODULES)
 def test_each_sss_module_docstring_cites_an_algorithm(module):
-    docstring = ast.get_docstring(ast.parse((REPO_ROOT / module).read_text())) or ""
-    assert _cited_algorithms(docstring), f"{module}'s docstring cites no algorithm"
+    assert _cited_algorithms(_module_docstring(module)), f"{module}'s docstring cites no algorithm"
 
 
 def test_the_sss_module_map_lists_the_algorithms_each_docstring_cites():
@@ -279,5 +282,5 @@ def test_the_sss_module_map_lists_the_algorithms_each_docstring_cites():
             rows[cells[0].strip().strip("`")] = {int(n) for n in re.findall(r"\d+", cells[2])}
     assert sorted(rows) == SSS_MODULES
     for module, listed in rows.items():
-        docstring = ast.get_docstring(ast.parse((REPO_ROOT / module).read_text()))
-        assert listed == _cited_algorithms(docstring), f"{module}: the map lists {sorted(listed)}"
+        cited = _cited_algorithms(_module_docstring(module))
+        assert listed == cited, f"{module}: map {sorted(listed)}, docstring {sorted(cited)}"
