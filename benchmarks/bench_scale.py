@@ -59,7 +59,8 @@ import pytest
 
 from benchmarks.common import RECORDER, flush_bench_json
 from repro.common.config import ClusterConfig, TrafficPlan, WorkloadConfig
-from repro.consistency.window import WindowedConsistencyChecker, WindowedHistoryRecorder
+from repro.consistency.history import HistoryRecorder
+from repro.consistency.window import WindowedConsistencyChecker
 from repro.harness.runner import run_experiment
 
 N_KEYS = int(os.environ.get("REPRO_BENCH_SCALE_KEYS", 1_000_000))
@@ -97,7 +98,7 @@ def _measured_run(duration_us: float):
         seed=SEED,
         traffic=TrafficPlan.parse([f"poisson rate={RATE_TPS}"]),
     )
-    recorder = WindowedHistoryRecorder(
+    recorder = HistoryRecorder(
         checker=WindowedConsistencyChecker(epoch_us=EPOCH_US, retention_us=RETENTION_US)
     )
     gc.collect()
@@ -123,7 +124,7 @@ def _scale_sweep():
     for label, duration_us in (("d", DURATION_US), ("2d", 2.0 * DURATION_US)):
         result, recorder, peak = _measured_run(duration_us)
         RECORDER.record(result)
-        check = recorder.check_external_consistency()
+        check = recorder.check("external-consistency")
         assert check.ok, f"windowed external consistency failed at {label}: {check.violations[:3]}"
         runs[label] = {
             "duration_us": duration_us,

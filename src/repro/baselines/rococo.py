@@ -45,7 +45,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.errors import TransactionStateError
 from repro.common.ids import TransactionId
-from repro.consistency.checkers import check_committed_reads, check_serializability
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
 from repro.protocols.cluster import ProtocolCluster
@@ -596,5 +595,5 @@ class RococoCluster(ProtocolCluster):
         """ROCOCO's contract under faults: serializability (the guarantee the
         integration tests pin for this baseline) plus committed-writer reads —
         no client may observe a torn or uncommitted write."""
-        return [check_serializability(history), check_committed_reads(history)]
+        return [history.check("serializability"), history.check("committed-reads")]
 

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.clocks.vector_clock import VectorClock
 from repro.common.errors import TransactionStateError
 from repro.common.ids import TransactionId
-from repro.consistency.checkers import CheckResult, check_committed_reads
+from repro.consistency.checkers import CheckResult
 from repro.core.messages import vc_wire_size
 from repro.core.metadata import TransactionMeta, TransactionPhase
 from repro.network.message import Message, MessagePriority
@@ -501,7 +501,7 @@ class WalterCluster(ProtocolCluster):
         freedom (every read from a committed writer) and convergence of
         every key's replicas once propagation drains.
         """
-        return [check_committed_reads(history), replica_convergence(replica_versions)]
+        return [history.check("committed-reads"), replica_convergence(replica_versions)]
 
     def replica_versions(self) -> Dict[object, Dict[int, set]]:
         """The committed ``(site, seqno)`` versions each owned replica holds."""

@@ -1,6 +1,6 @@
 """Consistency checkers over recorded histories.
 
-Four checks are provided, matching the guarantees of the protocols in this
+Five checks are provided, matching the guarantees of the protocols in this
 repository:
 
 * :func:`check_external_consistency` — external consistency in its standard
@@ -27,7 +27,7 @@ repository:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TransactionId
 from repro.consistency.dsg import build_dsg, find_cycle, install_order, install_positions
@@ -91,21 +91,8 @@ def _cycle_check(
 # DSG based checks
 # ----------------------------------------------------------------------
 def check_external_consistency(history) -> CheckResult:
-    """Strict-serializability reading of external consistency.
-
-    On a :class:`HistoryRecorder` the verdict is computed once per history:
-    the recorder keeps it until the next commit it records (see
-    :attr:`HistoryRecorder.external_consistency_memo`), so asking for the
-    verdict and then for a contract that contains it walks the history once.
-    """
-    transactions = _transactions(history)
-    if not isinstance(history, HistoryRecorder):
-        return _cycle_check(transactions, "external-consistency", realtime="precedence")
-    memo = history.external_consistency_memo
-    if memo is None or memo[0] != len(transactions):
-        result = _cycle_check(transactions, "external-consistency", realtime="precedence")
-        memo = history.external_consistency_memo = (len(transactions), result)
-    return memo[1]
+    """Strict-serializability reading of external consistency."""
+    return _cycle_check(_transactions(history), "external-consistency", realtime="precedence")
 
 
 def check_serializability(history) -> CheckResult:
@@ -205,11 +192,18 @@ def check_committed_reads(history) -> CheckResult:
     )
 
 
+#: Every check by the name its :class:`CheckResult` carries, in
+#: :func:`run_all_checks` order: the names
+#: :meth:`~repro.consistency.history.HistoryRecorder.check` answers.
+CHECKS: Dict[str, Callable[..., CheckResult]] = {
+    "external-consistency": check_external_consistency,
+    "serializability": check_serializability,
+    "update-completion-order": check_update_completion_order,
+    "snapshot-reads": check_snapshot_reads,
+    "committed-reads": check_committed_reads,
+}
+
+
 def run_all_checks(history) -> List[CheckResult]:
     """Run every checker; convenience for examples and reports."""
-    return [
-        check_external_consistency(history),
-        check_serializability(history),
-        check_update_completion_order(history),
-        check_snapshot_reads(history),
-    ]
+    return [check(history) for check in CHECKS.values()]

@@ -13,6 +13,12 @@ protocol nodes and normalizes the information the consistency checkers need:
 Aborted transactions are retained only for statistics; they never appear in
 the serialization graph (an aborted transaction's writes are never visible in
 any of the protocols implemented here).
+
+One recorder, two retention policies: :class:`HistoryRecorder` keeps every
+record for the post-hoc checkers, or, given a
+:class:`~repro.consistency.window.WindowedConsistencyChecker`, feeds each
+commit to it and keeps nothing.  Either way :meth:`HistoryRecorder.check`
+answers a check by name.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.common.ids import TransactionId
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a circular import at runtime
+    from repro.consistency.checkers import CheckResult
+    from repro.consistency.window import WindowedConsistencyChecker
     from repro.core.metadata import TransactionMeta
 
 
@@ -77,9 +85,8 @@ class AbortedTransaction:
 def committed_from_meta(meta: "TransactionMeta") -> CommittedTransaction:
     """Normalize a committed :class:`TransactionMeta` into the checker record.
 
-    Shared by the post-hoc :class:`HistoryRecorder` and the windowed
-    :class:`~repro.consistency.window.WindowedHistoryRecorder`, so both
-    paths see byte-identical transaction records.
+    Both retention policies of :class:`HistoryRecorder` record through it,
+    so the post-hoc and the windowed checkers see byte-identical records.
     """
     reads = tuple(
         ReadObservation(
@@ -120,29 +127,37 @@ def aborted_from_meta(meta: "TransactionMeta") -> AbortedTransaction:
 class HistoryRecorder:
     """Collects the history of one experiment or test run.
 
-    Every record carries the *engine tag* of the event that produced it
-    (``committed_tags`` / ``aborted_tags``, parallel to the record lists):
-    engine keys are unique and totally ordered across the shards of a
-    node-sharded run, so :meth:`merge` puts the recorders of any number of
-    shards back into the one order a single recorder observing every node
-    appends in.  ``tags`` issues them (an
-    :class:`~repro.sim.shard.EngineTagSequencer`); the cluster facade binds
-    it to its engine, and it does not travel with a pickled recorder.
+    Without a ``checker`` it keeps every record.  Each carries the *engine
+    tag* of the event that produced it (``committed_tags`` /
+    ``aborted_tags``, parallel to the record lists): engine keys are unique
+    and totally ordered across the shards of a node-sharded run, so
+    :meth:`merge` puts the recorders of any number of shards back into the
+    one order a single recorder observing every node appends in.  ``tags``
+    issues them (an :class:`~repro.sim.shard.EngineTagSequencer`); the
+    cluster facade binds it to its engine, and it does not travel with a
+    pickled recorder.
+
+    With a ``checker`` it keeps nothing per transaction: each commit goes
+    straight to
+    :meth:`~repro.consistency.window.WindowedConsistencyChecker.observe`,
+    aborts are dropped, and memory is bounded by the checker's retained
+    window.  :attr:`committed` stays empty, so a post-hoc checker handed
+    this recorder sees no history: ask :meth:`check` instead.
     """
 
     committed: List[CommittedTransaction] = field(default_factory=list)
     aborted: List[AbortedTransaction] = field(default_factory=list)
-    enabled: bool = True
     committed_tags: List[Tuple[float, int, int]] = field(default_factory=list)
     aborted_tags: List[Tuple[float, int, int]] = field(default_factory=list)
+    checker: Optional["WindowedConsistencyChecker"] = field(default=None, compare=False)
     tags: Optional[object] = field(default=None, repr=False, compare=False)
-    external_consistency_memo: Optional[Tuple[int, object]] = field(
-        default=None, repr=False, compare=False
+    _verdicts: Tuple[int, Optional[Dict[str, "CheckResult"]]] = field(
+        default=(-1, None), init=False, repr=False, compare=False
     )
-    """``(len(committed), verdict)`` of the last external-consistency check.
-    Records are only ever appended, so the verdict stands exactly as long as
-    the length does: the next recorded commit outdates it, :meth:`clear`
-    drops it, and a recorder built by :meth:`merge` starts without one."""
+    """``(len(committed), verdicts by check name)``.  Records are only ever
+    appended, so a verdict stands exactly as long as the length does: the
+    next recorded commit outdates it, :meth:`clear` drops it, and a
+    recorder built by :meth:`merge` starts without one."""
 
     def __getstate__(self):
         # The sequencer reads a live engine; the records travel without it.
@@ -151,16 +166,45 @@ class HistoryRecorder:
     # ------------------------------------------------------------------
     def record_commit(self, meta: "TransactionMeta") -> None:
         """Record the external commit of ``meta``."""
-        if not self.enabled:
+        if self.checker is not None:
+            self.checker.observe(committed_from_meta(meta))
             return
         self.committed.append(committed_from_meta(meta))
         self.committed_tags.append(self.tags.next_tag())
 
     def record_abort(self, meta: "TransactionMeta") -> None:
-        if not self.enabled:
+        if self.checker is not None:
             return
         self.aborted.append(aborted_from_meta(meta))
         self.aborted_tags.append(self.tags.next_tag())
+
+    def check(self, name: str) -> "CheckResult":
+        """The verdict of the check ``name`` (a key of
+        :data:`~repro.consistency.checkers.CHECKS`) on the history so far.
+
+        Without a checker the named checker runs over :attr:`committed`,
+        once per name until the next recorded commit, so asking for the
+        external-consistency verdict and then for a contract that contains
+        it walks the history once.  With one, the checker's current
+        verdicts answer; a check it was not built with is a ``ValueError``.
+        """
+        if self.checker is not None:
+            verdicts = self.checker.results()
+            if name not in verdicts:
+                raise ValueError(
+                    f"{name} is not among this recorder's checks ({self.checker.checks})"
+                )
+            return verdicts[name]
+        from repro.consistency.checkers import CHECKS
+
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; expected one of {tuple(CHECKS)}")
+        if self._verdicts[0] != len(self.committed):
+            self._verdicts = (len(self.committed), {})
+        verdicts = self._verdicts[1]
+        if name not in verdicts:
+            verdicts[name] = CHECKS[name](self.committed)
+        return verdicts[name]
 
     @classmethod
     def merge(cls, parts: Sequence["HistoryRecorder"]) -> "HistoryRecorder":
@@ -192,23 +236,9 @@ class HistoryRecorder:
     def committed_read_only(self) -> List[CommittedTransaction]:
         return [txn for txn in self.committed if txn.is_read_only]
 
-    def abort_rate(self) -> float:
-        """Aborts over attempts (committed + aborted)."""
-        attempts = len(self.committed) + len(self.aborted)
-        if attempts == 0:
-            return 0.0
-        return len(self.aborted) / attempts
-
-    def by_id(self) -> Dict[TransactionId, CommittedTransaction]:
-        return {txn.txn_id: txn for txn in self.committed}
-
-    def completion_order(self) -> List[CommittedTransaction]:
-        """Committed transactions sorted by client-visible completion time."""
-        return sorted(self.committed, key=lambda txn: txn.external_commit_time)
-
     def clear(self) -> None:
         self.committed.clear()
         self.aborted.clear()
         self.committed_tags.clear()
         self.aborted_tags.clear()
-        self.external_consistency_memo = None
+        self._verdicts = (-1, None)

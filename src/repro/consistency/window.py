@@ -76,26 +76,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TransactionId
-from repro.consistency.checkers import (
-    CheckResult,
-    check_external_consistency,
-    check_serializability,
-    check_snapshot_reads,
-    check_update_completion_order,
-)
-from repro.consistency.history import CommittedTransaction, committed_from_meta
+from repro.consistency.checkers import CHECKS, CheckResult, check_update_completion_order
+from repro.consistency.history import CommittedTransaction
 
 #: Check names the windowed checker knows, in run_all_checks order.
-ALL_CHECKS: Tuple[str, ...] = (
-    "external-consistency",
-    "serializability",
-    "update-completion-order",
-    "snapshot-reads",
-)
+ALL_CHECKS: Tuple[str, ...] = tuple(CHECKS)
 
 
 def default_retention_us(timeouts) -> float:
@@ -184,12 +173,10 @@ class WindowedConsistencyChecker:
         self.completion_tolerance_us = completion_tolerance_us
         self.max_violations = max_violations
         self._check_fns: Dict[str, Callable] = {
-            "external-consistency": check_external_consistency,
-            "serializability": check_serializability,
+            **CHECKS,
             "update-completion-order": lambda window: check_update_completion_order(
                 window, tolerance_us=self.completion_tolerance_us
             ),
-            "snapshot-reads": check_snapshot_reads,
         }
         self._retained: Deque[CommittedTransaction] = deque()
         self._epoch_end = self.epoch_us
@@ -210,6 +197,8 @@ class WindowedConsistencyChecker:
         self._expired_ids = _IdBloom()
         self._violations: Dict[str, List[str]] = {name: [] for name in self.checks}
         self._seen_violations: Dict[str, set] = {name: set() for name in self.checks}
+        # results() of the history so far; the next observe() outdates it.
+        self._results: Optional[Dict[str, CheckResult]] = None
         # Observability counters (surfaced by stats()/bench JSON).
         self.observed = 0
         self.epochs_closed = 0
@@ -220,6 +209,7 @@ class WindowedConsistencyChecker:
     # ------------------------------------------------------------------
     def observe(self, txn: CommittedTransaction) -> None:
         """Feed one committed transaction (external-commit order)."""
+        self._results = None
         self._retained.append(txn)
         self.observed += 1
         if len(self._retained) > self.max_retained:
@@ -349,22 +339,26 @@ class WindowedConsistencyChecker:
     # ------------------------------------------------------------------
     def results(self) -> Dict[str, CheckResult]:
         """Current verdicts: one more pass over the open window, then the
-        sticky violations accumulated across every closed epoch.
+        sticky violations accumulated across every closed epoch.  The pass
+        runs once per history: asking again before the next :meth:`observe`
+        returns the same verdicts.
 
         Call at (or after) the end of a run; histories shorter than the
         retention bound are never pruned, so the verdicts are *identical*
         to the post-hoc oracle by construction.
         """
-        self._run_checks(list(self._retained))
-        return {
-            name: CheckResult(
-                ok=not self._violations[name],
-                name=name,
-                violations=list(self._violations[name]),
-                checked_transactions=self.observed,
-            )
-            for name in self.checks
-        }
+        if self._results is None:
+            self._run_checks(list(self._retained))
+            self._results = {
+                name: CheckResult(
+                    ok=not self._violations[name],
+                    name=name,
+                    violations=list(self._violations[name]),
+                    checked_transactions=self.observed,
+                )
+                for name in self.checks
+            }
+        return self._results
 
     def stats(self) -> Dict[str, float]:
         """Bounded-memory observability counters (for the bench JSON)."""
@@ -382,58 +376,8 @@ class WindowedConsistencyChecker:
         }
 
 
-@dataclass
-class WindowedHistoryRecorder:
-    """Drop-in history recorder that checks online instead of retaining.
-
-    Exposes the same ``record_commit`` / ``record_abort`` surface the
-    protocol nodes call on :class:`~repro.consistency.history.HistoryRecorder`,
-    but feeds every commit straight into a
-    :class:`WindowedConsistencyChecker` and keeps only counters — memory is
-    bounded by the checker's retained window, not by run length.
-    """
-
-    checker: WindowedConsistencyChecker = field(default_factory=WindowedConsistencyChecker)
-    enabled: bool = True
-    committed_count: int = 0
-    aborted_count: int = 0
-
-    def record_commit(self, meta) -> None:
-        if not self.enabled:
-            return
-        self.committed_count += 1
-        self.checker.observe(committed_from_meta(meta))
-
-    def record_abort(self, meta) -> None:
-        if not self.enabled:
-            return
-        self.aborted_count += 1
-        # Only the count is kept: aborted transactions never appear in the
-        # serialization graph (see HistoryRecorder's module doc).
-
-    # ------------------------------------------------------------------
-    def abort_rate(self) -> float:
-        attempts = self.committed_count + self.aborted_count
-        if attempts == 0:
-            return 0.0
-        return self.aborted_count / attempts
-
-    def results(self) -> Dict[str, CheckResult]:
-        return self.checker.results()
-
-    def check_external_consistency(self) -> CheckResult:
-        results = self.results()
-        if "external-consistency" not in results:
-            raise ValueError(
-                "external-consistency is not among this recorder's checks "
-                f"({self.checker.checks})"
-            )
-        return results["external-consistency"]
-
-
 __all__ = [
     "ALL_CHECKS",
     "WindowedConsistencyChecker",
-    "WindowedHistoryRecorder",
     "default_retention_us",
 ]

@@ -6,16 +6,19 @@ engine, the network, one :class:`~repro.core.node.SSSNode` per node, the key
 placement, an optional history recorder and the fault plane, exposing
 ``session`` / ``spawn`` / ``run`` / ``check_consistency``.  The baselines
 instantiate the very same facade, which lets the harness treat every
-protocol uniformly through :data:`repro.protocols.REGISTRY`.
+protocol uniformly through :data:`~repro.protocols.registry.REGISTRY`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.common.config import ClusterConfig
 from repro.core.node import SSSNode
 from repro.protocols.cluster import ProtocolCluster
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.consistency.history import HistoryRecorder
 
 
 class SSSCluster(ProtocolCluster):
@@ -28,7 +31,7 @@ class SSSCluster(ProtocolCluster):
         self,
         config: Optional[ClusterConfig] = None,
         keys: Optional[Sequence[object]] = None,
-        record_history: bool = True,
+        record_history: Union[bool, str, HistoryRecorder] = True,
         strict_visibility: bool = False,
         initial_value=0,
         **kwargs,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
@@ -247,7 +247,7 @@ def run_experiment(
     workload: WorkloadConfig,
     duration_us: float = 200_000.0,
     warmup_us: float = 40_000.0,
-    record_history: bool = False,
+    record_history: Union[bool, str, HistoryRecorder] = False,
     keep_cluster: bool = False,
     keys: Optional[Sequence[object]] = None,
     drain_us: Optional[float] = None,
@@ -269,10 +269,13 @@ def run_experiment(
     record_history:
         ``True`` records every committed transaction for post-hoc
         consistency checking (slows the run down and grows memory;
-        off for benchmarks).  ``"windowed"`` records through the
-        online :class:`~repro.consistency.window.WindowedHistoryRecorder`
-        instead — bounded memory, verdicts as the run progresses.  A
-        recorder instance is used as-is (custom epoch/retention bounds).
+        off for benchmarks).  ``"windowed"`` feeds every commit to an
+        online :class:`~repro.consistency.window.WindowedConsistencyChecker`
+        instead and keeps no record — bounded memory, verdicts as the run
+        progresses.  A :class:`~repro.consistency.history.HistoryRecorder`
+        instance is used as-is (one built with its own checker sets custom
+        epoch/retention bounds).  Either way the kept cluster's
+        ``check_consistency`` / ``check_contract`` ask the recorder.
     keep_cluster:
         Keep the cluster object on the result (tests use it to inspect node
         state); off by default so large runs can be garbage collected.  A
@@ -524,7 +527,7 @@ def _experiment_phase_windows(
     labelled ``p<i>:<scenario>|<fault-kinds>`` — the fault part still ends
     with ``fail-free`` outside fault windows, which is what the
     availability reference in
-    :func:`~repro.harness.metrics.compute_phase_metrics` keys on.
+    :meth:`~repro.harness.streaming.StreamingAccumulator.phase_metrics` keys on.
     """
     fault_windows = config.faults.phases(duration_us) if config.faults else []
     traffic_windows = config.traffic.phase_windows(duration_us) if config.traffic else []

@@ -8,9 +8,9 @@ exposes the operations example programs and the benchmark harness need:
 * ``session(node)`` — obtain a client session co-located with a node;
 * ``spawn(process)`` — run a client process inside the simulation;
 * ``run(until)`` — advance simulated time;
-* ``check_consistency()`` / ``check_contract()`` — run the
-  external-consistency checker, or the checks the protocol promises, over
-  the recorded history.
+* ``check_consistency()`` / ``check_contract()`` — ask the history
+  recorder for the external-consistency verdict, or for the checks the
+  protocol promises.
 
 :class:`MergedClusterView` answers the same post-run questions for a run
 whose nodes were split over several shards, from what the shards report.
@@ -29,7 +29,7 @@ crash/partition/slow-link events are scheduled on the engine (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
@@ -40,6 +40,7 @@ from repro.sim.engine import Simulation
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consistency.checkers import CheckResult
+    from repro.consistency.history import HistoryRecorder
 
 
 class ProtocolCluster:
@@ -57,18 +58,20 @@ class ProtocolCluster:
         self,
         config: Optional[ClusterConfig] = None,
         keys: Optional[Sequence[object]] = None,
-        record_history=True,
+        record_history: Union[bool, str, HistoryRecorder] = True,
         initial_value=0,
         owned_node_ids: Optional[Sequence[int]] = None,
         **node_kwargs,
     ):
         """``record_history`` selects the history plane: ``True`` records
         everything for post-hoc checking, ``False`` records nothing,
-        ``"windowed"`` checks online with bounded memory (retention derived
-        from the config's timeouts via
+        ``"windowed"`` checks online with bounded memory (a
+        :class:`~repro.consistency.history.HistoryRecorder` feeding a
+        :class:`~repro.consistency.window.WindowedConsistencyChecker` whose
+        retention is derived from the config's timeouts via
         :func:`~repro.consistency.window.default_retention_us`), and a
-        recorder instance (:class:`HistoryRecorder` or
-        :class:`WindowedHistoryRecorder`) is used as-is.
+        :class:`~repro.consistency.history.HistoryRecorder` instance is used
+        as-is, with whichever retention policy it was built with.
 
         ``owned_node_ids`` restricts node construction to a subset of the
         cluster (one shard of a node-sharded run) — the facade still
@@ -205,24 +208,27 @@ class ProtocolCluster:
         return self.nodes[node_id]
 
     def check_consistency(self) -> CheckResult:
-        """Run the external-consistency check over the recorded history."""
-        return external_consistency(self.history)
+        """The external-consistency verdict of the recorded history."""
+        return _recorded(self.history).check("external-consistency")
 
     @staticmethod
     def contract(history, replica_versions) -> List[CheckResult]:
         """The checks this protocol *promises* to pass, faults included.
 
-        Stated once per protocol, as a function of the recorded history and
-        the per-replica committed-version summary (:meth:`replica_versions`),
-        so the live cluster and :class:`MergedClusterView` evaluate the same
-        code.  The default is the full external-consistency check — correct
-        for SSS and the 2PC baseline.  Weaker protocols override it with
-        their own contract (ROCOCO: serializability, Walter: PSI's
-        dirty-read freedom and replica convergence) so the fault benches can
-        assert "every protocol keeps its own guarantee under every fault
-        kind" instead of holding all protocols to the strongest one.
+        Stated once per protocol, as the names of the checks the history
+        recorder answers
+        (:meth:`~repro.consistency.history.HistoryRecorder.check`, under
+        either retention policy) plus whatever the per-replica committed-version
+        summary (:meth:`replica_versions`) must satisfy, so the live cluster
+        and :class:`MergedClusterView` evaluate the same code.  The default
+        is ``external-consistency`` — correct for SSS and the 2PC baseline.
+        Weaker protocols override it with their own contract (ROCOCO:
+        serializability and committed reads, Walter: PSI's dirty-read
+        freedom and replica convergence) so the fault benches can assert
+        "every protocol keeps its own guarantee under every fault kind"
+        instead of holding all protocols to the strongest one.
         """
-        return [external_consistency(history)]
+        return [history.check("external-consistency")]
 
     def replica_versions(self) -> Dict[object, Dict[int, set]]:
         """Per replicated key, the committed versions each locally owned
@@ -232,7 +238,7 @@ class ProtocolCluster:
 
     def check_contract(self) -> List[CheckResult]:
         """Evaluate :meth:`contract` on this cluster's own state."""
-        return self.contract(self.history, self.replica_versions())
+        return self.contract(_recorded(self.history), self.replica_versions())
 
     def total_counters(self) -> Dict[str, int]:
         """Aggregate protocol counters over every locally owned node."""
@@ -252,39 +258,31 @@ class ProtocolCluster:
 def _history_recorder(record_history, config: ClusterConfig, sim: Simulation):
     """The recorder a truthy ``record_history`` selects (see ``ProtocolCluster``)."""
     from repro.consistency.history import HistoryRecorder
-    from repro.consistency.window import (
-        WindowedConsistencyChecker,
-        WindowedHistoryRecorder,
-        default_retention_us,
-    )
     from repro.sim.shard import EngineTagSequencer
 
-    if record_history == "windowed":
-        return WindowedHistoryRecorder(
+    if isinstance(record_history, HistoryRecorder):
+        history = record_history
+    elif record_history == "windowed":
+        from repro.consistency.window import WindowedConsistencyChecker, default_retention_us
+
+        history = HistoryRecorder(
             checker=WindowedConsistencyChecker(retention_us=default_retention_us(config.timeouts))
         )
-    if isinstance(record_history, WindowedHistoryRecorder):
-        return record_history
-    if isinstance(record_history, str):
+    elif isinstance(record_history, str):
         raise ConfigurationError(
             f"unknown record_history mode {record_history!r}; "
             "expected True/False/'windowed' or a recorder instance"
         )
-    history = record_history if isinstance(record_history, HistoryRecorder) else HistoryRecorder()
+    else:
+        history = HistoryRecorder()
     history.tags = EngineTagSequencer(sim)
     return history
 
 
-def external_consistency(history) -> CheckResult:
-    """The external-consistency verdict of ``history``, whichever recorder kept it."""
-    from repro.consistency.checkers import check_external_consistency
-    from repro.consistency.window import WindowedHistoryRecorder
-
+def _recorded(history: Optional[HistoryRecorder]) -> HistoryRecorder:
     if history is None:
         raise ConfigurationError("history recording is disabled for this cluster")
-    if isinstance(history, WindowedHistoryRecorder):
-        return history.check_external_consistency()
-    return check_external_consistency(history)
+    return history
 
 
 class MergedClusterView:
@@ -307,10 +305,10 @@ class MergedClusterView:
         self.replica_versions = replica_versions
 
     def check_consistency(self) -> CheckResult:
-        return external_consistency(self.history)
+        return _recorded(self.history).check("external-consistency")
 
     def check_contract(self) -> List[CheckResult]:
-        return self.cluster_class.contract(self.history, self.replica_versions)
+        return self.cluster_class.contract(_recorded(self.history), self.replica_versions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MergedClusterView {self.protocol_name} nodes={self.config.n_nodes}>"

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from importlib import import_module
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.consistency.history import HistoryRecorder
 
 #: Protocol name -> (module, cluster facade class name).
 _CLUSTERS = {
@@ -53,7 +56,7 @@ def build_cluster(
     protocol: str,
     config: Optional[ClusterConfig] = None,
     keys: Optional[Sequence[object]] = None,
-    record_history: bool = False,
+    record_history: Union[bool, str, HistoryRecorder] = False,
     **kwargs,
 ):
     """Instantiate the cluster facade for ``protocol``.
@@ -61,7 +64,9 @@ def build_cluster(
     History recording defaults to *off* for benchmark runs (it retains every
     committed transaction, which is useful for correctness checks but not for
     throughput measurements); tests and examples pass
-    ``record_history=True``.
+    ``record_history=True``, and ``"windowed"`` or a recorder instance
+    select the other history planes (see
+    :class:`~repro.protocols.cluster.ProtocolCluster`).
     """
     if protocol not in _CLUSTERS:
         raise ConfigurationError(

@@ -16,12 +16,15 @@ Three contracts over ``README.md`` and ``docs/``:
   exactly the ``src/`` functions that read ``self._fault_mode``;
 * every module holding ``SSSNode`` code cites only the paper's Algorithms
   1-6, its docstring cites at least one, and ARCHITECTURE.md's SSS module
-  map lists exactly the algorithms each docstring cites.
+  map lists exactly the algorithms each docstring cites;
+* every Sphinx cross-reference to a ``repro.`` name in ``src/`` resolves
+  by import plus attribute lookup.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -284,3 +287,42 @@ def test_the_sss_module_map_lists_the_algorithms_each_docstring_cites():
     for module, listed in rows.items():
         cited = _cited_algorithms(_module_docstring(module))
         assert listed == cited, f"{module}: map {sorted(listed)}, docstring {sorted(cited)}"
+
+
+_XREF_RE = re.compile(r":(?:func|class|meth|mod|attr|data):`~?(repro(?:\.\w+)+)`")
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain on its
+    longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def test_the_resolver_rejects_a_stale_name():
+    assert _resolves("repro.protocols.registry.REGISTRY")
+    assert _resolves("repro.consistency.history.HistoryRecorder.check")
+    assert not _resolves("repro.protocols.REGISTRY")
+    assert not _resolves("repro.harness.metrics.compute_phase_metrics")
+
+
+def test_docstring_cross_references_resolve():
+    references = [
+        (f"{path.relative_to(REPO_ROOT)}:{text.count(chr(10), 0, match.start()) + 1}", match[1])
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for text in [path.read_text()]
+        for match in _XREF_RE.finditer(text)
+    ]
+    assert len(references) > 200, "the reference pattern stopped matching"
+    broken = [f"{where}: {name}" for where, name in references if not _resolves(name)]
+    assert not broken, broken

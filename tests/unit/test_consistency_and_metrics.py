@@ -183,9 +183,9 @@ def test_the_harness_imports_without_networkx():
     )
 
 
-class TestExternalConsistencyMemo:
-    """The recorder keeps its external-consistency verdict until it records
-    another commit; what it hands out is never older than its records."""
+class TestRecorderVerdictCache:
+    """The recorder keeps each check's verdict until it records another
+    commit; what it hands out is never older than its records."""
 
     class _Tags:
         def __init__(self):
@@ -219,69 +219,50 @@ class TestExternalConsistencyMemo:
     def test_second_verdict_reuses_the_first(self):
         history = self._recorder()
         history.record_commit(self._meta(1, writes=["x"]))
-        first = check_external_consistency(history)
+        first = history.check("external-consistency")
         assert first.ok and first.checked_transactions == 1
-        assert check_external_consistency(history) is first
+        assert history.check("external-consistency") is first
+        # Each name keeps its own verdict.
+        serializable = history.check("serializability")
+        assert serializable.name == "serializability"
+        assert history.check("serializability") is serializable
+        assert history.check("external-consistency") is first
 
     def test_next_recorded_commit_outdates_the_verdict(self):
         history = self._recorder()
         history.record_commit(self._meta(1, writes=["x"], begin=0.0, end=100.0))
-        assert check_external_consistency(history).ok
+        assert history.check("external-consistency").ok
         # Begins after the writer's client was answered, reads the preloaded
         # version: the history now contradicts the real-time order.
         history.record_commit(self._meta(2, reads=[("x", None)], begin=200.0, end=260.0))
-        second = check_external_consistency(history)
+        second = history.check("external-consistency")
         assert not second.ok and second.checked_transactions == 2
 
     def test_clear_drops_the_verdict(self):
         history = self._recorder()
         history.record_commit(self._meta(1, writes=["x"], begin=0.0, end=100.0))
         history.record_commit(self._meta(2, reads=[("x", None)], begin=200.0, end=260.0))
-        assert not check_external_consistency(history).ok
+        assert not history.check("external-consistency").ok
         history.clear()
         history.record_commit(self._meta(3, writes=["y"]))
         history.record_commit(self._meta(4, writes=["z"]))
-        assert check_external_consistency(history).ok
+        assert history.check("external-consistency").ok
 
     def test_merged_recorder_starts_without_a_verdict(self):
         writer_part, reader_part = self._recorder(), self._recorder()
         writer_part.record_commit(self._meta(1, writes=["x"], begin=0.0, end=100.0))
         reader_part.record_commit(self._meta(2, reads=[("x", None)], begin=200.0, end=260.0))
         # Each part alone is consistent, and each keeps its own verdict.
-        assert check_external_consistency(writer_part).ok
-        assert check_external_consistency(reader_part).ok
+        assert writer_part.check("external-consistency").ok
+        assert reader_part.check("external-consistency").ok
         merged = HistoryRecorder.merge([writer_part, reader_part])
-        assert merged.external_consistency_memo is None
-        assert not check_external_consistency(merged).ok
-        assert check_external_consistency(writer_part).ok
-        assert check_external_consistency(reader_part).ok
+        assert not merged.check("external-consistency").ok
+        assert writer_part.check("external-consistency").ok
+        assert reader_part.check("external-consistency").ok
 
-
-class TestHistoryRecorder:
-    def test_abort_rate(self):
-        history = HistoryRecorder()
-        assert history.abort_rate() == 0.0
-        history.committed.append(committed(1, writes=["x"]))
-        from repro.consistency.history import AbortedTransaction
-
-        history.aborted.append(AbortedTransaction(TransactionId(0, 2), 0, True, "validation", 1.0))
-        assert history.abort_rate() == pytest.approx(0.5)
-
-    def test_completion_order_sorted(self):
-        history = HistoryRecorder()
-        history.committed.append(committed(1, writes=["x"], begin=0, end=500))
-        history.committed.append(committed(2, writes=["y"], begin=0, end=100))
-        ordered = history.completion_order()
-        assert [txn.txn_id.seq for txn in ordered] == [2, 1]
-
-    def test_disabled_recorder_ignores(self):
-        history = HistoryRecorder(enabled=False)
-
-        class FakeMeta:
-            pass
-
-        history.record_commit(FakeMeta())  # must not raise or record
-        assert history.committed == []
+    def test_unknown_check_name_is_rejected(self):
+        with pytest.raises(ValueError):
+            self._recorder().check("linearizability")
 
 
 class TestMetrics:

@@ -104,3 +104,15 @@ def test_building_one_protocol_imports_no_other():
         "build_cluster('walter', ClusterConfig(n_nodes=3, n_keys=24))"
     )
     assert _imported_after(code, PROTOCOL_MODULES) == []
+
+
+def test_a_full_history_run_never_loads_the_windowed_checker():
+    code = (
+        "from repro.harness.runner import run_experiment\n"
+        "from repro.common.config import ClusterConfig, WorkloadConfig\n"
+        "result = run_experiment('sss', ClusterConfig(n_nodes=3, n_keys=60, clients_per_node=2),"
+        " WorkloadConfig(read_only_fraction=0.5), duration_us=2_000, warmup_us=0,"
+        " record_history=True, keep_cluster=True)\n"
+        "assert all(check.ok for check in result.cluster.check_contract())"
+    )
+    assert _imported_after(code, ["repro.consistency.window"]) == []

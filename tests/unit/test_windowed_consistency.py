@@ -16,11 +16,10 @@ import pytest
 from repro.common.config import ClusterConfig, TimeoutConfig, WorkloadConfig
 from repro.common.ids import TransactionId
 from repro.consistency.checkers import run_all_checks
-from repro.consistency.history import CommittedTransaction, ReadObservation
+from repro.consistency.history import CommittedTransaction, HistoryRecorder, ReadObservation
 from repro.consistency.window import (
     ALL_CHECKS,
     WindowedConsistencyChecker,
-    WindowedHistoryRecorder,
     default_retention_us,
 )
 from repro.harness.runner import run_experiment
@@ -254,28 +253,31 @@ class TestDefaultRetention:
         assert longest < default_retention_us(config.timeouts)
 
 
-class TestWindowedHistoryRecorder:
-    def test_counts_and_abort_rate(self):
-        recorder = WindowedHistoryRecorder()
-        assert recorder.abort_rate() == 0.0
+class TestWindowedRetention:
+    """A recorder built with a checker feeds it and keeps nothing."""
 
-        class FakeMeta:
-            pass
-
-        recorder.aborted_count = 1
-        recorder.committed_count = 3
-        assert recorder.abort_rate() == pytest.approx(0.25)
-
-    def test_disabled_recorder_ignores_everything(self):
-        recorder = WindowedHistoryRecorder(enabled=False)
-        recorder.record_commit(object())  # must not touch the meta at all
-        recorder.record_abort(object())
-        assert recorder.committed_count == 0
-        assert recorder.aborted_count == 0
-
-    def test_check_external_consistency_requires_the_check(self):
-        recorder = WindowedHistoryRecorder(
+    def test_check_requires_the_checker_to_run_it(self):
+        recorder = HistoryRecorder(
             checker=WindowedConsistencyChecker(checks=("serializability",))
         )
         with pytest.raises(ValueError):
-            recorder.check_external_consistency()
+            recorder.check("external-consistency")
+
+    def test_verdicts_stand_until_the_next_observed_commit(self):
+        checker = feed(WindowedConsistencyChecker(), chain(5))
+        recorder = HistoryRecorder(checker=checker)
+        first = recorder.check("external-consistency")
+        assert first.ok and first.checked_transactions == 5
+        assert recorder.check("external-consistency") is first
+        # A read from a writer that never committed.
+        zombie = committed(
+            99,
+            node=1,
+            reads=[("x", TransactionId(1, 404))],
+            is_update=False,
+            begin=900.0,
+            end=950.0,
+        )
+        checker.observe(zombie)
+        assert not recorder.check("committed-reads").ok
+        assert recorder.check("external-consistency").checked_transactions == 6
